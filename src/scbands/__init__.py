@@ -45,7 +45,6 @@ from .fdata import (
 )
 from .kinematic import ECDensityModel, LKCVector, ec_density, eec, tgkf_quantile
 from .lkc import (
-    BoundaryParam,
     LambdaField,
     lambda_hat,
     lkc_1d,
@@ -85,7 +84,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BootstrapConfig",
-    "BoundaryParam",
     "DegenerateVarianceError",
     "ECDensityModel",
     "ExperimentConfig",

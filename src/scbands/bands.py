@@ -29,10 +29,10 @@ from .errors import DegenerateVarianceError
 from .fdata import (
     FunctionalSample,
     Grid1D,
+    _positive_sd,
     grids_equal,
     normed_residuals,
     pointwise_mean,
-    pointwise_sd,
 )
 from .kinematic import ECDensityModel, LKCVector, tgkf_quantile
 from .lkc import lambda_hat, lkc_1d, lkc_2d, lkc_two_sample
@@ -117,16 +117,6 @@ class TwoSampleSpec:
         return self.n / self.m
 
 
-def _positive_sd(sample):
-    sd = pointwise_sd(sample)
-    zeros = np.flatnonzero(sd == 0)
-    if zeros.size:
-        raise DegenerateVarianceError(
-            f"pointwise sd is zero at grid point {int(zeros[0])}"
-        )
-    return sd
-
-
 def _estimated_lkc(sample):
     res = normed_residuals(sample)
     lam = lambda_hat(res)
@@ -141,14 +131,14 @@ def _residual_correlation(res_values, divisor):
     return corr
 
 
-def scb_one_sample(sample, method="tgkf", alpha=0.05, replicates=1000, seed=0, rng=None):
+def scb_one_sample(sample, method="tgkf", alpha=0.05, replicates=1000, seed=0):
     """Simultaneous band for the mean: mean +/- q * sd / sqrt(N).
 
     The quantile comes from the tGKF with estimated curvatures and N-1
     degrees of freedom, from a bootstrap with the given replicate count, or
-    from Gaussian simulation (replicates draws). seed (or rng, which takes
-    precedence and may be an integer or SeedSequence) drives all random
-    methods; the tGKF path is deterministic.
+    from Gaussian simulation (replicates draws). seed, an integer or a
+    SeedSequence, drives all random methods; the tGKF path is
+    deterministic.
     """
     name, kind, law, studentized = parse_method(method)
     n = sample.n_samples
@@ -162,13 +152,13 @@ def scb_one_sample(sample, method="tgkf", alpha=0.05, replicates=1000, seed=0, r
     elif kind == "gauss-sim":
         res = normed_residuals(sample)
         corr = _residual_correlation(res.values, n - 1)
-        q = gauss_sim_quantile(corr, alpha, draws=replicates, rng=seed if rng is None else rng)
+        q = gauss_sim_quantile(corr, alpha, draws=replicates, rng=seed)
     elif kind == "boots":
         cfg = BootstrapConfig(replicates, alpha, studentized, seed)
-        q = boots_t_quantile(sample, cfg, rng=rng)
+        q = boots_t_quantile(sample, cfg)
     else:
         cfg = BootstrapConfig(replicates, alpha, studentized, seed)
-        q = mult_t_quantile(sample, law, cfg, rng=rng)
+        q = mult_t_quantile(sample, law, cfg)
 
     half = q * sd / np.sqrt(n)
     return SCBand(mu, mu - half, mu + half, float(q), name, float(alpha),
@@ -204,8 +194,7 @@ def two_sample_residuals(sample_y, sample_x):
     )
 
 
-def scb_two_sample(sample_y, sample_x, method="tgkf", alpha=0.05, replicates=1000,
-                   seed=0, rng=None):
+def scb_two_sample(sample_y, sample_x, method="tgkf", alpha=0.05, replicates=1000, seed=0):
     """Simultaneous band for the mean difference of two independent groups.
 
     center = mean_Y - mean_X, half-width = q * pooled / sqrt(N + M - 2).
@@ -232,7 +221,7 @@ def scb_two_sample(sample_y, sample_x, method="tgkf", alpha=0.05, replicates=100
             + res_x.values.T @ res_x.values / (m - 1)
         )
         np.fill_diagonal(corr, 1.0)
-        q = gauss_sim_quantile(corr, alpha, draws=replicates, rng=seed if rng is None else rng)
+        q = gauss_sim_quantile(corr, alpha, draws=replicates, rng=seed)
 
     center = pointwise_mean(sample_y) - pointwise_mean(sample_x)
     half = q * pooled / np.sqrt(dof)
@@ -241,7 +230,7 @@ def scb_two_sample(sample_y, sample_x, method="tgkf", alpha=0.05, replicates=100
 
 
 def scb_scale_space(raw, kernel, sg, method="tgkf", alpha=0.05, normalize=True,
-                    replicates=1000, seed=0, rng=None):
+                    replicates=1000, seed=0):
     """Band for the scale-space mean surface of noisy discrete curves.
 
     Smooths every curve onto the (s, h) lattice, then builds the one-sample
@@ -250,7 +239,7 @@ def scb_scale_space(raw, kernel, sg, method="tgkf", alpha=0.05, normalize=True,
     (s, h) rectangle.
     """
     smoothed = smooth_sample(raw, kernel, sg, normalize)
-    return scb_one_sample(smoothed, method, alpha, replicates, seed, rng)
+    return scb_one_sample(smoothed, method, alpha, replicates, seed)
 
 
 def covers(band, truth):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVarianceError
-from .fdata import FunctionalSample, pointwise_sd
+from .fdata import _positive_sd, _values_of
 from .rng import stream_root, substream
 
 __all__ = [
@@ -55,8 +55,9 @@ RADEMACHER_MULTIPLIERS = MultiplierLaw("rademacher")
 class BootstrapConfig:
     """Replicate count, level, studentization switch, and seed.
 
-    B >= 100 is advisable for any quantile meant for inference; smaller
-    values are accepted (determinism tests use them).
+    seed is an integer or a SeedSequence (a branch of the caller's stream
+    tree). B >= 100 is advisable for any quantile meant for inference;
+    smaller values are accepted (determinism tests use them).
     """
 
     replicates: int = 1000
@@ -71,15 +72,6 @@ class BootstrapConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 
 
-def _values_matrix(sample):
-    if isinstance(sample, FunctionalSample):
-        return sample.values
-    arr = np.asarray(sample, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("expected a FunctionalSample or an N x P matrix")
-    return arr
-
-
 def ceiling_rank_quantile(draws, alpha):
     """Order statistic ceil((1-alpha) B) of the replicate statistics."""
     draws = np.asarray(draws, dtype=float)
@@ -89,17 +81,7 @@ def ceiling_rank_quantile(draws, alpha):
     return float(np.partition(draws, rank - 1)[rank - 1])
 
 
-def _original_sd(vals):
-    sd = pointwise_sd(vals)
-    zeros = np.flatnonzero(sd == 0)
-    if zeros.size:
-        raise DegenerateVarianceError(
-            f"original-sample sd is zero at grid point {int(zeros[0])}"
-        )
-    return sd
-
-
-def boots_t_quantile(sample, cfg, rng=None):
+def boots_t_quantile(sample, cfg):
     """Bootstrap-t quantile of max_s sqrt(N) |mean* - mean| / sd*.
 
     Resamples rows with replacement B times. In studentized mode sd* is the
@@ -108,18 +90,15 @@ def boots_t_quantile(sample, cfg, rng=None):
     replicate's next attempt stream (error once more than B/10 rejections
     accumulate). With studentized=False the original-sample sd is used and
     no resample is degenerate.
-
-    rng overrides the stream root derived from cfg.seed; pass an integer or
-    SeedSequence when the caller manages its own stream tree.
     """
-    vals = _values_matrix(sample)
+    vals = _values_of(sample)
     n = vals.shape[0]
     if n < 2:
         raise ValueError("bootstrap needs at least 2 curves")
-    root = stream_root(cfg.seed if rng is None else rng)
+    root = stream_root(cfg.seed)
 
     mean = vals.mean(axis=0)
-    sd_fixed = None if cfg.studentized else _original_sd(vals)
+    sd_fixed = None if cfg.studentized else _positive_sd(sample)
     sqrt_n = np.sqrt(n)
 
     b_total = cfg.replicates
@@ -153,7 +132,7 @@ def boots_t_quantile(sample, cfg, rng=None):
     return ceiling_rank_quantile(stats, cfg.alpha)
 
 
-def mult_t_quantile(sample, law, cfg, rng=None):
+def mult_t_quantile(sample, law, cfg):
     """Multiplier bootstrap quantile of the max studentized statistic.
 
     Residuals are R_n = sqrt(N/(N-1)) (Y_n - mean). Each replicate draws
@@ -167,14 +146,14 @@ def mult_t_quantile(sample, law, cfg, rng=None):
     residuals) contribute 0; a vanishing sd* under a nonzero numerator
     raises the degenerate-variance error.
     """
-    vals = _values_matrix(sample)
+    vals = _values_of(sample)
     n = vals.shape[0]
     if n < 2:
         raise ValueError("multiplier bootstrap needs at least 2 curves")
-    root = stream_root(cfg.seed if rng is None else rng)
+    root = stream_root(cfg.seed)
 
     res = np.sqrt(n / (n - 1.0)) * (vals - vals.mean(axis=0))
-    sd_fixed = None if cfg.studentized else _original_sd(vals)
+    sd_fixed = None if cfg.studentized else _positive_sd(sample)
 
     b_total = cfg.replicates
     gmat = np.empty((b_total, n))

@@ -10,22 +10,19 @@ Subcommands:
 Every subcommand takes --config pointing at a JSON document with the
 experiment configuration (see ExperimentConfig.from_dict). The scb and
 scale-scb configs additionally carry "input" (and optionally "input_x"
-for a two-group comparison). --seed and --out override the config file,
---threads parallelizes the sweep drivers. Failures print a one-line JSON
-object {"error": ..., "message": ...} to stderr and exit with status 1.
+for a two-group comparison). --seed and --out override the config file;
+--threads parallelizes the coverage and width sweeps and is ignored by
+the other subcommands. Failures print a one-line JSON object
+{"error": ..., "message": ...} to stderr and exit with status 1.
 """
 
 import argparse
 import json
 import sys
 
-import numpy as np
-
 from .bands import scb_one_sample, scb_scale_space, scb_two_sample
-from .experiments import ExperimentConfig, run_coverage, run_width
+from .experiments import ExperimentConfig, _raw_draw, run_coverage, run_width
 from .fdata import Grid1D
-from .models import add_observation_noise, gen_model
-from .rng import substream
 from .sampleio import (
     format_report_table,
     read_sample,
@@ -57,10 +54,7 @@ def _out_path(cfg, default):
 
 
 def _cmd_generate(cfg, inputs):
-    n = cfg.n_values[0]
-    sample = gen_model(cfg.model, n, substream(cfg.seed, 0, 0, 0))
-    if cfg.sigma_obs > 0:
-        sample = add_observation_noise(sample, cfg.sigma_obs, substream(cfg.seed, 2, 0, 0))
+    sample = _raw_draw(cfg, 0, 0)
     path = _out_path(cfg, "sample.csv")
     write_sample(path, sample)
     print(f"wrote {sample.n_samples} x {sample.n_points} sample to {path}")
@@ -95,12 +89,8 @@ def _cmd_scale_scb(cfg, inputs):
     raw = read_sample(inputs["input"])
     if not isinstance(raw.grid, Grid1D):
         raise ValueError("scale-scb expects curves, not surfaces")
-    if cfg.scale_grid is not None:
-        h_min, h_max, count = cfg.scale_grid
-        bandwidths = np.linspace(h_min, h_max, count)
-    elif cfg.presmooth_bandwidth is not None:
-        bandwidths = np.array([cfg.presmooth_bandwidth])
-    else:
+    bandwidths = cfg.bandwidths()
+    if bandwidths is None:
         raise ValueError('scale-scb needs "scale_grid" or "presmooth_bandwidth"')
     sg = ScaleGrid(raw.grid, bandwidths)
     band = scb_scale_space(

@@ -95,6 +95,15 @@ class ExperimentConfig:
         ):
             raise ValueError("smoothing pipelines apply to curve models only")
 
+    def bandwidths(self):
+        """Smoothing bandwidths of the scale grid or the presmoother, or None."""
+        if self.scale_grid is not None:
+            h_min, h_max, count = self.scale_grid
+            return np.linspace(h_min, h_max, count)
+        if self.presmooth_bandwidth is not None:
+            return np.array([self.presmooth_bandwidth])
+        return None
+
     def to_dict(self):
         return {
             "model": {
@@ -129,8 +138,8 @@ class ExperimentConfig:
         spec = ModelSpec(
             model=model_doc.get("name", "A"),
             coef_law=model_doc.get("coef_law", "gaussian"),
-            nu=int(model_doc.get("nu", 7)),
-            resolution=int(model_doc.get("resolution", 200)),
+            nu=model_doc.get("nu", 7),
+            resolution=model_doc.get("resolution", 200),
             midpoint_grid=bool(model_doc.get("midpoint_grid", False)),
         )
         fields = {
@@ -153,45 +162,41 @@ class _Pipeline:
     def __init__(self, cfg):
         self.cfg = cfg
         grid = cfg.model.make_grid()
-        self.raw_grid = grid
-        if cfg.scale_grid is not None:
-            h_min, h_max, count = cfg.scale_grid
-            self.kernel = gaussian_kernel()
-            self.sg = ScaleGrid(Grid1D(grid.points), np.linspace(h_min, h_max, count))
-            mu = model_mean(cfg.model.model, grid.points)
-            self.truth = scale_mean(
-                mu, self.kernel, self.sg, normalize=True, measure_points=grid.points
-            )
-        elif cfg.presmooth_bandwidth is not None:
-            self.kernel = gaussian_kernel()
-            eval_grid = Grid1D(np.linspace(0.0, 1.0, cfg.presmooth_points))
-            self.sg = ScaleGrid(eval_grid, np.array([cfg.presmooth_bandwidth]))
-            mu = model_mean(cfg.model.model, grid.points)
-            self.truth = scale_mean(
-                mu, self.kernel, self.sg, normalize=True, measure_points=grid.points
-            )
-        else:
-            self.kernel = None
+        bandwidths = cfg.bandwidths()
+        if bandwidths is None:
             self.sg = None
-            if cfg.model.model == "C":
-                x, y = grid.lattice_coords()
-                self.truth = model_mean("C", x, y)
+            coords = grid.lattice_coords() if cfg.model.model == "C" else (grid.points,)
+            self.truth = model_mean(cfg.model.model, *coords)
+        else:
+            if cfg.scale_grid is None:
+                grid_s = Grid1D(np.linspace(0.0, 1.0, cfg.presmooth_points))
             else:
-                self.truth = model_mean(cfg.model.model, grid.points)
+                grid_s = grid
+            self.kernel = gaussian_kernel()
+            self.sg = ScaleGrid(grid_s, bandwidths)
+            mu = model_mean(cfg.model.model, grid.points)
+            self.truth = scale_mean(
+                mu, self.kernel, self.sg, normalize=True, measure_points=grid.points
+            )
         if cfg.two_sample:
             self.truth = np.zeros_like(self.truth)
 
     def draw(self, n_index, rep, data_tag, noise_tag):
-        cfg = self.cfg
-        n = cfg.n_values[n_index]
-        sample = gen_model(cfg.model, n, substream(cfg.seed, data_tag, n_index, rep))
-        if cfg.sigma_obs > 0:
-            sample = add_observation_noise(
-                sample, cfg.sigma_obs, substream(cfg.seed, noise_tag, n_index, rep)
-            )
+        sample = _raw_draw(self.cfg, n_index, rep, data_tag, noise_tag)
         if self.sg is not None:
             sample = smooth_sample(sample, self.kernel, self.sg, normalize=True)
         return sample
+
+
+def _raw_draw(cfg, n_index, rep, data_tag=_TAG_DATA_Y, noise_tag=_TAG_NOISE_Y):
+    """Model draw plus observation noise, before any smoothing."""
+    n = cfg.n_values[n_index]
+    sample = gen_model(cfg.model, n, substream(cfg.seed, data_tag, n_index, rep))
+    if cfg.sigma_obs > 0:
+        sample = add_observation_noise(
+            sample, cfg.sigma_obs, substream(cfg.seed, noise_tag, n_index, rep)
+        )
+    return sample
 
 
 def _map_items(worker, items, threads):
@@ -201,22 +206,33 @@ def _map_items(worker, items, threads):
         return list(pool.map(worker, items))
 
 
-def _failure_tolerant(fn):
+def _failure_tolerant(fn, *args):
     try:
-        return fn(), None
+        return fn(*args), None
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def run_coverage(cfg, threads=1):
-    """Coverage table: one cell per (N, method) with hit rate and binomial SE."""
-    pipe = _Pipeline(cfg)
-    n_count, m_count = len(cfg.n_values), len(cfg.methods)
-    items = [(i, r) for i in range(n_count) for r in range(cfg.replications)]
+def _sweep(cfg, pipe, score, threads):
+    """Score the band of every (N, rep, method); one block of rows per N.
+
+    A row holds one (value, reason) pair per method: value is score(band),
+    or None with the failure message as reason when the draw or the
+    estimator failed.
+    """
+    m_count = len(cfg.methods)
+
+    def band_score(sample, other, method, seed):
+        if other is None:
+            band = scb_one_sample(sample, method, cfg.alpha, cfg.bootstrap_replicates, seed)
+        else:
+            band = scb_two_sample(
+                sample, other, method, cfg.alpha, cfg.bootstrap_replicates, seed
+            )
+        return score(band)
 
     def worker(item):
         n_index, rep = item
-        row = []
         try:
             sample = pipe.draw(n_index, rep, _TAG_DATA_Y, _TAG_NOISE_Y)
             other = (
@@ -225,32 +241,28 @@ def run_coverage(cfg, threads=1):
                 else None
             )
         except (ValueError, ArithmeticError) as exc:
-            msg = f"{type(exc).__name__}: {exc}"
-            return [(None, msg)] * m_count
-        for m_index, method in enumerate(cfg.methods):
-            rng = child_sequence(cfg.seed, _TAG_METHOD, n_index, rep, m_index)
+            return [(None, f"{type(exc).__name__}: {exc}")] * m_count
+        return [
+            _failure_tolerant(
+                band_score, sample, other, method,
+                child_sequence(cfg.seed, _TAG_METHOD, n_index, rep, m_index),
+            )
+            for m_index, method in enumerate(cfg.methods)
+        ]
 
-            def build():
-                if cfg.two_sample:
-                    band = scb_two_sample(
-                        sample, other, method, cfg.alpha,
-                        replicates=cfg.bootstrap_replicates, rng=rng,
-                    )
-                else:
-                    band = scb_one_sample(
-                        sample, method, cfg.alpha,
-                        replicates=cfg.bootstrap_replicates, rng=rng,
-                    )
-                return covers(band, pipe.truth)
+    reps = cfg.replications
+    items = [(i, r) for i in range(len(cfg.n_values)) for r in range(reps)]
+    rows = _map_items(worker, items, threads)
+    return [rows[i * reps : (i + 1) * reps] for i in range(len(cfg.n_values))]
 
-            row.append(_failure_tolerant(build))
-        return row
 
-    results = _map_items(worker, items, threads)
+def run_coverage(cfg, threads=1):
+    """Coverage table: one cell per (N, method) with hit rate and binomial SE."""
+    pipe = _Pipeline(cfg)
+    blocks = _sweep(cfg, pipe, lambda band: covers(band, pipe.truth), threads)
 
     cells = []
-    for n_index, n in enumerate(cfg.n_values):
-        block = results[n_index * cfg.replications : (n_index + 1) * cfg.replications]
+    for n, block in zip(cfg.n_values, blocks):
         for m_index, method in enumerate(cfg.methods):
             outcomes = [row[m_index][0] for row in block]
             hits = sum(1 for o in outcomes if o is True)
@@ -294,49 +306,17 @@ def run_width(cfg, threads=1):
     """Width table: mean quantile +/- 2 SE per (N, method), plus the
     brute-force reference row from true_replications max-t draws."""
     pipe = _Pipeline(cfg)
-    n_count, m_count = len(cfg.n_values), len(cfg.methods)
-    items = [(i, r) for i in range(n_count) for r in range(cfg.replications)]
+    blocks = _sweep(cfg, pipe, lambda band: band.quantile, threads)
 
-    def worker(item):
-        n_index, rep = item
-        row = []
-        try:
-            sample = pipe.draw(n_index, rep, _TAG_DATA_Y, _TAG_NOISE_Y)
-            other = (
-                pipe.draw(n_index, rep, _TAG_DATA_X, _TAG_NOISE_X)
-                if cfg.two_sample
-                else None
-            )
-        except (ValueError, ArithmeticError) as exc:
-            msg = f"{type(exc).__name__}: {exc}"
-            return [(None, msg)] * m_count
-        for m_index, method in enumerate(cfg.methods):
-            rng = child_sequence(cfg.seed, _TAG_METHOD, n_index, rep, m_index)
-
-            def build():
-                if cfg.two_sample:
-                    return scb_two_sample(
-                        sample, other, method, cfg.alpha,
-                        replicates=cfg.bootstrap_replicates, rng=rng,
-                    ).quantile
-                return scb_one_sample(
-                    sample, method, cfg.alpha,
-                    replicates=cfg.bootstrap_replicates, rng=rng,
-                ).quantile
-
-            row.append(_failure_tolerant(build))
-        return row
-
-    results = _map_items(worker, items, threads)
-
-    true_items = [(i, r) for i in range(n_count) for r in range(cfg.true_replications)]
+    true_items = [
+        (i, r) for i in range(len(cfg.n_values)) for r in range(cfg.true_replications)
+    ]
     true_stats = _map_items(
         lambda it: _max_t_statistic(pipe, it[0], it[1]), true_items, threads
     )
 
     cells = []
-    for n_index, n in enumerate(cfg.n_values):
-        block = results[n_index * cfg.replications : (n_index + 1) * cfg.replications]
+    for n_index, (n, block) in enumerate(zip(cfg.n_values, blocks)):
         for m_index, method in enumerate(cfg.methods):
             quantiles = [row[m_index][0] for row in block]
             good = np.array([q for q in quantiles if q is not None])

@@ -84,40 +84,14 @@ def rectangle_boundary(n_x, n_y):
 
 @dataclass(frozen=True, eq=False)
 class Grid2D:
-    """Rectangular lattice with a closed boundary polyline.
-
-    boundary is a cyclic (K, 2) array of lattice index pairs tracing the
-    domain edge; consecutive vertices (including last to first) must be
-    lattice neighbours. Defaults to the full rectangle perimeter.
-    """
+    """Full rectangular lattice over x_points by y_points."""
 
     x_points: np.ndarray
     y_points: np.ndarray
-    boundary: np.ndarray = None
 
     def __post_init__(self):
         object.__setattr__(self, "x_points", _ascending_points(self.x_points, "x_points"))
         object.__setattr__(self, "y_points", _ascending_points(self.y_points, "y_points"))
-        if self.boundary is None:
-            bnd = rectangle_boundary(self.n_x, self.n_y)
-        else:
-            bnd = np.array(self.boundary, dtype=np.intp)
-        self._check_boundary(bnd)
-        bnd.setflags(write=False)
-        object.__setattr__(self, "boundary", bnd)
-
-    def _check_boundary(self, bnd):
-        if bnd.ndim != 2 or bnd.shape[1] != 2 or bnd.shape[0] < 4:
-            raise ValueError("boundary must be a (K, 2) index array with K >= 4")
-        if np.any(bnd[:, 0] < 0) or np.any(bnd[:, 0] >= self.n_x):
-            raise ValueError("boundary x index out of range")
-        if np.any(bnd[:, 1] < 0) or np.any(bnd[:, 1] >= self.n_y):
-            raise ValueError("boundary y index out of range")
-        steps = np.roll(bnd, -1, axis=0) - bnd
-        if np.any(np.abs(steps).sum(axis=1) != 1):
-            raise ValueError("boundary must be a closed chain of lattice neighbours")
-        if len({(int(ix), int(iy)) for ix, iy in bnd}) != bnd.shape[0]:
-            raise ValueError("boundary must not revisit a vertex")
 
     @property
     def n_x(self):
@@ -225,6 +199,17 @@ def pointwise_sd(sample):
     return vals.std(axis=0, ddof=1)
 
 
+def _positive_sd(sample):
+    """pointwise_sd, raising DegenerateVarianceError at the first zero."""
+    sd = pointwise_sd(sample)
+    zeros = np.flatnonzero(sd == 0)
+    if zeros.size:
+        raise DegenerateVarianceError(
+            f"pointwise sd is zero at grid point {_point_label(sample, int(zeros[0]))}"
+        )
+    return sd
+
+
 def normed_residuals(sample):
     """Rows (Y_n - mean) / sd, so every column has mean 0 and sd 1.
 
@@ -235,12 +220,7 @@ def normed_residuals(sample):
     factor to unnormalized residuals.
     """
     vals = _values_of(sample)
-    sd = pointwise_sd(vals)
-    zeros = np.flatnonzero(sd == 0)
-    if zeros.size:
-        raise DegenerateVarianceError(
-            f"pointwise sd is zero at grid point {_point_label(sample, int(zeros[0]))}"
-        )
+    sd = _positive_sd(sample)
     res = (vals - vals.mean(axis=0)) / sd
     if isinstance(sample, FunctionalSample):
         return FunctionalSample(res, sample.grid)

@@ -11,12 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVarianceError
-from .fdata import FunctionalSample, Grid1D, Grid2D, gradient, grids_equal
+from .fdata import FunctionalSample, Grid1D, Grid2D, gradient, grids_equal, rectangle_boundary
 from .kinematic import LKCVector
 
 __all__ = [
     "LambdaField",
-    "BoundaryParam",
     "lambda_hat",
     "lkc_1d",
     "lkc_2d",
@@ -57,45 +56,6 @@ class LambdaField:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True, eq=False)
-class BoundaryParam:
-    """Closed lattice polyline with per-segment tangent vectors.
-
-    vertices is a cyclic (K, 2) array of lattice index pairs; tangents[k]
-    is the coordinate delta of the segment from vertex k to vertex k+1
-    (wrapping at the end), i.e. dgamma/dt for the segment parametrized on
-    [0, 1].
-    """
-
-    vertices: np.ndarray
-    tangents: np.ndarray
-
-    def __post_init__(self):
-        verts = np.array(self.vertices, dtype=np.intp)
-        tang = np.array(self.tangents, dtype=float)
-        if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
-            raise ValueError("vertices must be a (K, 2) index array, K >= 3")
-        steps = np.roll(verts, -1, axis=0) - verts
-        if np.any(np.abs(steps).sum(axis=1) != 1):
-            raise ValueError("boundary is not a closed chain of lattice neighbours")
-        if tang.shape != (verts.shape[0], 2):
-            raise ValueError("need one tangent vector per segment")
-        verts.setflags(write=False)
-        tang.setflags(write=False)
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "tangents", tang)
-
-    @classmethod
-    def from_grid(cls, grid):
-        """Boundary polyline of the grid with coordinate-delta tangents."""
-        verts = grid.boundary
-        coords = np.column_stack(
-            [grid.x_points[verts[:, 0]], grid.y_points[verts[:, 1]]]
-        )
-        tang = np.roll(coords, -1, axis=0) - coords
-        return cls(verts, tang)
-
-
 def lambda_hat(residuals):
     """Empirical covariance (divisor N-1) of the residual gradient field."""
     if not isinstance(residuals, FunctionalSample):
@@ -122,11 +82,12 @@ def lkc_1d(lam, grid):
     return float(np.sum(grid.trapezoid_weights() * np.sqrt(lam.values)))
 
 
-def lkc_2d(lam, grid, boundary=None):
-    """(L1, L2) of a 2-D domain under the field metric.
+def lkc_2d(lam, grid):
+    """(L1, L2) of the lattice rectangle under the field metric.
 
-    L1 is half the metric length of the boundary polyline, integrating
-    sqrt(t' Lambda t) per segment with the endpoint-averaged matrix; L2 is
+    L1 is half the metric length of the rectangle's perimeter, integrating
+    sqrt(t' Lambda t) per lattice segment with the endpoint-averaged matrix
+    and the segment's coordinate delta t; L2 is
     the lattice trapezoid integral of sqrt(det Lambda). The determinant is
     clamped at zero: sampling noise can push the 2x2 determinant slightly
     negative.
@@ -135,17 +96,15 @@ def lkc_2d(lam, grid, boundary=None):
         raise ValueError("lkc_2d needs a 2-D grid")
     if lam.values.ndim != 3 or not grids_equal(lam.grid, grid):
         raise ValueError("field does not live on the given grid")
-    if boundary is None:
-        boundary = BoundaryParam.from_grid(grid)
-
     vals = lam.values
     det = vals[:, 0, 0] * vals[:, 1, 1] - vals[:, 0, 1] ** 2
     l2 = float(np.sum(grid.trapezoid_weights() * np.sqrt(np.clip(det, 0.0, None))))
 
-    flat = grid.flat_index(boundary.vertices[:, 0], boundary.vertices[:, 1])
-    seg = vals[flat]
+    ix, iy = rectangle_boundary(grid.n_x, grid.n_y).T
+    coords = np.column_stack([grid.x_points[ix], grid.y_points[iy]])
+    t = np.roll(coords, -1, axis=0) - coords
+    seg = vals[grid.flat_index(ix, iy)]
     seg_mid = 0.5 * (seg + np.roll(seg, -1, axis=0))
-    t = boundary.tangents
     quad = np.einsum("ki,kij,kj->k", t, seg_mid, t)
     l1 = 0.5 * float(np.sum(np.sqrt(np.clip(quad, 0.0, None))))
     return l1, l2

@@ -105,6 +105,11 @@ class ModelSpec:
     midpoint_grid: bool = False
 
     def __post_init__(self):
+        for name in ("nu", "resolution"):
+            value = getattr(self, name)
+            if not float(value).is_integer():
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.model not in ("A", "B", "C"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.coef_law not in ("gaussian", "t3", "chisq"):

@@ -22,27 +22,13 @@ class Kernel:
     """Smoothing kernel evaluated as fn(offsets, h).
 
     fn maps an array of location offsets and a bandwidth to weights. The
-    smoothness tag declares joint regularity in (s, h); at least C3 is
-    required for the scale-space limit theory to apply, which is why only
-    the tags "C3" and "Cinf" are accepted. support_radius, when given, is
-    in units of h: weights vanish for |offset| > support_radius * h.
+    scale-space limit theory needs fn to be at least C3 jointly in (s, h).
     """
 
     fn: Callable
-    smoothness: str = "C3"
-    support_radius: float = None
-
-    def __post_init__(self):
-        if self.smoothness not in ("C3", "Cinf"):
-            raise ValueError("kernel must be at least C3 in (s, h)")
-        if self.support_radius is not None and self.support_radius <= 0:
-            raise ValueError("support_radius must be positive")
 
     def weights(self, offsets, h):
-        w = np.asarray(self.fn(np.asarray(offsets, dtype=float), float(h)), dtype=float)
-        if self.support_radius is not None:
-            w = np.where(np.abs(offsets) <= self.support_radius * h, w, 0.0)
-        return w
+        return np.asarray(self.fn(np.asarray(offsets, dtype=float), float(h)), dtype=float)
 
 
 def gaussian_kernel():
@@ -52,7 +38,7 @@ def gaussian_kernel():
         z = offsets / h
         return np.exp(-0.5 * z * z)
 
-    return Kernel(fn, smoothness="Cinf", support_radius=None)
+    return Kernel(fn)
 
 
 @dataclass(frozen=True, eq=False)

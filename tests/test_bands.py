@@ -7,6 +7,8 @@ from scipy import stats
 
 from scbands import (
     METHOD_NAMES,
+    RADEMACHER_MULTIPLIERS,
+    BootstrapConfig,
     DegenerateVarianceError,
     FunctionalSample,
     Grid1D,
@@ -14,9 +16,12 @@ from scbands import (
     ModelSpec,
     ScaleGrid,
     band_to_dict,
+    boots_t_quantile,
     covers,
     gaussian_kernel,
     gen_model,
+    mult_t_quantile,
+    normed_residuals,
     scb_one_sample,
     scb_scale_space,
     scb_two_sample,
@@ -102,8 +107,18 @@ def test_unknown_method_rejected():
 def test_degenerate_sample_rejected():
     g = Grid1D(np.linspace(0.0, 1.0, 10))
     vals = np.vstack([np.zeros(10), np.r_[np.zeros(5), np.ones(5)]])
-    with pytest.raises(DegenerateVarianceError):
-        scb_one_sample(FunctionalSample(vals, g), method="tgkf")
+    sample = FunctionalSample(vals, g)
+    plain = BootstrapConfig(replicates=20, seed=1, studentized=False)
+    # Every entry point shares one zero-sd check and names the first bad point.
+    for estimate in (
+        lambda: scb_one_sample(sample, method="tgkf"),
+        lambda: scb_one_sample(sample, method="gauss-sim", replicates=20),
+        lambda: boots_t_quantile(sample, plain),
+        lambda: mult_t_quantile(sample, RADEMACHER_MULTIPLIERS, plain),
+        lambda: normed_residuals(vals),
+    ):
+        with pytest.raises(DegenerateVarianceError, match="sd is zero at grid point 0"):
+            estimate()
 
 
 def test_two_sample_band_swap_antisymmetry():

@@ -127,6 +127,16 @@ def test_config_round_trip():
     assert again == cfg
 
 
+def test_config_rejects_fractional_model_integers():
+    with pytest.raises(ValueError, match="nu must be an integer"):
+        ExperimentConfig.from_dict({"model": {"coef_law": "chisq", "nu": 2.5, "resolution": 40}})
+    with pytest.raises(ValueError, match="resolution must be an integer"):
+        ExperimentConfig.from_dict({"model": {"resolution": 40.9}})
+    with pytest.raises(ValueError, match="resolution must be an integer"):
+        ModelSpec("A", resolution=40.9)
+    assert ExperimentConfig.from_dict({"model": {"nu": 3.0}}).model.nu == 3
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="unknown"):
         ExperimentConfig.from_dict({"n_values": [5], "bogus": 1})

@@ -7,10 +7,13 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from scbands import (
+    ExperimentConfig,
     FunctionalSample,
     Grid1D,
     Grid2D,
+    add_observation_noise,
     format_report_table,
+    gen_model,
     read_sample,
     scb_one_sample,
     substream,
@@ -152,6 +155,25 @@ def test_cli_generate_then_band(tmp_path, capsys):
     assert doc["method"] == "tgkf"
     assert len(doc["center"]) == 40
     capsys.readouterr()
+
+
+def test_cli_generate_writes_the_raw_sweep_draw(tmp_path, capsys):
+    # generate draws the sweep's first-replication streams (data tag 0,
+    # noise tag 2) and writes the sample before any smoothing.
+    cfg_path = _write_config(
+        tmp_path / "cfg.json", sigma_obs=0.3, scale_grid=[0.02, 0.1, 3],
+        model={"name": "B", "resolution": 30, "midpoint_grid": True},
+    )
+    out = tmp_path / "raw.csv"
+    assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    cfg = ExperimentConfig.from_dict(json.loads(cfg_path.read_text()))
+    expected = add_observation_noise(
+        gen_model(cfg.model, 12, substream(3, 0, 0, 0)), 0.3, substream(3, 2, 0, 0)
+    )
+    got = read_sample(out)
+    assert_array_equal(got.grid.points, expected.grid.points)
+    assert_array_equal(got.values, expected.values)
 
 
 def test_cli_generate_seed_changes_data(tmp_path):

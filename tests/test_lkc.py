@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from scbands import (
@@ -74,6 +76,25 @@ def test_surface_curvatures_scale_with_domain():
     eye = np.broadcast_to(np.eye(2), (g.n_points, 2, 2)).copy()
     l1, l2 = lkc_2d(LambdaField(eye, g), g)
     assert_allclose((l1, l2), (5.0, 6.0), rtol=1e-12)
+
+
+_steps = st.lists(st.floats(0.01, 1.0), min_size=2, max_size=12)
+_entry = st.floats(0.1, 3.0)
+_origin = st.floats(-5.0, 5.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_steps, _steps, _origin, _origin, _entry, st.floats(-3.0, 3.0), _entry)
+def test_surface_curvatures_of_constant_spd_metric(dx, dy, x0, y0, a, b, d):
+    # M = A A' with A = [[a, b], [0, d]] is SPD with det M = (a d)^2.
+    xs = x0 + np.concatenate([[0.0], np.cumsum(dx)])
+    ys = y0 + np.concatenate([[0.0], np.cumsum(dy)])
+    g = Grid2D(xs, ys)
+    m = np.array([[a * a + b * b, b * d], [b * d, d * d]])
+    l1, l2 = lkc_2d(LambdaField(np.broadcast_to(m, (g.n_points, 2, 2)), g), g)
+    w, h = xs[-1] - xs[0], ys[-1] - ys[0]
+    assert_allclose(l1, w * np.sqrt(m[0, 0]) + h * np.sqrt(m[1, 1]), rtol=1e-12)
+    assert_allclose(l2, w * h * abs(a * d), rtol=1e-12)
 
 
 def test_lambda_2d_shape_and_symmetry():

@@ -7,9 +7,10 @@ them reduce the band problem to the empirical quantile of B replicate maxima;
 the ceiling-rank order statistic ceil((1-alpha) B) is used throughout, which
 is the conservative standard for bootstrap bands.
 
-Every replicate draws from its own substream keyed by the replicate index,
-so estimates are reproducible bit for bit and independent of the order in
-which replicates are evaluated.
+Each band draws all of its B replicates from one counter-based stream,
+``substream(seed)``, in one call: row b of the (B, N) multiplier or index
+matrix is replicate b. Estimates are reproducible bit for bit from the seed
+alone, whatever the thread count or the order in which bands are built.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateVarianceError
 from .fdata import _positive_sd, _values_of
-from .rng import stream_root, substream
+from .rng import substream
 
 __all__ = [
     "MultiplierLaw",
@@ -41,10 +42,11 @@ class MultiplierLaw:
         if self.kind not in ("gaussian", "rademacher"):
             raise ValueError(f"unknown multiplier law {self.kind!r}")
 
-    def draw(self, rng, n):
+    def draw(self, rng, shape):
+        """Independent multipliers of the given shape, in C order."""
         if self.kind == "gaussian":
-            return rng.standard_normal(n)
-        return rng.integers(0, 2, size=n) * 2.0 - 1.0
+            return rng.standard_normal(shape)
+        return rng.integers(0, 2, size=shape) * 2.0 - 1.0
 
 
 GAUSSIAN_MULTIPLIERS = MultiplierLaw("gaussian")
@@ -81,62 +83,134 @@ def ceiling_rank_quantile(draws, alpha):
     return float(np.partition(draws, rank - 1)[rank - 1])
 
 
+# Bootstrap-t replicates are processed in blocks of this many rows, so its
+# (rows, P) temporaries stay small whatever B is.
+_BLOCK_ROWS = 64
+
+
+def _in_blocks(fn, rows, *args):
+    """fn(rows[block], *args) over row blocks of rows, concatenated."""
+    return np.concatenate(
+        [fn(rows[lo : lo + _BLOCK_ROWS], *args) for lo in range(0, len(rows), _BLOCK_ROWS)]
+    )
+
+
+def _row_counts(idx, n):
+    """(k, n) matrix whose row b counts how often each curve appears in idx[b]."""
+    k = idx.shape[0]
+    flat = (np.arange(k)[:, None] * n + idx).ravel()
+    return np.bincount(flat, minlength=k * n).reshape(k, n).astype(float)
+
+
+def _tie_labels(vals):
+    """Per-column dense ranks: equal labels exactly where values are equal.
+
+    NaN never equals anything, so every NaN gets a label of its own.
+    """
+    order = np.argsort(vals, axis=0, kind="stable")
+    ordered = np.take_along_axis(vals, order, axis=0)
+    steps = np.zeros(vals.shape)
+    steps[1:] = ordered[1:] != ordered[:-1]
+    labels = np.empty(vals.shape)
+    np.put_along_axis(labels, order, np.cumsum(steps, axis=0), axis=0)
+    return labels
+
+
+def _degenerate_rows(idx, labels):
+    """Rows of idx whose selected curves are all equal at some grid point.
+
+    Row b selects curves that agree at point p iff their labels L satisfy
+    sum C L = n v and sum C L^2 = n v^2 with v the label of the first one
+    (then sum C (L - v)^2 = 0). The labels are integers below n, so every
+    term stays below n^3 < 2^53 and the float matmuls are exact.
+    """
+    n = idx.shape[1]
+    counts = _row_counts(idx, n)
+    first = labels[idx[:, 0]]
+    same_sum = counts @ labels == n * first
+    same_sq = counts @ (labels * labels) == n * (first * first)
+    return np.any(same_sum & same_sq, axis=1)
+
+
+def _resample_max_t(idx, vals, resid, var_fixed):
+    """max_s sqrt(N) |mean* - mean| / sd* of the resample in each row of idx.
+
+    With C the count matrix (C[b, n] = multiplicity of curve n in resample
+    b) and X = Y - mean: mean* - mean = C X / N and (N-1) var* =
+    C X^2 - N (mean* - mean)^2. Rows where that difference cancels to below
+    1e-3 of C X^2 (spread far below the sample's) are recomputed from
+    their gathered curves. var_fixed, when given, replaces var*.
+    """
+    n = idx.shape[1]
+    counts = _row_counts(idx, n)
+    shift = counts @ resid / n
+    if var_fixed is None:
+        sumsq = counts @ (resid * resid)
+        spread = sumsq - n * shift * shift
+        var_star = spread / (n - 1.0)
+        for b in np.flatnonzero(np.any(spread <= 1e-3 * sumsq, axis=1)):
+            var_star[b] = vals[idx[b]].var(axis=0, ddof=1)
+    else:
+        var_star = var_fixed
+    # max |t| is the root of max t^2: one square root per replicate.
+    return np.sqrt(n * np.max(shift * shift / var_star, axis=1))
+
+
 def boots_t_quantile(sample, cfg):
     """Bootstrap-t quantile of max_s sqrt(N) |mean* - mean| / sd*.
 
-    Resamples rows with replacement B times. In studentized mode sd* is the
-    resample's own pointwise sd; degenerate resamples, where every selected
-    row coincides at some grid point, are rejected and redrawn from the
-    replicate's next attempt stream (error once more than B/10 rejections
-    accumulate). With studentized=False the original-sample sd is used and
-    no resample is degenerate.
+    Resamples rows with replacement B times: the (B, N) index matrix comes
+    from one draw of the band's stream, and no B x N x P array of resampled
+    curves is formed. In studentized mode sd* is the resample's own
+    pointwise sd; degenerate resamples, where every selected row coincides
+    at some grid point, are rejected and redrawn together from the same
+    stream, as one (k, N) draw in ascending replicate order, until none is
+    left (error once more than B/10 rejections accumulate). With
+    studentized=False the original-sample sd is used and no resample is
+    degenerate.
     """
     vals = _values_of(sample)
     n = vals.shape[0]
     if n < 2:
         raise ValueError("bootstrap needs at least 2 curves")
-    root = stream_root(cfg.seed)
-
-    mean = vals.mean(axis=0)
-    sd_fixed = None if cfg.studentized else _positive_sd(sample)
-    sqrt_n = np.sqrt(n)
-
+    if n**3 >= 2**53:
+        raise ValueError(f"bootstrap supports fewer than 208064 curves, got {n}")
+    gen = substream(cfg.seed)
     b_total = cfg.replicates
-    max_rejects = b_total // 10
-    rejects = 0
-    stats = np.empty(b_total)
-    for b in range(b_total):
-        attempt = 0
-        while True:
-            gen = substream(root, b, attempt)
-            idx = gen.integers(0, n, size=n)
-            boot = vals[idx]
-            if cfg.studentized:
-                # Exact degeneracy test: all resampled rows equal somewhere.
-                # (A float sd==0 test misses ties broken only by summation
-                # rounding, which would blow T* up instead of flagging it.)
-                if np.any(np.all(boot == boot[0], axis=0)):
-                    rejects += 1
-                    attempt += 1
-                    if rejects > max_rejects:
-                        raise DegenerateVarianceError(
-                            f"more than {max_rejects} degenerate resamples "
-                            f"(all rows equal at some grid point)"
-                        )
-                    continue
-                sd_star = boot.std(axis=0, ddof=1)
-            else:
-                sd_star = sd_fixed
-            stats[b] = np.max(sqrt_n * np.abs(boot.mean(axis=0) - mean) / sd_star)
-            break
+    idx = gen.integers(0, n, size=(b_total, n))
+
+    if cfg.studentized:
+        var_fixed = None
+        # Exact degeneracy test: all resampled rows equal somewhere. (A
+        # float sd==0 test misses ties broken only by summation rounding,
+        # which would blow T* up instead of flagging it.)
+        labels = _tie_labels(vals)
+        max_rejects = b_total // 10
+        rejects = 0
+        redo = np.flatnonzero(_in_blocks(_degenerate_rows, idx, labels))
+        while redo.size:
+            rejects += redo.size
+            if rejects > max_rejects:
+                raise DegenerateVarianceError(
+                    f"more than {max_rejects} degenerate resamples "
+                    f"(all rows equal at some grid point)"
+                )
+            idx[redo] = gen.integers(0, n, size=(redo.size, n))
+            redo = redo[_in_blocks(_degenerate_rows, idx[redo], labels)]
+    else:
+        var_fixed = _positive_sd(sample) ** 2
+
+    resid = vals - vals.mean(axis=0)
+    stats = _in_blocks(_resample_max_t, idx, vals, resid, var_fixed)
     return ceiling_rank_quantile(stats, cfg.alpha)
 
 
 def mult_t_quantile(sample, law, cfg):
     """Multiplier bootstrap quantile of the max studentized statistic.
 
-    Residuals are R_n = sqrt(N/(N-1)) (Y_n - mean). Each replicate draws
-    multipliers g_1..g_N from the law and forms
+    Residuals are R_n = sqrt(N/(N-1)) (Y_n - mean). The (B, N) multiplier
+    matrix G comes from one draw of the band's stream; row b holds
+    replicate b's multipliers g_1..g_N and forms
 
         T* = max_s | N^(-1/2) sum_n g_n R_n(s) | / sd*(s),
 
@@ -150,25 +224,25 @@ def mult_t_quantile(sample, law, cfg):
     n = vals.shape[0]
     if n < 2:
         raise ValueError("multiplier bootstrap needs at least 2 curves")
-    root = stream_root(cfg.seed)
 
     res = np.sqrt(n / (n - 1.0)) * (vals - vals.mean(axis=0))
     sd_fixed = None if cfg.studentized else _positive_sd(sample)
+    gmat = law.draw(substream(cfg.seed), (cfg.replicates, n))
 
-    b_total = cfg.replicates
-    gmat = np.empty((b_total, n))
-    for b in range(b_total):
-        gmat[b] = law.draw(substream(root, b), n)
-
-    sums = gmat @ res / np.sqrt(n)
+    # (B, P) arrays, the largest here, are updated in place where possible.
+    prod = gmat @ res
+    sums = prod / np.sqrt(n)
+    ratio_sq = sums * sums
     if cfg.studentized:
-        m1 = gmat @ res / n
-        m2 = (gmat * gmat) @ (res * res) / n
-        var_star = np.clip(m2 - m1 * m1, 0.0, None) * (n / (n - 1.0))
-        sd_star = np.sqrt(var_star)
-        zero_sd = sd_star == 0.0
+        m1 = np.divide(prod, n, out=prod)
+        var_star = (gmat * gmat) @ (res * res)
+        var_star /= n
+        var_star -= m1 * m1
+        np.clip(var_star, 0.0, None, out=var_star)
+        var_star *= n / (n - 1.0)
+        zero_sd = var_star == 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.abs(sums) / sd_star
+            ratio_sq /= var_star
         if np.any(zero_sd):
             nonzero_num = zero_sd & (sums != 0.0)
             if np.any(nonzero_num):
@@ -177,10 +251,11 @@ def mult_t_quantile(sample, law, cfg):
                     f"multiplier sd degenerate at grid point {int(p_bad)} "
                     f"in replicate {int(b_bad)}"
                 )
-            ratio[zero_sd] = 0.0
+            ratio_sq[zero_sd] = 0.0
     else:
-        ratio = np.abs(sums) / sd_fixed
-    return ceiling_rank_quantile(ratio.max(axis=1), cfg.alpha)
+        ratio_sq /= sd_fixed * sd_fixed
+    # max |T*| is the root of max T*^2: one square root per replicate.
+    return ceiling_rank_quantile(np.sqrt(ratio_sq.max(axis=1)), cfg.alpha)
 
 
 def gauss_sim_quantile(covariance, alpha, draws, rng=0):

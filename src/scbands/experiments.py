@@ -17,8 +17,8 @@ import numpy as np
 
 from .bands import covers, parse_method, scb_one_sample, scb_two_sample, two_sample_residuals
 from .bootstrap import ceiling_rank_quantile
-from .fdata import Grid1D, pointwise_mean, pointwise_sd
-from .models import ModelSpec, add_observation_noise, gen_model, model_mean
+from .fdata import Grid1D, _positive_sd, pointwise_mean
+from .models import ModelSpec, _integer, add_observation_noise, gen_model, model_mean
 from .rng import child_sequence, substream
 from .scalespace import ScaleGrid, gaussian_kernel, scale_mean, smooth_sample
 
@@ -65,7 +65,9 @@ class ExperimentConfig:
     out: str = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        object.__setattr__(
+            self, "n_values", tuple(_integer("n_values entry", n) for n in self.n_values)
+        )
         object.__setattr__(self, "methods", tuple(str(m) for m in self.methods))
         if not self.n_values or any(n < 2 for n in self.n_values):
             raise ValueError("n_values must hold sample sizes of at least 2")
@@ -73,8 +75,8 @@ class ExperimentConfig:
             parse_method(m)
         if not self.methods:
             raise ValueError("need at least one method")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.replications < 1 or self.true_replications < 1:
             raise ValueError("replication counts must be positive")
         if self.bootstrap_replicates < 1:
@@ -87,9 +89,10 @@ class ExperimentConfig:
             raise ValueError("presmooth_points must be at least 3")
         if self.scale_grid is not None:
             h_min, h_max, count = self.scale_grid
-            if not (0 < h_min < h_max and int(count) >= 1):
+            count = _integer("scale_grid count", count)
+            if not (0 < h_min < h_max and count >= 1):
                 raise ValueError("scale_grid must be (h_min, h_max, count>=1)")
-            object.__setattr__(self, "scale_grid", (float(h_min), float(h_max), int(count)))
+            object.__setattr__(self, "scale_grid", (float(h_min), float(h_max), count))
         if (self.presmooth_bandwidth is not None or self.scale_grid is not None) and (
             self.model.model == "C"
         ):
@@ -285,21 +288,26 @@ def run_coverage(cfg, threads=1):
 
 
 def _max_t_statistic(pipe, n_index, rep):
-    """One draw of the maximal studentized deviation from the truth."""
+    """One draw of the maximal studentized deviation from the truth.
+
+    Raises DegenerateVarianceError on a zero sd and FloatingPointError when
+    the statistic is not finite.
+    """
     cfg = pipe.cfg
     sample = pipe.draw(n_index, rep, _TAG_TRUE_DATA_Y, _TAG_TRUE_NOISE_Y)
     if cfg.two_sample:
         other = pipe.draw(n_index, rep, _TAG_TRUE_DATA_X, _TAG_TRUE_NOISE_X)
-        _, _, pooled = two_sample_residuals(sample, other)
+        _, _, scale = two_sample_residuals(sample, other)
         diff = pointwise_mean(sample) - pointwise_mean(other)
         rate = math.sqrt(sample.n_samples + other.n_samples - 2)
-        return float(np.max(rate * np.abs(diff - pipe.truth) / pooled))
-    mu_hat = pointwise_mean(sample)
-    sd_hat = pointwise_sd(sample)
-    rate = math.sqrt(sample.n_samples)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = rate * np.abs(mu_hat - pipe.truth) / sd_hat
-    return float(np.max(t))
+    else:
+        diff = pointwise_mean(sample)
+        scale = _positive_sd(sample)
+        rate = math.sqrt(sample.n_samples)
+    stat = float(np.max(rate * np.abs(diff - pipe.truth) / scale))
+    if not math.isfinite(stat):
+        raise FloatingPointError(f"max-t statistic is {stat}")
+    return stat
 
 
 def run_width(cfg, threads=1):
@@ -312,7 +320,7 @@ def run_width(cfg, threads=1):
         (i, r) for i in range(len(cfg.n_values)) for r in range(cfg.true_replications)
     ]
     true_stats = _map_items(
-        lambda it: _max_t_statistic(pipe, it[0], it[1]), true_items, threads
+        lambda it: _failure_tolerant(_max_t_statistic, pipe, *it), true_items, threads
     )
 
     cells = []
@@ -340,16 +348,15 @@ def run_width(cfg, threads=1):
                     "two_se": two_se,
                 }
             )
-        stats = np.array(
-            true_stats[n_index * cfg.true_replications : (n_index + 1) * cfg.true_replications]
-        )
+        block = true_stats[n_index * cfg.true_replications : (n_index + 1) * cfg.true_replications]
+        stats = [value for value, _ in block if value is not None]
         cells.append(
             {
                 "n": n,
                 "method": "true",
                 "replications": cfg.true_replications,
-                "failures": 0,
-                "mean_quantile": ceiling_rank_quantile(stats, cfg.alpha),
+                "failures": cfg.true_replications - len(stats),
+                "mean_quantile": ceiling_rank_quantile(stats, cfg.alpha) if stats else None,
                 "two_se": None,
             }
         )

@@ -15,7 +15,7 @@ excursion probability of max |T|.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import QuantileNoSolutionError
 
@@ -84,11 +84,11 @@ def ec_density(model, d, u):
     """d-th EC density rho_d(u) of the model's field family, vectorized in u.
 
     Gaussian:
-        rho_0 = 1 - Phi(u)
+        rho_0 = 1 - Phi(u) = Phi(-u)
         rho_1 = exp(-u^2/2) / (2 pi)
         rho_2 = u exp(-u^2/2) / (2 pi)^(3/2)
     Student t with nu degrees of freedom:
-        rho_0 = upper tail of t_nu at u
+        rho_0 = upper tail of t_nu at u = F_nu(-u)
         rho_1 = (1 + u^2/nu)^(-(nu-1)/2) / (2 pi)
         rho_2 = Gamma((nu+1)/2) / (Gamma(nu/2) sqrt(nu/2))
                 * u (1 + u^2/nu)^(-(nu-1)/2) / (2 pi)^(3/2)
@@ -98,7 +98,7 @@ def ec_density(model, d, u):
     uu = np.asarray(u, dtype=float)
     if model.family == "gaussian":
         if d == 0:
-            out = stats.norm.sf(uu)
+            out = special.ndtr(-uu)
         elif d == 1:
             out = np.exp(-0.5 * uu * uu) / _TWO_PI
         else:
@@ -106,7 +106,7 @@ def ec_density(model, d, u):
     else:
         nu = model.dof
         if d == 0:
-            out = stats.t.sf(uu, df=nu)
+            out = special.stdtr(nu, -uu)
         else:
             # log1p keeps (1 + u^2/nu)^(-(nu-1)/2) accurate for huge nu,
             # where the direct power underflows to 1^(-inf) noise.

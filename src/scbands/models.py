@@ -106,10 +106,7 @@ class ModelSpec:
 
     def __post_init__(self):
         for name in ("nu", "resolution"):
-            value = getattr(self, name)
-            if not float(value).is_integer():
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.model not in ("A", "B", "C"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.coef_law not in ("gaussian", "t3", "chisq"):
@@ -128,6 +125,13 @@ class ModelSpec:
         else:
             pts = np.linspace(0.0, 1.0, self.resolution)
         return Grid1D(pts)
+
+
+def _integer(name, value):
+    """int(value), or ValueError when value is not integer-valued (10.0 is)."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _draw_coefficients(spec, shape, gen):

@@ -240,8 +240,10 @@ def test_criterion_8_scale_space_coverage():
     )
 
 
-def test_criterion_9_exact_cases_run_quickly():
+def test_criterion_9_exact_cases_run_quickly(monkeypatch):
+    import scbands.bands
     from scbands import (
+        QuantileNoSolutionError,
         BootstrapConfig,
         GAUSSIAN_MULTIPLIERS,
         LambdaField,
@@ -292,17 +294,26 @@ def test_criterion_9_exact_cases_run_quickly():
     )
     assert run_coverage(cfg) == run_coverage(cfg, threads=3)
 
-    # unsolvable level is recorded per cell, not raised
-    broken = run_coverage(
-        ExperimentConfig(
-            model=ModelSpec("A", resolution=40),
-            n_values=(8,),
-            methods=("tgkf",),
-            alpha=1.0,
-            replications=4,
-            seed=3,
+    # a level outside (0, 1) is rejected by the config; an unsolvable
+    # tail equation is recorded per cell, not raised
+    with pytest.raises(ValueError, match="alpha"):
+        ExperimentConfig(alpha=1.0)
+
+    def unsolvable(lkc, model, alpha):
+        raise QuantileNoSolutionError("EEC never reaches alpha/2 on the tail")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scbands.bands, "tgkf_quantile", unsolvable)
+        broken = run_coverage(
+            ExperimentConfig(
+                model=ModelSpec("A", resolution=40),
+                n_values=(8,),
+                methods=("tgkf",),
+                alpha=0.1,
+                replications=4,
+                seed=3,
+            )
         )
-    )
     assert broken["cells"][0]["failures"] == 4
 
     elapsed = time.monotonic() - start

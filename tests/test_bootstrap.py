@@ -13,6 +13,7 @@ from scbands import (
     FunctionalSample,
     Grid1D,
     boots_t_quantile,
+    ceiling_rank_quantile,
     gauss_sim_quantile,
     mult_t_quantile,
     substream,
@@ -149,3 +150,119 @@ def test_bootstrap_config_validation():
         BootstrapConfig(alpha=0.0)
     with pytest.raises(ValueError):
         BootstrapConfig(alpha=1.5)
+
+
+# Reference kernels: one replicate at a time, over the same one-stream
+# draws as the vectorised kernels (row b of the (B, N) matrix is
+# replicate b; degenerate rows are redrawn together, in ascending order).
+
+def _loop_mult(sample, law, cfg):
+    vals = sample.values
+    n = vals.shape[0]
+    res = np.sqrt(n / (n - 1.0)) * (vals - vals.mean(axis=0))
+    gmat = law.draw(substream(cfg.seed), (cfg.replicates, n))
+    stats_b = []
+    for g in gmat:
+        terms = g[:, None] * res
+        sd = terms.std(axis=0, ddof=1) if cfg.studentized else vals.std(axis=0, ddof=1)
+        stats_b.append(np.max(np.abs(terms.sum(axis=0) / np.sqrt(n)) / sd))
+    return ceiling_rank_quantile(stats_b, cfg.alpha)
+
+
+def _loop_boots(sample, cfg):
+    """(quantile, rejections) of the bootstrap-t, one resample at a time."""
+    vals = sample.values
+    n = vals.shape[0]
+    gen = substream(cfg.seed)
+    idx = gen.integers(0, n, size=(cfg.replicates, n))
+
+    def degenerate(b):
+        boot = vals[idx[b]]
+        return bool(np.any(np.all(boot == boot[0], axis=0)))
+
+    rejects = 0
+    redo = [b for b in range(cfg.replicates) if cfg.studentized and degenerate(b)]
+    while redo:
+        rejects += len(redo)
+        if rejects > cfg.replicates // 10:
+            raise DegenerateVarianceError("more than B/10 degenerate resamples")
+        idx[redo] = gen.integers(0, n, size=(len(redo), n))
+        redo = [b for b in redo if degenerate(b)]
+    stats_b = []
+    for b in range(cfg.replicates):
+        boot = vals[idx[b]]
+        sd = boot.std(axis=0, ddof=1) if cfg.studentized else vals.std(axis=0, ddof=1)
+        stats_b.append(np.max(np.sqrt(n) * np.abs(boot.mean(axis=0) - vals.mean(axis=0)) / sd))
+    return ceiling_rank_quantile(stats_b, cfg.alpha), rejects
+
+
+@pytest.mark.parametrize("studentized", [True, False])
+def test_vectorised_kernels_match_replicate_loops(sample, studentized):
+    for seed in (0, 17, np.random.SeedSequence(5, spawn_key=(4, 1))):
+        cfg = BootstrapConfig(replicates=300, alpha=0.1, studentized=studentized, seed=seed)
+        for law in (GAUSSIAN_MULTIPLIERS, RADEMACHER_MULTIPLIERS):
+            assert_allclose(
+                mult_t_quantile(sample, law, cfg), _loop_mult(sample, law, cfg), rtol=1e-12
+            )
+        assert_allclose(boots_t_quantile(sample, cfg), _loop_boots(sample, cfg)[0], rtol=1e-12)
+
+
+def _tied_sample(tied_rows, n=6, p=30):
+    # rows 0..tied_rows-1 coincide on the first five grid points
+    vals = substream(8, 1).standard_normal((n, p))
+    vals[1:tied_rows, :5] = vals[0, :5]
+    return FunctionalSample(vals, Grid1D(np.linspace(0.0, 1.0, p)))
+
+
+def test_boots_t_redraws_tied_resamples_in_order():
+    # 3 of 6 rows tied: a resample is degenerate with probability 1/64
+    s = _tied_sample(3)
+    redrawn = 0
+    for seed in range(4):
+        cfg = BootstrapConfig(replicates=400, alpha=0.05, seed=seed)
+        expected, rejects = _loop_boots(s, cfg)
+        redrawn += rejects
+        assert_allclose(boots_t_quantile(s, cfg), expected, rtol=1e-12)
+    assert redrawn > 0
+
+
+def test_boots_t_rejection_limit_at_its_edge():
+    # 4 of 6 rows tied: about B/11 resamples are degenerate. At B=200 the
+    # limit is 20 rejections; seeds 18 and 19 reject exactly 20 (and pass),
+    # seeds 0 and 1 reject 21 (and raise).
+    s = _tied_sample(4)
+    for seed in (18, 19):
+        cfg = BootstrapConfig(replicates=200, alpha=0.05, seed=seed)
+        expected, rejects = _loop_boots(s, cfg)
+        assert rejects == 20
+        assert_allclose(boots_t_quantile(s, cfg), expected, rtol=1e-12)
+    for seed in (0, 1):
+        cfg = BootstrapConfig(replicates=200, alpha=0.05, seed=seed)
+        with pytest.raises(DegenerateVarianceError, match="more than 20 degenerate resamples"):
+            boots_t_quantile(s, cfg)
+
+
+def test_boots_t_rejection_limit_with_ties():
+    # 5 of 6 rows tied: a third of all resamples are degenerate
+    s = _tied_sample(5)
+    cfg = BootstrapConfig(replicates=200, alpha=0.05, seed=2)
+    with pytest.raises(DegenerateVarianceError, match="more than 20 degenerate resamples"):
+        boots_t_quantile(s, cfg)
+    with pytest.raises(DegenerateVarianceError):
+        _loop_boots(s, cfg)
+    # unstudentized resamples are never rejected
+    plain = BootstrapConfig(replicates=200, alpha=0.05, studentized=False, seed=2)
+    assert_allclose(boots_t_quantile(s, plain), _loop_boots(s, plain)[0], rtol=1e-12)
+
+
+def test_boots_t_tiny_resample_spread_is_exact():
+    # rows 0-2 differ by 1e-9, row 3 is far away: a third of all resamples
+    # pick near-equal rows only, their sd* cancels in the count-matrix
+    # formula, and the quantile lands among them
+    base = substream(8, 2).standard_normal(20)
+    vals = np.vstack([base, base + 1e-9, base - 1e-9, base + 3.0])
+    s = FunctionalSample(vals, Grid1D(np.linspace(0.0, 1.0, 20)))
+    cfg = BootstrapConfig(replicates=500, alpha=0.2, seed=1)
+    q = boots_t_quantile(s, cfg)
+    assert q > 1e6
+    assert_allclose(q, _loop_boots(s, cfg)[0], rtol=1e-9)

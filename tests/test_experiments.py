@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from scbands import ExperimentConfig, ModelSpec, run_coverage, run_width
+import scbands.bands
+import scbands.experiments
+from scbands import (
+    DegenerateVarianceError,
+    ExperimentConfig,
+    FunctionalSample,
+    ModelSpec,
+    QuantileNoSolutionError,
+    run_coverage,
+    run_width,
+)
 
 
 def small_config(**overrides):
@@ -36,17 +46,23 @@ def test_coverage_report_shape():
 
 
 def test_coverage_deterministic_and_thread_invariant():
-    a = run_coverage(small_config())
-    b = run_coverage(small_config())
-    c = run_coverage(small_config(), threads=3)
-    assert a == b == c
-    shifted = run_coverage(small_config(seed=6))
-    assert shifted != a
+    for extra in ({}, {"methods": ("tgkf", "rmult-t", "boots-t"), "bootstrap_replicates": 100}):
+        a = run_coverage(small_config(**extra))
+        b = run_coverage(small_config(**extra))
+        c = run_coverage(small_config(**extra), threads=3)
+        assert a == b == c
+        shifted = run_coverage(small_config(seed=6, **extra))
+        assert shifted != a
 
 
-def test_coverage_cells_record_quantile_failures():
-    # alpha = 1 makes the tail equation unsolvable in every replicate
-    report = run_coverage(small_config(alpha=1.0, n_values=(8,)))
+def test_coverage_cells_record_quantile_failures(monkeypatch):
+    # a tail equation without solution in every replicate (alpha = 1 is
+    # now rejected by the config, so the solver is made to fail instead)
+    def unsolvable(lkc, model, alpha):
+        raise QuantileNoSolutionError("EEC never reaches alpha/2 on the tail")
+
+    monkeypatch.setattr(scbands.bands, "tgkf_quantile", unsolvable)
+    report = run_coverage(small_config(n_values=(8,)))
     (cell,) = report["cells"]
     assert cell["failures"] == cell["replications"]
     assert cell["hits"] == 0
@@ -152,3 +168,62 @@ def test_config_validation():
         ExperimentConfig(
             presmooth_bandwidth=0.05, scale_grid=(0.02, 0.1, 3)
         )
+
+
+def test_config_rejects_alpha_at_the_bounds():
+    for alpha in (0.0, 1.0, 1.5, -0.1):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            ExperimentConfig(alpha=alpha)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            ExperimentConfig.from_dict({"alpha": alpha})
+
+
+def test_config_rejects_fractional_sweep_integers():
+    with pytest.raises(ValueError, match="n_values entry must be an integer, got 10.9"):
+        ExperimentConfig.from_dict({"n_values": [10.9]})
+    with pytest.raises(ValueError, match="n_values entry must be an integer"):
+        ExperimentConfig(n_values=(20, 10.5))
+    with pytest.raises(ValueError, match="scale_grid count must be an integer, got 4.7"):
+        ExperimentConfig.from_dict({"scale_grid": [0.02, 0.1, 4.7]})
+    cfg = ExperimentConfig.from_dict({"n_values": [10.0, 20], "scale_grid": [0.02, 0.1, 4.0]})
+    assert cfg.n_values == (10, 20)
+    assert cfg.scale_grid == (0.02, 0.1, 4)
+    assert isinstance(cfg.scale_grid[2], int)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("two_sample", [False, True])
+def test_width_reference_row_counts_failed_draws(monkeypatch, two_sample):
+    # Reference draws 0 (a zero sd) and 1 (a mean that overflows to inf)
+    # have no finite max-t statistic: both are counted and left out. In
+    # two-sample mode both groups of these draws are replaced.
+    cfg = small_config(n_values=(10,), two_sample=two_sample)
+    clean = run_width(cfg)
+    broken = {0: 0.0, 1: 1.5e308}
+    draw = scbands.experiments._Pipeline.draw
+    true_tags = (scbands.experiments._TAG_TRUE_DATA_Y, scbands.experiments._TAG_TRUE_DATA_X)
+
+    def patched(self, n_index, rep, data_tag, noise_tag):
+        sample = draw(self, n_index, rep, data_tag, noise_tag)
+        if data_tag in true_tags and rep in broken:
+            values = np.full(sample.values.shape, broken[rep])
+            return FunctionalSample(values, sample.grid)
+        return sample
+
+    monkeypatch.setattr(scbands.experiments._Pipeline, "draw", patched)
+    report = run_width(cfg)
+    ref = [c for c in report["cells"] if c["method"] == "true"]
+    assert len(ref) == 1
+    assert ref[0]["failures"] == 2
+    assert np.isfinite(ref[0]["mean_quantile"])
+    # the band rows never see the patched reference draws
+    assert report["cells"][:-1] == clean["cells"][:-1]
+
+    stats = [scbands.experiments._failure_tolerant(
+        scbands.experiments._max_t_statistic, scbands.experiments._Pipeline(cfg), 0, rep
+    ) for rep in range(3)]
+    assert stats[0][0] is None and "DegenerateVarianceError" in stats[0][1]
+    assert stats[1][0] is None
+    assert ("ValueError" if two_sample else "FloatingPointError") in stats[1][1]
+    assert stats[2][0] is not None and stats[2][1] is None

@@ -156,3 +156,15 @@ def test_density_model_validation():
         ECDensityModel.student_t(0.5)
     with pytest.raises(ValueError, match="dof"):
         ECDensityModel("gaussian", 7)
+
+
+def test_density_order_zero_is_bitwise_scipy_stats():
+    # rho_0 calls scipy.special directly; scipy.stats' sf is the same call,
+    # so the values (and every tgkf quantile) must agree bit for bit.
+    u = np.concatenate([np.linspace(-60.0, 60.0, 20001), [-np.inf, np.inf, 0.0, -0.0]])
+    assert np.array_equal(ec_density(GAUSS, 0, u), stats.norm.sf(u))
+    for dof in (1, 2, 3.5, 7, 49, 1e3, 1e6, 1e12):
+        model = ECDensityModel.student_t(dof)
+        assert np.array_equal(ec_density(model, 0, u), stats.t.sf(u, dof)), dof
+        assert ec_density(model, 0, 2.5) == stats.t.sf(2.5, dof)
+        assert isinstance(ec_density(model, 0, 2.5), float)

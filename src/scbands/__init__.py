@@ -62,7 +62,7 @@ from .models import (
     model_amplitude,
     model_mean,
 )
-from .rng import as_generator, child_sequence, stream_root, substream
+from .rng import child_sequence, substream
 from .sampleio import (
     format_report_table,
     read_sample,
@@ -102,7 +102,6 @@ __all__ = [
     "SCBand",
     "ScaleGrid",
     "add_observation_noise",
-    "as_generator",
     "band_to_dict",
     "bernstein_basis",
     "boots_t_quantile",
@@ -139,7 +138,6 @@ __all__ = [
     "scb_scale_space",
     "scb_two_sample",
     "smooth_sample",
-    "stream_root",
     "substream",
     "tau_sq_1d",
     "tgkf_quantile",

@@ -40,8 +40,8 @@ from .scalespace import smooth_sample
 
 __all__ = [
     "SCBand",
-    "TwoSampleSpec",
     "METHOD_NAMES",
+    "parse_method",
     "scb_one_sample",
     "scb_two_sample",
     "scb_scale_space",
@@ -101,22 +101,6 @@ class SCBand:
             raise ValueError("band must satisfy lower <= center <= upper")
 
 
-@dataclass(frozen=True)
-class TwoSampleSpec:
-    """Sample sizes of a two-group comparison and their ratio c = N/M."""
-
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.n < 2 or self.m < 2:
-            raise ValueError("both groups need at least 2 curves")
-
-    @property
-    def c(self):
-        return self.n / self.m
-
-
 def _estimated_lkc(sample):
     res = normed_residuals(sample)
     lam = lambda_hat(res)
@@ -152,7 +136,7 @@ def scb_one_sample(sample, method="tgkf", alpha=0.05, replicates=1000, seed=0):
     elif kind == "gauss-sim":
         res = normed_residuals(sample)
         corr = _residual_correlation(res.values, n - 1)
-        q = gauss_sim_quantile(corr, alpha, draws=replicates, rng=seed)
+        q = gauss_sim_quantile(corr, alpha, draws=replicates, seed=seed)
     elif kind == "boots":
         cfg = BootstrapConfig(replicates, alpha, studentized, seed)
         q = boots_t_quantile(sample, cfg)
@@ -175,8 +159,9 @@ def two_sample_residuals(sample_y, sample_x):
     """
     if not grids_equal(sample_y.grid, sample_x.grid):
         raise ValueError("grid mismatch between the two samples")
-    spec = TwoSampleSpec(sample_y.n_samples, sample_x.n_samples)
-    c = spec.c
+    if sample_y.n_samples < 2 or sample_x.n_samples < 2:
+        raise ValueError("both groups need at least 2 curves")
+    c = sample_y.n_samples / sample_x.n_samples
     var_y = sample_y.values.var(axis=0, ddof=1)
     var_x = sample_x.values.var(axis=0, ddof=1)
     pooled = np.sqrt((1.0 + 1.0 / c) * var_y + (1.0 + c) * var_x)
@@ -221,7 +206,7 @@ def scb_two_sample(sample_y, sample_x, method="tgkf", alpha=0.05, replicates=100
             + res_x.values.T @ res_x.values / (m - 1)
         )
         np.fill_diagonal(corr, 1.0)
-        q = gauss_sim_quantile(corr, alpha, draws=replicates, rng=seed)
+        q = gauss_sim_quantile(corr, alpha, draws=replicates, seed=seed)
 
     center = pointwise_mean(sample_y) - pointwise_mean(sample_x)
     half = q * pooled / np.sqrt(dof)
@@ -229,8 +214,7 @@ def scb_two_sample(sample_y, sample_x, method="tgkf", alpha=0.05, replicates=100
                   float(alpha), sample_y.grid, None)
 
 
-def scb_scale_space(raw, kernel, sg, method="tgkf", alpha=0.05, normalize=True,
-                    replicates=1000, seed=0):
+def scb_scale_space(raw, kernel, sg, method="tgkf", alpha=0.05, replicates=1000, seed=0):
     """Band for the scale-space mean surface of noisy discrete curves.
 
     Smooths every curve onto the (s, h) lattice, then builds the one-sample
@@ -238,7 +222,7 @@ def scb_scale_space(raw, kernel, sg, method="tgkf", alpha=0.05, normalize=True,
     bandwidth). The tGKF path uses the 2-D curvature integrals on the
     (s, h) rectangle.
     """
-    smoothed = smooth_sample(raw, kernel, sg, normalize)
+    smoothed = smooth_sample(raw, kernel, sg)
     return scb_one_sample(smoothed, method, alpha, replicates, seed)
 
 

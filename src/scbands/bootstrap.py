@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DegenerateVarianceError
 from .fdata import _positive_sd, _values_of
+from .models import _integer
 from .rng import substream
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "GAUSSIAN_MULTIPLIERS",
     "RADEMACHER_MULTIPLIERS",
     "BootstrapConfig",
+    "ceiling_rank_quantile",
     "boots_t_quantile",
     "mult_t_quantile",
     "gauss_sim_quantile",
@@ -68,6 +70,7 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "replicates", _integer("replicates", self.replicates))
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if not 0.0 < self.alpha < 1.0:
@@ -258,12 +261,13 @@ def mult_t_quantile(sample, law, cfg):
     return ceiling_rank_quantile(np.sqrt(ratio_sq.max(axis=1)), cfg.alpha)
 
 
-def gauss_sim_quantile(covariance, alpha, draws, rng=0):
+def gauss_sim_quantile(covariance, alpha, draws, seed=0):
     """Empirical (1-alpha) quantile of max |X| for X ~ N(0, correlation).
 
     The correlation matrix is eigen-factorized with eigenvalues floored at
-    zero, so inputs that are PSD only up to rounding are accepted. rng is
-    seed material (integer or SeedSequence) or a Generator.
+    zero, so inputs that are PSD only up to rounding are accepted. The
+    draws come from ``substream(seed)``; seed is an integer or a
+    SeedSequence, as for BootstrapConfig.
     """
     corr = np.asarray(covariance, dtype=float)
     if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
@@ -281,7 +285,6 @@ def gauss_sim_quantile(covariance, alpha, draws, rng=0):
 
     evals, evecs = np.linalg.eigh(0.5 * (corr + corr.T))
     factor = evecs * np.sqrt(np.clip(evals, 0.0, None))
-    gen = rng if isinstance(rng, np.random.Generator) else substream(rng)
-    z = gen.standard_normal((int(draws), corr.shape[0]))
+    z = substream(seed).standard_normal((int(draws), corr.shape[0]))
     maxima = np.abs(z @ factor.T).max(axis=1)
     return ceiling_rank_quantile(maxima, alpha)

@@ -10,10 +10,11 @@ Subcommands:
 Every subcommand takes --config pointing at a JSON document with the
 experiment configuration (see ExperimentConfig.from_dict). The scb and
 scale-scb configs additionally carry "input" (and optionally "input_x"
-for a two-group comparison). --seed and --out override the config file;
---threads parallelizes the coverage and width sweeps and is ignored by
-the other subcommands. Failures print a one-line JSON object
-{"error": ..., "message": ...} to stderr and exit with status 1.
+for a two-group comparison). --seed and --out override the config file.
+Only coverage and width take --threads, the number of worker threads of
+the sweep; the report is the same for every thread count. Failures print
+a one-line JSON object {"error": ..., "message": ...} to stderr and exit
+with status 1.
 """
 
 import argparse
@@ -36,6 +37,7 @@ from .scalespace import ScaleGrid, gaussian_kernel
 __all__ = ["main"]
 
 _INPUT_KEYS = ("input", "input_x")
+_SWEEPS = ("coverage", "width")  # the subcommands that take --threads
 
 
 def _load_config(args):
@@ -117,16 +119,6 @@ def _write_report(report, stem):
     return 0
 
 
-def _cmd_coverage(cfg, inputs, threads):
-    report = run_coverage(cfg, threads=threads)
-    return _write_report(report, _out_path(cfg, "coverage"))
-
-
-def _cmd_width(cfg, inputs, threads):
-    report = run_width(cfg, threads=threads)
-    return _write_report(report, _out_path(cfg, "width"))
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="scbands",
@@ -144,7 +136,8 @@ def _build_parser():
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the config output path")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+        if name in _SWEEPS:
+            p.add_argument("--threads", type=int, default=1, help="worker threads of the sweep")
     return parser
 
 
@@ -153,15 +146,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg, inputs = _load_config(args)
-        if args.command == "generate":
-            return _cmd_generate(cfg, inputs)
-        if args.command == "scb":
-            return _cmd_scb(cfg, inputs)
-        if args.command == "scale-scb":
-            return _cmd_scale_scb(cfg, inputs)
-        if args.command == "coverage":
-            return _cmd_coverage(cfg, inputs, args.threads)
-        return _cmd_width(cfg, inputs, args.threads)
+        if args.command in _SWEEPS:
+            run = run_coverage if args.command == "coverage" else run_width
+            return _write_report(run(cfg, threads=args.threads), _out_path(cfg, args.command))
+        commands = {"generate": _cmd_generate, "scb": _cmd_scb, "scale-scb": _cmd_scale_scb}
+        return commands[args.command](cfg, inputs)
     except Exception as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),

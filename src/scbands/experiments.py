@@ -11,7 +11,7 @@ solution) are recorded per cell instead of aborting the sweep.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +36,11 @@ _TAG_TRUE_DATA_Y = 9
 _TAG_TRUE_NOISE_Y = 10
 _TAG_TRUE_DATA_X = 11
 _TAG_TRUE_NOISE_X = 12
+
+# Integer counts of ExperimentConfig; a non-integer one would fail mid-run.
+_COUNT_FIELDS = ("replications", "bootstrap_replicates", "presmooth_points", "true_replications")
+# JSON keys of the ModelSpec fields in a config; the model letter is "name".
+_MODEL_KEYS = {f.name: "name" if f.name == "model" else f.name for f in fields(ModelSpec)}
 
 
 @dataclass(frozen=True)
@@ -69,20 +74,26 @@ class ExperimentConfig:
             self, "n_values", tuple(_integer("n_values entry", n) for n in self.n_values)
         )
         object.__setattr__(self, "methods", tuple(str(m) for m in self.methods))
+        for name in _COUNT_FIELDS + ("seed",):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not self.n_values or any(n < 2 for n in self.n_values):
             raise ValueError("n_values must hold sample sizes of at least 2")
-        for m in self.methods:
-            parse_method(m)
         if not self.methods:
             raise ValueError("need at least one method")
+        for m in self.methods:
+            kind = parse_method(m)[1]
+            if self.two_sample and kind not in ("tgkf", "gauss-sim"):
+                raise ValueError(f"two_sample supports 'tgkf' and 'gauss-sim', not {m!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.replications < 1 or self.true_replications < 1:
             raise ValueError("replication counts must be positive")
         if self.bootstrap_replicates < 1:
             raise ValueError("bootstrap_replicates must be positive")
-        if self.sigma_obs < 0:
-            raise ValueError("sigma_obs must be non-negative")
+        if not (math.isfinite(self.sigma_obs) and self.sigma_obs >= 0):
+            raise ValueError(f"sigma_obs must be finite and non-negative, got {self.sigma_obs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.presmooth_bandwidth is not None and self.scale_grid is not None:
             raise ValueError("choose either presmooth_bandwidth or scale_grid")
         if self.presmooth_points < 3:
@@ -90,12 +101,10 @@ class ExperimentConfig:
         if self.scale_grid is not None:
             h_min, h_max, count = self.scale_grid
             count = _integer("scale_grid count", count)
-            if not (0 < h_min < h_max and count >= 1):
-                raise ValueError("scale_grid must be (h_min, h_max, count>=1)")
+            if not (0 < h_min < h_max and (count == 1 or count >= 3)):
+                raise ValueError("scale_grid must be (h_min, h_max, count), count 1 or >= 3")
             object.__setattr__(self, "scale_grid", (float(h_min), float(h_max), count))
-        if (self.presmooth_bandwidth is not None or self.scale_grid is not None) and (
-            self.model.model == "C"
-        ):
+        if self.bandwidths() is not None and self.model.model == "C":
             raise ValueError("smoothing pipelines apply to curve models only")
 
     def bandwidths(self):
@@ -108,55 +117,23 @@ class ExperimentConfig:
         return None
 
     def to_dict(self):
-        return {
-            "model": {
-                "name": self.model.model,
-                "coef_law": self.model.coef_law,
-                "nu": self.model.nu,
-                "resolution": self.model.resolution,
-                "midpoint_grid": self.model.midpoint_grid,
-            },
-            "n_values": list(self.n_values),
-            "methods": list(self.methods),
-            "alpha": self.alpha,
-            "replications": self.replications,
-            "bootstrap_replicates": self.bootstrap_replicates,
-            "sigma_obs": self.sigma_obs,
-            "presmooth_bandwidth": self.presmooth_bandwidth,
-            "presmooth_points": self.presmooth_points,
-            "scale_grid": list(self.scale_grid) if self.scale_grid else None,
-            "true_replications": self.true_replications,
-            "two_sample": self.two_sample,
-            "seed": self.seed,
-            "out": self.out,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["model"] = {key: getattr(self.model, name) for name, key in _MODEL_KEYS.items()}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
 
     @classmethod
     def from_dict(cls, doc):
         doc = dict(doc)
-        model_doc = dict(doc.pop("model", {}))
-        unknown = set(model_doc) - {"name", "coef_law", "nu", "resolution", "midpoint_grid"}
+        model_doc = doc.pop("model", {})
+        model_names = {key: name for name, key in _MODEL_KEYS.items()}
+        unknown = set(model_doc) - set(model_names)
         if unknown:
             raise ValueError(f"unknown model config keys: {sorted(unknown)}")
-        spec = ModelSpec(
-            model=model_doc.get("name", "A"),
-            coef_law=model_doc.get("coef_law", "gaussian"),
-            nu=model_doc.get("nu", 7),
-            resolution=model_doc.get("resolution", 200),
-            midpoint_grid=bool(model_doc.get("midpoint_grid", False)),
-        )
-        fields = {
-            "n_values", "methods", "alpha", "replications", "bootstrap_replicates",
-            "sigma_obs", "presmooth_bandwidth", "presmooth_points", "scale_grid",
-            "true_replications", "two_sample", "seed", "out",
-        }
-        unknown = set(doc) - fields
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {k: doc[k] for k in fields if k in doc}
-        if kwargs.get("scale_grid") is not None:
-            kwargs["scale_grid"] = tuple(kwargs["scale_grid"])
-        return cls(model=spec, **kwargs)
+        spec = ModelSpec(**{model_names[k]: v for k, v in model_doc.items()})
+        return cls(model=spec, **doc)
 
 
 class _Pipeline:
@@ -178,16 +155,14 @@ class _Pipeline:
             self.kernel = gaussian_kernel()
             self.sg = ScaleGrid(grid_s, bandwidths)
             mu = model_mean(cfg.model.model, grid.points)
-            self.truth = scale_mean(
-                mu, self.kernel, self.sg, normalize=True, measure_points=grid.points
-            )
+            self.truth = scale_mean(mu, self.kernel, self.sg, measure_points=grid.points)
         if cfg.two_sample:
             self.truth = np.zeros_like(self.truth)
 
     def draw(self, n_index, rep, data_tag, noise_tag):
         sample = _raw_draw(self.cfg, n_index, rep, data_tag, noise_tag)
         if self.sg is not None:
-            sample = smooth_sample(sample, self.kernel, self.sg, normalize=True)
+            sample = smooth_sample(sample, self.kernel, self.sg)
         return sample
 
 

@@ -24,7 +24,6 @@ import numpy as np
 from scipy.special import comb
 
 from .fdata import FunctionalSample, Grid1D, Grid2D
-from .rng import as_generator
 
 __all__ = [
     "ModelSpec",
@@ -107,6 +106,7 @@ class ModelSpec:
     def __post_init__(self):
         for name in ("nu", "resolution"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "midpoint_grid", bool(self.midpoint_grid))
         if self.model not in ("A", "B", "C"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.coef_law not in ("gaussian", "t3", "chisq"):
@@ -143,11 +143,10 @@ def _draw_coefficients(spec, shape, gen):
     return (gen.chisquare(nu, shape) - nu) / np.sqrt(2.0 * nu)
 
 
-def gen_model(spec, n, rng=None):
-    """Draw N sample paths of the model as a FunctionalSample."""
+def gen_model(spec, n, rng):
+    """Draw N sample paths of the model from the Generator rng."""
     if n < 1:
         raise ValueError("need at least one sample path")
-    gen = as_generator(rng)
     grid = spec.make_grid()
     if spec.model == "C":
         x, y = grid.lattice_coords()
@@ -160,14 +159,13 @@ def gen_model(spec, n, rng=None):
         mu = model_mean(spec.model, s)
         amp = model_amplitude(spec.model, s)
     basis = basis / np.linalg.norm(basis, axis=0)
-    coeffs = _draw_coefficients(spec, (int(n), basis.shape[0]), gen)
+    coeffs = _draw_coefficients(spec, (int(n), basis.shape[0]), rng)
     return FunctionalSample(mu + amp * (coeffs @ basis), grid)
 
 
-def add_observation_noise(sample, sigma_obs, rng=None):
-    """Add iid N(0, sigma_obs) noise to every matrix entry."""
+def add_observation_noise(sample, sigma_obs, rng):
+    """Add iid N(0, sigma_obs) noise from the Generator rng to every entry."""
     if sigma_obs < 0:
         raise ValueError("sigma_obs must be non-negative")
-    gen = as_generator(rng)
-    noise = gen.normal(0.0, sigma_obs, size=sample.values.shape)
+    noise = rng.normal(0.0, sigma_obs, size=sample.values.shape)
     return FunctionalSample(sample.values + noise, sample.grid)

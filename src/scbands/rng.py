@@ -1,48 +1,33 @@
 """Counter-based random streams with addressable substreams.
 
-All Monte Carlo code in this package draws from Philox generators keyed
-through SeedSequence spawn keys. A replicate addressed by ``(seed, *path)``
-always sees the same stream, no matter in which order (or on how many
-threads) the replicates run.
+Every random draw in this package comes from a generator made by
+``substream(seed, *path)``, the only constructor of generators: it keys a
+counter-based generator by the SeedSequence that
+``child_sequence(seed, *path)`` addresses. ``seed`` is an integer or
+a SeedSequence (a branch of a caller's stream tree) and ``path`` is a
+tuple of integers. A replicate addressed by ``(seed, *path)`` always sees
+the same stream, no matter in which order (or on how many threads) the
+replicates run.
 """
 
 import numpy as np
 
-__all__ = ["stream_root", "child_sequence", "substream", "as_generator"]
+__all__ = ["child_sequence", "substream"]
 
 
-def stream_root(seed):
-    """Root SeedSequence for integer seed material.
+def child_sequence(seed, *path):
+    """Child SeedSequence of ``seed`` addressed by the integers in ``path``.
 
-    SeedSequence inputs pass through unchanged so callers can hand out
-    branches of an existing stream tree.
+    A SeedSequence seed extends its own spawn key, so callers can hand out
+    branches of an existing stream tree; with an empty path an integer
+    seed gives its root sequence.
     """
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(int(seed))
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(int(seed))
+    key = tuple(seed.spawn_key) + tuple(int(p) for p in path)
+    return np.random.SeedSequence(entropy=seed.entropy, spawn_key=key)
 
 
-def child_sequence(root, *path):
-    """Child SeedSequence of ``root`` addressed by the integers in ``path``."""
-    root = stream_root(root)
-    key = tuple(root.spawn_key) + tuple(int(p) for p in path)
-    return np.random.SeedSequence(entropy=root.entropy, spawn_key=key)
-
-
-def substream(root, *path):
+def substream(seed, *path):
     """Philox generator for the child stream addressed by ``path``."""
-    return np.random.Generator(np.random.Philox(child_sequence(root, *path)))
-
-
-def as_generator(rng):
-    """Coerce seed material into a Generator.
-
-    Accepts an existing Generator (returned as is), an integer seed or a
-    SeedSequence (wrapped in a fresh Philox), or None for a nondeterministic
-    OS-entropy stream.
-    """
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if rng is None:
-        return np.random.Generator(np.random.Philox())
-    return np.random.Generator(np.random.Philox(stream_root(rng)))
+    return np.random.Generator(np.random.Philox(child_sequence(seed, *path)))

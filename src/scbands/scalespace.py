@@ -14,7 +14,9 @@ import numpy as np
 
 from .fdata import FunctionalSample, Grid1D, Grid2D
 
-__all__ = ["Kernel", "gaussian_kernel", "ScaleGrid", "smooth_sample", "scale_mean"]
+__all__ = [
+    "Kernel", "gaussian_kernel", "ScaleGrid", "weight_matrix", "smooth_sample", "scale_mean",
+]
 
 
 @dataclass(frozen=True)
@@ -70,15 +72,13 @@ class ScaleGrid:
         return self.h_points.size
 
 
-def weight_matrix(kernel, measure_points, sg, normalize=True):
+def weight_matrix(kernel, measure_points, sg):
     """Linear map from values at the measurement points to the (s, h) lattice.
 
-    Row (i_s * n_h + i_h) holds the weights producing the smoothed value at
-    location s_points[i_s] and bandwidth h_points[i_h]. normalize=True
-    rescales each row to sum to 1 (a convex combination, so smoothed values
-    stay inside the data range); normalize=False uses the raw (1/P) K
-    weights of the plain kernel average, whose target drifts near the
-    domain boundary.
+    Row (i_s * n_h + i_h) holds the kernel weights producing the smoothed
+    value at location s_points[i_s] and bandwidth h_points[i_h], rescaled
+    to sum to 1: a convex combination, so smoothed values stay inside the
+    data range.
     """
     pts = np.asarray(measure_points, dtype=float)
     if pts.ndim != 1 or pts.size < 2:
@@ -89,19 +89,15 @@ def weight_matrix(kernel, measure_points, sg, normalize=True):
         k = kernel.weights(offs, h)
         if not np.all(np.isfinite(k)):
             raise ValueError(f"kernel produced non-finite weights at h={h:.6g}")
-        if normalize:
-            row_sums = k.sum(axis=1, keepdims=True)
-            if np.any(row_sums == 0):
-                raise ValueError(f"kernel weights sum to zero at h={h:.6g}")
-            k = k / row_sums
-        else:
-            k = k / pts.size
-        per_h.append(k)
+        row_sums = k.sum(axis=1, keepdims=True)
+        if np.any(row_sums == 0):
+            raise ValueError(f"kernel weights sum to zero at h={h:.6g}")
+        per_h.append(k / row_sums)
     # (n_s, n_h, P) -> flat row-major (s major, h minor) to match Grid2D.
     return np.stack(per_h, axis=1).reshape(sg.n_s * sg.n_h, pts.size)
 
 
-def smooth_sample(raw, kernel, sg, normalize=True):
+def smooth_sample(raw, kernel, sg):
     """Smooth every row of a 1-D sample onto the (s, h) lattice.
 
     Returns a FunctionalSample on a Grid2D with x = locations and y =
@@ -111,14 +107,14 @@ def smooth_sample(raw, kernel, sg, normalize=True):
     """
     if not isinstance(raw, FunctionalSample) or not isinstance(raw.grid, Grid1D):
         raise ValueError("smooth_sample needs a FunctionalSample on a 1-D grid")
-    w = weight_matrix(kernel, raw.grid.points, sg, normalize)
+    w = weight_matrix(kernel, raw.grid.points, sg)
     smoothed = raw.values @ w.T
     if sg.n_h == 1:
         return FunctionalSample(smoothed, sg.s_points)
     return FunctionalSample(smoothed, Grid2D(sg.s_points.points, sg.h_points))
 
 
-def scale_mean(mu_values, kernel, sg, normalize=True, measure_points=None):
+def scale_mean(mu_values, kernel, sg, measure_points=None):
     """Apply the sample's smoothing map to a fixed curve.
 
     This is the band target in simulations: the smoothed version of the
@@ -133,5 +129,5 @@ def scale_mean(mu_values, kernel, sg, normalize=True, measure_points=None):
     if measure_points is None:
         p = mu.size
         measure_points = (np.arange(p) + 0.5) / p
-    w = weight_matrix(kernel, measure_points, sg, normalize)
+    w = weight_matrix(kernel, measure_points, sg)
     return w @ mu

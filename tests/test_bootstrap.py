@@ -119,27 +119,27 @@ def test_rademacher_statistic_triangle_bound(sample):
 
 
 def test_gauss_sim_matches_pointwise_quantile():
-    q = gauss_sim_quantile(np.eye(1), 0.05, 20000, rng=3)
+    q = gauss_sim_quantile(np.eye(1), 0.05, 20000, seed=3)
     assert abs(q - stats.norm.isf(0.025)) < 0.04
 
 
 def test_gauss_sim_two_independent_points():
     # max of two independent |N(0,1)|: analytic level from the product rule
-    q = gauss_sim_quantile(np.eye(2), 0.05, 20000, rng=3)
+    q = gauss_sim_quantile(np.eye(2), 0.05, 20000, seed=3)
     target = stats.norm.isf((1.0 - np.sqrt(0.95)) / 2.0)
     assert abs(q - target) < 0.05
 
 
 def test_gauss_sim_rank_deficient_correlation():
     # perfectly correlated points collapse to a single Gaussian maximum
-    q = gauss_sim_quantile(np.ones((3, 3)), 0.05, 20000, rng=5)
+    q = gauss_sim_quantile(np.ones((3, 3)), 0.05, 20000, seed=5)
     assert abs(q - stats.norm.isf(0.025)) < 0.05
 
 
 def test_gauss_sim_deterministic_per_seed():
     cov = np.array([[1.0, 0.4], [0.4, 1.0]])
-    assert gauss_sim_quantile(cov, 0.05, 2000, rng=7) == gauss_sim_quantile(
-        cov, 0.05, 2000, rng=7
+    assert gauss_sim_quantile(cov, 0.05, 2000, seed=7) == gauss_sim_quantile(
+        cov, 0.05, 2000, seed=7
     )
 
 
@@ -150,6 +150,12 @@ def test_bootstrap_config_validation():
         BootstrapConfig(alpha=0.0)
     with pytest.raises(ValueError):
         BootstrapConfig(alpha=1.5)
+
+
+def test_bootstrap_config_rejects_fractional_replicates():
+    with pytest.raises(ValueError, match="replicates must be an integer, got 2.5"):
+        BootstrapConfig(replicates=2.5)
+    assert BootstrapConfig(replicates=20.0).replicates == 20
 
 
 # Reference kernels: one replicate at a time, over the same one-stream

@@ -227,3 +227,46 @@ def test_width_reference_row_counts_failed_draws(monkeypatch, two_sample):
     assert stats[1][0] is None
     assert ("ValueError" if two_sample else "FloatingPointError") in stats[1][1]
     assert stats[2][0] is not None and stats[2][1] is None
+
+
+# Each value below used to pass the config and then fail every replication
+# (or, for sigma_obs=nan, be read as "no noise"); now it is rejected up front.
+
+@pytest.mark.parametrize("sigma_obs", [float("nan"), float("inf"), -0.1])
+def test_config_rejects_non_finite_noise(sigma_obs):
+    with pytest.raises(ValueError, match="sigma_obs must be finite and non-negative"):
+        ExperimentConfig(sigma_obs=sigma_obs)
+
+
+def test_config_rejects_negative_or_fractional_seed():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        ExperimentConfig(seed=-1)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        ExperimentConfig.from_dict({"seed": 1.5})
+    assert ExperimentConfig(seed=3.0).seed == 3
+
+
+def test_config_rejects_two_bandwidths():
+    with pytest.raises(ValueError, match="count 1 or >= 3"):
+        ExperimentConfig(scale_grid=(0.02, 0.1, 2))
+    for count in (1, 3):
+        assert ExperimentConfig(scale_grid=(0.02, 0.1, count)).scale_grid[2] == count
+
+
+@pytest.mark.parametrize("method", ["boots-t", "boots", "gmult-t", "rmult"])
+def test_config_rejects_two_sample_resampling(method):
+    with pytest.raises(ValueError, match="two_sample supports 'tgkf' and 'gauss-sim'"):
+        ExperimentConfig(methods=("tgkf", method), two_sample=True)
+    assert ExperimentConfig(methods=("tgkf", method)).methods[1] == method
+
+
+@pytest.mark.parametrize(
+    "name", ["replications", "true_replications", "bootstrap_replicates", "presmooth_points"]
+)
+def test_config_rejects_fractional_counts(name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got 2.5"):
+        ExperimentConfig(**{name: 2.5})
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        ExperimentConfig.from_dict({name: 4.5})
+    cfg = ExperimentConfig(**{name: 10.0})
+    assert getattr(cfg, name) == 10 and isinstance(getattr(cfg, name), int)

@@ -9,7 +9,6 @@ from scbands import (
     FunctionalSample,
     Grid1D,
     Grid2D,
-    as_generator,
     ceiling_rank_quantile,
     child_sequence,
     gradient,
@@ -156,15 +155,6 @@ def test_substream_reproducible_and_distinct():
 
 def test_child_sequence_feeds_substream():
     seq = child_sequence(7, 1, 2)
-    x = as_generator(seq).standard_normal(4)
+    x = substream(seq).standard_normal(4)
     y = substream(7, 1, 2).standard_normal(4)
     assert_array_equal(x, y)
-
-
-def test_as_generator_passthrough():
-    gen = np.random.default_rng(5)
-    assert as_generator(gen) is gen
-    # integers and SeedSequences become fresh generators
-    assert_array_equal(
-        as_generator(9).standard_normal(3), as_generator(9).standard_normal(3)
-    )

@@ -251,6 +251,15 @@ def test_cli_threads_do_not_change_results(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+@pytest.mark.parametrize("command", ["generate", "scb", "scale-scb"])
+def test_cli_threads_only_on_sweeps(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path / "cfg.json")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
 def test_cli_errors_are_json_on_stderr(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json", input=str(tmp_path / "missing.csv"))
     code = main(["scb", "--config", str(cfg)])

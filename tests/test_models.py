@@ -127,7 +127,7 @@ def test_observation_noise_variance():
 def test_observation_noise_rejects_negative_sd():
     clean = gen_model(ModelSpec("A", resolution=30), 5, rng=substream(66, 0))
     with pytest.raises(ValueError, match="non-negative"):
-        add_observation_noise(clean, -0.1)
+        add_observation_noise(clean, -0.1, substream(66, 1))
 
 
 def test_spec_validation():
@@ -138,4 +138,4 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ModelSpec("A", resolution=2)
     with pytest.raises(ValueError):
-        gen_model(ModelSpec("A"), 0)
+        gen_model(ModelSpec("A"), 0, substream(67, 0))

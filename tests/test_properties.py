@@ -1,0 +1,125 @@
+"""Property tests: invariants that hold for every input, checked with hypothesis.
+
+Example counts are small and the search is derandomized, so the suite stays
+fast and every run checks the same examples.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.testing import assert_allclose
+
+from scbands import (
+    ECDensityModel,
+    FunctionalSample,
+    Grid1D,
+    Grid2D,
+    LKCVector,
+    ModelSpec,
+    QuantileNoSolutionError,
+    gen_model,
+    read_sample,
+    scb_one_sample,
+    substream,
+    tgkf_quantile,
+    write_sample,
+)
+
+FEW = settings(max_examples=12, deadline=None, derandomize=True)
+
+# |a| in [0.25, 8] with either sign, b in [-20, 20].
+scales = st.floats(0.25, 8.0).flatmap(lambda a: st.sampled_from([a, -a]))
+shifts = st.floats(-20.0, 20.0)
+
+
+# gauss-sim factors the residual correlation, of rank N-1 < P here, by its
+# eigenvectors. The null-space eigenvalues are rounding noise of about
+# 1e-16, clipped at zero but leaking their square roots (about 1e-8) along
+# eigenvectors that any rounding change rotates, so its quantile moves by
+# up to about 2e-8 relative under an affine map (and the half-width with it).
+QUANTILE_RTOL = {"gauss-sim": 1e-6}
+
+
+@pytest.mark.parametrize(
+    "method", ["tgkf", "boots-t", "boots", "gmult-t", "gmult", "rmult-t", "rmult", "gauss-sim"]
+)
+@FEW
+@given(a=scales, b=shifts, seed=st.integers(0, 2**32 - 1))
+def test_band_affine_equivariance(method, a, b, seed):
+    # The band of a Y + b is a center + b with |a| times the half-width, and
+    # the quantile is the same: the statistics are studentized or scale
+    # with |a|, and a seeded method draws from the same stream.
+    sample = gen_model(ModelSpec("A", resolution=30), 12, substream(seed, 0))
+    moved = FunctionalSample(a * sample.values + b, sample.grid)
+    base = scb_one_sample(sample, method, 0.1, replicates=100, seed=seed)
+    other = scb_one_sample(moved, method, 0.1, replicates=100, seed=seed)
+    rtol = QUANTILE_RTOL.get(method, 1e-9)
+    assert_allclose(other.quantile, base.quantile, rtol=rtol)
+    scale = 1e-12 * (abs(a) + abs(b))
+    assert_allclose(other.center, a * base.center + b, rtol=1e-9, atol=scale)
+    assert_allclose(
+        other.upper - other.center, abs(a) * (base.upper - base.center), rtol=rtol, atol=scale
+    )
+
+
+def _solve(curvatures, model, alpha):
+    try:
+        return tgkf_quantile(LKCVector(1, curvatures), model, alpha)
+    except QuantileNoSolutionError:
+        assume(False)
+
+
+models = st.one_of(
+    st.just(ECDensityModel.gaussian()),
+    st.sampled_from([3, 9, 49, 500]).map(ECDensityModel.student_t),
+)
+curvature_vectors = st.lists(st.floats(0.0, 60.0), min_size=1, max_size=2).map(tuple)
+
+
+@FEW
+@given(lkc=curvature_vectors, model=models, alpha=st.floats(0.005, 0.45),
+       step=st.floats(1e-4, 0.45))
+def test_tgkf_quantile_non_increasing_in_alpha(lkc, model, alpha, step):
+    # The solver is exact to 1e-9, so the order can only break within it.
+    assert _solve(lkc, model, alpha + step) <= _solve(lkc, model, alpha) + 1e-9
+
+
+@FEW
+@given(lkc=curvature_vectors, model=models, alpha=st.floats(0.005, 0.5),
+       axis=st.integers(0, 1), step=st.floats(1e-3, 40.0))
+def test_tgkf_quantile_non_decreasing_in_each_curvature(lkc, model, alpha, axis, step):
+    larger = list(lkc)
+    larger[axis % len(lkc)] += step
+    assert _solve(tuple(larger), model, alpha) >= _solve(lkc, model, alpha) - 1e-9
+
+
+# Every finite double, subnormals and the largest magnitudes included.
+finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+edge = st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                        -1.7976931348623157e308, -0.0, 0.1, 1 / 3])
+values = st.one_of(finite, edge)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+@FEW
+@given(data=st.data(), two_d=st.booleans(), n=st.integers(1, 4))
+def test_sample_csv_round_trip_is_bit_exact(tmp_path_factory, data, two_d, n):
+    if two_d:
+        grid = Grid2D(np.array([-1e300, 0.0, 3e-310]), np.array([0.0, 1 / 3, 7.0, 1e308]))
+    else:
+        grid = Grid1D(np.array([-5e-324, 0.0, 5e-324, 0.1, 1.7976931348623157e308]))
+    vals = data.draw(arrays(np.float64, (n, grid.n_points), elements=values))
+    path = tmp_path_factory.mktemp("csv") / "sample.csv"
+    write_sample(path, FunctionalSample(vals, grid))
+    back = read_sample(path)
+    assert np.array_equal(_bits(back.values), _bits(vals))
+    if two_d:
+        assert np.array_equal(_bits(back.grid.x_points), _bits(grid.x_points))
+        assert np.array_equal(_bits(back.grid.y_points), _bits(grid.y_points))
+    else:
+        assert np.array_equal(_bits(back.grid.points), _bits(grid.points))

@@ -49,7 +49,7 @@ from .lkc import (
     lambda_hat,
     lkc_1d,
     lkc_2d,
-    lkc_two_sample,
+    lkc_estimate,
     tau_sq_1d,
 )
 from .models import (
@@ -121,7 +121,7 @@ __all__ = [
     "lambda_hat",
     "lkc_1d",
     "lkc_2d",
-    "lkc_two_sample",
+    "lkc_estimate",
     "model_amplitude",
     "model_mean",
     "mult_t_quantile",

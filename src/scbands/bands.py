@@ -25,17 +25,16 @@ from .bootstrap import (
     gauss_sim_quantile,
     mult_t_quantile,
 )
-from .errors import DegenerateVarianceError
 from .fdata import (
     FunctionalSample,
     Grid1D,
+    _nonzero_scale,
     _positive_sd,
     grids_equal,
-    normed_residuals,
     pointwise_mean,
 )
-from .kinematic import ECDensityModel, LKCVector, tgkf_quantile
-from .lkc import lambda_hat, lkc_1d, lkc_2d, lkc_two_sample
+from .kinematic import ECDensityModel, tgkf_quantile
+from .lkc import lkc_estimate
 from .scalespace import smooth_sample
 
 __all__ = [
@@ -89,7 +88,6 @@ class SCBand:
     method: str
     alpha: float
     grid: object
-    studentized: bool = None
 
     def __post_init__(self):
         for name in ("center", "lower", "upper"):
@@ -101,18 +99,71 @@ class SCBand:
             raise ValueError("band must satisfy lower <= center <= upper")
 
 
-def _estimated_lkc(sample):
-    res = normed_residuals(sample)
-    lam = lambda_hat(res)
-    if isinstance(sample.grid, Grid1D):
-        return LKCVector(1, (lkc_1d(lam, sample.grid),))
-    return LKCVector(1, lkc_2d(lam, sample.grid))
+def _one_sample_residuals(sample):
+    """(center, scale, rate, residual groups) of the one-sample mean field.
+
+    center = mean, scale = sd, rate = sqrt(N), and the one residual group
+    is (Y_n - mean) / sd, built from that mean and sd. The groups are a
+    generator that builds the group when it is iterated, so the width
+    sweep's reference statistic, which needs no residuals, never builds it.
+    """
+    n = sample.n_samples
+    if n < 2:
+        raise ValueError("a band needs at least 2 curves")
+    mu = pointwise_mean(sample)
+    sd = _positive_sd(sample)
+    groups = (FunctionalSample((s.values - mu) / sd, s.grid) for s in (sample,))
+    return mu, sd, np.sqrt(n), groups
 
 
-def _residual_correlation(res_values, divisor):
-    corr = res_values.T @ res_values / divisor
+def two_sample_residuals(sample_y, sample_x):
+    """(center, scale, rate, residual groups) of the mean difference field.
+
+    center = mean_Y - mean_X and rate = sqrt(N + M - 2). With c = N/M the
+    scale is the pooled sqrt((1 + 1/c) var_Y + (1 + c) var_X), and the two
+    residual groups are sqrt(1 + 1/c) (Y_n - mean_Y) / pooled and
+    sqrt(1 + c) (X_m - mean_X) / pooled. Their per-group covariances sum to
+    the correlation of the limit field of the mean difference.
+    """
+    if not grids_equal(sample_y.grid, sample_x.grid):
+        raise ValueError("grid mismatch between the two samples")
+    n, m = sample_y.n_samples, sample_x.n_samples
+    if n < 2 or m < 2:
+        raise ValueError("both groups need at least 2 curves")
+    c = n / m
+    var_y = sample_y.values.var(axis=0, ddof=1)
+    var_x = sample_x.values.var(axis=0, ddof=1)
+    pooled = _nonzero_scale(
+        np.sqrt((1.0 + 1.0 / c) * var_y + (1.0 + c) * var_x), sample_y.grid, "pooled sd"
+    )
+    mean_y, mean_x = pointwise_mean(sample_y), pointwise_mean(sample_x)
+    res_y = np.sqrt(1.0 + 1.0 / c) * (sample_y.values - mean_y) / pooled
+    res_x = np.sqrt(1.0 + c) * (sample_x.values - mean_x) / pooled
+    groups = (FunctionalSample(res_y, sample_y.grid), FunctionalSample(res_x, sample_x.grid))
+    return mean_y - mean_x, pooled, np.sqrt(n + m - 2), groups
+
+
+def _field_quantile(field, kind, alpha, replicates, seed):
+    """tGKF or Gaussian-simulation quantile from a field's residual groups.
+
+    The tGKF uses sum(N_g - 1) degrees of freedom and the summed curvature
+    field of the groups; "gauss-sim" simulates from the summed residual
+    correlation sum R'R / (N_g - 1).
+    """
+    groups = tuple(field[3])
+    if kind == "tgkf":
+        dof = sum(r.n_samples - 1 for r in groups)
+        return tgkf_quantile(lkc_estimate(*groups), ECDensityModel.student_t(dof), alpha)
+    corr = sum(r.values.T @ r.values / (r.n_samples - 1) for r in groups)
     np.fill_diagonal(corr, 1.0)
-    return corr
+    return gauss_sim_quantile(corr, alpha, draws=replicates, seed=seed)
+
+
+def _band(field, quantile, name, alpha, grid):
+    center, scale, rate, _ = field
+    half = quantile * scale / rate
+    return SCBand(center, center - half, center + half, float(quantile), name,
+                  float(alpha), grid)
 
 
 def scb_one_sample(sample, method="tgkf", alpha=0.05, replicates=1000, seed=0):
@@ -125,58 +176,13 @@ def scb_one_sample(sample, method="tgkf", alpha=0.05, replicates=1000, seed=0):
     deterministic.
     """
     name, kind, law, studentized = parse_method(method)
-    n = sample.n_samples
-    if n < 2:
-        raise ValueError("a band needs at least 2 curves")
-    mu = pointwise_mean(sample)
-    sd = _positive_sd(sample)
-
-    if kind == "tgkf":
-        q = tgkf_quantile(_estimated_lkc(sample), ECDensityModel.student_t(n - 1), alpha)
-    elif kind == "gauss-sim":
-        res = normed_residuals(sample)
-        corr = _residual_correlation(res.values, n - 1)
-        q = gauss_sim_quantile(corr, alpha, draws=replicates, seed=seed)
-    elif kind == "boots":
+    field = _one_sample_residuals(sample)
+    if kind in ("boots", "mult"):
         cfg = BootstrapConfig(replicates, alpha, studentized, seed)
-        q = boots_t_quantile(sample, cfg)
+        q = boots_t_quantile(sample, cfg) if kind == "boots" else mult_t_quantile(sample, law, cfg)
     else:
-        cfg = BootstrapConfig(replicates, alpha, studentized, seed)
-        q = mult_t_quantile(sample, law, cfg)
-
-    half = q * sd / np.sqrt(n)
-    return SCBand(mu, mu - half, mu + half, float(q), name, float(alpha),
-                  sample.grid, studentized)
-
-
-def two_sample_residuals(sample_y, sample_x):
-    """Pooled-normalized residuals of both groups plus the pooled scale.
-
-    With c = N/M the pooled scale is sqrt((1 + 1/c) var_Y + (1 + c) var_X)
-    and the residual rows are sqrt(1 + 1/c) (Y_n - mean_Y) / pooled and
-    sqrt(1 + c) (X_m - mean_X) / pooled. Their per-group covariances sum to
-    the correlation of the limit field of the mean difference.
-    """
-    if not grids_equal(sample_y.grid, sample_x.grid):
-        raise ValueError("grid mismatch between the two samples")
-    if sample_y.n_samples < 2 or sample_x.n_samples < 2:
-        raise ValueError("both groups need at least 2 curves")
-    c = sample_y.n_samples / sample_x.n_samples
-    var_y = sample_y.values.var(axis=0, ddof=1)
-    var_x = sample_x.values.var(axis=0, ddof=1)
-    pooled = np.sqrt((1.0 + 1.0 / c) * var_y + (1.0 + c) * var_x)
-    zeros = np.flatnonzero(pooled == 0)
-    if zeros.size:
-        raise DegenerateVarianceError(
-            f"pooled scale is zero at grid point {int(zeros[0])}"
-        )
-    res_y = np.sqrt(1.0 + 1.0 / c) * (sample_y.values - sample_y.values.mean(axis=0)) / pooled
-    res_x = np.sqrt(1.0 + c) * (sample_x.values - sample_x.values.mean(axis=0)) / pooled
-    return (
-        FunctionalSample(res_y, sample_y.grid),
-        FunctionalSample(res_x, sample_x.grid),
-        pooled,
-    )
+        q = _field_quantile(field, kind, alpha, replicates, seed)
+    return _band(field, q, name, alpha, sample.grid)
 
 
 def scb_two_sample(sample_y, sample_x, method="tgkf", alpha=0.05, replicates=1000, seed=0):
@@ -193,25 +199,9 @@ def scb_two_sample(sample_y, sample_x, method="tgkf", alpha=0.05, replicates=100
         raise ValueError(
             f"two-sample bands support 'tgkf' and 'gauss-sim', not {method!r}"
         )
-    res_y, res_x, pooled = two_sample_residuals(sample_y, sample_x)
-    n, m = sample_y.n_samples, sample_x.n_samples
-    dof = n + m - 2
-
-    if kind == "tgkf":
-        lkc = lkc_two_sample(res_y, res_x, n / m)
-        q = tgkf_quantile(lkc, ECDensityModel.student_t(dof), alpha)
-    else:
-        corr = (
-            res_y.values.T @ res_y.values / (n - 1)
-            + res_x.values.T @ res_x.values / (m - 1)
-        )
-        np.fill_diagonal(corr, 1.0)
-        q = gauss_sim_quantile(corr, alpha, draws=replicates, seed=seed)
-
-    center = pointwise_mean(sample_y) - pointwise_mean(sample_x)
-    half = q * pooled / np.sqrt(dof)
-    return SCBand(center, center - half, center + half, float(q), name,
-                  float(alpha), sample_y.grid, None)
+    field = two_sample_residuals(sample_y, sample_x)
+    q = _field_quantile(field, kind, alpha, replicates, seed)
+    return _band(field, q, name, alpha, sample_y.grid)
 
 
 def scb_scale_space(raw, kernel, sg, method="tgkf", alpha=0.05, replicates=1000, seed=0):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVarianceError
-from .fdata import _positive_sd, _values_of
+from .fdata import _positive_sd
 from .models import _integer
 from .rng import substream
 
@@ -92,10 +92,9 @@ _BLOCK_ROWS = 64
 
 
 def _in_blocks(fn, rows, *args):
-    """fn(rows[block], *args) over row blocks of rows, concatenated."""
-    return np.concatenate(
-        [fn(rows[lo : lo + _BLOCK_ROWS], *args) for lo in range(0, len(rows), _BLOCK_ROWS)]
-    )
+    """fn(rows[block], *args) over row blocks of rows; each output concatenated."""
+    parts = [fn(rows[lo : lo + _BLOCK_ROWS], *args) for lo in range(0, len(rows), _BLOCK_ROWS)]
+    return [np.concatenate(outputs) for outputs in zip(*parts)]
 
 
 def _row_counts(idx, n):
@@ -105,58 +104,35 @@ def _row_counts(idx, n):
     return np.bincount(flat, minlength=k * n).reshape(k, n).astype(float)
 
 
-def _tie_labels(vals):
-    """Per-column dense ranks: equal labels exactly where values are equal.
-
-    NaN never equals anything, so every NaN gets a label of its own.
-    """
-    order = np.argsort(vals, axis=0, kind="stable")
-    ordered = np.take_along_axis(vals, order, axis=0)
-    steps = np.zeros(vals.shape)
-    steps[1:] = ordered[1:] != ordered[:-1]
-    labels = np.empty(vals.shape)
-    np.put_along_axis(labels, order, np.cumsum(steps, axis=0), axis=0)
-    return labels
-
-
-def _degenerate_rows(idx, labels):
-    """Rows of idx whose selected curves are all equal at some grid point.
-
-    Row b selects curves that agree at point p iff their labels L satisfy
-    sum C L = n v and sum C L^2 = n v^2 with v the label of the first one
-    (then sum C (L - v)^2 = 0). The labels are integers below n, so every
-    term stays below n^3 < 2^53 and the float matmuls are exact.
-    """
-    n = idx.shape[1]
-    counts = _row_counts(idx, n)
-    first = labels[idx[:, 0]]
-    same_sum = counts @ labels == n * first
-    same_sq = counts @ (labels * labels) == n * (first * first)
-    return np.any(same_sum & same_sq, axis=1)
-
-
 def _resample_max_t(idx, vals, resid, var_fixed):
-    """max_s sqrt(N) |mean* - mean| / sd* of the resample in each row of idx.
+    """(max_s sqrt(N) |mean* - mean| / sd*, degenerate) per row of idx.
 
     With C the count matrix (C[b, n] = multiplicity of curve n in resample
     b) and X = Y - mean: mean* - mean = C X / N and (N-1) var* =
     C X^2 - N (mean* - mean)^2. Rows where that difference cancels to below
     1e-3 of C X^2 (spread far below the sample's) are recomputed from
-    their gathered curves. var_fixed, when given, replaces var*.
+    their gathered curves. A resample whose curves all coincide at some
+    grid point has a spread of rounding size (0 <= 0 when X is 0 there),
+    so it is always gathered; an exact comparison of its curves flags it
+    degenerate, and its statistic is a placeholder for the caller to
+    redraw. var_fixed, when given, replaces var* and no row is degenerate.
     """
     n = idx.shape[1]
     counts = _row_counts(idx, n)
     shift = counts @ resid / n
+    degenerate = np.zeros(idx.shape[0], dtype=bool)
     if var_fixed is None:
         sumsq = counts @ (resid * resid)
         spread = sumsq - n * shift * shift
         var_star = spread / (n - 1.0)
         for b in np.flatnonzero(np.any(spread <= 1e-3 * sumsq, axis=1)):
-            var_star[b] = vals[idx[b]].var(axis=0, ddof=1)
+            rows = vals[idx[b]]
+            degenerate[b] = np.any(np.all(rows == rows[0], axis=0))
+            var_star[b] = 1.0 if degenerate[b] else rows.var(axis=0, ddof=1)
     else:
         var_star = var_fixed
     # max |t| is the root of max t^2: one square root per replicate.
-    return np.sqrt(n * np.max(shift * shift / var_star, axis=1))
+    return np.sqrt(n * np.max(shift * shift / var_star, axis=1)), degenerate
 
 
 def boots_t_quantile(sample, cfg):
@@ -172,39 +148,29 @@ def boots_t_quantile(sample, cfg):
     studentized=False the original-sample sd is used and no resample is
     degenerate.
     """
-    vals = _values_of(sample)
+    vals = sample.values
     n = vals.shape[0]
     if n < 2:
         raise ValueError("bootstrap needs at least 2 curves")
-    if n**3 >= 2**53:
-        raise ValueError(f"bootstrap supports fewer than 208064 curves, got {n}")
     gen = substream(cfg.seed)
-    b_total = cfg.replicates
-    idx = gen.integers(0, n, size=(b_total, n))
-
-    if cfg.studentized:
-        var_fixed = None
-        # Exact degeneracy test: all resampled rows equal somewhere. (A
-        # float sd==0 test misses ties broken only by summation rounding,
-        # which would blow T* up instead of flagging it.)
-        labels = _tie_labels(vals)
-        max_rejects = b_total // 10
-        rejects = 0
-        redo = np.flatnonzero(_in_blocks(_degenerate_rows, idx, labels))
-        while redo.size:
-            rejects += redo.size
-            if rejects > max_rejects:
-                raise DegenerateVarianceError(
-                    f"more than {max_rejects} degenerate resamples "
-                    f"(all rows equal at some grid point)"
-                )
-            idx[redo] = gen.integers(0, n, size=(redo.size, n))
-            redo = redo[_in_blocks(_degenerate_rows, idx[redo], labels)]
-    else:
-        var_fixed = _positive_sd(sample) ** 2
-
+    idx = gen.integers(0, n, size=(cfg.replicates, n))
+    var_fixed = None if cfg.studentized else _positive_sd(sample) ** 2
     resid = vals - vals.mean(axis=0)
-    stats = _in_blocks(_resample_max_t, idx, vals, resid, var_fixed)
+
+    stats, degenerate = _in_blocks(_resample_max_t, idx, vals, resid, var_fixed)
+    max_rejects = cfg.replicates // 10
+    rejects = 0
+    redo = np.flatnonzero(degenerate)
+    while redo.size:
+        rejects += redo.size
+        if rejects > max_rejects:
+            raise DegenerateVarianceError(
+                f"more than {max_rejects} degenerate resamples "
+                f"(all rows equal at some grid point)"
+            )
+        idx[redo] = gen.integers(0, n, size=(redo.size, n))
+        stats[redo], degenerate = _in_blocks(_resample_max_t, idx[redo], vals, resid, var_fixed)
+        redo = redo[degenerate]
     return ceiling_rank_quantile(stats, cfg.alpha)
 
 
@@ -223,7 +189,7 @@ def mult_t_quantile(sample, law, cfg):
     residuals) contribute 0; a vanishing sd* under a nonzero numerator
     raises the degenerate-variance error.
     """
-    vals = _values_of(sample)
+    vals = sample.values
     n = vals.shape[0]
     if n < 2:
         raise ValueError("multiplier bootstrap needs at least 2 curves")
@@ -264,9 +230,11 @@ def mult_t_quantile(sample, law, cfg):
 def gauss_sim_quantile(covariance, alpha, draws, seed=0):
     """Empirical (1-alpha) quantile of max |X| for X ~ N(0, correlation).
 
-    The correlation matrix is eigen-factorized with eigenvalues floored at
-    zero, so inputs that are PSD only up to rounding are accepted. The
-    draws come from ``substream(seed)``; seed is an integer or a
+    The correlation matrix is eigen-factorized. Eigenvalues below P * eps
+    times the largest are rounding noise (a residual correlation has rank
+    N-1 < P when there are fewer curves than grid points) and are set to
+    zero, so no draw moves along the eigenvectors that rounding rotates.
+    The draws come from ``substream(seed)``; seed is an integer or a
     SeedSequence, as for BootstrapConfig.
     """
     corr = np.asarray(covariance, dtype=float)
@@ -284,7 +252,8 @@ def gauss_sim_quantile(covariance, alpha, draws, seed=0):
         raise ValueError("need at least one draw")
 
     evals, evecs = np.linalg.eigh(0.5 * (corr + corr.T))
-    factor = evecs * np.sqrt(np.clip(evals, 0.0, None))
+    evals[evals < corr.shape[0] * np.finfo(float).eps * evals.max()] = 0.0
+    factor = evecs * np.sqrt(evals)
     z = substream(seed).standard_normal((int(draws), corr.shape[0]))
     maxima = np.abs(z @ factor.T).max(axis=1)
     return ceiling_rank_quantile(maxima, alpha)

@@ -15,9 +15,16 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bands import covers, parse_method, scb_one_sample, scb_two_sample, two_sample_residuals
+from .bands import (
+    _one_sample_residuals,
+    covers,
+    parse_method,
+    scb_one_sample,
+    scb_two_sample,
+    two_sample_residuals,
+)
 from .bootstrap import ceiling_rank_quantile
-from .fdata import Grid1D, _positive_sd, pointwise_mean
+from .fdata import Grid1D
 from .models import ModelSpec, _integer, add_observation_noise, gen_model, model_mean
 from .rng import child_sequence, substream
 from .scalespace import ScaleGrid, gaussian_kernel, scale_mean, smooth_sample
@@ -265,21 +272,17 @@ def run_coverage(cfg, threads=1):
 def _max_t_statistic(pipe, n_index, rep):
     """One draw of the maximal studentized deviation from the truth.
 
-    Raises DegenerateVarianceError on a zero sd and FloatingPointError when
-    the statistic is not finite.
+    Raises DegenerateVarianceError on a zero scale and FloatingPointError
+    when the statistic is not finite.
     """
     cfg = pipe.cfg
     sample = pipe.draw(n_index, rep, _TAG_TRUE_DATA_Y, _TAG_TRUE_NOISE_Y)
     if cfg.two_sample:
         other = pipe.draw(n_index, rep, _TAG_TRUE_DATA_X, _TAG_TRUE_NOISE_X)
-        _, _, scale = two_sample_residuals(sample, other)
-        diff = pointwise_mean(sample) - pointwise_mean(other)
-        rate = math.sqrt(sample.n_samples + other.n_samples - 2)
+        center, scale, rate, _ = two_sample_residuals(sample, other)
     else:
-        diff = pointwise_mean(sample)
-        scale = _positive_sd(sample)
-        rate = math.sqrt(sample.n_samples)
-    stat = float(np.max(rate * np.abs(diff - pipe.truth) / scale))
+        center, scale, rate, _ = _one_sample_residuals(sample)
+    stat = float(np.max(rate * np.abs(center - pipe.truth) / scale))
     if not math.isfinite(stat):
         raise FloatingPointError(f"max-t statistic is {stat}")
     return stat

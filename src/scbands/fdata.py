@@ -3,10 +3,6 @@
 A FunctionalSample is an N x P matrix of N functions observed on a shared
 1-D grid or 2-D rectangular lattice. Surfaces are stored row-major over
 (x, y): the flat column index of lattice node (ix, iy) is ix * n_y + iy.
-
-The column statistics (pointwise_mean, pointwise_sd, normed_residuals) are
-pure matrix operations and also accept a bare N x P array; the geometric
-operations (gradient, quadrature weights) need an actual grid.
 """
 
 from dataclasses import dataclass
@@ -165,66 +161,52 @@ class FunctionalSample:
         return self.values.shape[1]
 
 
-def _values_of(sample):
-    if isinstance(sample, FunctionalSample):
-        return sample.values
-    arr = np.asarray(sample, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("expected a FunctionalSample or an N x P matrix")
-    return arr
-
-
-def _point_label(sample, p):
-    if isinstance(sample, FunctionalSample):
-        if isinstance(sample.grid, Grid1D):
-            return f"{p} (s={sample.grid.points[p]:.6g})"
-        xs, ys = sample.grid.lattice_coords()
-        return f"{p} (x={xs[p]:.6g}, y={ys[p]:.6g})"
-    return str(p)
+def _point_label(grid, p):
+    if isinstance(grid, Grid1D):
+        return f"{p} (s={grid.points[p]:.6g})"
+    xs, ys = grid.lattice_coords()
+    return f"{p} (x={xs[p]:.6g}, y={ys[p]:.6g})"
 
 
 def pointwise_mean(sample):
     """Column means: the estimated mean function on the grid."""
-    vals = _values_of(sample)
-    if vals.shape[0] < 1:
+    if sample.n_samples < 1:
         raise ValueError("cannot average an empty sample")
-    return vals.mean(axis=0)
+    return sample.values.mean(axis=0)
 
 
 def pointwise_sd(sample):
     """Column standard deviations with divisor N-1."""
-    vals = _values_of(sample)
-    if vals.shape[0] < 2:
+    if sample.n_samples < 2:
         raise ValueError("pointwise sd needs at least 2 rows")
-    return vals.std(axis=0, ddof=1)
+    return sample.values.std(axis=0, ddof=1)
+
+
+def _nonzero_scale(scale, grid, name):
+    """scale, raising DegenerateVarianceError at its first zero grid point."""
+    zeros = np.flatnonzero(scale == 0)
+    if zeros.size:
+        raise DegenerateVarianceError(
+            f"{name} is zero at grid point {_point_label(grid, int(zeros[0]))}"
+        )
+    return scale
 
 
 def _positive_sd(sample):
     """pointwise_sd, raising DegenerateVarianceError at the first zero."""
-    sd = pointwise_sd(sample)
-    zeros = np.flatnonzero(sd == 0)
-    if zeros.size:
-        raise DegenerateVarianceError(
-            f"pointwise sd is zero at grid point {_point_label(sample, int(zeros[0]))}"
-        )
-    return sd
+    return _nonzero_scale(pointwise_sd(sample), sample.grid, "pointwise sd")
 
 
 def normed_residuals(sample):
     """Rows (Y_n - mean) / sd, so every column has mean 0 and sd 1.
 
     Raises DegenerateVarianceError naming the first grid point where the
-    pointwise sd vanishes. The output is the same kind of object as the
-    input (sample in, sample out; matrix in, matrix out). No other scaling
-    is applied here; the multiplier bootstrap applies its own sqrt(N/(N-1))
-    factor to unnormalized residuals.
+    pointwise sd vanishes. No other scaling is applied here; the multiplier
+    bootstrap applies its own sqrt(N/(N-1)) factor to unnormalized
+    residuals.
     """
-    vals = _values_of(sample)
     sd = _positive_sd(sample)
-    res = (vals - vals.mean(axis=0)) / sd
-    if isinstance(sample, FunctionalSample):
-        return FunctionalSample(res, sample.grid)
-    return res
+    return FunctionalSample((sample.values - pointwise_mean(sample)) / sd, sample.grid)
 
 
 def gradient(sample):

@@ -10,8 +10,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVarianceError
-from .fdata import FunctionalSample, Grid1D, Grid2D, gradient, grids_equal, rectangle_boundary
+from .fdata import (
+    FunctionalSample,
+    Grid1D,
+    Grid2D,
+    _nonzero_scale,
+    gradient,
+    grids_equal,
+    rectangle_boundary,
+)
 from .kinematic import LKCVector
 
 __all__ = [
@@ -19,7 +26,7 @@ __all__ = [
     "lambda_hat",
     "lkc_1d",
     "lkc_2d",
-    "lkc_two_sample",
+    "lkc_estimate",
     "tau_sq_1d",
 ]
 
@@ -110,29 +117,27 @@ def lkc_2d(lam, grid):
     return l1, l2
 
 
-def lkc_two_sample(res_y, res_x, c):
-    """LKC vector of the pooled two-sample limit field.
+def lkc_estimate(*residuals):
+    """LKC vector of the field whose residual groups are given.
 
-    Inputs are the pooled-normalized residual samples of the two groups
-    (see two_sample_residuals in the band module); their gradient
-    covariances add because the groups are independent, so the summed
-    field feeds the ordinary 1-D/2-D curvature integrals. c = N/M is the
-    sample size ratio. Swapping the groups (with c -> 1/c) leaves the
-    result unchanged.
+    Each group is a normalized residual sample: the one-sample residuals,
+    or the pooled-normalized residuals of each of two independent groups
+    (see two_sample_residuals in the band module). Their gradient
+    covariances add, and the summed field feeds the ordinary 1-D/2-D
+    curvature integrals, so the order of the groups does not matter.
     """
-    if not np.isfinite(c) or c <= 0:
-        raise ValueError("the sample size ratio c = N/M must be positive")
-    if not grids_equal(res_y.grid, res_x.grid):
-        raise ValueError("grid mismatch between the two residual samples")
-    lam = LambdaField(
-        lambda_hat(res_y).values + lambda_hat(res_x).values, res_y.grid
-    )
-    if isinstance(res_y.grid, Grid1D):
-        return LKCVector(1, (lkc_1d(lam, res_y.grid),))
-    return LKCVector(1, lkc_2d(lam, res_y.grid))
+    grid = residuals[0].grid
+    if not all(grids_equal(r.grid, grid) for r in residuals):
+        raise ValueError("grid mismatch between the residual samples")
+    fields = [lambda_hat(r) for r in residuals]
+    # A single field is used as it is: summing would only validate it again.
+    lam = fields[0] if len(fields) == 1 else LambdaField(sum(f.values for f in fields), grid)
+    if isinstance(grid, Grid1D):
+        return LKCVector(1, (lkc_1d(lam, grid),))
+    return LKCVector(1, lkc_2d(lam, grid))
 
 
-def tau_sq_1d(residuals, grid=None):
+def tau_sq_1d(residuals):
     """Plug-in asymptotic variance of the 1-D curvature estimate.
 
     Evaluates
@@ -149,10 +154,6 @@ def tau_sq_1d(residuals, grid=None):
         residuals.grid, Grid1D
     ):
         raise ValueError("tau_sq_1d needs residuals on a 1-D grid")
-    if grid is None:
-        grid = residuals.grid
-    elif not grids_equal(grid, residuals.grid):
-        raise ValueError("grid mismatch between residuals and grid argument")
     n = residuals.n_samples
     if n < 2:
         raise ValueError("gradient covariance needs at least 2 residual rows")
@@ -160,14 +161,7 @@ def tau_sq_1d(residuals, grid=None):
     grads = gradient(residuals)
     centered = grads - grads.mean(axis=0)
     cdot = centered.T @ centered / (n - 1)
-    diag = np.diag(cdot).copy()
-    bad = np.flatnonzero(diag <= 0)
-    if bad.size:
-        p = int(bad[0])
-        raise DegenerateVarianceError(
-            f"gradient variance vanishes at grid point {p} "
-            f"(s={grid.points[p]:.6g})"
-        )
-    w = grid.trapezoid_weights()
+    diag = _nonzero_scale(np.diag(cdot), residuals.grid, "gradient variance")
+    w = residuals.grid.trapezoid_weights()
     integrand = cdot**2 / np.sqrt(np.outer(diag, diag))
     return 0.5 * float(w @ integrand @ w)

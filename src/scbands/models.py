@@ -54,13 +54,13 @@ def bump_basis_1d(s):
     return np.exp(-0.5 * (d / _MODEL_B_WIDTHS[:, None]) ** 2)
 
 
-def bump_basis_2d(x, y, width=0.06):
-    """36 Gaussian bumps centred on the lattice (i/6, j/6), i, j = 1..6."""
+def bump_basis_2d(x, y):
+    """36 Gaussian bumps of width 0.06 centred on the lattice (i/6, j/6), i, j = 1..6."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     centers = np.array([(i / 6.0, j / 6.0) for i in range(1, 7) for j in range(1, 7)])
     d2 = (x[None, :] - centers[:, 0:1]) ** 2 + (y[None, :] - centers[:, 1:2]) ** 2
-    return np.exp(-0.5 * d2 / width**2)
+    return np.exp(-0.5 * d2 / 0.06**2)
 
 
 def model_mean(name, *coords):

@@ -115,7 +115,8 @@ def test_degenerate_sample_rejected():
         lambda: scb_one_sample(sample, method="gauss-sim", replicates=20),
         lambda: boots_t_quantile(sample, plain),
         lambda: mult_t_quantile(sample, RADEMACHER_MULTIPLIERS, plain),
-        lambda: normed_residuals(vals),
+        lambda: normed_residuals(sample),
+        lambda: scb_two_sample(sample, sample, method="tgkf"),
     ):
         with pytest.raises(DegenerateVarianceError, match="sd is zero at grid point 0"):
             estimate()

@@ -272,3 +272,22 @@ def test_boots_t_tiny_resample_spread_is_exact():
     q = boots_t_quantile(s, cfg)
     assert q > 1e6
     assert_allclose(q, _loop_boots(s, cfg)[0], rtol=1e-9)
+
+
+def test_boots_t_redraws_ties_at_the_column_mean():
+    # rows 0-2 are 0 on the first five grid points and rows 3-5 sum to 0
+    # there, so the tied rows sit exactly at the column mean: X = 0 and
+    # C X^2 = 0 for a resample of tied rows only. Its spread is 0 <= 0, so
+    # it is still gathered, found degenerate and redrawn.
+    vals = substream(8, 3).standard_normal((6, 30))
+    vals[:3, :5] = 0.0
+    vals[5, :5] = -(vals[3, :5] + vals[4, :5])
+    s = FunctionalSample(vals, Grid1D(np.linspace(0.0, 1.0, 30)))
+    assert np.array_equal(vals.mean(axis=0)[:5], np.zeros(5))
+    redrawn = 0
+    for seed in range(4):
+        cfg = BootstrapConfig(replicates=400, alpha=0.05, seed=seed)
+        expected, rejects = _loop_boots(s, cfg)
+        redrawn += rejects
+        assert_allclose(boots_t_quantile(s, cfg), expected, rtol=1e-12)
+    assert redrawn > 0

@@ -34,14 +34,6 @@ scales = st.floats(0.25, 8.0).flatmap(lambda a: st.sampled_from([a, -a]))
 shifts = st.floats(-20.0, 20.0)
 
 
-# gauss-sim factors the residual correlation, of rank N-1 < P here, by its
-# eigenvectors. The null-space eigenvalues are rounding noise of about
-# 1e-16, clipped at zero but leaking their square roots (about 1e-8) along
-# eigenvectors that any rounding change rotates, so its quantile moves by
-# up to about 2e-8 relative under an affine map (and the half-width with it).
-QUANTILE_RTOL = {"gauss-sim": 1e-6}
-
-
 @pytest.mark.parametrize(
     "method", ["tgkf", "boots-t", "boots", "gmult-t", "gmult", "rmult-t", "rmult", "gauss-sim"]
 )
@@ -55,12 +47,11 @@ def test_band_affine_equivariance(method, a, b, seed):
     moved = FunctionalSample(a * sample.values + b, sample.grid)
     base = scb_one_sample(sample, method, 0.1, replicates=100, seed=seed)
     other = scb_one_sample(moved, method, 0.1, replicates=100, seed=seed)
-    rtol = QUANTILE_RTOL.get(method, 1e-9)
-    assert_allclose(other.quantile, base.quantile, rtol=rtol)
+    assert_allclose(other.quantile, base.quantile, rtol=1e-9)
     scale = 1e-12 * (abs(a) + abs(b))
     assert_allclose(other.center, a * base.center + b, rtol=1e-9, atol=scale)
     assert_allclose(
-        other.upper - other.center, abs(a) * (base.upper - base.center), rtol=rtol, atol=scale
+        other.upper - other.center, abs(a) * (base.upper - base.center), rtol=1e-9, atol=scale
     )
 
 

@@ -59,6 +59,7 @@ from .models import (
     bump_basis_1d,
     bump_basis_2d,
     gen_model,
+    gen_model_block,
     model_amplitude,
     model_mean,
 )
@@ -116,6 +117,7 @@ __all__ = [
     "gauss_sim_quantile",
     "gaussian_kernel",
     "gen_model",
+    "gen_model_block",
     "gradient",
     "grids_equal",
     "lambda_hat",

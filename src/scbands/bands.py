@@ -104,8 +104,8 @@ def _one_sample_residuals(sample):
 
     center = mean, scale = sd, rate = sqrt(N), and the one residual group
     is (Y_n - mean) / sd, built from that mean and sd. The groups are a
-    generator that builds the group when it is iterated, so the width
-    sweep's reference statistic, which needs no residuals, never builds it.
+    generator that builds the group when it is iterated, so the resampling
+    bands, which need no residual group, never build it.
     """
     n = sample.n_samples
     if n < 2:

@@ -7,6 +7,11 @@ replication draws from substreams addressed by (purpose, n-index, rep), so
 a report depends only on (config, seed), never on thread count or
 evaluation order. Estimator failures (degenerate variance, no quantile
 solution) are recorded per cell instead of aborting the sweep.
+
+The width table's brute-force reference row is drawn in blocks of about
+2^16 values, an (R, N, P) array of R replicates with one substream per
+replicate, so its memory does not grow with true_replications and its
+statistics equal those of one draw at a time.
 """
 
 import math
@@ -15,19 +20,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bands import (
-    _one_sample_residuals,
-    covers,
-    parse_method,
-    scb_one_sample,
-    scb_two_sample,
-    two_sample_residuals,
-)
+from .bands import covers, parse_method, scb_one_sample, scb_two_sample
 from .bootstrap import ceiling_rank_quantile
-from .fdata import Grid1D
-from .models import ModelSpec, _integer, add_observation_noise, gen_model, model_mean
+from .fdata import FunctionalSample, Grid1D, Grid2D, _nonzero_scale
+from .models import ModelSpec, _integer, _model_parts, gen_model_block
 from .rng import child_sequence, substream
-from .scalespace import ScaleGrid, gaussian_kernel, scale_mean, smooth_sample
+from .scalespace import ScaleGrid, gaussian_kernel, weight_matrix
 
 __all__ = ["ExperimentConfig", "run_coverage", "run_width"]
 
@@ -43,6 +41,10 @@ _TAG_TRUE_DATA_Y = 9
 _TAG_TRUE_NOISE_Y = 10
 _TAG_TRUE_DATA_X = 11
 _TAG_TRUE_NOISE_X = 12
+
+# A block of reference-row draws holds about this many doubles, so the
+# row's memory does not grow with true_replications.
+_BLOCK_VALUES = 1 << 16
 
 # Integer counts of ExperimentConfig; a non-integer one would fail mid-run.
 _COUNT_FIELDS = ("replications", "bootstrap_replicates", "presmooth_points", "true_replications")
@@ -144,44 +146,62 @@ class ExperimentConfig:
 
 
 class _Pipeline:
-    """Precomputed transform + truth of a scenario (shared by all reps)."""
+    """Smoothing map, analysis grid and truth of a scenario (shared by all reps).
+
+    The weight matrix of a smoothing scenario is built once: the truth is
+    W @ mu, and every block of draws is smoothed by the same W.
+    """
 
     def __init__(self, cfg):
         self.cfg = cfg
-        grid = cfg.model.make_grid()
+        grid, _, mu, _ = _model_parts(cfg.model)
         bandwidths = cfg.bandwidths()
         if bandwidths is None:
-            self.sg = None
-            coords = grid.lattice_coords() if cfg.model.model == "C" else (grid.points,)
-            self.truth = model_mean(cfg.model.model, *coords)
+            self.weights, self.grid, self.truth = None, grid, mu
         else:
             if cfg.scale_grid is None:
                 grid_s = Grid1D(np.linspace(0.0, 1.0, cfg.presmooth_points))
             else:
                 grid_s = grid
-            self.kernel = gaussian_kernel()
-            self.sg = ScaleGrid(grid_s, bandwidths)
-            mu = model_mean(cfg.model.model, grid.points)
-            self.truth = scale_mean(mu, self.kernel, self.sg, measure_points=grid.points)
+            sg = ScaleGrid(grid_s, bandwidths)
+            self.weights = weight_matrix(gaussian_kernel(), grid.points, sg)
+            self.grid = grid_s if sg.n_h == 1 else Grid2D(grid_s.points, sg.h_points)
+            self.truth = self.weights @ mu
         if cfg.two_sample:
             self.truth = np.zeros_like(self.truth)
+        # Values per path of the widest array a block of draws holds.
+        self.width = max(grid.n_points, self.grid.n_points)
+
+    def draw_block(self, n_index, reps, data_tag, noise_tag):
+        """(R, N, P) analysis values of the replicates reps, after any smoothing."""
+        vals = _raw_block(self.cfg, n_index, reps, data_tag, noise_tag)
+        return vals if self.weights is None else vals @ self.weights.T
 
     def draw(self, n_index, rep, data_tag, noise_tag):
-        sample = _raw_draw(self.cfg, n_index, rep, data_tag, noise_tag)
-        if self.sg is not None:
-            sample = smooth_sample(sample, self.kernel, self.sg)
-        return sample
+        values = self.draw_block(n_index, [rep], data_tag, noise_tag)[0]
+        return FunctionalSample(values, self.grid)
 
 
-def _raw_draw(cfg, n_index, rep, data_tag=_TAG_DATA_Y, noise_tag=_TAG_NOISE_Y):
-    """Model draw plus observation noise, before any smoothing."""
+def _raw_block(cfg, n_index, reps, data_tag=_TAG_DATA_Y, noise_tag=_TAG_NOISE_Y):
+    """(R, N, P) model draws plus observation noise of the replicates reps.
+
+    Replicate r draws its paths from substream (seed, data_tag, n_index, r)
+    and its noise from substream (seed, noise_tag, n_index, r), so a block
+    holds exactly the draws its replicates would make one at a time.
+    """
     n = cfg.n_values[n_index]
-    sample = gen_model(cfg.model, n, substream(cfg.seed, data_tag, n_index, rep))
+    gens = [substream(cfg.seed, data_tag, n_index, r) for r in reps]
+    vals = gen_model_block(cfg.model, n, gens)
     if cfg.sigma_obs > 0:
-        sample = add_observation_noise(
-            sample, cfg.sigma_obs, substream(cfg.seed, noise_tag, n_index, rep)
-        )
-    return sample
+        for r, v in zip(reps, vals):
+            v += substream(cfg.seed, noise_tag, n_index, r).normal(0.0, cfg.sigma_obs, v.shape)
+    return vals
+
+
+def _raw_draw(cfg, n_index, rep):
+    """One replicate's model draw plus observation noise, before any smoothing
+    (the sample that ``scbands generate`` writes)."""
+    return FunctionalSample(_raw_block(cfg, n_index, [rep])[0], _model_parts(cfg.model)[0])
 
 
 def _map_items(worker, items, threads):
@@ -269,23 +289,52 @@ def run_coverage(cfg, threads=1):
     return {"kind": "coverage", "config": cfg.to_dict(), "cells": cells}
 
 
-def _max_t_statistic(pipe, n_index, rep):
-    """One draw of the maximal studentized deviation from the truth.
+def _reference_block(pipe, n_index, reps):
+    """(value, reason) of the maximal studentized deviation of each replicate.
 
-    Raises DegenerateVarianceError on a zero scale and FloatingPointError
-    when the statistic is not finite.
+    The block's means, scales and max-t statistics are computed along
+    axis 1 of its (R, N, P) draws. A replicate with a zero scale fails with
+    the DegenerateVarianceError of fdata._nonzero_scale, one whose
+    statistic is not finite with FloatingPointError.
     """
     cfg = pipe.cfg
-    sample = pipe.draw(n_index, rep, _TAG_TRUE_DATA_Y, _TAG_TRUE_NOISE_Y)
-    if cfg.two_sample:
-        other = pipe.draw(n_index, rep, _TAG_TRUE_DATA_X, _TAG_TRUE_NOISE_X)
-        center, scale, rate, _ = two_sample_residuals(sample, other)
-    else:
-        center, scale, rate, _ = _one_sample_residuals(sample)
-    stat = float(np.max(rate * np.abs(center - pipe.truth) / scale))
-    if not math.isfinite(stat):
-        raise FloatingPointError(f"max-t statistic is {stat}")
-    return stat
+    n = cfg.n_values[n_index]
+    y = pipe.draw_block(n_index, reps, _TAG_TRUE_DATA_Y, _TAG_TRUE_NOISE_Y)
+    with np.errstate(all="ignore"):
+        if cfg.two_sample:
+            # Equal group sizes: c = N/M = 1 in two_sample_residuals.
+            x = pipe.draw_block(n_index, reps, _TAG_TRUE_DATA_X, _TAG_TRUE_NOISE_X)
+            center = y.mean(axis=1) - x.mean(axis=1)
+            scale = np.sqrt(2.0 * y.var(axis=1, ddof=1) + 2.0 * x.var(axis=1, ddof=1))
+            rate, name = math.sqrt(2 * n - 2), "pooled sd"
+        else:
+            center, scale = y.mean(axis=1), y.std(axis=1, ddof=1)
+            rate, name = math.sqrt(n), "pointwise sd"
+        stats = np.max(rate * np.abs(center - pipe.truth) / scale, axis=1)
+    has_zero = np.any(scale == 0, axis=1)
+
+    def checked(r):
+        if has_zero[r]:
+            _nonzero_scale(scale[r], pipe.grid, name)
+        stat = float(stats[r])
+        if not math.isfinite(stat):
+            raise FloatingPointError(f"max-t statistic is {stat}")
+        return stat
+
+    return [_failure_tolerant(checked, r) for r in range(len(reps))]
+
+
+def _reference_row(pipe, threads):
+    """(value, reason) of every reference draw, one list per N, in blocks."""
+    cfg = pipe.cfg
+    reps = cfg.true_replications
+    items = []
+    for i, n in enumerate(cfg.n_values):
+        size = max(1, _BLOCK_VALUES // (n * pipe.width))
+        items += [(i, range(r, min(r + size, reps))) for r in range(0, reps, size)]
+    blocks = _map_items(lambda item: _reference_block(pipe, *item), items, threads)
+    stats = [stat for block in blocks for stat in block]
+    return [stats[i * reps : (i + 1) * reps] for i in range(len(cfg.n_values))]
 
 
 def run_width(cfg, threads=1):
@@ -293,13 +342,7 @@ def run_width(cfg, threads=1):
     brute-force reference row from true_replications max-t draws."""
     pipe = _Pipeline(cfg)
     blocks = _sweep(cfg, pipe, lambda band: band.quantile, threads)
-
-    true_items = [
-        (i, r) for i in range(len(cfg.n_values)) for r in range(cfg.true_replications)
-    ]
-    true_stats = _map_items(
-        lambda it: _failure_tolerant(_max_t_statistic, pipe, *it), true_items, threads
-    )
+    true_rows = _reference_row(pipe, threads)
 
     cells = []
     for n_index, (n, block) in enumerate(zip(cfg.n_values, blocks)):
@@ -326,8 +369,7 @@ def run_width(cfg, threads=1):
                     "two_se": two_se,
                 }
             )
-        block = true_stats[n_index * cfg.true_replications : (n_index + 1) * cfg.true_replications]
-        stats = [value for value, _ in block if value is not None]
+        stats = [value for value, _ in true_rows[n_index] if value is not None]
         cells.append(
             {
                 "n": n,

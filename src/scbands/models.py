@@ -16,8 +16,12 @@ equals the amplitude profile.
 
 Coefficient laws: "gaussian" (standard normal), "t3" (t_3 / sqrt(3)), and
 "chisq" ((chi^2_nu - nu) / sqrt(2 nu), skewed but asymptotically normal).
+
+The grid, normalised basis, mean and amplitude of a ModelSpec are built
+once and cached; gen_model_block draws a stack of samples from them.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +32,7 @@ from .fdata import FunctionalSample, Grid1D, Grid2D
 __all__ = [
     "ModelSpec",
     "gen_model",
+    "gen_model_block",
     "add_observation_noise",
     "model_mean",
     "model_amplitude",
@@ -143,10 +148,13 @@ def _draw_coefficients(spec, shape, gen):
     return (gen.chisquare(nu, shape) - nu) / np.sqrt(2.0 * nu)
 
 
-def gen_model(spec, n, rng):
-    """Draw N sample paths of the model from the Generator rng."""
-    if n < 1:
-        raise ValueError("need at least one sample path")
+@functools.lru_cache(maxsize=16)
+def _model_parts(spec):
+    """(grid, basis, mean, amplitude) of a spec, read-only and shared by every draw.
+
+    basis holds one column-normalised basis function per row, so the
+    field c' basis has unit pointwise variance.
+    """
     grid = spec.make_grid()
     if spec.model == "C":
         x, y = grid.lattice_coords()
@@ -159,8 +167,31 @@ def gen_model(spec, n, rng):
         mu = model_mean(spec.model, s)
         amp = model_amplitude(spec.model, s)
     basis = basis / np.linalg.norm(basis, axis=0)
-    coeffs = _draw_coefficients(spec, (int(n), basis.shape[0]), rng)
-    return FunctionalSample(mu + amp * (coeffs @ basis), grid)
+    for arr in (basis, mu, amp):
+        arr.setflags(write=False)
+    return grid, basis, mu, amp
+
+
+def gen_model_block(spec, n, rngs):
+    """(R, N, P) array of R samples of N paths, sample r drawn from rngs[r].
+
+    Sample r takes its coefficients from the Generator rngs[r] alone, and
+    the stacked product computes each sample as its own (N, K) @ (K, P)
+    matmul, so sample r equals gen_model(spec, n, rngs[r]) bit for bit.
+    """
+    if n < 1:
+        raise ValueError("need at least one sample path")
+    _, basis, mu, amp = _model_parts(spec)
+    shape = (int(n), basis.shape[0])
+    values = np.stack([_draw_coefficients(spec, shape, gen) for gen in rngs]) @ basis
+    values *= amp
+    values += mu  # mu + amp * (coeffs @ basis), without two (R, N, P) temporaries
+    return values
+
+
+def gen_model(spec, n, rng):
+    """Draw N sample paths of the model from the Generator rng."""
+    return FunctionalSample(gen_model_block(spec, n, [rng])[0], _model_parts(spec)[0])
 
 
 def add_observation_noise(sample, sigma_obs, rng):

@@ -8,11 +8,20 @@ import scbands.experiments
 from scbands import (
     DegenerateVarianceError,
     ExperimentConfig,
-    FunctionalSample,
+    Grid1D,
     ModelSpec,
     QuantileNoSolutionError,
+    ScaleGrid,
+    add_observation_noise,
+    gaussian_kernel,
+    gen_model,
+    model_mean,
     run_coverage,
     run_width,
+    scale_mean,
+    smooth_sample,
+    substream,
+    two_sample_residuals,
 )
 
 
@@ -130,9 +139,71 @@ def test_width_report_includes_reference():
 
 
 def test_width_deterministic_and_thread_invariant():
-    a = run_width(small_config(n_values=(10,)))
-    b = run_width(small_config(n_values=(10,)), threads=2)
-    assert a == b
+    # At N=300 on 40 points a reference block holds 5 draws, so the 13
+    # reference draws split into blocks of 5, 5 and 3.
+    for two_sample in (False, True):
+        cfg = small_config(n_values=(10, 300), true_replications=13, two_sample=two_sample)
+        a = run_width(cfg)
+        assert a == run_width(cfg) == run_width(cfg, threads=2) == run_width(cfg, threads=3)
+        ref = [c for c in a["cells"] if c["method"] == "true"]
+        assert [(c["n"], c["failures"]) for c in ref] == [(10, 0), (300, 0)]
+
+
+def _loop_reference_statistic(cfg, n_index, rep):
+    """Max-t statistic of one reference draw, from the public draw functions."""
+    n = cfg.n_values[n_index]
+    grid = cfg.model.make_grid()
+    truth = model_mean(cfg.model.model, grid.points)
+    bandwidths = cfg.bandwidths()
+    if bandwidths is not None:
+        grid_s = grid if cfg.scale_grid else Grid1D(np.linspace(0, 1, cfg.presmooth_points))
+        sg = ScaleGrid(grid_s, bandwidths)
+        truth = scale_mean(truth, gaussian_kernel(), sg, measure_points=grid.points)
+
+    def draw(data_tag, noise_tag):
+        sample = gen_model(cfg.model, n, substream(cfg.seed, data_tag, n_index, rep))
+        if cfg.sigma_obs > 0:
+            noise = substream(cfg.seed, noise_tag, n_index, rep)
+            sample = add_observation_noise(sample, cfg.sigma_obs, noise)
+        if bandwidths is not None:
+            sample = smooth_sample(sample, gaussian_kernel(), sg)
+        return sample
+
+    # substream tags of the reference row: data and noise of Y, then of X
+    y = draw(9, 10)
+    if cfg.two_sample:
+        center, scale, rate, _ = two_sample_residuals(y, draw(11, 12))
+        truth = 0.0
+    else:
+        center, scale, rate, _ = scbands.bands._one_sample_residuals(y)
+    return float(np.max(rate * np.abs(center - truth) / scale))
+
+
+@pytest.mark.parametrize(
+    "overrides, n",
+    [
+        ({}, 300),
+        ({"sigma_obs": 0.2}, 300),
+        ({"presmooth_bandwidth": 0.05, "presmooth_points": 80, "sigma_obs": 0.1}, 300),
+        ({"scale_grid": (0.05, 0.15, 3), "sigma_obs": 0.1}, 100),
+        ({"two_sample": True}, 300),
+    ],
+    ids=["plain", "noisy", "presmooth", "scale-grid", "two-sample"],
+)
+def test_reference_blocks_equal_per_replicate_draws(overrides, n):
+    cfg = small_config(
+        model=ModelSpec("A", resolution=40, midpoint_grid=True),
+        n_values=(6, n),
+        true_replications=13,
+        **overrides,
+    )
+    pipe = scbands.experiments._Pipeline(cfg)
+    size = scbands.experiments._BLOCK_VALUES // (n * pipe.width)
+    assert 1 < size < 13 and 13 % size  # several blocks, the last one partial
+    rows = scbands.experiments._reference_row(pipe, threads=1)
+    for n_index, row in enumerate(rows):
+        expected = [_loop_reference_statistic(cfg, n_index, rep) for rep in range(13)]
+        assert row == [(stat, None) for stat in expected]
 
 
 def test_config_round_trip():
@@ -201,17 +272,18 @@ def test_width_reference_row_counts_failed_draws(monkeypatch, two_sample):
     cfg = small_config(n_values=(10,), two_sample=two_sample)
     clean = run_width(cfg)
     broken = {0: 0.0, 1: 1.5e308}
-    draw = scbands.experiments._Pipeline.draw
+    draw_block = scbands.experiments._Pipeline.draw_block
     true_tags = (scbands.experiments._TAG_TRUE_DATA_Y, scbands.experiments._TAG_TRUE_DATA_X)
 
-    def patched(self, n_index, rep, data_tag, noise_tag):
-        sample = draw(self, n_index, rep, data_tag, noise_tag)
-        if data_tag in true_tags and rep in broken:
-            values = np.full(sample.values.shape, broken[rep])
-            return FunctionalSample(values, sample.grid)
-        return sample
+    def patched(self, n_index, reps, data_tag, noise_tag):
+        values = draw_block(self, n_index, reps, data_tag, noise_tag)
+        if data_tag in true_tags:
+            for k, rep in enumerate(reps):
+                if rep in broken:
+                    values[k] = broken[rep]
+        return values
 
-    monkeypatch.setattr(scbands.experiments._Pipeline, "draw", patched)
+    monkeypatch.setattr(scbands.experiments._Pipeline, "draw_block", patched)
     report = run_width(cfg)
     ref = [c for c in report["cells"] if c["method"] == "true"]
     assert len(ref) == 1
@@ -220,12 +292,13 @@ def test_width_reference_row_counts_failed_draws(monkeypatch, two_sample):
     # the band rows never see the patched reference draws
     assert report["cells"][:-1] == clean["cells"][:-1]
 
-    stats = [scbands.experiments._failure_tolerant(
-        scbands.experiments._max_t_statistic, scbands.experiments._Pipeline(cfg), 0, rep
-    ) for rep in range(3)]
+    stats = scbands.experiments._reference_block(
+        scbands.experiments._Pipeline(cfg), 0, range(3)
+    )
     assert stats[0][0] is None and "DegenerateVarianceError" in stats[0][1]
-    assert stats[1][0] is None
-    assert ("ValueError" if two_sample else "FloatingPointError") in stats[1][1]
+    # the block statistic builds no residuals, so a non-finite two-sample
+    # draw fails like a one-sample one
+    assert stats[1][0] is None and "FloatingPointError" in stats[1][1]
     assert stats[2][0] is not None and stats[2][1] is None
 
 

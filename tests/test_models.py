@@ -13,10 +13,13 @@ from scbands import (
     bump_basis_1d,
     bump_basis_2d,
     gen_model,
+    gen_model_block,
+    grids_equal,
     model_amplitude,
     model_mean,
     substream,
 )
+from scbands.models import _model_parts
 
 
 def test_mean_curve_values():
@@ -139,3 +142,65 @@ def test_spec_validation():
         ModelSpec("A", resolution=2)
     with pytest.raises(ValueError):
         gen_model(ModelSpec("A"), 0, substream(67, 0))
+
+
+def test_model_parts_are_cached_and_read_only():
+    parts = _model_parts(ModelSpec("B", resolution=33))
+    misses = _model_parts.cache_info().misses
+    # an equal spec (resolution coerced from 33.0) hits the same entry
+    assert _model_parts(ModelSpec("B", resolution=33.0)) is parts
+    assert _model_parts.cache_info().misses == misses
+    grid, basis, mu, amp = parts
+    for arr in (grid.points, basis, mu, amp):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    # specs that differ only in the grid get their own entries
+    finer = _model_parts(ModelSpec("B", resolution=34))
+    midpoints = _model_parts(ModelSpec("B", resolution=33, midpoint_grid=True))
+    assert finer is not parts and midpoints is not parts
+    assert finer[0].n_points == 34
+    assert_array_equal(midpoints[0].points, (np.arange(33) + 0.5) / 33)
+    assert not np.array_equal(midpoints[1], basis)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec("A", resolution=50),
+        ModelSpec("B", coef_law="t3", resolution=64, midpoint_grid=True),
+        ModelSpec("C", coef_law="chisq", nu=3, resolution=9),
+    ],
+    ids=["A", "B", "C"],
+)
+def test_gen_model_equals_uncached_formula(spec):
+    grid = spec.make_grid()
+    if spec.model == "C":
+        x, y = grid.lattice_coords()
+        basis, mu, amp = bump_basis_2d(x, y), model_mean("C", x, y), model_amplitude("C", x, y)
+    else:
+        s = grid.points
+        basis = bernstein_basis(s) if spec.model == "A" else bump_basis_1d(s)
+        mu, amp = model_mean(spec.model, s), model_amplitude(spec.model, s)
+    basis = basis / np.linalg.norm(basis, axis=0)
+    gen = substream(68, 0)
+    shape = (7, basis.shape[0])
+    if spec.coef_law == "gaussian":
+        coeffs = gen.standard_normal(shape)
+    elif spec.coef_law == "t3":
+        coeffs = gen.standard_t(3, shape) / np.sqrt(3.0)
+    else:
+        coeffs = (gen.chisquare(spec.nu, shape) - spec.nu) / np.sqrt(2.0 * spec.nu)
+    expected = mu + amp * (coeffs @ basis)
+    for _ in range(2):  # the first call may fill the cache, the second reads it
+        sample = gen_model(spec, 7, substream(68, 0))
+        assert sample.values.tobytes() == expected.tobytes()
+        assert grids_equal(sample.grid, grid)
+
+
+def test_gen_model_block_stacks_gen_model():
+    spec = ModelSpec("B", coef_law="t3", resolution=50)
+    block = gen_model_block(spec, 4, [substream(69, r) for r in range(3)])
+    assert block.shape == (3, 4, 50)
+    for r in range(3):
+        assert block[r].tobytes() == gen_model(spec, 4, substream(69, r)).values.tobytes()

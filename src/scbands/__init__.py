@@ -5,8 +5,9 @@ cover a functional target (a mean curve or surface, a group difference,
 or a whole family of smoothed means) simultaneously over its domain.
 The critical value q comes either from the expected Euler characteristic
 of the excursion sets of a limiting process, with the domain's intrinsic
-volumes estimated from residuals, or from resampling (nonparametric
-bootstrap, multiplier processes, or direct Gaussian simulation).
+volumes estimated from residuals, or from resampling (the nonparametric
+bootstrap-t, or multiplier processes, which include direct Gaussian
+simulation).
 """
 
 from .bands import (
@@ -27,7 +28,6 @@ from .bootstrap import (
     MultiplierLaw,
     boots_t_quantile,
     ceiling_rank_quantile,
-    gauss_sim_quantile,
     mult_t_quantile,
 )
 from .errors import DegenerateVarianceError, QuantileNoSolutionError
@@ -114,7 +114,6 @@ __all__ = [
     "ec_density",
     "eec",
     "format_report_table",
-    "gauss_sim_quantile",
     "gaussian_kernel",
     "gen_model",
     "gen_model_block",

@@ -7,7 +7,11 @@ from one of the estimators below. Method names:
     "boots-t"    studentized nonparametric bootstrap ("boots" unstudentized)
     "gmult-t"    Gaussian multiplier bootstrap ("gmult" unstudentized)
     "rmult-t"    Rademacher multiplier bootstrap ("rmult" unstudentized)
-    "gauss-sim"  Gaussian simulation from the estimated correlation
+    "gauss-sim"  Gaussian simulation from the estimated correlation, drawn
+                 as the unstudentized Gaussian multiplier bootstrap
+
+Besides the tGKF there are two resampling families, the bootstrap-t and the
+multiplier bootstrap; the multipliers also serve two-sample bands.
 
 Coverage means the whole target curve sits inside the closed band at every
 grid point.
@@ -22,7 +26,6 @@ from .bootstrap import (
     RADEMACHER_MULTIPLIERS,
     BootstrapConfig,
     boots_t_quantile,
-    gauss_sim_quantile,
     mult_t_quantile,
 )
 from .fdata import (
@@ -67,7 +70,7 @@ def parse_method(method):
     if key == "tgkf":
         return key, "tgkf", None, None
     if key == "gauss-sim":
-        return key, "gauss-sim", None, None
+        return key, "mult", GAUSSIAN_MULTIPLIERS, False
     if key in ("boots-t", "boots"):
         return key, "boots", None, key.endswith("-t")
     if key in ("gmult-t", "gmult"):
@@ -143,20 +146,12 @@ def two_sample_residuals(sample_y, sample_x):
     return mean_y - mean_x, pooled, np.sqrt(n + m - 2), groups
 
 
-def _field_quantile(field, kind, alpha, replicates, seed):
-    """tGKF or Gaussian-simulation quantile from a field's residual groups.
-
-    The tGKF uses sum(N_g - 1) degrees of freedom and the summed curvature
-    field of the groups; "gauss-sim" simulates from the summed residual
-    correlation sum R'R / (N_g - 1).
-    """
+def _tgkf_field_quantile(field, alpha):
+    """tGKF quantile with sum(N_g - 1) degrees of freedom and the summed
+    curvature field of the field's residual groups."""
     groups = tuple(field[3])
-    if kind == "tgkf":
-        dof = sum(r.n_samples - 1 for r in groups)
-        return tgkf_quantile(lkc_estimate(*groups), ECDensityModel.student_t(dof), alpha)
-    corr = sum(r.values.T @ r.values / (r.n_samples - 1) for r in groups)
-    np.fill_diagonal(corr, 1.0)
-    return gauss_sim_quantile(corr, alpha, draws=replicates, seed=seed)
+    dof = sum(r.n_samples - 1 for r in groups)
+    return tgkf_quantile(lkc_estimate(*groups), ECDensityModel.student_t(dof), alpha)
 
 
 def _band(field, quantile, name, alpha, grid):
@@ -170,18 +165,17 @@ def scb_one_sample(sample, method="tgkf", alpha=0.05, replicates=1000, seed=0):
     """Simultaneous band for the mean: mean +/- q * sd / sqrt(N).
 
     The quantile comes from the tGKF with estimated curvatures and N-1
-    degrees of freedom, from a bootstrap with the given replicate count, or
-    from Gaussian simulation (replicates draws). seed, an integer or a
-    SeedSequence, drives all random methods; the tGKF path is
-    deterministic.
+    degrees of freedom, or from a resampling method with the given
+    replicate count. seed, an integer or a SeedSequence, drives all random
+    methods; the tGKF path is deterministic.
     """
     name, kind, law, studentized = parse_method(method)
     field = _one_sample_residuals(sample)
-    if kind in ("boots", "mult"):
+    if kind == "tgkf":
+        q = _tgkf_field_quantile(field, alpha)
+    else:
         cfg = BootstrapConfig(replicates, alpha, studentized, seed)
         q = boots_t_quantile(sample, cfg) if kind == "boots" else mult_t_quantile(sample, law, cfg)
-    else:
-        q = _field_quantile(field, kind, alpha, replicates, seed)
     return _band(field, q, name, alpha, sample.grid)
 
 
@@ -190,17 +184,19 @@ def scb_two_sample(sample_y, sample_x, method="tgkf", alpha=0.05, replicates=100
 
     center = mean_Y - mean_X, half-width = q * pooled / sqrt(N + M - 2).
     The tGKF path sums the per-group curvature fields and uses N+M-2
-    degrees of freedom; "gauss-sim" simulates from the pooled residual
-    correlation. Bootstrap methods are not defined for the two-sample band
-    and raise.
+    degrees of freedom; the multiplier methods, "gauss-sim" among them,
+    draw independent multipliers for the two pooled residual groups. The
+    bootstrap-t is not defined for the two-sample band and raises.
     """
-    name, kind, _, _ = parse_method(method)
-    if kind not in ("tgkf", "gauss-sim"):
-        raise ValueError(
-            f"two-sample bands support 'tgkf' and 'gauss-sim', not {method!r}"
-        )
+    name, kind, law, studentized = parse_method(method)
+    if kind == "boots":
+        raise ValueError(f"two-sample bands support every method but 'boots(-t)', not {method!r}")
     field = two_sample_residuals(sample_y, sample_x)
-    q = _field_quantile(field, kind, alpha, replicates, seed)
+    if kind == "tgkf":
+        q = _tgkf_field_quantile(field, alpha)
+    else:
+        cfg = BootstrapConfig(replicates, alpha, studentized, seed)
+        q = mult_t_quantile(tuple(field[3]), law, cfg)
     return _band(field, q, name, alpha, sample_y.grid)
 
 

@@ -1,11 +1,13 @@
 """Resampling estimators of the max-statistic quantile.
 
-Three families: the nonparametric bootstrap-t (resample curves, restudentize),
-the multiplier bootstrap (perturb residuals with mean-0 variance-1 weights),
-and direct Gaussian simulation from an estimated correlation matrix. All of
-them reduce the band problem to the empirical quantile of B replicate maxima;
-the ceiling-rank order statistic ceil((1-alpha) B) is used throughout, which
-is the conservative standard for bootstrap bands.
+Two families: the nonparametric bootstrap-t (resample curves, restudentize)
+and the multiplier bootstrap (perturb residuals with mean-0 variance-1
+weights, drawn independently per group of curves). Unstudentized Gaussian
+multipliers are the Gaussian simulation from the estimated correlation,
+since G R / sqrt(N-1) has exactly that law. Both reduce the band problem
+to the empirical quantile of B replicate maxima; the ceiling-rank order
+statistic ceil((1-alpha) B) is used throughout, which is the conservative
+standard for bootstrap bands.
 
 Each band draws all of its B replicates from one counter-based stream,
 ``substream(seed)``, in one call: row b of the (B, N) multiplier or index
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVarianceError
-from .fdata import _positive_sd
+from .fdata import _nonzero_scale, _positive_sd
 from .models import _integer
 from .rng import substream
 
@@ -30,7 +32,6 @@ __all__ = [
     "ceiling_rank_quantile",
     "boots_t_quantile",
     "mult_t_quantile",
-    "gauss_sim_quantile",
 ]
 
 
@@ -174,44 +175,64 @@ def boots_t_quantile(sample, cfg):
     return ceiling_rank_quantile(stats, cfg.alpha)
 
 
+def _group_terms(gmat, vals, studentized):
+    """(numerator, variance) of one group's multiplier statistic.
+
+    With res = sqrt(N/(N-1)) (Y - mean), the numerator is G res / sqrt(N)
+    and the variance is the pointwise variance (divisor N-1) of the
+    multiplied residuals g_n res_n, or of Y itself when not studentized.
+    """
+    n = vals.shape[0]
+    res = np.sqrt(n / (n - 1.0)) * (vals - vals.mean(axis=0))
+    # (B, P) arrays, the largest here, are updated in place where possible.
+    prod = gmat @ res
+    if not studentized:
+        return np.divide(prod, np.sqrt(n), out=prod), vals.var(axis=0, ddof=1)
+    sums = prod / np.sqrt(n)
+    m1 = np.divide(prod, n, out=prod)
+    var_star = (gmat * gmat) @ (res * res)
+    var_star /= n
+    var_star -= m1 * m1
+    np.clip(var_star, 0.0, None, out=var_star)
+    var_star *= n / (n - 1.0)
+    return sums, var_star
+
+
 def mult_t_quantile(sample, law, cfg):
     """Multiplier bootstrap quantile of the max studentized statistic.
 
-    Residuals are R_n = sqrt(N/(N-1)) (Y_n - mean). The (B, N) multiplier
-    matrix G comes from one draw of the band's stream; row b holds
-    replicate b's multipliers g_1..g_N and forms
+    sample is one FunctionalSample or a tuple of independent groups. The
+    (B, sum N_g) multiplier matrix G comes from one draw of the band's
+    stream; row b is replicate b, and its columns are split into the
+    groups in order. With R_n = sqrt(N_g/(N_g-1)) (Y_n - mean_g) in group g,
 
-        T* = max_s | N^(-1/2) sum_n g_n R_n(s) | / sd*(s),
+        T* = max_s | sum_g N_g^(-1/2) sum_n g_n R_n(s) | / sd*(s),
 
-    where sd* is the pointwise sd (divisor N-1) of the multiplied residuals
-    g_n R_n; with studentized=False the original-sample sd replaces sd*.
+    where sd*^2 sums over groups the pointwise variance (divisor N_g-1) of
+    the multiplied residuals g_n R_n; with studentized=False it sums the
+    groups' own variances. Unstudentized Gaussian multipliers draw exactly
+    N(0, sum of the groups' sample covariances) / sd, the "gauss-sim" law.
     Points where sd* and the numerator are both exactly zero (all-zero
     residuals) contribute 0; a vanishing sd* under a nonzero numerator
     raises the degenerate-variance error.
     """
-    vals = sample.values
-    n = vals.shape[0]
-    if n < 2:
-        raise ValueError("multiplier bootstrap needs at least 2 curves")
+    groups = sample if isinstance(sample, tuple) else (sample,)
+    sizes = [g.n_samples for g in groups]
+    if min(sizes) < 2:
+        raise ValueError("multiplier bootstrap needs at least 2 curves per group")
+    gmat = law.draw(substream(cfg.seed), (cfg.replicates, sum(sizes)))
+    blocks = np.split(gmat, np.cumsum(sizes)[:-1], axis=1)
+    terms = [_group_terms(blk, g.values, cfg.studentized) for blk, g in zip(blocks, groups)]
+    sums, var = terms[0]
+    for more_sums, more_var in terms[1:]:
+        sums += more_sums
+        var += more_var
 
-    res = np.sqrt(n / (n - 1.0)) * (vals - vals.mean(axis=0))
-    sd_fixed = None if cfg.studentized else _positive_sd(sample)
-    gmat = law.draw(substream(cfg.seed), (cfg.replicates, n))
-
-    # (B, P) arrays, the largest here, are updated in place where possible.
-    prod = gmat @ res
-    sums = prod / np.sqrt(n)
     ratio_sq = sums * sums
     if cfg.studentized:
-        m1 = np.divide(prod, n, out=prod)
-        var_star = (gmat * gmat) @ (res * res)
-        var_star /= n
-        var_star -= m1 * m1
-        np.clip(var_star, 0.0, None, out=var_star)
-        var_star *= n / (n - 1.0)
-        zero_sd = var_star == 0.0
+        zero_sd = var == 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio_sq /= var_star
+            ratio_sq /= var
         if np.any(zero_sd):
             nonzero_num = zero_sd & (sums != 0.0)
             if np.any(nonzero_num):
@@ -222,38 +243,7 @@ def mult_t_quantile(sample, law, cfg):
                 )
             ratio_sq[zero_sd] = 0.0
     else:
-        ratio_sq /= sd_fixed * sd_fixed
+        sd = _nonzero_scale(np.sqrt(var), groups[0].grid, "pointwise sd")
+        ratio_sq /= sd * sd
     # max |T*| is the root of max T*^2: one square root per replicate.
     return ceiling_rank_quantile(np.sqrt(ratio_sq.max(axis=1)), cfg.alpha)
-
-
-def gauss_sim_quantile(covariance, alpha, draws, seed=0):
-    """Empirical (1-alpha) quantile of max |X| for X ~ N(0, correlation).
-
-    The correlation matrix is eigen-factorized. Eigenvalues below P * eps
-    times the largest are rounding noise (a residual correlation has rank
-    N-1 < P when there are fewer curves than grid points) and are set to
-    zero, so no draw moves along the eigenvectors that rounding rotates.
-    The draws come from ``substream(seed)``; seed is an integer or a
-    SeedSequence, as for BootstrapConfig.
-    """
-    corr = np.asarray(covariance, dtype=float)
-    if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
-        raise ValueError("covariance must be a square matrix")
-    if not np.all(np.isfinite(corr)):
-        raise ValueError("covariance contains non-finite entries")
-    if not np.allclose(corr, corr.T, atol=1e-8):
-        raise ValueError("covariance must be symmetric")
-    if not np.allclose(np.diag(corr), 1.0, atol=1e-8):
-        raise ValueError("expected a correlation matrix with unit diagonal")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if draws < 1:
-        raise ValueError("need at least one draw")
-
-    evals, evecs = np.linalg.eigh(0.5 * (corr + corr.T))
-    evals[evals < corr.shape[0] * np.finfo(float).eps * evals.max()] = 0.0
-    factor = evecs * np.sqrt(evals)
-    z = substream(seed).standard_normal((int(draws), corr.shape[0]))
-    maxima = np.abs(z @ factor.T).max(axis=1)
-    return ceiling_rank_quantile(maxima, alpha)

@@ -90,9 +90,8 @@ class ExperimentConfig:
         if not self.methods:
             raise ValueError("need at least one method")
         for m in self.methods:
-            kind = parse_method(m)[1]
-            if self.two_sample and kind not in ("tgkf", "gauss-sim"):
-                raise ValueError(f"two_sample supports 'tgkf' and 'gauss-sim', not {m!r}")
+            if parse_method(m)[1] == "boots" and self.two_sample:
+                raise ValueError(f"two_sample supports every method but 'boots(-t)', not {m!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.replications < 1 or self.true_replications < 1:

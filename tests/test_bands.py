@@ -147,10 +147,15 @@ def test_two_sample_grid_mismatch():
 
 
 def test_two_sample_bootstrap_not_offered():
+    # the bootstrap-t in either form is refused; the multipliers are drawn
+    # per group, so every other method gives a band
     y = gen_model(ModelSpec("A", resolution=40), 10, rng=substream(48, 0))
     x = gen_model(ModelSpec("A", resolution=40), 10, rng=substream(48, 1))
-    with pytest.raises(ValueError, match="two-sample"):
-        scb_two_sample(y, x, method="boots-t")
+    for method in ("boots-t", "boots"):
+        with pytest.raises(ValueError, match=r"two-sample bands support every method but"):
+            scb_two_sample(y, x, method=method)
+    for method in ("gmult-t", "gmult", "rmult-t", "rmult", "gauss-sim"):
+        assert 1.5 < scb_two_sample(y, x, method=method, replicates=200).quantile < 6.0
 
 
 def test_scale_space_band_over_lattice():

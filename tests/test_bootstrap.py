@@ -1,4 +1,4 @@
-"""Resampling quantiles: bootstrap-t, multiplier, and Gaussian simulation."""
+"""Resampling quantiles: bootstrap-t and multipliers, Gaussian simulation among them."""
 
 import numpy as np
 import pytest
@@ -12,11 +12,15 @@ from scbands import (
     DegenerateVarianceError,
     FunctionalSample,
     Grid1D,
+    ModelSpec,
     boots_t_quantile,
     ceiling_rank_quantile,
-    gauss_sim_quantile,
+    gen_model,
     mult_t_quantile,
+    scb_one_sample,
+    scb_two_sample,
     substream,
+    two_sample_residuals,
 )
 
 
@@ -118,29 +122,69 @@ def test_rademacher_statistic_triangle_bound(sample):
     assert mult_t_quantile(sample, RADEMACHER_MULTIPLIERS, cfg) <= bound + 1e-12
 
 
+# "gauss-sim" draws R'g / sqrt(N-1) with g ~ N(0, I_N) and R the normed
+# residuals, so its law is exactly N(0, R'R / (N-1)): the samples below are
+# built so that this residual correlation is a known matrix.
+
+def _columns(*cols):
+    vals = np.column_stack(cols)
+    return FunctionalSample(vals, Grid1D(np.linspace(0.0, 1.0, vals.shape[1])))
+
+
 def test_gauss_sim_matches_pointwise_quantile():
-    q = gauss_sim_quantile(np.eye(1), 0.05, 20000, seed=3)
-    assert abs(q - stats.norm.isf(0.025)) < 0.04
+    # three identical columns: a single N(0, 1) point
+    v = substream(3, 1).standard_normal(10)
+    band = scb_one_sample(_columns(v, v, v), "gauss-sim", replicates=20000, seed=3)
+    assert abs(band.quantile - stats.norm.isf(0.025)) < 0.04
 
 
 def test_gauss_sim_two_independent_points():
-    # max of two independent |N(0,1)|: analytic level from the product rule
-    q = gauss_sim_quantile(np.eye(2), 0.05, 20000, seed=3)
+    # two orthogonal centred columns (the third repeats the first up to an
+    # affine map): the max of two independent |N(0,1)|, whose level
+    # follows from the product rule
+    u = np.array([1.0, 1.0, -1.0, -1.0])
+    w = np.array([1.0, -1.0, 1.0, -1.0])
+    band = scb_one_sample(_columns(u, w, 2.0 * u + 1.0), "gauss-sim", replicates=20000, seed=3)
     target = stats.norm.isf((1.0 - np.sqrt(0.95)) / 2.0)
-    assert abs(q - target) < 0.05
+    assert abs(band.quantile - target) < 0.05
 
 
 def test_gauss_sim_rank_deficient_correlation():
-    # perfectly correlated points collapse to a single Gaussian maximum
-    q = gauss_sim_quantile(np.ones((3, 3)), 0.05, 20000, seed=5)
-    assert abs(q - stats.norm.isf(0.025)) < 0.05
+    # affinely identical columns (either sign) collapse to one Gaussian maximum
+    v = substream(5, 1).standard_normal(10)
+    band = scb_one_sample(_columns(v, 3.0 * v - 2.0, 5.0 - 0.5 * v), "gauss-sim",
+                          replicates=20000, seed=5)
+    assert abs(band.quantile - stats.norm.isf(0.025)) < 0.05
 
 
-def test_gauss_sim_deterministic_per_seed():
-    cov = np.array([[1.0, 0.4], [0.4, 1.0]])
-    assert gauss_sim_quantile(cov, 0.05, 2000, seed=7) == gauss_sim_quantile(
-        cov, 0.05, 2000, seed=7
-    )
+def test_gauss_sim_deterministic_per_seed(sample):
+    q7 = scb_one_sample(sample, "gauss-sim", replicates=2000, seed=7).quantile
+    assert q7 == scb_one_sample(sample, "gauss-sim", replicates=2000, seed=7).quantile
+    assert q7 != scb_one_sample(sample, "gauss-sim", replicates=2000, seed=8).quantile
+
+
+def test_gauss_sim_is_the_unstudentized_gaussian_multiplier(sample):
+    for seed in (0, np.random.SeedSequence(5, spawn_key=(4, 1))):
+        sim = scb_one_sample(sample, "gauss-sim", replicates=500, seed=seed)
+        mult = scb_one_sample(sample, "gmult", replicates=500, seed=seed)
+        assert sim.quantile == mult.quantile
+        assert np.array_equal(sim.upper, mult.upper)
+
+
+def test_two_sample_gauss_sim_matches_explicit_draw():
+    # mean over 12 seeds of the kernel's quantile against that of explicit
+    # N(0, sum_g R_g'R_g / (N_g - 1)) draws, from independent streams
+    y = gen_model(ModelSpec("A", resolution=50), 12, substream(61, 0))
+    x = gen_model(ModelSpec("A", resolution=50), 17, substream(61, 1))
+    groups = two_sample_residuals(y, x)[3]
+    factor = np.vstack([r.values / np.sqrt(r.n_samples - 1.0) for r in groups])
+    kernel, explicit = [], []
+    for seed in range(12):
+        kernel.append(scb_two_sample(y, x, "gauss-sim", 0.05, 20000, seed).quantile)
+        z = substream(seed, 99).standard_normal((20000, factor.shape[0]))
+        explicit.append(ceiling_rank_quantile(np.abs(z @ factor).max(axis=1), 0.05))
+    se = np.hypot(np.std(kernel, ddof=1), np.std(explicit, ddof=1)) / np.sqrt(12)
+    assert abs(np.mean(kernel) - np.mean(explicit)) < 3.0 * se
 
 
 def test_bootstrap_config_validation():
@@ -163,15 +207,20 @@ def test_bootstrap_config_rejects_fractional_replicates():
 # replicate b; degenerate rows are redrawn together, in ascending order).
 
 def _loop_mult(sample, law, cfg):
-    vals = sample.values
-    n = vals.shape[0]
-    res = np.sqrt(n / (n - 1.0)) * (vals - vals.mean(axis=0))
-    gmat = law.draw(substream(cfg.seed), (cfg.replicates, n))
+    groups = sample if isinstance(sample, tuple) else (sample,)
+    sizes = [g.n_samples for g in groups]
+    gmat = law.draw(substream(cfg.seed), (cfg.replicates, sum(sizes)))
+    edges = np.cumsum([0] + sizes)
     stats_b = []
-    for g in gmat:
-        terms = g[:, None] * res
-        sd = terms.std(axis=0, ddof=1) if cfg.studentized else vals.std(axis=0, ddof=1)
-        stats_b.append(np.max(np.abs(terms.sum(axis=0) / np.sqrt(n)) / sd))
+    for row in gmat:
+        num, var = 0.0, 0.0
+        for group, lo, hi in zip(groups, edges[:-1], edges[1:]):
+            vals, n = group.values, hi - lo
+            res = np.sqrt(n / (n - 1.0)) * (vals - vals.mean(axis=0))
+            terms = row[lo:hi, None] * res
+            num = num + terms.sum(axis=0) / np.sqrt(n)
+            var = var + (terms if cfg.studentized else vals).var(axis=0, ddof=1)
+        stats_b.append(np.max(np.abs(num) / np.sqrt(var)))
     return ceiling_rank_quantile(stats_b, cfg.alpha)
 
 
@@ -211,6 +260,20 @@ def test_vectorised_kernels_match_replicate_loops(sample, studentized):
                 mult_t_quantile(sample, law, cfg), _loop_mult(sample, law, cfg), rtol=1e-12
             )
         assert_allclose(boots_t_quantile(sample, cfg), _loop_boots(sample, cfg)[0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("studentized", [True, False])
+def test_group_multiplier_kernel_matches_replicate_loop(studentized):
+    # two independent groups of unequal size, multipliers drawn per group
+    vals = substream(31, 1).standard_normal((29, 50))
+    grid = Grid1D(np.linspace(0.0, 1.0, 50))
+    groups = (FunctionalSample(vals[:12], grid), FunctionalSample(2.0 * vals[12:] + 1.0, grid))
+    for seed in (0, 17, np.random.SeedSequence(5, spawn_key=(4, 1))):
+        cfg = BootstrapConfig(replicates=300, alpha=0.1, studentized=studentized, seed=seed)
+        for law in (GAUSSIAN_MULTIPLIERS, RADEMACHER_MULTIPLIERS):
+            assert_allclose(
+                mult_t_quantile(groups, law, cfg), _loop_mult(groups, law, cfg), rtol=1e-12
+            )
 
 
 def _tied_sample(tied_rows, n=6, p=30):

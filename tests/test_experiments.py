@@ -96,6 +96,25 @@ def test_coverage_two_sample_mode():
     assert cell["hits"] >= 3
 
 
+def test_two_sample_rmult_t_coverage():
+    # equal-law groups, N=M=50: the hit rate must lie within 4 binomial SE
+    # (0.039) of the nominal 0.95
+    cfg = ExperimentConfig(
+        model=ModelSpec("A"),
+        n_values=(50,),
+        methods=("rmult-t",),
+        alpha=0.05,
+        replications=500,
+        bootstrap_replicates=500,
+        two_sample=True,
+        seed=7,
+    )
+    (cell,) = run_coverage(cfg, threads=2)["cells"]
+    half = 4.0 * np.sqrt(0.95 * 0.05 / 500)
+    assert cell["failures"] == 0
+    assert 0.95 - half <= cell["coverage"] <= 0.95 + half, cell["coverage"]
+
+
 def test_coverage_scale_space_mode():
     cfg = small_config(
         model=ModelSpec("A", resolution=60, midpoint_grid=True),
@@ -328,8 +347,12 @@ def test_config_rejects_two_bandwidths():
 
 @pytest.mark.parametrize("method", ["boots-t", "boots", "gmult-t", "rmult"])
 def test_config_rejects_two_sample_resampling(method):
-    with pytest.raises(ValueError, match="two_sample supports 'tgkf' and 'gauss-sim'"):
-        ExperimentConfig(methods=("tgkf", method), two_sample=True)
+    # two-sample runs take the multiplier methods but not the bootstrap-t
+    if method.startswith("boots"):
+        with pytest.raises(ValueError, match=r"two_sample supports every method but 'boots\(-t\)'"):
+            ExperimentConfig(methods=("tgkf", method), two_sample=True)
+    else:
+        assert ExperimentConfig(methods=("tgkf", method), two_sample=True).methods[1] == method
     assert ExperimentConfig(methods=("tgkf", method)).methods[1] == method
 
 

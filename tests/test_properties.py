@@ -22,6 +22,7 @@ from scbands import (
     gen_model,
     read_sample,
     scb_one_sample,
+    scb_two_sample,
     substream,
     tgkf_quantile,
     write_sample,
@@ -53,6 +54,23 @@ def test_band_affine_equivariance(method, a, b, seed):
     assert_allclose(
         other.upper - other.center, abs(a) * (base.upper - base.center), rtol=1e-9, atol=scale
     )
+
+
+@FEW
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 30), m=st.integers(3, 30),
+       alpha=st.floats(0.01, 0.3))
+def test_two_sample_swap_antisymmetry(seed, n, m, alpha):
+    # Swapping the groups negates the center and mirrors the band; the
+    # pooled sd, the curvatures and so the tGKF quantile are symmetric.
+    spec = ModelSpec("A", resolution=40)
+    y, x = gen_model(spec, n, substream(seed, 0)), gen_model(spec, m, substream(seed, 1))
+    ab = scb_two_sample(y, x, "tgkf", alpha)
+    ba = scb_two_sample(x, y, "tgkf", alpha)
+    assert_allclose(ba.quantile, ab.quantile, rtol=1e-12)
+    assert np.array_equal(ba.center, -ab.center)
+    scale = 1e-12 * np.abs(ab.upper - ab.lower).max()
+    assert_allclose(ba.lower, -ab.upper, rtol=1e-12, atol=scale)
+    assert_allclose(ba.upper, -ab.lower, rtol=1e-12, atol=scale)
 
 
 def _solve(curvatures, model, alpha):

@@ -73,7 +73,6 @@ from .sampleio import (
     write_sample,
 )
 from .scalespace import (
-    Kernel,
     ScaleGrid,
     gaussian_kernel,
     scale_mean,
@@ -92,7 +91,6 @@ __all__ = [
     "GAUSSIAN_MULTIPLIERS",
     "Grid1D",
     "Grid2D",
-    "Kernel",
     "LKCVector",
     "LambdaField",
     "METHOD_NAMES",

@@ -10,6 +10,13 @@ metric and family-specific EC densities rho_d. Solving EEC(u) = alpha/2 on
 the decreasing tail gives the critical value of a two-sided simultaneous
 band, since for one- and two-dimensional domains the EEC dominates the
 excursion probability of max |T|.
+
+The root is bracketed by [0, hi] for the first doubling hi with EEC(hi) <
+alpha/2: with L0 >= 1, EEC(0) >= rho_0(0) = 1/2 > alpha/2, and for u > 0 the
+slope is (1 + u^2/nu)^(-(nu+1)/2) times -L0 c - L1 (nu-1) u / (2 pi nu) +
+L2 k (1 - (nu-2) u^2 / nu) with c, k > 0, which decreases in u for nu >= 2
+and in the Gaussian limit. So the EEC rises at most once, then falls, and
+crosses alpha/2 exactly once: at the largest root.
 """
 
 from dataclasses import dataclass
@@ -22,12 +29,6 @@ from .errors import QuantileNoSolutionError
 __all__ = ["LKCVector", "ECDensityModel", "ec_density", "eec", "tgkf_quantile"]
 
 _TWO_PI = 2.0 * np.pi
-
-# Bracketing knobs for the quantile solver: coarse scan that locates the
-# last stationary point of the EEC, then bisection on the decreasing tail.
-_SCAN_HI = 10.0
-_SCAN_STEP = 0.01
-_BISECT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -132,40 +133,31 @@ def eec(lkc, model, u):
 def tgkf_quantile(lkc, model, alpha):
     """Largest u solving EEC(u) = alpha/2, to absolute tolerance 1e-9.
 
-    The EEC can rise before it decays (the d=2 density vanishes at u=0 and
-    peaks near u=1), so the bracket starts at the last stationary point of
-    a coarse scan over [0, 10] and expands to the right by doubling before
-    bisection. Raises QuantileNoSolutionError when alpha/2 exceeds the EEC
-    maximum on the tail, i.e. when no solution exists there.
+    Bisects [0, hi], hi doubling from 1 until EEC(hi) < alpha/2 (the module
+    docstring shows this bracket holds one root). Raises
+    QuantileNoSolutionError for alpha outside (0, 1); for EEC(0) < alpha/2,
+    which needs L0 = 0 (a 2-D EEC that climbs to alpha/2 later is then not
+    searched); and when the EEC is still at least alpha/2 at u = 2^39, as
+    flat or slowly decaying tails (nu <= 2) can be. Past about 4.5e6 adjacent
+    doubles are more than 1e-9 apart, so the bisection also stops when the
+    midpoint equals an endpoint.
     """
     if not 0.0 < alpha < 1.0:
         raise QuantileNoSolutionError(f"alpha must lie in (0, 1), got {alpha}")
     target = 0.5 * alpha
+    if eec(lkc, model, 0.0) < target:
+        raise QuantileNoSolutionError(f"alpha={alpha} too large: EEC(0) is below {target}")
 
-    scan_u = np.arange(0.0, _SCAN_HI + _SCAN_STEP, _SCAN_STEP)
-    scan_v = np.asarray(eec(lkc, model, scan_u))
-    if not np.all(np.isfinite(scan_v)):
-        raise QuantileNoSolutionError("EEC evaluated to a non-finite value")
-    slopes = np.diff(scan_v)
-    turns = np.flatnonzero((slopes[:-1] >= 0) & (slopes[1:] < 0))
-    u_lo = float(scan_u[turns[-1] + 1]) if turns.size else 0.0
-
-    if eec(lkc, model, u_lo) < target:
-        raise QuantileNoSolutionError(
-            f"alpha={alpha} too large: EEC never reaches {target} on the tail"
-        )
-
-    step = 1.0
-    u_hi = u_lo + step
-    while eec(lkc, model, u_hi) >= target:
-        step *= 2.0
-        u_hi = u_lo + step
-        if step > 1e12:
+    lo, hi = 0.0, 1.0
+    while eec(lkc, model, hi) >= target:
+        hi *= 2.0
+        if hi > 1e12:
             raise QuantileNoSolutionError("EEC tail failed to drop below alpha/2")
 
-    lo, hi = u_lo, u_hi
-    while hi - lo > _BISECT_TOL:
+    while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if eec(lkc, model, mid) >= target:
             lo = mid
         else:

@@ -75,8 +75,8 @@ def lambda_hat(residuals):
         lam = grads.var(axis=0, ddof=1)
     else:
         centered = grads - grads.mean(axis=0)
+        # Exactly symmetric: (i, j) and (j, i) sum the same products in order.
         lam = np.einsum("npi,npj->pij", centered, centered) / (n - 1)
-        lam = 0.5 * (lam + np.transpose(lam, (0, 2, 1)))
     return LambdaField(lam, residuals.grid)
 
 

@@ -8,39 +8,27 @@ to pick one smoothing parameter.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .fdata import FunctionalSample, Grid1D, Grid2D
 
-__all__ = [
-    "Kernel", "gaussian_kernel", "ScaleGrid", "weight_matrix", "smooth_sample", "scale_mean",
-]
-
-
-@dataclass(frozen=True)
-class Kernel:
-    """Smoothing kernel evaluated as fn(offsets, h).
-
-    fn maps an array of location offsets and a bandwidth to weights. The
-    scale-space limit theory needs fn to be at least C3 jointly in (s, h).
-    """
-
-    fn: Callable
-
-    def weights(self, offsets, h):
-        return np.asarray(self.fn(np.asarray(offsets, dtype=float), float(h)), dtype=float)
+__all__ = ["gaussian_kernel", "ScaleGrid", "weight_matrix", "smooth_sample", "scale_mean"]
 
 
 def gaussian_kernel():
-    """K(s, h) = exp(-s^2 / (2 h^2)); smooth everywhere, unbounded support."""
+    """The weight function K(offsets, h) = exp(-offsets^2 / (2 h^2)).
 
-    def fn(offsets, h):
+    Smooth everywhere with unbounded support. Any kernel given to the
+    smoothing map is such a function of (offsets, h); the scale-space limit
+    theory needs it to be at least C3 jointly in (s, h).
+    """
+
+    def kernel(offsets, h):
         z = offsets / h
         return np.exp(-0.5 * z * z)
 
-    return Kernel(fn)
+    return kernel
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +74,7 @@ def weight_matrix(kernel, measure_points, sg):
     offs = sg.s_points.points[:, None] - pts[None, :]
     per_h = []
     for h in sg.h_points:
-        k = kernel.weights(offs, h)
+        k = np.asarray(kernel(offs, h), dtype=float)
         if not np.all(np.isfinite(k)):
             raise ValueError(f"kernel produced non-finite weights at h={h:.6g}")
         row_sums = k.sum(axis=1, keepdims=True)

@@ -1,5 +1,8 @@
 """Euler characteristic densities, tail curves, and quantile inversion."""
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,10 +10,16 @@ from scipy import optimize, stats
 
 from scbands import (
     ECDensityModel,
+    FunctionalSample,
+    Grid1D,
     LKCVector,
     QuantileNoSolutionError,
     ec_density,
     eec,
+    lkc_estimate,
+    normed_residuals,
+    scb_one_sample,
+    substream,
     tgkf_quantile,
 )
 
@@ -134,6 +143,46 @@ def test_quantile_two_dimensional_consistency():
     t40 = ECDensityModel.student_t(40)
     q = tgkf_quantile(lkc, t40, 0.05)
     assert_allclose(eec(lkc, t40, q), 0.025, rtol=1e-9)
+
+
+@contextmanager
+def _fails_after(seconds):
+    """Raise TimeoutError in the block after the given wall time, so a
+    solver that loops forever fails its test instead of hanging the suite."""
+
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("dof, l1, alpha", [(2, 1e6, 0.05), (2, 1e3, 1e-6), (3, 1e10, 1e-6)])
+def test_quantile_beyond_the_spacing_of_doubles_returns(dof, l1, alpha):
+    # Roots from 9e6 to 4.5e8: adjacent doubles there are more than 1e-9
+    # apart, so the bisection ends on the spacing, not on the tolerance.
+    lkc, model = LKCVector(1, (l1,)), ECDensityModel.student_t(dof)
+    with _fails_after(5.0):
+        q = tgkf_quantile(lkc, model, alpha)
+    assert q > 4.5e6
+    assert_allclose(eec(lkc, model, q), alpha / 2.0, rtol=1e-9)
+
+
+def test_band_quantile_beyond_the_spacing_of_doubles_returns():
+    # Three white-noise curves on 2,000 points: L1 is about 1265 and the
+    # t field has 2 degrees of freedom, so the alpha=1e-6 root is near 6e8.
+    sample = FunctionalSample(
+        substream(5).standard_normal((3, 2000)), Grid1D(np.linspace(0.0, 1.0, 2000))
+    )
+    with _fails_after(5.0):
+        band = scb_one_sample(sample, "tgkf", 1e-6)
+    lkc = lkc_estimate(normed_residuals(sample))
+    assert_allclose(eec(lkc, ECDensityModel.student_t(2), band.quantile), 5e-7, rtol=1e-9)
 
 
 def test_quantile_rejects_bad_level():

@@ -19,6 +19,7 @@ from scbands import (
     LKCVector,
     ModelSpec,
     QuantileNoSolutionError,
+    eec,
     gen_model,
     read_sample,
     scb_one_sample,
@@ -102,6 +103,19 @@ def test_tgkf_quantile_non_decreasing_in_each_curvature(lkc, model, alpha, axis,
     larger = list(lkc)
     larger[axis % len(lkc)] += step
     assert _solve(tuple(larger), model, alpha) >= _solve(lkc, model, alpha) - 1e-9
+
+
+@FEW
+@given(lkc=curvature_vectors, model=models, alpha=st.floats(0.005, 0.5))
+def test_tgkf_quantile_is_the_largest_root(lkc, model, alpha):
+    # The band needs the last crossing of alpha/2: the EEC crosses it
+    # within the solver's 1e-9 of q and stays below it to the right. (That
+    # tolerance does not give eec(q) = alpha/2 to rtol 1e-9 on steep tails:
+    # Gaussian, L1 = 55, alpha = 0.5 is off by 1.2e-9 relative.)
+    q = _solve(lkc, model, alpha)
+    full = LKCVector(1, lkc)
+    assert eec(full, model, q - 1e-9) >= alpha / 2.0 > eec(full, model, q + 1e-9)
+    assert np.all(eec(full, model, q + np.geomspace(1e-6, 50.0, 40)) < alpha / 2.0)
 
 
 # Every finite double, subnormals and the largest magnitudes included.

@@ -15,6 +15,7 @@ from .bands import (
     SCBand,
     band_to_dict,
     covers,
+    normed_residuals,
     parse_method,
     scb_one_sample,
     scb_scale_space,
@@ -38,7 +39,6 @@ from .fdata import (
     Grid2D,
     gradient,
     grids_equal,
-    normed_residuals,
     pointwise_mean,
     pointwise_sd,
     rectangle_boundary,

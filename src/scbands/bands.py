@@ -28,14 +28,7 @@ from .bootstrap import (
     boots_t_quantile,
     mult_t_quantile,
 )
-from .fdata import (
-    FunctionalSample,
-    Grid1D,
-    _nonzero_scale,
-    _positive_sd,
-    grids_equal,
-    pointwise_mean,
-)
+from .fdata import FunctionalSample, Grid1D, _mean_field, _nonzero_scale, grids_equal
 from .kinematic import ECDensityModel, tgkf_quantile
 from .lkc import lkc_estimate
 from .scalespace import smooth_sample
@@ -48,6 +41,7 @@ __all__ = [
     "scb_two_sample",
     "scb_scale_space",
     "two_sample_residuals",
+    "normed_residuals",
     "covers",
     "band_to_dict",
 ]
@@ -105,60 +99,68 @@ class SCBand:
 def _one_sample_residuals(sample):
     """(center, scale, rate, residual groups) of the one-sample mean field.
 
-    center = mean, scale = sd, rate = sqrt(N), and the one residual group
-    is (Y_n - mean) / sd, built from that mean and sd. The groups are a
-    generator that builds the group when it is iterated, so the resampling
-    bands, which need no residual group, never build it.
+    center = mean, scale = sd and rate = sqrt(N) (fdata._mean_field); the
+    one residual group is (Y_n - mean) / sd.
     """
-    n = sample.n_samples
-    if n < 2:
+    if sample.n_samples < 2:
         raise ValueError("a band needs at least 2 curves")
-    mu = pointwise_mean(sample)
-    sd = _positive_sd(sample)
-    groups = (FunctionalSample((s.values - mu) / sd, s.grid) for s in (sample,))
-    return mu, sd, np.sqrt(n), groups
+    center, sd, rate = _mean_field(sample.values)
+    sd = _nonzero_scale(sd, sample.grid, "pointwise sd")
+    return center, sd, rate, (FunctionalSample((sample.values - center) / sd, sample.grid),)
+
+
+def normed_residuals(sample):
+    """Rows (Y_n - mean) / sd, so every column has mean 0 and sd 1.
+
+    This is the residual group of the one-sample mean field. Raises
+    DegenerateVarianceError naming the first grid point where the
+    pointwise sd vanishes.
+    """
+    return _one_sample_residuals(sample)[3][0]
 
 
 def two_sample_residuals(sample_y, sample_x):
     """(center, scale, rate, residual groups) of the mean difference field.
 
-    center = mean_Y - mean_X and rate = sqrt(N + M - 2). With c = N/M the
-    scale is the pooled sqrt((1 + 1/c) var_Y + (1 + c) var_X), and the two
-    residual groups are sqrt(1 + 1/c) (Y_n - mean_Y) / pooled and
-    sqrt(1 + c) (X_m - mean_X) / pooled. Their per-group covariances sum to
-    the correlation of the limit field of the mean difference.
+    center = mean_Y - mean_X, the pooled scale and rate = sqrt(N + M - 2)
+    (fdata._mean_field). With c = N/M the two residual groups are
+    sqrt(1 + 1/c) (Y_n - mean_Y) / pooled and sqrt(1 + c) (X_m - mean_X) /
+    pooled. Their per-group covariances sum to the correlation of the limit
+    field of the mean difference.
     """
     if not grids_equal(sample_y.grid, sample_x.grid):
         raise ValueError("grid mismatch between the two samples")
     n, m = sample_y.n_samples, sample_x.n_samples
     if n < 2 or m < 2:
         raise ValueError("both groups need at least 2 curves")
+    center, pooled, rate = _mean_field(sample_y.values, sample_x.values)
+    pooled = _nonzero_scale(pooled, sample_y.grid, "pooled sd")
     c = n / m
-    var_y = sample_y.values.var(axis=0, ddof=1)
-    var_x = sample_x.values.var(axis=0, ddof=1)
-    pooled = _nonzero_scale(
-        np.sqrt((1.0 + 1.0 / c) * var_y + (1.0 + c) * var_x), sample_y.grid, "pooled sd"
+    groups = tuple(
+        FunctionalSample(w * (s.values - s.values.mean(axis=0)) / pooled, s.grid)
+        for w, s in ((np.sqrt(1.0 + 1.0 / c), sample_y), (np.sqrt(1.0 + c), sample_x))
     )
-    mean_y, mean_x = pointwise_mean(sample_y), pointwise_mean(sample_x)
-    res_y = np.sqrt(1.0 + 1.0 / c) * (sample_y.values - mean_y) / pooled
-    res_x = np.sqrt(1.0 + c) * (sample_x.values - mean_x) / pooled
-    groups = (FunctionalSample(res_y, sample_y.grid), FunctionalSample(res_x, sample_x.grid))
-    return mean_y - mean_x, pooled, np.sqrt(n + m - 2), groups
+    return center, pooled, rate, groups
 
 
-def _tgkf_field_quantile(field, alpha):
-    """tGKF quantile with sum(N_g - 1) degrees of freedom and the summed
-    curvature field of the field's residual groups."""
-    groups = tuple(field[3])
-    dof = sum(r.n_samples - 1 for r in groups)
-    return tgkf_quantile(lkc_estimate(*groups), ECDensityModel.student_t(dof), alpha)
+def _scb(parsed, field, data, alpha, replicates, seed):
+    """Band center +/- q * scale / rate of a mean field.
 
-
-def _band(field, quantile, name, alpha, grid):
-    center, scale, rate, _ = field
-    half = quantile * scale / rate
-    return SCBand(center, center - half, center + half, float(quantile), name,
-                  float(alpha), grid)
+    parsed is parse_method's tuple. The tGKF reads the field's residual
+    groups: sum(N_g - 1) degrees of freedom and their summed curvature
+    field. The resampling kernels read data.
+    """
+    name, kind, law, studentized = parsed
+    center, scale, rate, groups = field
+    if kind == "tgkf":
+        dof = sum(g.n_samples - 1 for g in groups)
+        q = tgkf_quantile(lkc_estimate(*groups), ECDensityModel.student_t(dof), alpha)
+    else:
+        cfg = BootstrapConfig(replicates, alpha, studentized, seed)
+        q = boots_t_quantile(data, cfg) if kind == "boots" else mult_t_quantile(data, law, cfg)
+    half = q * scale / rate
+    return SCBand(center, center - half, center + half, float(q), name, float(alpha),
+                  groups[0].grid)
 
 
 def scb_one_sample(sample, method="tgkf", alpha=0.05, replicates=1000, seed=0):
@@ -169,14 +171,8 @@ def scb_one_sample(sample, method="tgkf", alpha=0.05, replicates=1000, seed=0):
     replicate count. seed, an integer or a SeedSequence, drives all random
     methods; the tGKF path is deterministic.
     """
-    name, kind, law, studentized = parse_method(method)
-    field = _one_sample_residuals(sample)
-    if kind == "tgkf":
-        q = _tgkf_field_quantile(field, alpha)
-    else:
-        cfg = BootstrapConfig(replicates, alpha, studentized, seed)
-        q = boots_t_quantile(sample, cfg) if kind == "boots" else mult_t_quantile(sample, law, cfg)
-    return _band(field, q, name, alpha, sample.grid)
+    return _scb(parse_method(method), _one_sample_residuals(sample), sample, alpha,
+                replicates, seed)
 
 
 def scb_two_sample(sample_y, sample_x, method="tgkf", alpha=0.05, replicates=1000, seed=0):
@@ -188,16 +184,11 @@ def scb_two_sample(sample_y, sample_x, method="tgkf", alpha=0.05, replicates=100
     draw independent multipliers for the two pooled residual groups. The
     bootstrap-t is not defined for the two-sample band and raises.
     """
-    name, kind, law, studentized = parse_method(method)
-    if kind == "boots":
+    parsed = parse_method(method)
+    if parsed[1] == "boots":
         raise ValueError(f"two-sample bands support every method but 'boots(-t)', not {method!r}")
     field = two_sample_residuals(sample_y, sample_x)
-    if kind == "tgkf":
-        q = _tgkf_field_quantile(field, alpha)
-    else:
-        cfg = BootstrapConfig(replicates, alpha, studentized, seed)
-        q = mult_t_quantile(tuple(field[3]), law, cfg)
-    return _band(field, q, name, alpha, sample_y.grid)
+    return _scb(parsed, field, field[3], alpha, replicates, seed)
 
 
 def scb_scale_space(raw, kernel, sg, method="tgkf", alpha=0.05, replicates=1000, seed=0):

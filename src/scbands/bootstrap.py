@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVarianceError
-from .fdata import _nonzero_scale, _positive_sd
+from .fdata import _nonzero_scale, pointwise_sd
 from .models import _integer
 from .rng import substream
 
@@ -155,7 +155,9 @@ def boots_t_quantile(sample, cfg):
         raise ValueError("bootstrap needs at least 2 curves")
     gen = substream(cfg.seed)
     idx = gen.integers(0, n, size=(cfg.replicates, n))
-    var_fixed = None if cfg.studentized else _positive_sd(sample) ** 2
+    var_fixed = None
+    if not cfg.studentized:
+        var_fixed = _nonzero_scale(pointwise_sd(sample), sample.grid, "pointwise sd") ** 2
     resid = vals - vals.mean(axis=0)
 
     stats, degenerate = _in_blocks(_resample_max_t, idx, vals, resid, var_fixed)

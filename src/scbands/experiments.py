@@ -8,21 +8,23 @@ a report depends only on (config, seed), never on thread count or
 evaluation order. Estimator failures (degenerate variance, no quantile
 solution) are recorded per cell instead of aborting the sweep.
 
-The width table's brute-force reference row is drawn in blocks of about
-2^16 values, an (R, N, P) array of R replicates with one substream per
-replicate, so its memory does not grow with true_replications and its
-statistics equal those of one draw at a time.
+The bands and the width table's brute-force reference row share one
+scheduler of replicate blocks: a band block holds one replicate, a
+reference block about 2^16 values (an (R, N, P) array, one substream per
+replicate), so the reference row's memory does not grow with
+true_replications and its statistics equal those of one draw at a time.
 """
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from .bands import covers, parse_method, scb_one_sample, scb_two_sample
 from .bootstrap import ceiling_rank_quantile
-from .fdata import FunctionalSample, Grid1D, Grid2D, _nonzero_scale
+from .fdata import FunctionalSample, Grid1D, Grid2D, _mean_field, _nonzero_scale
 from .models import ModelSpec, _integer, _model_parts, gen_model_block
 from .rng import child_sequence, substream
 from .scalespace import ScaleGrid, gaussian_kernel, weight_matrix
@@ -41,6 +43,9 @@ _TAG_TRUE_DATA_Y = 9
 _TAG_TRUE_NOISE_Y = 10
 _TAG_TRUE_DATA_X = 11
 _TAG_TRUE_NOISE_X = 12
+# (data, noise) tag pairs of Y and X, for the bands and for the reference row.
+_BAND_TAGS = ((_TAG_DATA_Y, _TAG_NOISE_Y), (_TAG_DATA_X, _TAG_NOISE_X))
+_TRUE_TAGS = ((_TAG_TRUE_DATA_Y, _TAG_TRUE_NOISE_Y), (_TAG_TRUE_DATA_X, _TAG_TRUE_NOISE_X))
 
 # A block of reference-row draws holds about this many doubles, so the
 # row's memory does not grow with true_replications.
@@ -176,9 +181,9 @@ class _Pipeline:
         vals = _raw_block(self.cfg, n_index, reps, data_tag, noise_tag)
         return vals if self.weights is None else vals @ self.weights.T
 
-    def draw(self, n_index, rep, data_tag, noise_tag):
-        values = self.draw_block(n_index, [rep], data_tag, noise_tag)[0]
-        return FunctionalSample(values, self.grid)
+    def draw_groups(self, n_index, reps, tags):
+        """draw_block of Y, and of X in two-sample mode, for (data, noise) tags."""
+        return [self.draw_block(n_index, reps, *pair) for pair in tags[: 1 + self.cfg.two_sample]]
 
 
 def _raw_block(cfg, n_index, reps, data_tag=_TAG_DATA_Y, noise_tag=_TAG_NOISE_Y):
@@ -203,13 +208,6 @@ def _raw_draw(cfg, n_index, rep):
     return FunctionalSample(_raw_block(cfg, n_index, [rep])[0], _model_parts(cfg.model)[0])
 
 
-def _map_items(worker, items, threads):
-    if threads <= 1:
-        return [worker(it) for it in items]
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return list(pool.map(worker, items))
-
-
 def _failure_tolerant(fn, *args):
     try:
         return fn(*args), None
@@ -217,100 +215,103 @@ def _failure_tolerant(fn, *args):
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _sweep(cfg, pipe, score, threads):
-    """Score the band of every (N, rep, method); one block of rows per N.
+def _sweep(pipe, reps, block_values, score_block, threads):
+    """Rows of the replicates 0..reps-1 of every N, one list of rows per N.
 
-    A row holds one (value, reason) pair per method: value is score(band),
-    or None with the failure message as reason when the draw or the
-    estimator failed.
+    Each N's replicates are cut into blocks of about block_values values
+    (at least one replicate), the blocks run on the thread pool, and
+    score_block(n_index, reps) returns one row per replicate of its block.
     """
-    m_count = len(cfg.methods)
+    items = []
+    for i, n in enumerate(pipe.cfg.n_values):
+        size = max(1, block_values // (n * pipe.width))
+        items += [(i, range(r, min(r + size, reps))) for r in range(0, reps, size)]
+    if threads <= 1:
+        blocks = [score_block(*item) for item in items]
+    else:
+        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+            blocks = list(pool.map(lambda item: score_block(*item), items))
+    rows = [row for block in blocks for row in block]
+    return [rows[i * reps : (i + 1) * reps] for i in range(len(pipe.cfg.n_values))]
 
-    def band_score(sample, other, method, seed):
-        if other is None:
-            band = scb_one_sample(sample, method, cfg.alpha, cfg.bootstrap_replicates, seed)
-        else:
-            band = scb_two_sample(
-                sample, other, method, cfg.alpha, cfg.bootstrap_replicates, seed
-            )
-        return score(band)
 
-    def worker(item):
-        n_index, rep = item
-        try:
-            sample = pipe.draw(n_index, rep, _TAG_DATA_Y, _TAG_NOISE_Y)
-            other = (
-                pipe.draw(n_index, rep, _TAG_DATA_X, _TAG_NOISE_X)
-                if cfg.two_sample
-                else None
-            )
-        except (ValueError, ArithmeticError) as exc:
-            return [(None, f"{type(exc).__name__}: {exc}")] * m_count
+def _band_block(pipe, score, n_index, reps):
+    """One row per replicate of reps, holding a (value, reason) pair per method.
+
+    value is score(band), or None with the failure message as reason when
+    the draw or the estimator failed.
+    """
+    cfg = pipe.cfg
+    build = scb_two_sample if cfg.two_sample else scb_one_sample
+
+    def band_score(samples, method, seed):
+        return score(build(*samples, method, cfg.alpha, cfg.bootstrap_replicates, seed))
+
+    def scores(rep):
+        groups = pipe.draw_groups(n_index, [rep], _BAND_TAGS)
+        samples = [FunctionalSample(values[0], pipe.grid) for values in groups]
         return [
             _failure_tolerant(
-                band_score, sample, other, method,
+                band_score, samples, method,
                 child_sequence(cfg.seed, _TAG_METHOD, n_index, rep, m_index),
             )
             for m_index, method in enumerate(cfg.methods)
         ]
 
-    reps = cfg.replications
-    items = [(i, r) for i in range(len(cfg.n_values)) for r in range(reps)]
-    rows = _map_items(worker, items, threads)
-    return [rows[i * reps : (i + 1) * reps] for i in range(len(cfg.n_values))]
+    rows = [_failure_tolerant(scores, rep) for rep in reps]
+    return [[(None, reason)] * len(cfg.methods) if reason else row for row, reason in rows]
+
+
+def _band_rows(pipe, score, threads):
+    """Band rows of every N, one replicate per block: a band is the unit of work."""
+    return _sweep(pipe, pipe.cfg.replications, 1, partial(_band_block, pipe, score), threads)
+
+
+def _cells(n, methods, columns, summary):
+    """One report cell per method, over its column of (value, reason) pairs.
+
+    A cell counts the replications and the failures (value None), then
+    adds summary(values) of the replications that did not fail.
+    """
+    cells = []
+    for method, pairs in zip(methods, columns):
+        values = [value for value, _ in pairs if value is not None]
+        cells.append({"n": n, "method": method, "replications": len(pairs),
+                      "failures": len(pairs) - len(values), **summary(values)})
+    return cells
 
 
 def run_coverage(cfg, threads=1):
     """Coverage table: one cell per (N, method) with hit rate and binomial SE."""
     pipe = _Pipeline(cfg)
-    blocks = _sweep(cfg, pipe, lambda band: covers(band, pipe.truth), threads)
+    rows = _band_rows(pipe, lambda band: covers(band, pipe.truth), threads)
+
+    def summary(outcomes):
+        hits, valid = sum(outcomes), len(outcomes)
+        coverage = hits / valid if valid else None
+        se = math.sqrt(coverage * (1 - coverage) / valid) if valid else None
+        return {"hits": hits, "coverage": coverage, "se": se}
 
     cells = []
-    for n, block in zip(cfg.n_values, blocks):
-        for m_index, method in enumerate(cfg.methods):
-            outcomes = [row[m_index][0] for row in block]
-            hits = sum(1 for o in outcomes if o is True)
-            fails = sum(1 for o in outcomes if o is None)
-            valid = cfg.replications - fails
-            coverage = hits / valid if valid else None
-            se = math.sqrt(coverage * (1 - coverage) / valid) if valid else None
-            cells.append(
-                {
-                    "n": n,
-                    "method": method,
-                    "replications": cfg.replications,
-                    "failures": fails,
-                    "hits": hits,
-                    "coverage": coverage,
-                    "se": se,
-                }
-            )
+    for n, block in zip(cfg.n_values, rows):
+        cells += _cells(n, cfg.methods, zip(*block), summary)
     return {"kind": "coverage", "config": cfg.to_dict(), "cells": cells}
 
 
 def _reference_block(pipe, n_index, reps):
     """(value, reason) of the maximal studentized deviation of each replicate.
 
-    The block's means, scales and max-t statistics are computed along
-    axis 1 of its (R, N, P) draws. A replicate with a zero scale fails with
-    the DegenerateVarianceError of fdata._nonzero_scale, one whose
-    statistic is not finite with FloatingPointError.
+    The mean field (fdata._mean_field) and the max-t statistics are taken
+    along axis 1 of the block's (R, N, P) draws. A replicate with a zero
+    scale fails with the DegenerateVarianceError of fdata._nonzero_scale,
+    one whose statistic is not finite with FloatingPointError.
     """
-    cfg = pipe.cfg
-    n = cfg.n_values[n_index]
-    y = pipe.draw_block(n_index, reps, _TAG_TRUE_DATA_Y, _TAG_TRUE_NOISE_Y)
+    groups = pipe.draw_groups(n_index, reps, _TRUE_TAGS)
     with np.errstate(all="ignore"):
-        if cfg.two_sample:
-            # Equal group sizes: c = N/M = 1 in two_sample_residuals.
-            x = pipe.draw_block(n_index, reps, _TAG_TRUE_DATA_X, _TAG_TRUE_NOISE_X)
-            center = y.mean(axis=1) - x.mean(axis=1)
-            scale = np.sqrt(2.0 * y.var(axis=1, ddof=1) + 2.0 * x.var(axis=1, ddof=1))
-            rate, name = math.sqrt(2 * n - 2), "pooled sd"
-        else:
-            center, scale = y.mean(axis=1), y.std(axis=1, ddof=1)
-            rate, name = math.sqrt(n), "pointwise sd"
+        center, scale, rate = _mean_field(*groups)
         stats = np.max(rate * np.abs(center - pipe.truth) / scale, axis=1)
     has_zero = np.any(scale == 0, axis=1)
+    name = "pooled sd" if pipe.cfg.two_sample else "pointwise sd"
 
     def checked(r):
         if has_zero[r]:
@@ -324,59 +325,32 @@ def _reference_block(pipe, n_index, reps):
 
 
 def _reference_row(pipe, threads):
-    """(value, reason) of every reference draw, one list per N, in blocks."""
-    cfg = pipe.cfg
-    reps = cfg.true_replications
-    items = []
-    for i, n in enumerate(cfg.n_values):
-        size = max(1, _BLOCK_VALUES // (n * pipe.width))
-        items += [(i, range(r, min(r + size, reps))) for r in range(0, reps, size)]
-    blocks = _map_items(lambda item: _reference_block(pipe, *item), items, threads)
-    stats = [stat for block in blocks for stat in block]
-    return [stats[i * reps : (i + 1) * reps] for i in range(len(cfg.n_values))]
+    """(value, reason) of every reference draw, one list per N, in blocks of
+    about _BLOCK_VALUES values."""
+    block = partial(_reference_block, pipe)
+    return _sweep(pipe, pipe.cfg.true_replications, _BLOCK_VALUES, block, threads)
 
 
 def run_width(cfg, threads=1):
     """Width table: mean quantile +/- 2 SE per (N, method), plus the
     brute-force reference row from true_replications max-t draws."""
     pipe = _Pipeline(cfg)
-    blocks = _sweep(cfg, pipe, lambda band: band.quantile, threads)
+    rows = _band_rows(pipe, lambda band: band.quantile, threads)
     true_rows = _reference_row(pipe, threads)
 
+    def summary(quantiles):
+        if not quantiles:
+            return {"mean_quantile": None, "two_se": None}
+        good = np.array(quantiles)
+        two_se = float(2.0 * good.std(ddof=1) / math.sqrt(good.size)) if good.size > 1 else None
+        return {"mean_quantile": float(good.mean()), "two_se": two_se}
+
+    def true_summary(stats):
+        quantile = ceiling_rank_quantile(stats, cfg.alpha) if stats else None
+        return {"mean_quantile": quantile, "two_se": None}
+
     cells = []
-    for n_index, (n, block) in enumerate(zip(cfg.n_values, blocks)):
-        for m_index, method in enumerate(cfg.methods):
-            quantiles = [row[m_index][0] for row in block]
-            good = np.array([q for q in quantiles if q is not None])
-            fails = cfg.replications - good.size
-            if good.size:
-                mean_q = float(good.mean())
-                two_se = (
-                    float(2.0 * good.std(ddof=1) / math.sqrt(good.size))
-                    if good.size > 1
-                    else None
-                )
-            else:
-                mean_q, two_se = None, None
-            cells.append(
-                {
-                    "n": n,
-                    "method": method,
-                    "replications": cfg.replications,
-                    "failures": fails,
-                    "mean_quantile": mean_q,
-                    "two_se": two_se,
-                }
-            )
-        stats = [value for value, _ in true_rows[n_index] if value is not None]
-        cells.append(
-            {
-                "n": n,
-                "method": "true",
-                "replications": cfg.true_replications,
-                "failures": cfg.true_replications - len(stats),
-                "mean_quantile": ceiling_rank_quantile(stats, cfg.alpha) if stats else None,
-                "two_se": None,
-            }
-        )
+    for n, block, true_row in zip(cfg.n_values, rows, true_rows):
+        cells += _cells(n, cfg.methods, zip(*block), summary)
+        cells += _cells(n, ("true",), (true_row,), true_summary)
     return {"kind": "width", "config": cfg.to_dict(), "cells": cells}

@@ -19,7 +19,6 @@ __all__ = [
     "rectangle_boundary",
     "pointwise_mean",
     "pointwise_sd",
-    "normed_residuals",
     "gradient",
 ]
 
@@ -192,21 +191,22 @@ def _nonzero_scale(scale, grid, name):
     return scale
 
 
-def _positive_sd(sample):
-    """pointwise_sd, raising DegenerateVarianceError at the first zero."""
-    return _nonzero_scale(pointwise_sd(sample), sample.grid, "pointwise sd")
+def _mean_field(y, x=None):
+    """(center, scale, rate) of the studentized mean field along axis -2.
 
-
-def normed_residuals(sample):
-    """Rows (Y_n - mean) / sd, so every column has mean 0 and sd 1.
-
-    Raises DegenerateVarianceError naming the first grid point where the
-    pointwise sd vanishes. No other scaling is applied here; the multiplier
-    bootstrap applies its own sqrt(N/(N-1)) factor to unnormalized
-    residuals.
+    One sample Y of N rows: the mean, the sd (divisor N-1) and sqrt(N).
+    Two independent groups Y and X of N and M rows, with c = N/M: the mean
+    difference, the pooled sqrt((1 + 1/c) var_Y + (1 + c) var_X) and
+    sqrt(N + M - 2). Leading axes of the stacked values index independent
+    replicates. Zero scales are the caller's to check.
     """
-    sd = _positive_sd(sample)
-    return FunctionalSample((sample.values - pointwise_mean(sample)) / sd, sample.grid)
+    n = y.shape[-2]
+    if x is None:
+        return y.mean(axis=-2), y.std(axis=-2, ddof=1), np.sqrt(n)
+    m = x.shape[-2]
+    c = n / m
+    var = (1.0 + 1.0 / c) * y.var(axis=-2, ddof=1) + (1.0 + c) * x.var(axis=-2, ddof=1)
+    return y.mean(axis=-2) - x.mean(axis=-2), np.sqrt(var), np.sqrt(n + m - 2)
 
 
 def gradient(sample):

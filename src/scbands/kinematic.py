@@ -16,7 +16,8 @@ alpha/2: with L0 >= 1, EEC(0) >= rho_0(0) = 1/2 > alpha/2, and for u > 0 the
 slope is (1 + u^2/nu)^(-(nu+1)/2) times -L0 c - L1 (nu-1) u / (2 pi nu) +
 L2 k (1 - (nu-2) u^2 / nu) with c, k > 0, which decreases in u for nu >= 2
 and in the Gaussian limit. So the EEC rises at most once, then falls, and
-crosses alpha/2 exactly once: at the largest root.
+crosses alpha/2 exactly once: at the largest root. For nu < 2, rho_2 grows
+like u^(2-nu): with L2 > 0 the EEC has no last crossing, and is rejected.
 """
 
 from dataclasses import dataclass
@@ -131,19 +132,26 @@ def eec(lkc, model, u):
 
 
 def tgkf_quantile(lkc, model, alpha):
-    """Largest u solving EEC(u) = alpha/2, to absolute tolerance 1e-9.
+    """Largest u solving EEC(u) = alpha/2.
 
     Bisects [0, hi], hi doubling from 1 until EEC(hi) < alpha/2 (the module
-    docstring shows this bracket holds one root). Raises
-    QuantileNoSolutionError for alpha outside (0, 1); for EEC(0) < alpha/2,
-    which needs L0 = 0 (a 2-D EEC that climbs to alpha/2 later is then not
-    searched); and when the EEC is still at least alpha/2 at u = 2^39, as
-    flat or slowly decaying tails (nu <= 2) can be. Past about 4.5e6 adjacent
-    doubles are more than 1e-9 apart, so the bisection also stops when the
-    midpoint equals an endpoint.
+    docstring shows this bracket holds one root), and stops at a width of
+    1e-9 or at adjacent doubles (past about 4.5e6). So u lies within
+    max(1e-9, one ulp) of a sign change of the floating EEC; rounding blurs
+    where that is, e.g. near a root of 4e5 the floating EEC changes sign
+    several times within 7e-10. Raises QuantileNoSolutionError for alpha
+    outside (0, 1); for dof < 2 on a 2-D domain with L2 > 0; for EEC(0) <
+    alpha/2, which needs L0 = 0 (a 2-D EEC that climbs to alpha/2 later is
+    then not searched); and when the EEC is still at least alpha/2 at
+    u = 2^39, as flat or slowly decaying tails (nu <= 2) can be.
     """
     if not 0.0 < alpha < 1.0:
         raise QuantileNoSolutionError(f"alpha must lie in (0, 1), got {alpha}")
+    # curvatures[1:] holds L2 on a 2-D domain and nothing on a 1-D one.
+    if model.family == "student_t" and model.dof < 2 and sum(lkc.curvatures[1:]) > 0:
+        raise QuantileNoSolutionError(
+            f"2-D tGKF needs dof >= 2 (at least 3 surfaces), got dof={model.dof:g}"
+        )
     target = 0.5 * alpha
     if eec(lkc, model, 0.0) < target:
         raise QuantileNoSolutionError(f"alpha={alpha} too large: EEC(0) is below {target}")

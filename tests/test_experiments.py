@@ -21,7 +21,6 @@ from scbands import (
     scale_mean,
     smooth_sample,
     substream,
-    two_sample_residuals,
 )
 
 
@@ -169,7 +168,8 @@ def test_width_deterministic_and_thread_invariant():
 
 
 def _loop_reference_statistic(cfg, n_index, rep):
-    """Max-t statistic of one reference draw, from the public draw functions."""
+    """Max-t statistic of one reference draw, from the public draw functions
+    and the mean field written out in numpy."""
     n = cfg.n_values[n_index]
     grid = cfg.model.make_grid()
     truth = model_mean(cfg.model.model, grid.points)
@@ -189,12 +189,17 @@ def _loop_reference_statistic(cfg, n_index, rep):
         return sample
 
     # substream tags of the reference row: data and noise of Y, then of X
-    y = draw(9, 10)
+    y = draw(9, 10).values
     if cfg.two_sample:
-        center, scale, rate, _ = two_sample_residuals(y, draw(11, 12))
+        x = draw(11, 12).values
+        c = n / x.shape[0]
+        center = y.mean(axis=0) - x.mean(axis=0)
+        var_y, var_x = y.var(axis=0, ddof=1), x.var(axis=0, ddof=1)
+        scale = np.sqrt((1.0 + 1.0 / c) * var_y + (1.0 + c) * var_x)
+        rate = np.sqrt(n + x.shape[0] - 2)
         truth = 0.0
     else:
-        center, scale, rate, _ = scbands.bands._one_sample_residuals(y)
+        center, scale, rate = y.mean(axis=0), y.std(axis=0, ddof=1), np.sqrt(n)
     return float(np.max(rate * np.abs(center - truth) / scale))
 
 

@@ -13,9 +13,11 @@ from scbands import (
     FunctionalSample,
     Grid1D,
     LKCVector,
+    ModelSpec,
     QuantileNoSolutionError,
     ec_density,
     eec,
+    gen_model,
     lkc_estimate,
     normed_residuals,
     scb_one_sample,
@@ -183,6 +185,24 @@ def test_band_quantile_beyond_the_spacing_of_doubles_returns():
         band = scb_one_sample(sample, "tgkf", 1e-6)
     lkc = lkc_estimate(normed_residuals(sample))
     assert_allclose(eec(lkc, ECDensityModel.student_t(2), band.quantile), 5e-7, rtol=1e-9)
+
+
+def test_quantile_rejects_two_dimensional_dof_below_two():
+    # For nu < 2 rho_2 grows like u^(2-nu), so a 2-D EEC with L2 > 0 has no
+    # last crossing: bisection alone returns 1.004 here, yet EEC(1e3) = 0.507.
+    for dof in (1, 1.5):
+        with pytest.raises(QuantileNoSolutionError, match=r"needs dof >= 2 \(at least 3"):
+            tgkf_quantile(LKCVector(1, (0.001, 0.01)), ECDensityModel.student_t(dof), 0.5)
+    # Two surfaces give dof 1: the band names that cause, not a tail that never drops.
+    surfaces = gen_model(ModelSpec("C", resolution=20), 2, substream(0))
+    with pytest.raises(QuantileNoSolutionError, match="at least 3 surfaces"):
+        scb_one_sample(surfaces, "tgkf")
+    # 1-D domains, L2 = 0 and dof 2 are solved as before.
+    t1 = ECDensityModel.student_t(1)
+    for lkc in (LKCVector(1, (0.001,)), LKCVector(1, (0.001, 0.0))):
+        assert eec(lkc, t1, tgkf_quantile(lkc, t1, 0.5)) == pytest.approx(0.25, rel=1e-9)
+    t2, lkc = ECDensityModel.student_t(2), LKCVector(1, (0.001, 0.01))
+    assert eec(lkc, t2, tgkf_quantile(lkc, t2, 0.5)) == pytest.approx(0.25, rel=1e-9)
 
 
 def test_quantile_rejects_bad_level():

@@ -39,7 +39,6 @@ from .fdata import (
     Grid2D,
     gradient,
     grids_equal,
-    pointwise_mean,
     pointwise_sd,
     rectangle_boundary,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "mult_t_quantile",
     "normed_residuals",
     "parse_method",
-    "pointwise_mean",
     "pointwise_sd",
     "read_sample",
     "rectangle_boundary",

@@ -9,8 +9,9 @@ Subcommands:
 
 Every subcommand takes --config pointing at a JSON document with the
 experiment configuration (see ExperimentConfig.from_dict). The scb and
-scale-scb configs additionally carry "input" (and optionally "input_x"
-for a two-group comparison). --seed and --out override the config file.
+scale-scb configs additionally carry "input" and list exactly one method;
+scb also takes "input_x" for a two-group comparison, which scale-scb
+rejects. --seed and --out override the config file.
 Only coverage and width take --threads, the number of worker threads of
 the sweep; the report is the same for every thread count. Failures print
 a one-line JSON object {"error": ..., "message": ...} to stderr and exit
@@ -63,22 +64,20 @@ def _cmd_generate(cfg, inputs):
     return 0
 
 
-def _cmd_scb(cfg, inputs):
+def _band_method(cfg, inputs, command):
+    """The one method of a band subcommand, whose config must name an input."""
     if not inputs["input"]:
-        raise ValueError('scb needs an "input" sample CSV in the config')
-    sample = read_sample(inputs["input"])
-    method = cfg.methods[0]
-    if inputs["input_x"]:
-        other = read_sample(inputs["input_x"])
-        band = scb_two_sample(
-            sample, other, method, cfg.alpha,
-            replicates=cfg.bootstrap_replicates, seed=cfg.seed,
-        )
-    else:
-        band = scb_one_sample(
-            sample, method, cfg.alpha,
-            replicates=cfg.bootstrap_replicates, seed=cfg.seed,
-        )
+        raise ValueError(f'{command} needs an "input" sample CSV in the config')
+    if len(cfg.methods) != 1:
+        raise ValueError(f"{command} makes one band, but the config lists methods {cfg.methods}")
+    return cfg.methods[0]
+
+
+def _cmd_scb(cfg, inputs):
+    method = _band_method(cfg, inputs, "scb")
+    groups = [read_sample(inputs[k]) for k in _INPUT_KEYS if inputs[k]]
+    build = scb_two_sample if len(groups) == 2 else scb_one_sample
+    band = build(*groups, method, cfg.alpha, replicates=cfg.bootstrap_replicates, seed=cfg.seed)
     path = _out_path(cfg, "band.json")
     write_band(path, band)
     print(f"wrote {method} band (alpha={cfg.alpha}, quantile={band.quantile:.6g}) to {path}")
@@ -86,25 +85,22 @@ def _cmd_scb(cfg, inputs):
 
 
 def _cmd_scale_scb(cfg, inputs):
-    if not inputs["input"]:
-        raise ValueError('scale-scb needs an "input" sample CSV in the config')
+    method = _band_method(cfg, inputs, "scale-scb")
+    if inputs["input_x"]:
+        raise ValueError('scale-scb bands one sample and takes no "input_x"')
     raw = read_sample(inputs["input"])
     if not isinstance(raw.grid, Grid1D):
         raise ValueError("scale-scb expects curves, not surfaces")
     bandwidths = cfg.bandwidths()
     if bandwidths is None:
         raise ValueError('scale-scb needs "scale_grid" or "presmooth_bandwidth"')
-    sg = ScaleGrid(raw.grid, bandwidths)
     band = scb_scale_space(
-        raw, gaussian_kernel(), sg, cfg.methods[0], cfg.alpha,
+        raw, gaussian_kernel(), ScaleGrid(raw.grid, bandwidths), method, cfg.alpha,
         replicates=cfg.bootstrap_replicates, seed=cfg.seed,
     )
     path = _out_path(cfg, "band.json")
     write_band(path, band)
-    print(
-        f"wrote scale-space {cfg.methods[0]} band over {bandwidths.size} "
-        f"bandwidth(s) to {path}"
-    )
+    print(f"wrote scale-space {method} band over {bandwidths.size} bandwidth(s) to {path}")
     return 0
 
 

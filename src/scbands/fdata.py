@@ -17,7 +17,6 @@ __all__ = [
     "FunctionalSample",
     "grids_equal",
     "rectangle_boundary",
-    "pointwise_mean",
     "pointwise_sd",
     "gradient",
 ]
@@ -167,13 +166,6 @@ def _point_label(grid, p):
     return f"{p} (x={xs[p]:.6g}, y={ys[p]:.6g})"
 
 
-def pointwise_mean(sample):
-    """Column means: the estimated mean function on the grid."""
-    if sample.n_samples < 1:
-        raise ValueError("cannot average an empty sample")
-    return sample.values.mean(axis=0)
-
-
 def pointwise_sd(sample):
     """Column standard deviations with divisor N-1."""
     if sample.n_samples < 2:
@@ -222,7 +214,12 @@ def gradient(sample):
     grid = sample.grid
     if isinstance(grid, Grid1D):
         return np.gradient(sample.values, grid.points, axis=1, edge_order=2)
-    n = sample.n_samples
+    return np.stack(_partials(sample), axis=-1)
+
+
+def _partials(sample):
+    """The (x, y) partials of every surface row, as two fresh (N, P) arrays."""
+    n, grid = sample.n_samples, sample.grid
     cube = sample.values.reshape(n, grid.n_x, grid.n_y)
     dx, dy = np.gradient(cube, grid.x_points, grid.y_points, axis=(1, 2), edge_order=2)
-    return np.stack([dx.reshape(n, -1), dy.reshape(n, -1)], axis=-1)
+    return dx.reshape(n, -1), dy.reshape(n, -1)

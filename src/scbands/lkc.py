@@ -15,6 +15,7 @@ from .fdata import (
     Grid1D,
     Grid2D,
     _nonzero_scale,
+    _partials,
     gradient,
     grids_equal,
     rectangle_boundary,
@@ -64,19 +65,27 @@ class LambdaField:
 
 
 def lambda_hat(residuals):
-    """Empirical covariance (divisor N-1) of the residual gradient field."""
+    """Empirical covariance (divisor N-1) of the residual gradient field.
+
+    On a 2-D lattice the three distinct entries of Lambda are three column
+    products of the two partials, each an (N, P) array centered in place; the
+    off-diagonal one fills (0, 1) and (1, 0): exactly symmetric by construction.
+    """
     if not isinstance(residuals, FunctionalSample):
         raise ValueError("lambda_hat needs a FunctionalSample of residuals")
     n = residuals.n_samples
     if n < 2:
         raise ValueError("gradient covariance needs at least 2 residual rows")
-    grads = gradient(residuals)
     if isinstance(residuals.grid, Grid1D):
-        lam = grads.var(axis=0, ddof=1)
+        lam = gradient(residuals).var(axis=0, ddof=1)
     else:
-        centered = grads - grads.mean(axis=0)
-        # Exactly symmetric: (i, j) and (j, i) sum the same products in order.
-        lam = np.einsum("npi,npj->pij", centered, centered) / (n - 1)
+        parts = _partials(residuals)
+        for d in parts:
+            d -= d.mean(axis=0)
+        lam = np.empty((residuals.n_points, 2, 2))
+        for i, j in ((0, 0), (1, 1), (0, 1)):
+            lam[:, i, j] = lam[:, j, i] = np.einsum("np,np->p", parts[i], parts[j])
+        lam /= n - 1
     return LambdaField(lam, residuals.grid)
 
 

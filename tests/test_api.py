@@ -1,7 +1,10 @@
 """Public API guard: the package exports exactly what its modules export."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -35,3 +38,19 @@ def test_package_exports_are_unique_and_come_from_modules():
         attr for name in MODULES for attr in importlib.import_module(f"scbands.{name}").__all__
     }
     assert set(names) == exported - {"main"}
+
+
+def test_import_loads_neither_scipy_stats_nor_optimize():
+    # Every fresh process pays for what the import loads (scipy.optimize
+    # alone adds about 0.27 s), so the package keeps to scipy.special.
+    src = os.path.dirname(os.path.dirname(scbands.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, scbands, scbands.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout.strip() == "[]"

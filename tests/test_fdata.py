@@ -14,7 +14,6 @@ from scbands import (
     gradient,
     grids_equal,
     normed_residuals,
-    pointwise_mean,
     pointwise_sd,
     rectangle_boundary,
     substream,
@@ -73,7 +72,7 @@ def test_sample_shape_validation():
 def test_pointwise_mean_and_sd():
     g = Grid1D(np.array([0.0, 1.0, 2.0]))
     s = FunctionalSample(np.array([[0.0, 1.0, 4.0], [2.0, 3.0, 0.0]]), g)
-    assert_allclose(pointwise_mean(s), [1.0, 2.0, 2.0])
+    assert_allclose(s.values.mean(axis=0), [1.0, 2.0, 2.0])
     # ddof=1: sd of {0,2} is sqrt(2), of {4,0} is 2 sqrt(2)
     assert_allclose(pointwise_sd(s), [np.sqrt(2.0), np.sqrt(2.0), 2.0 * np.sqrt(2.0)])
 

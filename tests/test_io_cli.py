@@ -218,6 +218,36 @@ def test_cli_scale_space_band(tmp_path):
     assert len(doc["center"]) == 50 * 4
 
 
+@pytest.mark.parametrize("command", ["scb", "scale-scb"])
+def test_cli_band_commands_reject_more_than_one_method(tmp_path, capsys, command):
+    cfg = _write_config(
+        tmp_path / "cfg.json", input=str(tmp_path / "sample.csv"),
+        methods=["tgkf", "rmult-t"], scale_grid=[0.05, 0.2, 4],
+    )
+    out = tmp_path / "band.json"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "ValueError"
+    assert "rmult-t" in doc["message"]
+    assert not out.exists()
+
+
+def test_cli_scale_space_rejects_a_second_group(tmp_path, capsys):
+    raw = FunctionalSample(substream(72, 1).standard_normal((15, 50)), Grid1D(np.arange(50) / 49))
+    y, x = tmp_path / "y.csv", tmp_path / "x.csv"
+    write_sample(y, raw)
+    write_sample(x, raw)
+    cfg = _write_config(
+        tmp_path / "cfg.json", input=str(y), input_x=str(x), scale_grid=[0.05, 0.2, 4]
+    )
+    out = tmp_path / "band.json"
+    assert main(["scale-scb", "--config", str(cfg), "--out", str(out)]) == 1
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "ValueError"
+    assert "input_x" in doc["message"]
+    assert not out.exists()
+
+
 def test_cli_coverage_writes_tables(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json")
     out = tmp_path / "cov.csv"

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from scbands import (
     FunctionalSample,
     Grid1D,
     Grid2D,
     LambdaField,
+    gradient,
     lambda_hat,
     lkc_1d,
     lkc_2d,
@@ -107,6 +108,42 @@ def test_lambda_2d_shape_and_symmetry():
     # diagonal entries are variances
     assert (lam.values[:, 0, 0] >= 0).all()
     assert (lam.values[:, 1, 1] >= 0).all()
+
+
+# Non-square lattices with geometric (non-uniform) and evenly spaced axes,
+# down to the 3-points-per-axis minimum.
+LATTICES = [
+    (np.geomspace(0.1, 3.0, 7), np.linspace(0.0, 1.0, 11)),
+    (np.linspace(-1.0, 1.0, 11), np.geomspace(1.0, 2.0, 7)),
+    (np.array([0.0, 0.5, 2.0]), np.array([1.0, 2.0, 3.0, 4.0, 5.0])),
+    (np.geomspace(1.0, 4.0, 3), np.array([0.0, 0.5, 2.0])),
+]
+
+
+def _stacked_lambda_2d(residuals):
+    """The 2-D field as one 3-index product over the centered (N, P, 2) gradient."""
+    grads = gradient(residuals)
+    centered = grads - grads.mean(axis=0)
+    return np.einsum("npi,npj->pij", centered, centered) / (residuals.n_samples - 1)
+
+
+@pytest.mark.parametrize("n", [2, 5, 30])
+@pytest.mark.parametrize("lattice", range(len(LATTICES)))
+def test_lambda_2d_equals_the_stacked_gradient_formula(lattice, n):
+    g = Grid2D(*LATTICES[lattice])
+    values = substream(31, lattice, n).standard_normal((n, g.n_points)).cumsum(axis=1)
+    r = FunctionalSample(values, g)
+    assert_array_equal(lambda_hat(r).values, _stacked_lambda_2d(r))
+
+
+@pytest.mark.parametrize("lattice", range(len(LATTICES)))
+def test_two_sample_2d_curvatures_integrate_the_summed_field(lattice):
+    g = Grid2D(*LATTICES[lattice])
+    y = FunctionalSample(substream(32, lattice, 0).standard_normal((9, g.n_points)), g)
+    x = FunctionalSample(substream(32, lattice, 1).standard_normal((6, g.n_points)), g)
+    groups = two_sample_residuals(y, x)[3]
+    summed = LambdaField(sum(lambda_hat(r).values for r in groups), g)
+    assert lkc_estimate(*groups).curvatures == lkc_2d(summed, g)
 
 
 def test_cosine_curvature_field_near_constant():

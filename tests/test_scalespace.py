@@ -10,7 +10,6 @@ from scbands import (
     Grid2D,
     ScaleGrid,
     gaussian_kernel,
-    pointwise_mean,
     scale_mean,
     smooth_sample,
     weight_matrix,
@@ -49,10 +48,8 @@ def test_smoothing_is_linear(setup):
 def test_smoothing_commutes_with_averaging(setup):
     measure, sg, raw = setup
     k = gaussian_kernel()
-    smoothed_mean = pointwise_mean(smooth_sample(raw, k, sg))
-    mean_smoothed = scale_mean(
-        pointwise_mean(raw), k, sg, measure_points=measure
-    )
+    smoothed_mean = smooth_sample(raw, k, sg).values.mean(axis=0)
+    mean_smoothed = scale_mean(raw.values.mean(axis=0), k, sg, measure_points=measure)
     assert_allclose(smoothed_mean, mean_smoothed, atol=1e-12)
 
 

@@ -9,6 +9,11 @@ to the empirical quantile of B replicate maxima; the ceiling-rank order
 statistic ceil((1-alpha) B) is used throughout, which is the conservative
 standard for bootstrap bands.
 
+Both walk the (B, N) index or multiplier matrix in row blocks that return
+only their row maxima, so no (B, P) array forms. With g^2 = 1 a Rademacher
+block needs one product per group, and one studentized group maps only
+its row maxima through a monotone function (mult_t_quantile).
+
 Each band draws all of its B replicates from one counter-based stream,
 ``substream(seed)``, in one call: row b of the (B, N) multiplier or index
 matrix is replicate b. Estimates are reproducible bit for bit from the seed
@@ -87,8 +92,8 @@ def ceiling_rank_quantile(draws, alpha):
     return float(np.partition(draws, rank - 1)[rank - 1])
 
 
-# Bootstrap-t replicates are processed in blocks of this many rows, so its
-# (rows, P) temporaries stay small whatever B is.
+# Both resampling families process replicates in blocks of this many rows,
+# so their (rows, P) temporaries stay small whatever B is.
 _BLOCK_ROWS = 64
 
 
@@ -177,27 +182,29 @@ def boots_t_quantile(sample, cfg):
     return ceiling_rank_quantile(stats, cfg.alpha)
 
 
-def _group_terms(gmat, vals, studentized):
-    """(numerator, variance) of one group's multiplier statistic.
+def _point_stats(gblk, parts, var_fixed):
+    """(rows, P) statistic of a block of multiplier rows at every point.
 
-    With res = sqrt(N/(N-1)) (Y - mean), the numerator is G res / sqrt(N)
-    and the variance is the pointwise variance (divisor N-1) of the
-    multiplied residuals g_n res_n, or of Y itself when not studentized.
+    parts holds (columns, N_g, R_g, M_g) per group, with prod_g = G_g R_g and
+    M_g = N_g (G_g∘G_g)(R_g∘R_g): a fixed vector (Rademacher weights), or
+    the matrix N_g R_g^2 for Gaussian ones. One group gives x = prod^2 / M,
+    T*^2 itself when unstudentized (M = N var_fixed); two give S^2 / V with
+    S = sum_g prod_g / sqrt(N_g) and V = var_fixed or
+    sum_g max(M_g - prod_g^2, 0) / (N_g (N_g - 1)).
     """
-    n = vals.shape[0]
-    res = np.sqrt(n / (n - 1.0)) * (vals - vals.mean(axis=0))
-    # (B, P) arrays, the largest here, are updated in place where possible.
-    prod = gmat @ res
-    if not studentized:
-        return np.divide(prod, np.sqrt(n), out=prod), vals.var(axis=0, ddof=1)
-    sums = prod / np.sqrt(n)
-    m1 = np.divide(prod, n, out=prod)
-    var_star = (gmat * gmat) @ (res * res)
-    var_star /= n
-    var_star -= m1 * m1
-    np.clip(var_star, 0.0, None, out=var_star)
-    var_star *= n / (n - 1.0)
-    return sums, var_star
+    num, var = 0.0, 0.0 if var_fixed is None else var_fixed
+    for cols, n, res, moment in parts:
+        g = gblk[:, cols]
+        prod = g @ res
+        if moment.ndim == 2:
+            moment = (g * g) @ moment
+        if len(parts) == 1:  # x, in place
+            prod *= prod
+            return np.divide(prod, moment, out=prod)
+        num = num + prod / np.sqrt(n)
+        if var_fixed is None:
+            var = var + np.maximum(moment - prod * prod, 0.0) / (n * (n - 1.0))
+    return num * num / var
 
 
 def mult_t_quantile(sample, law, cfg):
@@ -214,38 +221,47 @@ def mult_t_quantile(sample, law, cfg):
     the multiplied residuals g_n R_n; with studentized=False it sums the
     groups' own variances. Unstudentized Gaussian multipliers draw exactly
     N(0, sum of the groups' sample covariances) / sd, the "gauss-sim" law.
-    Points where sd* and the numerator are both exactly zero (all-zero
-    residuals) contribute 0; a vanishing sd* under a nonzero numerator
-    raises the degenerate-variance error.
+
+    G is walked in blocks of _BLOCK_ROWS rows, each returning its row
+    maxima: per group one product G_g R_g, plus (G∘G)(R∘R) for Gaussian
+    weights; Rademacher ones have g^2 = 1, so that second moment Q is the
+    column sum of R^2. One studentized group has sd*^2 = Q (1-x) / (N-1)
+    with x = (G R)^2 / (N Q), and T*^2 = (N-1) x / (1-x) increases in x, so
+    only the row maxima of x are mapped. Points where every residual is
+    zero contribute 0; sd* = 0 under a nonzero numerator (x >= 1) raises
+    the degenerate-variance error naming the grid point and the replicate.
     """
     groups = sample if isinstance(sample, tuple) else (sample,)
     sizes = [g.n_samples for g in groups]
     if min(sizes) < 2:
         raise ValueError("multiplier bootstrap needs at least 2 curves per group")
     gmat = law.draw(substream(cfg.seed), (cfg.replicates, sum(sizes)))
-    blocks = np.split(gmat, np.cumsum(sizes)[:-1], axis=1)
-    terms = [_group_terms(blk, g.values, cfg.studentized) for blk, g in zip(blocks, groups)]
-    sums, var = terms[0]
-    for more_sums, more_var in terms[1:]:
-        sums += more_sums
-        var += more_var
+    var = None
+    if not cfg.studentized:
+        var = sum(g.values.var(axis=0, ddof=1) for g in groups)
+        var = _nonzero_scale(np.sqrt(var), groups[0].grid, "pointwise sd") ** 2
+    parts, lo = [], 0
+    for n, g in zip(sizes, groups):
+        res = np.sqrt(n / (n - 1.0)) * (g.values - g.values.mean(axis=0))
+        moment = res * res if law.kind == "gaussian" else (res * res).sum(axis=0)
+        parts.append((slice(lo, lo + n), n, res, n * (moment if var is None else var)))
+        lo += n
 
-    ratio_sq = sums * sums
-    if cfg.studentized:
-        zero_sd = var == 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio_sq /= var
-        if np.any(zero_sd):
-            nonzero_num = zero_sd & (sums != 0.0)
-            if np.any(nonzero_num):
-                b_bad, p_bad = np.argwhere(nonzero_num)[0]
-                raise DegenerateVarianceError(
-                    f"multiplier sd degenerate at grid point {int(p_bad)} "
-                    f"in replicate {int(b_bad)}"
-                )
-            ratio_sq[zero_sd] = 0.0
-    else:
-        sd = _nonzero_scale(np.sqrt(var), groups[0].grid, "pointwise sd")
-        ratio_sq /= sd * sd
+    def block_max(blk):  # 0/0 where no residual spreads is NaN, which fmax skips
+        return (np.fmax.reduce(_point_stats(blk, parts, var), axis=1, initial=0.0),)
+
+    # a point at the limit has sd* = 0 under a nonzero numerator
+    limit = 1.0 if len(groups) == 1 and var is None else np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        (stat,) = _in_blocks(block_max, gmat)
+        if np.any(stat >= limit):
+            start = int(np.argmax(stat >= limit)) // _BLOCK_ROWS * _BLOCK_ROWS
+            block = _point_stats(gmat[start : start + _BLOCK_ROWS], parts, var)
+            b, p = np.argwhere(block >= limit)[0]
+            raise DegenerateVarianceError(
+                f"multiplier sd degenerate at grid point {p} in replicate {start + b}"
+            )
+    if limit == 1.0:
+        stat = (sizes[0] - 1.0) * stat / (1.0 - stat)
     # max |T*| is the root of max T*^2: one square root per replicate.
-    return ceiling_rank_quantile(np.sqrt(ratio_sq.max(axis=1)), cfg.alpha)
+    return ceiling_rank_quantile(np.sqrt(stat), cfg.alpha)

@@ -10,8 +10,8 @@ Subcommands:
 Every subcommand takes --config pointing at a JSON document with the
 experiment configuration (see ExperimentConfig.from_dict). The scb and
 scale-scb configs additionally carry "input" and list exactly one method;
-scb also takes "input_x" for a two-group comparison, which scale-scb
-rejects. --seed and --out override the config file.
+scb also takes "input_x" for a two-group comparison, which "two_sample":
+true requires and scale-scb rejects. --seed and --out override the config.
 Only coverage and width take --threads, the number of worker threads of
 the sweep; the report is the same for every thread count. Failures print
 a one-line JSON object {"error": ..., "message": ...} to stderr and exit
@@ -70,6 +70,8 @@ def _band_method(cfg, inputs, command):
         raise ValueError(f'{command} needs an "input" sample CSV in the config')
     if len(cfg.methods) != 1:
         raise ValueError(f"{command} makes one band, but the config lists methods {cfg.methods}")
+    if cfg.two_sample and not inputs["input_x"]:
+        raise ValueError(f'{command} has "two_sample": true but no "input_x" sample CSV')
     return cfg.methods[0]
 
 
@@ -85,9 +87,9 @@ def _cmd_scb(cfg, inputs):
 
 
 def _cmd_scale_scb(cfg, inputs):
+    if inputs["input_x"] or cfg.two_sample:
+        raise ValueError('scale-scb bands one sample and takes no "input_x" or "two_sample"')
     method = _band_method(cfg, inputs, "scale-scb")
-    if inputs["input_x"]:
-        raise ValueError('scale-scb bands one sample and takes no "input_x"')
     raw = read_sample(inputs["input"])
     if not isinstance(raw.grid, Grid1D):
         raise ValueError("scale-scb expects curves, not surfaces")

@@ -120,13 +120,8 @@ def grids_equal(a, b):
     if type(a) is not type(b):
         return False
     if isinstance(a, Grid1D):
-        return a.n_points == b.n_points and bool(np.array_equal(a.points, b.points))
-    return (
-        a.n_x == b.n_x
-        and a.n_y == b.n_y
-        and bool(np.array_equal(a.x_points, b.x_points))
-        and bool(np.array_equal(a.y_points, b.y_points))
-    )
+        return bool(np.array_equal(a.points, b.points))
+    return bool(np.array_equal(a.x_points, b.x_points) and np.array_equal(a.y_points, b.y_points))
 
 
 @dataclass(frozen=True, eq=False)

@@ -54,20 +54,13 @@ def _parse_grid(header):
             if len(parts) != 2:
                 raise ValueError(f"malformed surface header cell {cell!r}")
             pairs.append((float(parts[0]), float(parts[1])))
-        xs = np.array([p[0] for p in pairs])
-        ys = np.array([p[1] for p in pairs])
-        x_points = np.unique(xs)
-        y_points = np.unique(ys)
-        expect_x = np.repeat(x_points, y_points.size)
-        expect_y = np.tile(y_points, x_points.size)
-        if (
-            xs.size != x_points.size * y_points.size
-            or not np.array_equal(xs, expect_x)
-            or not np.array_equal(ys, expect_y)
+        xs, ys = np.array(pairs).T
+        x_points, y_points = np.unique(xs), np.unique(ys)
+        if not (
+            np.array_equal(xs, np.repeat(x_points, y_points.size))
+            and np.array_equal(ys, np.tile(y_points, x_points.size))
         ):
-            raise ValueError(
-                "surface header is not a row-major rectangular lattice"
-            )
+            raise ValueError("surface header is not a row-major rectangular lattice")
         return Grid2D(x_points, y_points)
     return Grid1D(np.array([float(cell) for cell in header]))
 
@@ -144,18 +137,11 @@ def write_report_csv(path, report):
 def format_report_table(report):
     """Render a report's cells as an aligned text table."""
     columns = _COLUMNS[report["kind"]]
-    rows = [columns]
-    for cell in report["cells"]:
-        rendered = []
-        for c in columns:
-            v = cell[c]
-            if v is None:
-                rendered.append("-")
-            elif isinstance(v, float):
-                rendered.append(f"{v:.4f}")
-            else:
-                rendered.append(str(v))
-        rows.append(rendered)
+
+    def render(v):
+        return "-" if v is None else f"{v:.4f}" if isinstance(v, float) else str(v)
+
+    rows = [columns] + [[render(cell[c]) for c in columns] for cell in report["cells"]]
     widths = [max(len(r[i]) for r in rows) for i in range(len(columns))]
     lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
     return "\n".join(lines)

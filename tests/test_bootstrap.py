@@ -1,5 +1,7 @@
 """Resampling quantiles: bootstrap-t and multipliers, Gaussian simulation among them."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -274,6 +276,70 @@ def test_group_multiplier_kernel_matches_replicate_loop(studentized):
             assert_allclose(
                 mult_t_quantile(groups, law, cfg), _loop_mult(groups, law, cfg), rtol=1e-12
             )
+
+
+@pytest.mark.parametrize("replicates", [1, 63, 64, 65, 1000])
+def test_multiplier_blocks_match_replicate_loop_at_block_edges(sample, replicates):
+    # B around the 64-row block, for one group and two unequal groups
+    vals = substream(31, 2).standard_normal((29, 50))
+    grid = Grid1D(np.linspace(0.0, 1.0, 50))
+    groups = (FunctionalSample(vals[:12], grid), FunctionalSample(vals[12:] - 0.5, grid))
+    for data in (sample, groups):
+        for studentized in (True, False):
+            cfg = BootstrapConfig(replicates=replicates, studentized=studentized, seed=3)
+            for law in (GAUSSIAN_MULTIPLIERS, RADEMACHER_MULTIPLIERS):
+                assert_allclose(
+                    mult_t_quantile(data, law, cfg), _loop_mult(data, law, cfg), rtol=1e-12
+                )
+
+
+def test_rademacher_t_on_two_curves_is_degenerate():
+    # the two residuals are each other's negative, so a replicate with
+    # g_1 != g_2 puts both multiplied residuals at one value: sd* = 0 under
+    # a nonzero numerator. The first replicate of seed 3 is one.
+    s = FunctionalSample(substream(40, 3).standard_normal((2, 30)), Grid1D(np.linspace(0, 1, 30)))
+    cfg = BootstrapConfig(replicates=200, seed=3)
+    g = RADEMACHER_MULTIPLIERS.draw(substream(3), (1, 2))
+    assert g[0, 0] != g[0, 1]
+    match = r"multiplier sd degenerate .* in replicate 0$"
+    with pytest.raises(DegenerateVarianceError, match=match):
+        mult_t_quantile(s, RADEMACHER_MULTIPLIERS, cfg)
+    assert np.isfinite(mult_t_quantile(s, GAUSSIAN_MULTIPLIERS, cfg))
+
+
+def test_degenerate_multiplier_replicate_is_named_past_the_first_block():
+    # At grid point 7 the eight curves alternate +-sqrt(7/8), so the normed
+    # residuals are exactly +-1: a replicate whose signs follow them has
+    # every g_n R_n equal, sd* = 0 and numerator 8. Under seed 0 the first
+    # such replicate is 96, in the second block of rows; grid points 0-2
+    # have no spread and contribute 0.
+    vals = substream(8, 4).standard_normal((8, 20))
+    vals[:, :3] = 2.5
+    signs = np.array([1.0, -1.0] * 4)
+    vals[:, 7] = np.sqrt(7 / 8.0) * signs
+    s = FunctionalSample(vals, Grid1D(np.linspace(0.0, 1.0, 20)))
+    cfg = BootstrapConfig(replicates=300, seed=0)
+    flips = RADEMACHER_MULTIPLIERS.draw(substream(0), (300, 8)) * signs
+    first = int(np.argmax(np.all(flips == flips[:, :1], axis=1)))
+    assert first == 96
+    with pytest.raises(DegenerateVarianceError, match="at grid point 7 in replicate 96$"):
+        mult_t_quantile(s, RADEMACHER_MULTIPLIERS, cfg)
+    assert np.isfinite(mult_t_quantile(s, GAUSSIAN_MULTIPLIERS, cfg))
+
+
+@pytest.mark.parametrize("law", [GAUSSIAN_MULTIPLIERS, RADEMACHER_MULTIPLIERS])
+def test_multiplier_peak_memory_stays_below_one_replicate_by_point_array(law):
+    # B = 20000, N = 50, P = 200: one (B, P) float64 array is 32 MB; the
+    # (B, N) multiplier draw is 8 MB and row blocks keep the rest small
+    y = gen_model(ModelSpec("A", resolution=200), 50, substream(62, 0))
+    cfg = BootstrapConfig(replicates=20000, seed=1)
+    tracemalloc.start()
+    try:
+        mult_t_quantile(y, law, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20000 * 200 * 8
 
 
 def _tied_sample(tied_rows, n=6, p=30):

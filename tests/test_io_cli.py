@@ -248,6 +248,22 @@ def test_cli_scale_space_rejects_a_second_group(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["scb", "scale-scb"])
+def test_cli_two_sample_config_without_second_group_is_rejected(tmp_path, capsys, command):
+    # scb would otherwise write a one-sample band of Y; scale-scb bands one sample only
+    raw = FunctionalSample(substream(72, 2).standard_normal((15, 50)), Grid1D(np.arange(50) / 49))
+    y = tmp_path / "y.csv"
+    write_sample(y, raw)
+    cfg = _write_config(tmp_path / "cfg.json", input=str(y), two_sample=True,
+                        scale_grid=[0.05, 0.2, 4])
+    out = tmp_path / "band.json"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "ValueError"
+    assert "two_sample" in doc["message"]
+    assert not out.exists()
+
+
 def test_cli_coverage_writes_tables(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json")
     out = tmp_path / "cov.csv"

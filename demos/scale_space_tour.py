@@ -21,9 +21,9 @@ from scbands import (
     ScaleGrid,
     covers,
     gaussian_kernel,
-    scale_mean,
     scb_scale_space,
     substream,
+    weight_matrix,
 )
 
 SEED = 8
@@ -45,7 +45,8 @@ def main():
     sg = ScaleGrid(Grid1D(measure), np.linspace(0.02, 0.12, 12))
     kernel = gaussian_kernel()
     band = scb_scale_space(raw, kernel, sg, method="tgkf", alpha=0.05)
-    smoothed_truth = scale_mean(signal, kernel, sg)
+    # the band's target: the true signal under the same smoothing map
+    smoothed_truth = weight_matrix(kernel, measure, sg) @ signal
 
     print(f"N={N} noisy curves, {P} locations x {sg.h_points.size} bandwidths")
     print(f"simultaneous quantile over the surface: {band.quantile:.4f}")

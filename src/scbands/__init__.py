@@ -74,7 +74,6 @@ from .sampleio import (
 from .scalespace import (
     ScaleGrid,
     gaussian_kernel,
-    scale_mean,
     smooth_sample,
     weight_matrix,
 )
@@ -130,7 +129,6 @@ __all__ = [
     "rectangle_boundary",
     "run_coverage",
     "run_width",
-    "scale_mean",
     "scb_one_sample",
     "scb_scale_space",
     "scb_two_sample",

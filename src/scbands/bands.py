@@ -197,7 +197,8 @@ def scb_scale_space(raw, kernel, sg, method="tgkf", alpha=0.05, replicates=1000,
     Smooths every curve onto the (s, h) lattice, then builds the one-sample
     band on the resulting 2-D sample (1-D when the grid has a single
     bandwidth). The tGKF path uses the 2-D curvature integrals on the
-    (s, h) rectangle.
+    (s, h) rectangle. For the difference of two groups, smooth each with
+    smooth_sample and pass both to scb_two_sample.
     """
     smoothed = smooth_sample(raw, kernel, sg)
     return scb_one_sample(smoothed, method, alpha, replicates, seed)

@@ -2,16 +2,18 @@
 
 Subcommands:
     generate   draw a synthetic sample and write it to CSV
-    scb        read a sample CSV and write a confidence band as JSON
-    scale-scb  smooth a raw sample over a bandwidth range, then band it
+    scb        read one or two sample CSVs and write a confidence band as JSON
     coverage   run a coverage sweep, write CSV + JSON, print the table
     width      run a width sweep, write CSV + JSON, print the table
 
 Every subcommand takes --config pointing at a JSON document with the
-experiment configuration (see ExperimentConfig.from_dict). The scb and
-scale-scb configs additionally carry "input" and list exactly one method;
-scb also takes "input_x" for a two-group comparison, which "two_sample":
-true requires and scale-scb rejects. --seed and --out override the config.
+experiment configuration (see ExperimentConfig.from_dict). The scb config
+additionally carries "input" and lists exactly one method; "input_x" adds a
+second group and makes the band one of the mean difference, and
+"two_sample": true requires it. With "scale_grid" set, scb first smooths
+each group's curves onto its (s, h) lattice (smooth_sample with the
+Gaussian kernel), so the band covers the whole scale-space surface.
+--seed and --out override the config.
 Only coverage and width take --threads, the number of worker threads of
 the sweep; the report is the same for every thread count. Failures print
 a one-line JSON object {"error": ..., "message": ...} to stderr and exit
@@ -22,9 +24,8 @@ import argparse
 import json
 import sys
 
-from .bands import scb_one_sample, scb_scale_space, scb_two_sample
+from .bands import scb_one_sample, scb_two_sample
 from .experiments import ExperimentConfig, _raw_draw, run_coverage, run_width
-from .fdata import Grid1D
 from .sampleio import (
     format_report_table,
     read_sample,
@@ -33,7 +34,7 @@ from .sampleio import (
     write_report_json,
     write_sample,
 )
-from .scalespace import ScaleGrid, gaussian_kernel
+from .scalespace import ScaleGrid, gaussian_kernel, smooth_sample
 
 __all__ = ["main"]
 
@@ -64,45 +65,24 @@ def _cmd_generate(cfg, inputs):
     return 0
 
 
-def _band_method(cfg, inputs, command):
-    """The one method of a band subcommand, whose config must name an input."""
-    if not inputs["input"]:
-        raise ValueError(f'{command} needs an "input" sample CSV in the config')
-    if len(cfg.methods) != 1:
-        raise ValueError(f"{command} makes one band, but the config lists methods {cfg.methods}")
-    if cfg.two_sample and not inputs["input_x"]:
-        raise ValueError(f'{command} has "two_sample": true but no "input_x" sample CSV')
-    return cfg.methods[0]
-
-
 def _cmd_scb(cfg, inputs):
-    method = _band_method(cfg, inputs, "scb")
+    if not inputs["input"]:
+        raise ValueError('scb needs an "input" sample CSV in the config')
+    if len(cfg.methods) != 1:
+        raise ValueError(f"scb makes one band, but the config lists methods {cfg.methods}")
+    if cfg.two_sample and not inputs["input_x"]:
+        raise ValueError('scb has "two_sample": true but no "input_x" sample CSV')
+    method = cfg.methods[0]
     groups = [read_sample(inputs[k]) for k in _INPUT_KEYS if inputs[k]]
+    bandwidths = cfg.bandwidths()
+    if bandwidths is not None:
+        kernel = gaussian_kernel()
+        groups = [smooth_sample(g, kernel, ScaleGrid(g.grid, bandwidths)) for g in groups]
     build = scb_two_sample if len(groups) == 2 else scb_one_sample
     band = build(*groups, method, cfg.alpha, replicates=cfg.bootstrap_replicates, seed=cfg.seed)
     path = _out_path(cfg, "band.json")
     write_band(path, band)
     print(f"wrote {method} band (alpha={cfg.alpha}, quantile={band.quantile:.6g}) to {path}")
-    return 0
-
-
-def _cmd_scale_scb(cfg, inputs):
-    if inputs["input_x"] or cfg.two_sample:
-        raise ValueError('scale-scb bands one sample and takes no "input_x" or "two_sample"')
-    method = _band_method(cfg, inputs, "scale-scb")
-    raw = read_sample(inputs["input"])
-    if not isinstance(raw.grid, Grid1D):
-        raise ValueError("scale-scb expects curves, not surfaces")
-    bandwidths = cfg.bandwidths()
-    if bandwidths is None:
-        raise ValueError('scale-scb needs "scale_grid" or "presmooth_bandwidth"')
-    band = scb_scale_space(
-        raw, gaussian_kernel(), ScaleGrid(raw.grid, bandwidths), method, cfg.alpha,
-        replicates=cfg.bootstrap_replicates, seed=cfg.seed,
-    )
-    path = _out_path(cfg, "band.json")
-    write_band(path, band)
-    print(f"wrote scale-space {method} band over {bandwidths.size} bandwidth(s) to {path}")
     return 0
 
 
@@ -125,8 +105,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("generate", "draw a synthetic sample and write it to CSV"),
-        ("scb", "compute a confidence band for a sample CSV"),
-        ("scale-scb", "smooth a raw sample over bandwidths, then band it"),
+        ("scb", "compute a confidence band for one or two sample CSVs"),
         ("coverage", "run a coverage sweep"),
         ("width", "run a width sweep"),
     ):
@@ -147,8 +126,8 @@ def main(argv=None):
         if args.command in _SWEEPS:
             run = run_coverage if args.command == "coverage" else run_width
             return _write_report(run(cfg, threads=args.threads), _out_path(cfg, args.command))
-        commands = {"generate": _cmd_generate, "scb": _cmd_scb, "scale-scb": _cmd_scale_scb}
-        return commands[args.command](cfg, inputs)
+        command = _cmd_scb if args.command == "scb" else _cmd_generate
+        return command(cfg, inputs)
     except Exception as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),

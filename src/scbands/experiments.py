@@ -1,12 +1,13 @@
 """Monte Carlo experiment drivers: coverage tables and width tables.
 
 Both drivers share one scenario pipeline: draw a synthetic sample, add
-observation noise when requested, optionally smooth (one bandwidth, or a
-whole scale grid), then hand the analysis sample to the band engine. Every
-replication draws from substreams addressed by (purpose, n-index, rep), so
-a report depends only on (config, seed), never on thread count or
-evaluation order. Estimator failures (degenerate variance, no quantile
-solution) are recorded per cell instead of aborting the sweep.
+observation noise when requested, optionally smooth onto a scale grid (one
+bandwidth, or a whole lattice of them), then hand the analysis sample to
+the band engine. Every replication draws from substreams addressed by
+(purpose, n-index, rep), so a report depends only on (config, seed), never
+on thread count or evaluation order. Estimator failures (degenerate
+variance, no quantile solution) are recorded per cell instead of aborting
+the sweep.
 
 The bands and the width table's brute-force reference row share one
 scheduler of replicate blocks: a band block holds one replicate, a
@@ -24,7 +25,7 @@ import numpy as np
 
 from .bands import covers, parse_method, scb_one_sample, scb_two_sample
 from .bootstrap import ceiling_rank_quantile
-from .fdata import FunctionalSample, Grid1D, Grid2D, _mean_field, _nonzero_scale
+from .fdata import FunctionalSample, _mean_field, _nonzero_scale
 from .models import ModelSpec, _integer, _model_parts, gen_model_block
 from .rng import child_sequence, substream
 from .scalespace import ScaleGrid, gaussian_kernel, weight_matrix
@@ -52,7 +53,7 @@ _TRUE_TAGS = ((_TAG_TRUE_DATA_Y, _TAG_TRUE_NOISE_Y), (_TAG_TRUE_DATA_X, _TAG_TRU
 _BLOCK_VALUES = 1 << 16
 
 # Integer counts of ExperimentConfig; a non-integer one would fail mid-run.
-_COUNT_FIELDS = ("replications", "bootstrap_replicates", "presmooth_points", "true_replications")
+_COUNT_FIELDS = ("replications", "bootstrap_replicates", "true_replications")
 # JSON keys of the ModelSpec fields in a config; the model letter is "name".
 _MODEL_KEYS = {f.name: "name" if f.name == "model" else f.name for f in fields(ModelSpec)}
 
@@ -61,11 +62,12 @@ _MODEL_KEYS = {f.name: "name" if f.name == "model" else f.name for f in fields(M
 class ExperimentConfig:
     """Everything a coverage or width sweep needs, JSON round-trippable.
 
-    scale_grid is a (h_min, h_max, count) triple smoothing each curve onto
-    the full (s, h) lattice; presmooth_bandwidth smooths with one bandwidth
-    onto an equidistant grid of presmooth_points. At most one of the two
-    may be set. two_sample=True compares two independent equal-law groups
-    of the same size (difference target identically zero).
+    scale_grid is a (h_min, h_max, count) triple of count equidistant
+    bandwidths: each curve is smoothed onto the (s, h) lattice of the data
+    grid's points and the bandwidths, or onto the data grid itself when
+    count is 1 (write one bandwidth h as (h, h, 1)). two_sample=True
+    compares two independent equal-law groups of the same size (difference
+    target identically zero).
     """
 
     model: ModelSpec = ModelSpec()
@@ -75,8 +77,6 @@ class ExperimentConfig:
     replications: int = 200
     bootstrap_replicates: int = 1000
     sigma_obs: float = 0.0
-    presmooth_bandwidth: float = None
-    presmooth_points: int = 400
     scale_grid: tuple = None
     true_replications: int = 10000
     two_sample: bool = False
@@ -107,27 +107,21 @@ class ExperimentConfig:
             raise ValueError(f"sigma_obs must be finite and non-negative, got {self.sigma_obs}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.presmooth_bandwidth is not None and self.scale_grid is not None:
-            raise ValueError("choose either presmooth_bandwidth or scale_grid")
-        if self.presmooth_points < 3:
-            raise ValueError("presmooth_points must be at least 3")
         if self.scale_grid is not None:
             h_min, h_max, count = self.scale_grid
             count = _integer("scale_grid count", count)
-            if not (0 < h_min < h_max and (count == 1 or count >= 3)):
-                raise ValueError("scale_grid must be (h_min, h_max, count), count 1 or >= 3")
+            if not (0 < h_min <= h_max and (count == 1 or count >= 3 and h_min < h_max)):
+                raise ValueError(
+                    "scale_grid must be (h_min, h_max, count) with 0 < h_min < h_max, "
+                    "count 1 or >= 3 (h_min = h_max at count 1)"
+                )
             object.__setattr__(self, "scale_grid", (float(h_min), float(h_max), count))
-        if self.bandwidths() is not None and self.model.model == "C":
-            raise ValueError("smoothing pipelines apply to curve models only")
+            if self.model.model == "C":
+                raise ValueError("smoothing pipelines apply to curve models only")
 
     def bandwidths(self):
-        """Smoothing bandwidths of the scale grid or the presmoother, or None."""
-        if self.scale_grid is not None:
-            h_min, h_max, count = self.scale_grid
-            return np.linspace(h_min, h_max, count)
-        if self.presmooth_bandwidth is not None:
-            return np.array([self.presmooth_bandwidth])
-        return None
+        """The smoothing bandwidths of scale_grid, or None."""
+        return None if self.scale_grid is None else np.linspace(*self.scale_grid)
 
     def to_dict(self):
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -163,14 +157,9 @@ class _Pipeline:
         if bandwidths is None:
             self.weights, self.grid, self.truth = None, grid, mu
         else:
-            if cfg.scale_grid is None:
-                grid_s = Grid1D(np.linspace(0.0, 1.0, cfg.presmooth_points))
-            else:
-                grid_s = grid
-            sg = ScaleGrid(grid_s, bandwidths)
+            sg = ScaleGrid(grid, bandwidths)
             self.weights = weight_matrix(gaussian_kernel(), grid.points, sg)
-            self.grid = grid_s if sg.n_h == 1 else Grid2D(grid_s.points, sg.h_points)
-            self.truth = self.weights @ mu
+            self.grid, self.truth = sg.grid, self.weights @ mu
         if cfg.two_sample:
             self.truth = np.zeros_like(self.truth)
         # Values per path of the widest array a block of draws holds.

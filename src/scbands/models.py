@@ -9,7 +9,7 @@ equals the amplitude profile.
              ((0.6 - s)^2 + 1) / 6; 7-function Bernstein basis (smooth,
              strongly dependent noise).
     Model B: same mean and amplitude; 21 Gaussian bumps at i/21 with
-             widths 0.04 (i <= 10), 0.2 (i = 11), 0.08 (i >= 12) giving
+             widths 0.04 (i <= 9), 0.2 (i = 10, 11), 0.08 (i >= 12) giving
              rough, locally varying noise.
     Model C: surfaces on [0, 1]^2; mean x y; amplitude (x + 1)/(y^2 + 1);
              6 x 6 lattice of Gaussian bumps with width 0.06.

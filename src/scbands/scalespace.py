@@ -13,7 +13,7 @@ import numpy as np
 
 from .fdata import FunctionalSample, Grid1D, Grid2D
 
-__all__ = ["gaussian_kernel", "ScaleGrid", "weight_matrix", "smooth_sample", "scale_mean"]
+__all__ = ["gaussian_kernel", "ScaleGrid", "weight_matrix", "smooth_sample"]
 
 
 def gaussian_kernel():
@@ -33,14 +33,20 @@ def gaussian_kernel():
 
 @dataclass(frozen=True, eq=False)
 class ScaleGrid:
-    """Evaluation locations plus a strictly increasing positive bandwidth list."""
+    """Evaluation locations plus a strictly increasing positive bandwidth list.
+
+    grid is the grid of the smoothed values: the locations themselves for
+    one bandwidth, else the (s, h) lattice with x = locations and y =
+    bandwidths. (Two bandwidths cannot form a valid 2-D lattice; use one,
+    or three and more.)
+    """
 
     s_points: Grid1D
     h_points: np.ndarray
 
     def __post_init__(self):
         if not isinstance(self.s_points, Grid1D):
-            raise ValueError("s_points must be a Grid1D")
+            raise ValueError("s_points must be a Grid1D: smoothing applies to curves, not surfaces")
         h = np.array(self.h_points, dtype=float)
         if h.ndim != 1 or h.size == 0:
             raise ValueError("empty bandwidth list")
@@ -58,6 +64,12 @@ class ScaleGrid:
     @property
     def n_h(self):
         return self.h_points.size
+
+    @property
+    def grid(self):
+        if self.n_h == 1:
+            return self.s_points
+        return Grid2D(self.s_points.points, self.h_points)
 
 
 def weight_matrix(kernel, measure_points, sg):
@@ -86,36 +98,9 @@ def weight_matrix(kernel, measure_points, sg):
 
 
 def smooth_sample(raw, kernel, sg):
-    """Smooth every row of a 1-D sample onto the (s, h) lattice.
-
-    Returns a FunctionalSample on a Grid2D with x = locations and y =
-    bandwidths. A single-bandwidth grid degenerates to an ordinary 1-D
-    sample over the locations. (Two bandwidths cannot form a valid 2-D
-    lattice; use one, or three and more.)
-    """
+    """Smooth every row of a 1-D sample onto sg.grid, the (s, h) lattice
+    (or the locations, when sg holds one bandwidth)."""
     if not isinstance(raw, FunctionalSample) or not isinstance(raw.grid, Grid1D):
         raise ValueError("smooth_sample needs a FunctionalSample on a 1-D grid")
     w = weight_matrix(kernel, raw.grid.points, sg)
-    smoothed = raw.values @ w.T
-    if sg.n_h == 1:
-        return FunctionalSample(smoothed, sg.s_points)
-    return FunctionalSample(smoothed, Grid2D(sg.s_points.points, sg.h_points))
-
-
-def scale_mean(mu_values, kernel, sg, measure_points=None):
-    """Apply the sample's smoothing map to a fixed curve.
-
-    This is the band target in simulations: the smoothed version of the
-    true mean under exactly the same linear map. measure_points locates the
-    given values; None assumes the midpoint design s_p = (p - 0.5) / P on
-    [0, 1] used for synthetic data. Returns the surface as a flat array in
-    lattice order (or a curve when the grid has one bandwidth).
-    """
-    mu = np.asarray(mu_values, dtype=float)
-    if mu.ndim != 1:
-        raise ValueError("mu_values must be a flat curve")
-    if measure_points is None:
-        p = mu.size
-        measure_points = (np.arange(p) + 0.5) / p
-    w = weight_matrix(kernel, measure_points, sg)
-    return w @ mu
+    return FunctionalSample(raw.values @ w.T, sg.grid)

@@ -16,7 +16,8 @@ SRC = DEMOS.parent / "src"
 # run_coverage and format_report_table, which the experiment and CLI tests
 # already run.
 @pytest.mark.parametrize(
-    "script", ["band_basics.py", "group_comparison.py", "scale_space_tour.py"]
+    "script",
+    ["band_basics.py", "fibre_comparison.py", "group_comparison.py", "scale_space_tour.py"],
 )
 def test_demo_exits_cleanly(script, tmp_path):
     env = dict(os.environ)

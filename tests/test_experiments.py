@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 import scbands.bands
 import scbands.experiments
 from scbands import (
     DegenerateVarianceError,
     ExperimentConfig,
-    Grid1D,
     ModelSpec,
     QuantileNoSolutionError,
     ScaleGrid,
@@ -18,9 +18,9 @@ from scbands import (
     model_mean,
     run_coverage,
     run_width,
-    scale_mean,
     smooth_sample,
     substream,
+    weight_matrix,
 )
 
 
@@ -128,13 +128,33 @@ def test_coverage_scale_space_mode():
     assert cell["hits"] >= 3
 
 
+def test_two_sample_scale_space_coverage():
+    # the paper's data application: the band of a mean difference over the
+    # (s, h) surface of two groups of noisy curves. The window is 0.95 +/- 3
+    # binomial SE at 200 runs.
+    cfg = ExperimentConfig(
+        model=ModelSpec("B", resolution=100, midpoint_grid=True),
+        n_values=(30,),
+        methods=("tgkf",),
+        alpha=0.05,
+        replications=200,
+        sigma_obs=0.1,
+        scale_grid=(0.02, 0.1, 20),
+        two_sample=True,
+        seed=12,
+    )
+    (cell,) = run_coverage(cfg)["cells"]
+    assert cell["failures"] == 0
+    assert 0.90 <= cell["coverage"] <= 0.99, cell["coverage"]
+
+
 def test_coverage_presmooth_mode():
+    # one bandwidth: each curve is smoothed onto its own grid before banding
     cfg = small_config(
         model=ModelSpec("A", resolution=60, midpoint_grid=True),
         n_values=(20,),
         sigma_obs=0.05,
-        presmooth_bandwidth=0.05,
-        presmooth_points=80,
+        scale_grid=(0.05, 0.05, 1),
         replications=5,
     )
     report = run_coverage(cfg)
@@ -175,9 +195,8 @@ def _loop_reference_statistic(cfg, n_index, rep):
     truth = model_mean(cfg.model.model, grid.points)
     bandwidths = cfg.bandwidths()
     if bandwidths is not None:
-        grid_s = grid if cfg.scale_grid else Grid1D(np.linspace(0, 1, cfg.presmooth_points))
-        sg = ScaleGrid(grid_s, bandwidths)
-        truth = scale_mean(truth, gaussian_kernel(), sg, measure_points=grid.points)
+        sg = ScaleGrid(grid, bandwidths)
+        truth = weight_matrix(gaussian_kernel(), grid.points, sg) @ truth
 
     def draw(data_tag, noise_tag):
         sample = gen_model(cfg.model, n, substream(cfg.seed, data_tag, n_index, rep))
@@ -208,7 +227,7 @@ def _loop_reference_statistic(cfg, n_index, rep):
     [
         ({}, 300),
         ({"sigma_obs": 0.2}, 300),
-        ({"presmooth_bandwidth": 0.05, "presmooth_points": 80, "sigma_obs": 0.1}, 300),
+        ({"scale_grid": (0.05, 0.05, 1), "sigma_obs": 0.1}, 300),
         ({"scale_grid": (0.05, 0.15, 3), "sigma_obs": 0.1}, 100),
         ({"two_sample": True}, 300),
     ],
@@ -259,10 +278,8 @@ def test_config_validation():
         ExperimentConfig(alpha=0.0)
     with pytest.raises(ValueError, match="curve models only"):
         ExperimentConfig(model=ModelSpec("C", resolution=10), scale_grid=(0.02, 0.1, 3))
-    with pytest.raises(ValueError):
-        ExperimentConfig(
-            presmooth_bandwidth=0.05, scale_grid=(0.02, 0.1, 3)
-        )
+    with pytest.raises(ValueError, match="unknown config keys"):
+        ExperimentConfig.from_dict({"presmooth_bandwidth": 0.05, "scale_grid": [0.02, 0.1, 3]})
 
 
 def test_config_rejects_alpha_at_the_bounds():
@@ -348,6 +365,11 @@ def test_config_rejects_two_bandwidths():
         ExperimentConfig(scale_grid=(0.02, 0.1, 2))
     for count in (1, 3):
         assert ExperimentConfig(scale_grid=(0.02, 0.1, count)).scale_grid[2] == count
+    # one bandwidth h is written (h, h, 1); a lattice needs h_min < h_max
+    assert_array_equal(ExperimentConfig(scale_grid=(0.05, 0.05, 1)).bandwidths(), [0.05])
+    for bad in ((0.05, 0.05, 3), (0.05, 0.05, 2), (0.1, 0.05, 1), (0.0, 0.0, 1)):
+        with pytest.raises(ValueError, match="0 < h_min < h_max"):
+            ExperimentConfig(scale_grid=bad)
 
 
 @pytest.mark.parametrize("method", ["boots-t", "boots", "gmult-t", "rmult"])
@@ -361,9 +383,7 @@ def test_config_rejects_two_sample_resampling(method):
     assert ExperimentConfig(methods=("tgkf", method)).methods[1] == method
 
 
-@pytest.mark.parametrize(
-    "name", ["replications", "true_replications", "bootstrap_replicates", "presmooth_points"]
-)
+@pytest.mark.parametrize("name", ["replications", "true_replications", "bootstrap_replicates"])
 def test_config_rejects_fractional_counts(name):
     with pytest.raises(ValueError, match=f"{name} must be an integer, got 2.5"):
         ExperimentConfig(**{name: 2.5})

@@ -1,6 +1,9 @@
 """CSV and JSON round-trips plus the command-line entry points."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,18 +14,26 @@ from scbands import (
     FunctionalSample,
     Grid1D,
     Grid2D,
+    ScaleGrid,
     add_observation_noise,
+    band_to_dict,
     format_report_table,
+    gaussian_kernel,
     gen_model,
     read_sample,
     scb_one_sample,
+    scb_scale_space,
+    scb_two_sample,
+    smooth_sample,
     substream,
     write_band,
     write_report_csv,
     write_report_json,
     write_sample,
 )
-from scbands.cli import main
+from scbands.cli import _build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_curve_sample_round_trip_is_exact(tmp_path):
@@ -200,64 +211,115 @@ def test_cli_two_group_band(tmp_path):
     assert len(doc["center"]) == 40
 
 
-def test_cli_scale_space_band(tmp_path):
-    measure = (np.arange(50) + 0.5) / 50.0
+def test_cli_scale_space_band(tmp_path, capsys):
+    # with scale_grid, scb bands the input smoothed onto its (s, h) lattice
     raw = FunctionalSample(
-        substream(72, 0).standard_normal((15, 50)), Grid1D(measure)
+        substream(72, 0).standard_normal((15, 50)), Grid1D((np.arange(50) + 0.5) / 50.0)
     )
     raw_path = tmp_path / "raw.csv"
     write_sample(raw_path, raw)
     cfg = _write_config(
-        tmp_path / "cfg.json",
-        input=str(raw_path),
-        scale_grid=[0.05, 0.2, 4],
+        tmp_path / "cfg.json", input=str(raw_path), scale_grid=[0.05, 0.2, 4],
+        methods=["gmult-t"], bootstrap_replicates=200,
     )
     out = tmp_path / "scale_band.json"
-    assert main(["scale-scb", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["scb", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    sg = ScaleGrid(raw.grid, np.linspace(0.05, 0.2, 4))
+    band = scb_scale_space(raw, gaussian_kernel(), sg, "gmult-t", 0.1, replicates=200, seed=3)
     doc = json.loads(out.read_text())
+    assert doc == band_to_dict(band)
     assert len(doc["center"]) == 50 * 4
 
 
-@pytest.mark.parametrize("command", ["scb", "scale-scb"])
-def test_cli_band_commands_reject_more_than_one_method(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "scale_grid", [[0.05, 0.2, 4], [0.07, 0.07, 1]], ids=["lattice", "one-bandwidth"]
+)
+def test_cli_two_sample_scale_space_band(tmp_path, capsys, scale_grid):
+    # with input_x as well, scb smooths each group, then bands the difference
+    grid = Grid1D((np.arange(50) + 0.5) / 50.0)
+    y = FunctionalSample(substream(72, 3).standard_normal((15, 50)), grid)
+    x = FunctionalSample(substream(72, 4).standard_normal((12, 50)) + 0.2, grid)
+    y_path, x_path = tmp_path / "y.csv", tmp_path / "x.csv"
+    write_sample(y_path, y)
+    write_sample(x_path, x)
+    cfg = _write_config(
+        tmp_path / "cfg.json", input=str(y_path), input_x=str(x_path), scale_grid=scale_grid,
+        methods=["rmult-t"], bootstrap_replicates=200,
+    )
+    out = tmp_path / "diff_band.json"
+    assert main(["scb", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    sg, k = ScaleGrid(grid, np.linspace(*scale_grid)), gaussian_kernel()
+    band = scb_two_sample(
+        smooth_sample(y, k, sg), smooth_sample(x, k, sg), "rmult-t", 0.1, replicates=200, seed=3
+    )
+    assert json.loads(out.read_text()) == band_to_dict(band)
+
+
+def test_cli_scale_grid_rejects_surfaces(tmp_path, capsys):
+    surfaces = FunctionalSample(
+        substream(72, 5).standard_normal((10, 20)),
+        Grid2D(np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 5)),
+    )
+    path = tmp_path / "surfaces.csv"
+    write_sample(path, surfaces)
+    cfg = _write_config(tmp_path / "cfg.json", input=str(path), scale_grid=[0.05, 0.2, 4])
+    out = tmp_path / "band.json"
+    assert main(["scb", "--config", str(cfg), "--out", str(out)]) == 1
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "ValueError"
+    assert "surfaces" in doc["message"]
+    assert not out.exists()
+
+
+def test_cli_has_no_scale_scb_command(capsys):
+    # scb with scale_grid makes the scale-space band
+    with pytest.raises(SystemExit) as exc:
+        main(["scale-scb", "--config", "cfg.json"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'scale-scb'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("presmooth_bandwidth", 0.05), ("presmooth_points", 80)])
+def test_cli_rejects_presmooth_keys(tmp_path, capsys, key, value):
+    # one bandwidth h is the scale_grid [h, h, 1]
+    cfg = _write_config(tmp_path / "cfg.json", input=str(tmp_path / "y.csv"), **{key: value})
+    assert main(["scb", "--config", str(cfg)]) == 1
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert doc["error"] == "ValueError"
+    assert "unknown config keys" in doc["message"] and key in doc["message"]
+
+
+_SCALE_GRIDS = pytest.mark.parametrize(
+    "scale_grid", [None, [0.05, 0.2, 4]], ids=["scb", "scb-scale-grid"]
+)
+
+
+@_SCALE_GRIDS
+def test_cli_band_commands_reject_more_than_one_method(tmp_path, capsys, scale_grid):
     cfg = _write_config(
         tmp_path / "cfg.json", input=str(tmp_path / "sample.csv"),
-        methods=["tgkf", "rmult-t"], scale_grid=[0.05, 0.2, 4],
+        methods=["tgkf", "rmult-t"], scale_grid=scale_grid,
     )
     out = tmp_path / "band.json"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert main(["scb", "--config", str(cfg), "--out", str(out)]) == 1
     doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert doc["error"] == "ValueError"
     assert "rmult-t" in doc["message"]
     assert not out.exists()
 
 
-def test_cli_scale_space_rejects_a_second_group(tmp_path, capsys):
-    raw = FunctionalSample(substream(72, 1).standard_normal((15, 50)), Grid1D(np.arange(50) / 49))
-    y, x = tmp_path / "y.csv", tmp_path / "x.csv"
-    write_sample(y, raw)
-    write_sample(x, raw)
-    cfg = _write_config(
-        tmp_path / "cfg.json", input=str(y), input_x=str(x), scale_grid=[0.05, 0.2, 4]
-    )
-    out = tmp_path / "band.json"
-    assert main(["scale-scb", "--config", str(cfg), "--out", str(out)]) == 1
-    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert doc["error"] == "ValueError"
-    assert "input_x" in doc["message"]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["scb", "scale-scb"])
-def test_cli_two_sample_config_without_second_group_is_rejected(tmp_path, capsys, command):
-    # scb would otherwise write a one-sample band of Y; scale-scb bands one sample only
+@_SCALE_GRIDS
+def test_cli_two_sample_config_without_second_group_is_rejected(tmp_path, capsys, scale_grid):
+    # scb would otherwise write a one-sample band of Y
     raw = FunctionalSample(substream(72, 2).standard_normal((15, 50)), Grid1D(np.arange(50) / 49))
     y = tmp_path / "y.csv"
     write_sample(y, raw)
     cfg = _write_config(tmp_path / "cfg.json", input=str(y), two_sample=True,
-                        scale_grid=[0.05, 0.2, 4])
+                        scale_grid=scale_grid)
     out = tmp_path / "band.json"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert main(["scb", "--config", str(cfg), "--out", str(out)]) == 1
     doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert doc["error"] == "ValueError"
     assert "two_sample" in doc["message"]
@@ -297,7 +359,7 @@ def test_cli_threads_do_not_change_results(tmp_path):
     assert a.read_text() == b.read_text()
 
 
-@pytest.mark.parametrize("command", ["generate", "scb", "scale-scb"])
+@pytest.mark.parametrize("command", ["generate", "scb"])
 def test_cli_threads_only_on_sweeps(tmp_path, capsys, command):
     cfg = _write_config(tmp_path / "cfg.json")
     with pytest.raises(SystemExit) as exc:
@@ -322,3 +384,14 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
     assert main(["coverage", "--config", str(p)]) == 1
     doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "bogus" in doc["message"]
+
+
+def test_readme_command_line_matches_the_parser_and_the_config():
+    section = README.read_text().split("## Command line", 1)[1]
+    commands = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    config = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [line.split()[1] for line in commands.splitlines()] == list(sub.choices)
+    keys = ExperimentConfig().to_dict()
+    assert set(re.findall(r'^  "(\w+)":', config, re.M)) == set(keys) | {"input", "input_x"}
+    assert set(re.findall(r'^    "(\w+)":', config, re.M)) == set(keys["model"])

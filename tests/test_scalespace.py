@@ -10,7 +10,6 @@ from scbands import (
     Grid2D,
     ScaleGrid,
     gaussian_kernel,
-    scale_mean,
     smooth_sample,
     weight_matrix,
 )
@@ -49,19 +48,8 @@ def test_smoothing_commutes_with_averaging(setup):
     measure, sg, raw = setup
     k = gaussian_kernel()
     smoothed_mean = smooth_sample(raw, k, sg).values.mean(axis=0)
-    mean_smoothed = scale_mean(raw.values.mean(axis=0), k, sg, measure_points=measure)
+    mean_smoothed = weight_matrix(k, measure, sg) @ raw.values.mean(axis=0)
     assert_allclose(smoothed_mean, mean_smoothed, atol=1e-12)
-
-
-def test_scale_mean_default_design_is_midpoints(setup):
-    measure, sg, _ = setup
-    mu = np.cos(3.0 * measure)
-    k = gaussian_kernel()
-    assert_allclose(
-        scale_mean(mu, k, sg),
-        scale_mean(mu, k, sg, measure_points=measure),
-        atol=0.0,
-    )
 
 
 def test_smoothed_values_stay_inside_data_range(setup):

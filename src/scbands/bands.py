@@ -104,9 +104,10 @@ def _one_sample_residuals(sample):
     """
     if sample.n_samples < 2:
         raise ValueError("a band needs at least 2 curves")
-    center, sd, rate = _mean_field(sample.values)
+    center, sd, rate = _mean_field(sample.values.copy())
     sd = _nonzero_scale(sd, sample.grid, "pointwise sd")
-    return center, sd, rate, (FunctionalSample((sample.values - center) / sd, sample.grid),)
+    res = sample.values - center
+    return center, sd, rate, (FunctionalSample(np.divide(res, sd, out=res), sample.grid),)
 
 
 def normed_residuals(sample):
@@ -133,14 +134,15 @@ def two_sample_residuals(sample_y, sample_x):
     n, m = sample_y.n_samples, sample_x.n_samples
     if n < 2 or m < 2:
         raise ValueError("both groups need at least 2 curves")
-    center, pooled, rate = _mean_field(sample_y.values, sample_x.values)
+    center, pooled, rate = _mean_field(sample_y.values.copy(), sample_x.values.copy())
     pooled = _nonzero_scale(pooled, sample_y.grid, "pooled sd")
     c = n / m
-    groups = tuple(
-        FunctionalSample(w * (s.values - s.values.mean(axis=0)) / pooled, s.grid)
-        for w, s in ((np.sqrt(1.0 + 1.0 / c), sample_y), (np.sqrt(1.0 + c), sample_x))
-    )
-    return center, pooled, rate, groups
+    groups = []
+    for w, s in ((np.sqrt(1.0 + 1.0 / c), sample_y), (np.sqrt(1.0 + c), sample_x)):
+        g = s.values - s.values.mean(axis=0)
+        g *= w
+        groups.append(FunctionalSample(np.divide(g, pooled, out=g), s.grid))
+    return center, pooled, rate, tuple(groups)
 
 
 def _scb(parsed, field, data, alpha, replicates, seed):

@@ -11,9 +11,10 @@ the sweep.
 
 The bands and the width table's brute-force reference row share one
 scheduler of replicate blocks: a band block holds one replicate, a
-reference block about 2^16 values (an (R, N, P) array, one substream per
-replicate), so the reference row's memory does not grow with
-true_replications and its statistics equal those of one draw at a time.
+reference block about 2^16 values: one (R, N, P) array per group, one
+substream per replicate, centered in place with no second temporary. So
+the reference row's memory does not grow with true_replications, and its
+statistics equal those of one draw at a time.
 """
 
 import math
@@ -108,14 +109,17 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.scale_grid is not None:
-            h_min, h_max, count = self.scale_grid
+            try:
+                h_min, h_max, count = (float(v) for v in self.scale_grid)
+            except (TypeError, ValueError):
+                raise ValueError(f"scale_grid must be 3 numbers, got {self.scale_grid!r}") from None
             count = _integer("scale_grid count", count)
-            if not (0 < h_min <= h_max and (count == 1 or count >= 3 and h_min < h_max)):
+            if not (0 < h_min <= h_max < math.inf and (count == 1 or count >= 3 and h_min < h_max)):
                 raise ValueError(
                     "scale_grid must be (h_min, h_max, count) with 0 < h_min < h_max, "
                     "count 1 or >= 3 (h_min = h_max at count 1)"
                 )
-            object.__setattr__(self, "scale_grid", (float(h_min), float(h_max), count))
+            object.__setattr__(self, "scale_grid", (h_min, h_max, count))
             if self.model.model == "C":
                 raise ValueError("smoothing pipelines apply to curve models only")
 

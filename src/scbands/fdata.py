@@ -178,22 +178,30 @@ def _nonzero_scale(scale, grid, name):
     return scale
 
 
+def _mean_var(v):
+    """Bitwise np.mean and np.var(ddof=1) along axis -2: consumes v, squaring it in place."""
+    mean = v.sum(axis=-2, keepdims=True) / v.shape[-2]
+    np.square(np.subtract(v, mean, out=v), out=v)
+    return mean[..., 0, :], v.sum(axis=-2) / (v.shape[-2] - 1)
+
+
 def _mean_field(y, x=None):
     """(center, scale, rate) of the studentized mean field along axis -2.
 
     One sample Y of N rows: the mean, the sd (divisor N-1) and sqrt(N).
     Two independent groups Y and X of N and M rows, with c = N/M: the mean
     difference, the pooled sqrt((1 + 1/c) var_Y + (1 + c) var_X) and
-    sqrt(N + M - 2). Leading axes of the stacked values index independent
-    replicates. Zero scales are the caller's to check.
+    sqrt(N + M - 2). Leading axes index independent replicates. y and x are
+    consumed (_mean_var); zero scales are the caller's to check.
     """
     n = y.shape[-2]
+    mean_y, var_y = _mean_var(y)
     if x is None:
-        return y.mean(axis=-2), y.std(axis=-2, ddof=1), np.sqrt(n)
-    m = x.shape[-2]
-    c = n / m
-    var = (1.0 + 1.0 / c) * y.var(axis=-2, ddof=1) + (1.0 + c) * x.var(axis=-2, ddof=1)
-    return y.mean(axis=-2) - x.mean(axis=-2), np.sqrt(var), np.sqrt(n + m - 2)
+        return mean_y, np.sqrt(var_y), np.sqrt(n)
+    mean_x, var_x = _mean_var(x)
+    c = n / x.shape[-2]
+    var = (1.0 + 1.0 / c) * var_y + (1.0 + c) * var_x
+    return mean_y - mean_x, np.sqrt(var), np.sqrt(n + x.shape[-2] - 2)
 
 
 def gradient(sample):

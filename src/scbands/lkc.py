@@ -14,6 +14,7 @@ from .fdata import (
     FunctionalSample,
     Grid1D,
     Grid2D,
+    _mean_var,
     _nonzero_scale,
     _partials,
     gradient,
@@ -54,7 +55,7 @@ class LambdaField:
         else:
             if vals.shape != (p, 2, 2):
                 raise ValueError(f"2-D field must have shape ({p}, 2, 2)")
-            if not np.allclose(vals, np.transpose(vals, (0, 2, 1)), atol=1e-12):
+            if not np.array_equal(vals[:, 0, 1], vals[:, 1, 0]):
                 raise ValueError("field matrices must be symmetric")
             if np.any(vals[:, 0, 0] < 0) or np.any(vals[:, 1, 1] < 0):
                 raise ValueError("diagonal entries must be non-negative")
@@ -77,7 +78,7 @@ def lambda_hat(residuals):
     if n < 2:
         raise ValueError("gradient covariance needs at least 2 residual rows")
     if isinstance(residuals.grid, Grid1D):
-        lam = gradient(residuals).var(axis=0, ddof=1)
+        lam = _mean_var(gradient(residuals))[1]
     else:
         parts = _partials(residuals)
         for d in parts:

@@ -22,10 +22,10 @@ def child_sequence(seed, *path):
     branches of an existing stream tree; with an empty path an integer
     seed gives its root sequence.
     """
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(int(seed))
-    key = tuple(seed.spawn_key) + tuple(int(p) for p in path)
-    return np.random.SeedSequence(entropy=seed.entropy, spawn_key=key)
+    key = tuple(int(p) for p in path)
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key + key)
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=key)  # its root's key is ()
 
 
 def substream(seed, *path):

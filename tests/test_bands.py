@@ -20,12 +20,14 @@ from scbands import (
     covers,
     gaussian_kernel,
     gen_model,
+    lambda_hat,
     mult_t_quantile,
     normed_residuals,
     scb_one_sample,
     scb_scale_space,
     scb_two_sample,
     substream,
+    two_sample_residuals,
     weight_matrix,
 )
 
@@ -118,6 +120,7 @@ def test_degenerate_sample_rejected():
         lambda: mult_t_quantile(sample, RADEMACHER_MULTIPLIERS, plain),
         lambda: normed_residuals(sample),
         lambda: scb_two_sample(sample, sample, method="tgkf"),
+        lambda: two_sample_residuals(sample, sample),
     ):
         with pytest.raises(DegenerateVarianceError, match="sd is zero at grid point 0"):
             estimate()
@@ -196,3 +199,21 @@ def test_band_serialization_round_values():
     assert_allclose(doc["center"], [1.0, 1.0, 1.0])
     assert_allclose(doc["quantile"], band.quantile)
     assert doc["grid"]["points"] == [0.0, 0.5, 1.0]
+
+
+def test_band_builders_leave_the_callers_values_unchanged():
+    # The mean field and the residuals are computed in place on copies the
+    # builders own; the caller's (read-only) sample values stay bit for bit.
+    spec = ModelSpec("A", resolution=60)
+    y = gen_model(spec, 12, substream(41, 0))
+    x = gen_model(spec, 9, substream(41, 1))
+    before = y.values.tobytes(), x.values.tobytes()
+    for method in ("tgkf", "rmult-t", "boots-t"):
+        scb_one_sample(y, method, replicates=50, seed=2)
+    for method in ("tgkf", "gmult-t"):
+        scb_two_sample(y, x, method, replicates=50, seed=2)
+    normed_residuals(y)
+    lambda_hat(y)
+    lambda_hat(normed_residuals(x))
+    assert (y.values.tobytes(), x.values.tobytes()) == before
+

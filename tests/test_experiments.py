@@ -1,5 +1,7 @@
 """Simulation drivers: coverage and width tables."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -367,7 +369,7 @@ def test_config_rejects_two_bandwidths():
         assert ExperimentConfig(scale_grid=(0.02, 0.1, count)).scale_grid[2] == count
     # one bandwidth h is written (h, h, 1); a lattice needs h_min < h_max
     assert_array_equal(ExperimentConfig(scale_grid=(0.05, 0.05, 1)).bandwidths(), [0.05])
-    for bad in ((0.05, 0.05, 3), (0.05, 0.05, 2), (0.1, 0.05, 1), (0.0, 0.0, 1)):
+    for bad in ((0.05, 0.05, 3), (0.05, 0.05, 2), (0.1, 0.05, 1), (0.0, 0.0, 1), (0.05, np.inf, 3)):
         with pytest.raises(ValueError, match="0 < h_min < h_max"):
             ExperimentConfig(scale_grid=bad)
 
@@ -391,3 +393,30 @@ def test_config_rejects_fractional_counts(name):
         ExperimentConfig.from_dict({name: 4.5})
     cfg = ExperimentConfig(**{name: 10.0})
     assert getattr(cfg, name) == 10 and isinstance(getattr(cfg, name), int)
+
+
+@pytest.mark.parametrize(
+    "grid", [0.05, [0.02, 0.1], ["a", 0.1, 3]], ids=["scalar", "two-entries", "non-numeric"]
+)
+def test_config_rejects_malformed_scale_grid(grid):
+    with pytest.raises(ValueError, match=r"scale_grid must be 3 numbers, got"):
+        ExperimentConfig.from_dict({"scale_grid": grid})
+
+
+def test_reference_block_holds_one_array_per_group():
+    # The block's mean field centers and squares its (R, N, P) draw in place,
+    # so its traced peak stays close to the draw itself (2.16x with np.std's
+    # temporary of the draw's size).
+    cfg = ExperimentConfig(model=ModelSpec("B"), n_values=(100,), true_replications=3, seed=1)
+    pipe = scbands.experiments._Pipeline(cfg)
+    reps = range(3)
+    draw = pipe.draw_block(0, reps, *scbands.experiments._TRUE_TAGS[0])
+    expected = scbands.experiments._reference_block(pipe, 0, reps)
+    tracemalloc.start()
+    try:
+        stats = scbands.experiments._reference_block(pipe, 0, reps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats == expected
+    assert peak <= 1.25 * draw.nbytes, peak / draw.nbytes

@@ -157,3 +157,26 @@ def test_child_sequence_feeds_substream():
     x = substream(seq).standard_normal(4)
     y = substream(7, 1, 2).standard_normal(4)
     assert_array_equal(x, y)
+
+
+def _two_step_sequence(seed, *path):
+    """The child sequence of (seed, *path) built through the seed's root sequence."""
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
+    key = tuple(root.spawn_key) + tuple(int(p) for p in path)
+    return np.random.SeedSequence(entropy=root.entropy, spawn_key=key)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [0, 11, 2**40 + 3, np.random.SeedSequence(99, spawn_key=(4, 1))],
+    ids=["zero", "int", "big-int", "seed-sequence"],
+)
+@pytest.mark.parametrize("path", [(), (3,), (9, 1, 250, 2)], ids=["root", "one", "four"])
+def test_substream_equals_the_two_step_construction(seed, path):
+    # an integer seed's child sequence is built from (entropy, path) directly
+    expected = _two_step_sequence(seed, *path)
+    seq = child_sequence(seed, *path)
+    assert (seq.entropy, seq.spawn_key) == (expected.entropy, expected.spawn_key)
+    assert_array_equal(seq.generate_state(8), expected.generate_state(8))
+    draws = np.random.Generator(np.random.Philox(expected)).standard_normal(16)
+    assert_array_equal(substream(seed, *path).standard_normal(16), draws)

@@ -378,6 +378,17 @@ def test_cli_errors_are_json_on_stderr(tmp_path, capsys):
     assert "missing.csv" in doc["message"]
 
 
+def test_cli_scb_rejects_malformed_scale_grid(tmp_path, capsys):
+    grid = [0.02, 0.1]
+    cfg = _write_config(tmp_path / "cfg.json", input=str(tmp_path / "y.csv"), scale_grid=grid)
+    out = tmp_path / "band.json"
+    assert main(["scb", "--config", str(cfg), "--out", str(out)]) == 1
+    doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    message = "scale_grid must be 3 numbers, got [0.02, 0.1]"
+    assert doc == {"error": "ValueError", "message": message}
+    assert not out.exists()
+
+
 def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"n_values": [5], "bogus": 1}))

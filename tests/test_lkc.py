@@ -110,6 +110,15 @@ def test_lambda_2d_shape_and_symmetry():
     assert (lam.values[:, 1, 1] >= 0).all()
 
 
+def test_lambda_field_needs_exactly_equal_off_diagonals():
+    g = Grid2D(np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 3))
+    vals = np.tile(np.array([[2.0, 0.3], [0.3, 1.0]]), (g.n_points, 1, 1))
+    assert_array_equal(LambdaField(vals, g).values, vals)
+    vals[5, 1, 0] = np.nextafter(0.3, 1.0)  # one ulp apart
+    with pytest.raises(ValueError, match="field matrices must be symmetric"):
+        LambdaField(vals, g)
+
+
 # Non-square lattices with geometric (non-uniform) and evenly spaced axes,
 # down to the 3-points-per-axis minimum.
 LATTICES = [

@@ -21,6 +21,8 @@ from scbands import (
     QuantileNoSolutionError,
     eec,
     gen_model,
+    gradient,
+    lambda_hat,
     read_sample,
     scb_one_sample,
     scb_two_sample,
@@ -28,6 +30,7 @@ from scbands import (
     tgkf_quantile,
     write_sample,
 )
+from scbands.fdata import _mean_field
 
 FEW = settings(max_examples=12, deadline=None, derandomize=True)
 
@@ -146,3 +149,41 @@ def test_sample_csv_round_trip_is_bit_exact(tmp_path_factory, data, two_d, n):
         assert np.array_equal(_bits(back.grid.y_points), _bits(grid.y_points))
     else:
         assert np.array_equal(_bits(back.grid.points), _bits(grid.points))
+
+
+_entries = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _group_stacks(draw):
+    """Two (R, N, P) and (R, M, P) stacks with N, M >= 2."""
+    r, n, m, p = (draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (2, 9), (2, 9), (1, 7)))
+    return tuple(draw(arrays(np.float64, (r, k, p), elements=_entries)) for k in (n, m))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(groups=_group_stacks(), plain=st.booleans())
+def test_in_place_mean_field_is_bitwise_numpy(groups, plain):
+    # the mean field consumes copies; numpy's mean, std and var read the originals
+    y, x = (g[0] for g in groups) if plain else groups  # plain: (N, P), no replicate axis
+    n, m = y.shape[-2], x.shape[-2]
+    center, scale, rate = _mean_field(y.copy())
+    assert np.array_equal(_bits(center), _bits(y.mean(axis=-2)))
+    assert np.array_equal(_bits(scale), _bits(y.std(axis=-2, ddof=1)))
+    assert rate == np.sqrt(n)
+    c = n / m
+    var = (1.0 + 1.0 / c) * y.var(axis=-2, ddof=1) + (1.0 + c) * x.var(axis=-2, ddof=1)
+    center, scale, rate = _mean_field(y.copy(), x.copy())
+    assert np.array_equal(_bits(center), _bits(y.mean(axis=-2) - x.mean(axis=-2)))
+    assert np.array_equal(_bits(scale), _bits(np.sqrt(var)))
+    assert rate == np.sqrt(n + m - 2)
+
+
+@FEW
+@given(values=arrays(np.float64, st.tuples(st.integers(2, 9), st.integers(3, 12)),
+                     elements=_entries))
+def test_curve_lambda_hat_is_bitwise_the_gradient_variance(values):
+    grid = Grid1D(np.geomspace(1.0, 3.0, values.shape[1]))
+    sample = FunctionalSample(values, grid)
+    expected = gradient(sample).var(axis=0, ddof=1)
+    assert np.array_equal(_bits(lambda_hat(sample).values), _bits(expected))

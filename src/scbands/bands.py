@@ -104,7 +104,7 @@ def _one_sample_residuals(sample):
     """
     if sample.n_samples < 2:
         raise ValueError("a band needs at least 2 curves")
-    center, sd, rate = _mean_field(sample.values.copy())
+    center, sd, rate = _mean_field(np.copy(sample.values))
     sd = _nonzero_scale(sd, sample.grid, "pointwise sd")
     res = sample.values - center
     return center, sd, rate, (FunctionalSample(np.divide(res, sd, out=res), sample.grid),)
@@ -134,15 +134,14 @@ def two_sample_residuals(sample_y, sample_x):
     n, m = sample_y.n_samples, sample_x.n_samples
     if n < 2 or m < 2:
         raise ValueError("both groups need at least 2 curves")
-    center, pooled, rate = _mean_field(sample_y.values.copy(), sample_x.values.copy())
+    center, pooled, rate = _mean_field(np.copy(sample_y.values), np.copy(sample_x.values))
     pooled = _nonzero_scale(pooled, sample_y.grid, "pooled sd")
     c = n / m
-    groups = []
-    for w, s in ((np.sqrt(1.0 + 1.0 / c), sample_y), (np.sqrt(1.0 + c), sample_x)):
-        g = s.values - s.values.mean(axis=0)
-        g *= w
-        groups.append(FunctionalSample(np.divide(g, pooled, out=g), s.grid))
-    return center, pooled, rate, tuple(groups)
+    groups = tuple(
+        FunctionalSample(w * (s.values - s.values.mean(axis=0)) / pooled, s.grid)
+        for w, s in ((np.sqrt(1.0 + 1.0 / c), sample_y), (np.sqrt(1.0 + c), sample_x))
+    )
+    return center, pooled, rate, groups
 
 
 def _scb(parsed, field, data, alpha, replicates, seed):

@@ -11,16 +11,16 @@ the sweep.
 
 The bands and the width table's brute-force reference row share one
 scheduler of replicate blocks: a band block holds one replicate, a
-reference block about 2^16 values: one (R, N, P) array per group, one
-substream per replicate, centered in place with no second temporary. So
-the reference row's memory does not grow with true_replications, and its
-statistics equal those of one draw at a time.
+reference block about 2^16 values (one (R, N, P) array per group, centered
+in place, one substream per replicate), so the reference row's memory does
+not grow with true_replications and its statistics equal one-at-a-time draws.
 """
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
+from numbers import Real
 
 import numpy as np
 
@@ -109,11 +109,12 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.scale_grid is not None:
-            try:
-                h_min, h_max, count = (float(v) for v in self.scale_grid)
-            except (TypeError, ValueError):
-                raise ValueError(f"scale_grid must be 3 numbers, got {self.scale_grid!r}") from None
-            count = _integer("scale_grid count", count)
+            grid = self.scale_grid
+            items = () if isinstance(grid, (str, bytes)) or not np.iterable(grid) else tuple(grid)
+            if [isinstance(v, Real) and not isinstance(v, bool) for v in items] != [True] * 3:
+                raise ValueError(f"scale_grid must be 3 numbers, got {grid!r}")
+            h_min, h_max = float(items[0]), float(items[1])
+            count = _integer("scale_grid count", items[2])
             if not (0 < h_min <= h_max < math.inf and (count == 1 or count >= 3 and h_min < h_max)):
                 raise ValueError(
                     "scale_grid must be (h_min, h_max, count) with 0 < h_min < h_max, "

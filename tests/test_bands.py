@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
 from scbands import (
@@ -20,7 +20,6 @@ from scbands import (
     covers,
     gaussian_kernel,
     gen_model,
-    lambda_hat,
     mult_t_quantile,
     normed_residuals,
     scb_one_sample,
@@ -201,19 +200,21 @@ def test_band_serialization_round_values():
     assert doc["grid"]["points"] == [0.0, 0.5, 1.0]
 
 
-def test_band_builders_leave_the_callers_values_unchanged():
-    # The mean field and the residuals are computed in place on copies the
-    # builders own; the caller's (read-only) sample values stay bit for bit.
+def test_column_major_samples_get_numpys_statistics():
+    # The mean field is computed on copies that keep the caller's layout:
+    # numpy sums a contiguous axis pairwise, so a row-major copy of a
+    # column-major sample would move the sums by an ulp.
     spec = ModelSpec("A", resolution=60)
-    y = gen_model(spec, 12, substream(41, 0))
-    x = gen_model(spec, 9, substream(41, 1))
-    before = y.values.tobytes(), x.values.tobytes()
-    for method in ("tgkf", "rmult-t", "boots-t"):
-        scb_one_sample(y, method, replicates=50, seed=2)
-    for method in ("tgkf", "gmult-t"):
-        scb_two_sample(y, x, method, replicates=50, seed=2)
-    normed_residuals(y)
-    lambda_hat(y)
-    lambda_hat(normed_residuals(x))
-    assert (y.values.tobytes(), x.values.tobytes()) == before
-
+    y, x = (np.asfortranarray(gen_model(spec, n, substream(41, n)).values) for n in (20, 17))
+    assert not np.array_equal(y.mean(axis=0), np.ascontiguousarray(y).mean(axis=0))
+    grid = gen_model(spec, 2, substream(41, 2)).grid
+    sy, sx = FunctionalSample(y, grid), FunctionalSample(x, grid)
+    mean, sd = y.mean(axis=0), y.std(axis=0, ddof=1)
+    assert_array_equal(scb_one_sample(sy, "tgkf").center, mean)
+    assert_array_equal(normed_residuals(sy).values, (y - mean) / sd)
+    c = 20 / 17
+    pooled = np.sqrt((1.0 + 1.0 / c) * y.var(axis=0, ddof=1) + (1.0 + c) * x.var(axis=0, ddof=1))
+    center, scale, _, groups = two_sample_residuals(sy, sx)
+    assert_array_equal(center, mean - x.mean(axis=0))
+    assert_array_equal(scale, pooled)
+    assert_array_equal(groups[0].values, np.sqrt(1.0 + 1.0 / c) * (y - mean) / pooled)

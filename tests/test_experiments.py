@@ -396,7 +396,9 @@ def test_config_rejects_fractional_counts(name):
 
 
 @pytest.mark.parametrize(
-    "grid", [0.05, [0.02, 0.1], ["a", 0.1, 3]], ids=["scalar", "two-entries", "non-numeric"]
+    "grid",
+    [0.05, [0.02, 0.1], ["a", 0.1, 3], "123", ["0.02", "0.1", "5"], [0.02, 0.1, True]],
+    ids=["scalar", "two-entries", "non-numeric", "string", "numeric-strings", "bool"],
 )
 def test_config_rejects_malformed_scale_grid(grid):
     with pytest.raises(ValueError, match=r"scale_grid must be 3 numbers, got"):

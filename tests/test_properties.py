@@ -157,23 +157,26 @@ _entries = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 @st.composite
 def _group_stacks(draw):
     """Two (R, N, P) and (R, M, P) stacks with N, M >= 2."""
-    r, n, m, p = (draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (2, 9), (2, 9), (1, 7)))
+    r, n, m, p = (draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (2, 20), (2, 20), (1, 7)))
     return tuple(draw(arrays(np.float64, (r, k, p), elements=_entries)) for k in (n, m))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(groups=_group_stacks(), plain=st.booleans())
-def test_in_place_mean_field_is_bitwise_numpy(groups, plain):
-    # the mean field consumes copies; numpy's mean, std and var read the originals
+@given(groups=_group_stacks(), plain=st.booleans(), column_major=st.booleans())
+def test_in_place_mean_field_is_bitwise_numpy(groups, plain, column_major):
+    # the mean field consumes copies that keep the layout (numpy sums a
+    # contiguous N axis pairwise); numpy's mean, std and var read the originals
     y, x = (g[0] for g in groups) if plain else groups  # plain: (N, P), no replicate axis
+    if column_major:  # the N axis contiguous, as in a Fortran-ordered (N, P) sample
+        y, x = (np.swapaxes(np.swapaxes(g, -1, -2).copy(), -1, -2) for g in (y, x))
     n, m = y.shape[-2], x.shape[-2]
-    center, scale, rate = _mean_field(y.copy())
+    center, scale, rate = _mean_field(np.copy(y))
     assert np.array_equal(_bits(center), _bits(y.mean(axis=-2)))
     assert np.array_equal(_bits(scale), _bits(y.std(axis=-2, ddof=1)))
     assert rate == np.sqrt(n)
     c = n / m
     var = (1.0 + 1.0 / c) * y.var(axis=-2, ddof=1) + (1.0 + c) * x.var(axis=-2, ddof=1)
-    center, scale, rate = _mean_field(y.copy(), x.copy())
+    center, scale, rate = _mean_field(np.copy(y), np.copy(x))
     assert np.array_equal(_bits(center), _bits(y.mean(axis=-2) - x.mean(axis=-2)))
     assert np.array_equal(_bits(scale), _bits(np.sqrt(var)))
     assert rate == np.sqrt(n + m - 2)

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import (
-    GAUSSIAN_MULTIPLIERS,
-    RADEMACHER_MULTIPLIERS,
-    BootstrapConfig,
-    boots_t_quantile,
-    mult_t_quantile,
-)
+from .bootstrap import BootstrapConfig, boots_t_quantile, mult_t_quantile
 from .fdata import FunctionalSample, Grid1D, _mean_field, _nonzero_scale, grids_equal
 from .kinematic import ECDensityModel, tgkf_quantile
 from .lkc import lkc_estimate
@@ -36,7 +30,6 @@ from .scalespace import smooth_sample
 __all__ = [
     "SCBand",
     "METHOD_NAMES",
-    "parse_method",
     "scb_one_sample",
     "scb_two_sample",
     "scb_scale_space",
@@ -59,18 +52,21 @@ METHOD_NAMES = (
 
 
 def parse_method(method):
-    """Canonical (name, kind, law, studentized) tuple for a method string."""
+    """Canonical (name, kind, law, studentized) tuple for a method string.
+
+    law is the multiplier law, "gaussian" or "rademacher", of the "mult" kind.
+    """
     key = str(method).lower().replace("_", "-")
     if key == "tgkf":
         return key, "tgkf", None, None
     if key == "gauss-sim":
-        return key, "mult", GAUSSIAN_MULTIPLIERS, False
+        return key, "mult", "gaussian", False
     if key in ("boots-t", "boots"):
         return key, "boots", None, key.endswith("-t")
     if key in ("gmult-t", "gmult"):
-        return key, "mult", GAUSSIAN_MULTIPLIERS, key.endswith("-t")
+        return key, "mult", "gaussian", key.endswith("-t")
     if key in ("rmult-t", "rmult"):
-        return key, "mult", RADEMACHER_MULTIPLIERS, key.endswith("-t")
+        return key, "mult", "rademacher", key.endswith("-t")
     raise ValueError(f"unknown method {method!r}; choose one of {METHOD_NAMES}")
 
 

@@ -25,40 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVarianceError
-from .fdata import _nonzero_scale, pointwise_sd
+from .fdata import _nonzero_scale
 from .models import _integer
 from .rng import substream
 
-__all__ = [
-    "MultiplierLaw",
-    "GAUSSIAN_MULTIPLIERS",
-    "RADEMACHER_MULTIPLIERS",
-    "BootstrapConfig",
-    "ceiling_rank_quantile",
-    "boots_t_quantile",
-    "mult_t_quantile",
-]
-
-
-@dataclass(frozen=True)
-class MultiplierLaw:
-    """Mean-zero, unit-variance multiplier distribution."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "rademacher"):
-            raise ValueError(f"unknown multiplier law {self.kind!r}")
-
-    def draw(self, rng, shape):
-        """Independent multipliers of the given shape, in C order."""
-        if self.kind == "gaussian":
-            return rng.standard_normal(shape)
-        return rng.integers(0, 2, size=shape) * 2.0 - 1.0
-
-
-GAUSSIAN_MULTIPLIERS = MultiplierLaw("gaussian")
-RADEMACHER_MULTIPLIERS = MultiplierLaw("rademacher")
+__all__ = ["ceiling_rank_quantile"]
 
 
 @dataclass(frozen=True)
@@ -84,11 +55,19 @@ class BootstrapConfig:
 
 
 def ceiling_rank_quantile(draws, alpha):
-    """Order statistic ceil((1-alpha) B) of the replicate statistics."""
+    """Order statistic ceil((1-alpha) B) of the replicate statistics.
+
+    Raises ValueError for no draws, alpha outside (0, 1) or a NaN draw.
+    """
     draws = np.asarray(draws, dtype=float)
     b = draws.size
-    rank = int(np.ceil((1.0 - alpha) * b))
-    rank = min(max(rank, 1), b)
+    if b == 0:
+        raise ValueError("ceiling-rank quantile needs at least one draw")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if np.isnan(draws).any():
+        raise ValueError("replicate statistics contain NaN")
+    rank = int(np.ceil((1.0 - alpha) * b))  # in [1, B] for alpha in (0, 1)
     return float(np.partition(draws, rank - 1)[rank - 1])
 
 
@@ -162,7 +141,7 @@ def boots_t_quantile(sample, cfg):
     idx = gen.integers(0, n, size=(cfg.replicates, n))
     var_fixed = None
     if not cfg.studentized:
-        var_fixed = _nonzero_scale(pointwise_sd(sample), sample.grid, "pointwise sd") ** 2
+        var_fixed = _nonzero_scale(vals.std(axis=0, ddof=1), sample.grid, "pointwise sd") ** 2
     resid = vals - vals.mean(axis=0)
 
     stats, degenerate = _in_blocks(_resample_max_t, idx, vals, resid, var_fixed)
@@ -210,10 +189,12 @@ def _point_stats(gblk, parts, var_fixed):
 def mult_t_quantile(sample, law, cfg):
     """Multiplier bootstrap quantile of the max studentized statistic.
 
-    sample is one FunctionalSample or a tuple of independent groups. The
-    (B, sum N_g) multiplier matrix G comes from one draw of the band's
-    stream; row b is replicate b, and its columns are split into the
-    groups in order. With R_n = sqrt(N_g/(N_g-1)) (Y_n - mean_g) in group g,
+    sample is one FunctionalSample or a tuple of independent groups, and
+    law names the mean-zero, unit-variance multipliers: "gaussian" or
+    "rademacher". The (B, sum N_g) multiplier matrix G comes from one draw
+    of the band's stream; row b is replicate b, and its columns are split
+    into the groups in order. With R_n = sqrt(N_g/(N_g-1)) (Y_n - mean_g)
+    in group g,
 
         T* = max_s | sum_g N_g^(-1/2) sum_n g_n R_n(s) | / sd*(s),
 
@@ -231,11 +212,17 @@ def mult_t_quantile(sample, law, cfg):
     zero contribute 0; sd* = 0 under a nonzero numerator (x >= 1) raises
     the degenerate-variance error naming the grid point and the replicate.
     """
+    if law not in ("gaussian", "rademacher"):
+        raise ValueError(f"unknown multiplier law {law!r}")
     groups = sample if isinstance(sample, tuple) else (sample,)
     sizes = [g.n_samples for g in groups]
     if min(sizes) < 2:
         raise ValueError("multiplier bootstrap needs at least 2 curves per group")
-    gmat = law.draw(substream(cfg.seed), (cfg.replicates, sum(sizes)))
+    gen, shape = substream(cfg.seed), (cfg.replicates, sum(sizes))
+    if law == "gaussian":
+        gmat = gen.standard_normal(shape)
+    else:
+        gmat = gen.integers(0, 2, size=shape) * 2.0 - 1.0
     var = None
     if not cfg.studentized:
         var = sum(g.values.var(axis=0, ddof=1) for g in groups)
@@ -243,7 +230,7 @@ def mult_t_quantile(sample, law, cfg):
     parts, lo = [], 0
     for n, g in zip(sizes, groups):
         res = np.sqrt(n / (n - 1.0)) * (g.values - g.values.mean(axis=0))
-        moment = res * res if law.kind == "gaussian" else (res * res).sum(axis=0)
+        moment = res * res if law == "gaussian" else (res * res).sum(axis=0)
         parts.append((slice(lo, lo + n), n, res, n * (moment if var is None else var)))
         lo += n
 

@@ -11,15 +11,7 @@ import numpy as np
 
 from .errors import DegenerateVarianceError
 
-__all__ = [
-    "Grid1D",
-    "Grid2D",
-    "FunctionalSample",
-    "grids_equal",
-    "rectangle_boundary",
-    "pointwise_sd",
-    "gradient",
-]
+__all__ = ["Grid1D", "Grid2D", "FunctionalSample"]
 
 
 def _ascending_points(points, name):
@@ -161,13 +153,6 @@ def _point_label(grid, p):
     return f"{p} (x={xs[p]:.6g}, y={ys[p]:.6g})"
 
 
-def pointwise_sd(sample):
-    """Column standard deviations with divisor N-1."""
-    if sample.n_samples < 2:
-        raise ValueError("pointwise sd needs at least 2 rows")
-    return sample.values.std(axis=0, ddof=1)
-
-
 def _nonzero_scale(scale, grid, name):
     """scale, raising DegenerateVarianceError at its first zero grid point."""
     zeros = np.flatnonzero(scale == 0)
@@ -205,24 +190,15 @@ def _mean_field(y, x=None):
 
 
 def gradient(sample):
-    """Finite-difference derivative of every row.
+    """Finite-difference partials of every row, one fresh (N, P) array per axis.
 
     Central second-order differences at interior points and one-sided
-    second-order stencils at the grid edges, per axis. Returns an (N, P)
-    array for 1-D grids and an (N, P, 2) array holding the (x, y) partials
-    for 2-D lattices.
+    second-order stencils at the grid edges, per axis: the tuple holds the
+    derivative on a 1-D grid and the (x, y) partials on a 2-D lattice.
     """
-    if not isinstance(sample, FunctionalSample):
-        raise ValueError("gradient needs a FunctionalSample with a grid")
-    grid = sample.grid
-    if isinstance(grid, Grid1D):
-        return np.gradient(sample.values, grid.points, axis=1, edge_order=2)
-    return np.stack(_partials(sample), axis=-1)
-
-
-def _partials(sample):
-    """The (x, y) partials of every surface row, as two fresh (N, P) arrays."""
     n, grid = sample.n_samples, sample.grid
+    if isinstance(grid, Grid1D):
+        return (np.gradient(sample.values, grid.points, axis=1, edge_order=2),)
     cube = sample.values.reshape(n, grid.n_x, grid.n_y)
     dx, dy = np.gradient(cube, grid.x_points, grid.y_points, axis=(1, 2), edge_order=2)
     return dx.reshape(n, -1), dy.reshape(n, -1)

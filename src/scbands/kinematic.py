@@ -27,7 +27,7 @@ from scipy import special
 
 from .errors import QuantileNoSolutionError
 
-__all__ = ["LKCVector", "ECDensityModel", "ec_density", "eec", "tgkf_quantile"]
+__all__ = ["LKCVector", "ECDensityModel", "eec", "tgkf_quantile"]
 
 _TWO_PI = 2.0 * np.pi
 

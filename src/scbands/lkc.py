@@ -6,8 +6,6 @@ the curvatures L1 (metric length, halved boundary length in 2-D) and L2
 (metric area) that weight the EC densities.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fdata import (
@@ -16,93 +14,72 @@ from .fdata import (
     Grid2D,
     _mean_var,
     _nonzero_scale,
-    _partials,
     gradient,
     grids_equal,
     rectangle_boundary,
 )
 from .kinematic import LKCVector
 
-__all__ = [
-    "LambdaField",
-    "lambda_hat",
-    "lkc_1d",
-    "lkc_2d",
-    "lkc_estimate",
-    "tau_sq_1d",
-]
-
-
-@dataclass(frozen=True, eq=False)
-class LambdaField:
-    """Pointwise derivative-covariance field on a grid.
-
-    values has shape (P,) on 1-D grids (the scalar variance of dR/ds) and
-    (P, 2, 2) on 2-D lattices (the covariance matrix of the two partials).
-    """
-
-    values: np.ndarray
-    grid: "Grid1D | Grid2D"
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        p = self.grid.n_points
-        if isinstance(self.grid, Grid1D):
-            if vals.shape != (p,):
-                raise ValueError(f"1-D field must have shape ({p},)")
-            if np.any(vals < 0):
-                raise ValueError("derivative variances must be non-negative")
-        else:
-            if vals.shape != (p, 2, 2):
-                raise ValueError(f"2-D field must have shape ({p}, 2, 2)")
-            if not np.array_equal(vals[:, 0, 1], vals[:, 1, 0]):
-                raise ValueError("field matrices must be symmetric")
-            if np.any(vals[:, 0, 0] < 0) or np.any(vals[:, 1, 1] < 0):
-                raise ValueError("diagonal entries must be non-negative")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field contains non-finite entries")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+__all__ = ["lambda_hat", "lkc_1d", "lkc_2d", "lkc_estimate"]
 
 
 def lambda_hat(residuals):
     """Empirical covariance (divisor N-1) of the residual gradient field.
 
-    On a 2-D lattice the three distinct entries of Lambda are three column
-    products of the two partials, each an (N, P) array centered in place; the
-    off-diagonal one fills (0, 1) and (1, 0): exactly symmetric by construction.
+    A read-only float array: the (P,) variances of dR/ds on a 1-D grid, the
+    (P, 2, 2) covariance matrices of the two partials on a 2-D lattice. There
+    the three distinct entries are three column products of the two (N, P)
+    partials, centered in place; the off-diagonal one fills (0, 1) and (1, 0):
+    exactly symmetric by construction.
     """
     if not isinstance(residuals, FunctionalSample):
         raise ValueError("lambda_hat needs a FunctionalSample of residuals")
     n = residuals.n_samples
     if n < 2:
         raise ValueError("gradient covariance needs at least 2 residual rows")
-    if isinstance(residuals.grid, Grid1D):
-        lam = _mean_var(gradient(residuals))[1]
+    parts = gradient(residuals)
+    if len(parts) == 1:
+        lam = _mean_var(parts[0])[1]
     else:
-        parts = _partials(residuals)
         for d in parts:
             d -= d.mean(axis=0)
         lam = np.empty((residuals.n_points, 2, 2))
         for i, j in ((0, 0), (1, 1), (0, 1)):
             lam[:, i, j] = lam[:, j, i] = np.einsum("np,np->p", parts[i], parts[j])
         lam /= n - 1
-    return LambdaField(lam, residuals.grid)
+    lam.setflags(write=False)
+    return lam
+
+
+def _field(lam, shape, dim):
+    """lam as a float array of the given shape with finite entries."""
+    vals = np.asarray(lam, dtype=float)
+    if vals.shape != shape:
+        raise ValueError(f"{dim} field must have shape {shape}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("field contains non-finite entries")
+    return vals
 
 
 def lkc_1d(lam, grid):
-    """Metric length of the interval: trapezoid integral of sqrt(Lambda)."""
+    """Metric length of the interval: trapezoid integral of sqrt(Lambda).
+
+    lam holds the (P,) derivative variances of lambda_hat on grid.
+    """
     if not isinstance(grid, Grid1D):
         raise ValueError("lkc_1d needs a 1-D grid")
-    if lam.values.ndim != 1 or not grids_equal(lam.grid, grid):
-        raise ValueError("field does not live on the given grid")
-    return float(np.sum(grid.trapezoid_weights() * np.sqrt(lam.values)))
+    lam = _field(lam, (grid.n_points,), "1-D")
+    if np.any(lam < 0):
+        raise ValueError("derivative variances must be non-negative")
+    return float(np.sum(grid.trapezoid_weights() * np.sqrt(lam)))
 
 
 def lkc_2d(lam, grid):
     """(L1, L2) of the lattice rectangle under the field metric.
 
-    L1 is half the metric length of the rectangle's perimeter, integrating
+    lam holds the (P, 2, 2) covariance matrices of lambda_hat on grid, with
+    exactly equal off-diagonals and non-negative diagonals. L1 is half the
+    metric length of the rectangle's perimeter, integrating
     sqrt(t' Lambda t) per lattice segment with the endpoint-averaged matrix
     and the segment's coordinate delta t; L2 is
     the lattice trapezoid integral of sqrt(det Lambda). The determinant is
@@ -111,9 +88,11 @@ def lkc_2d(lam, grid):
     """
     if not isinstance(grid, Grid2D):
         raise ValueError("lkc_2d needs a 2-D grid")
-    if lam.values.ndim != 3 or not grids_equal(lam.grid, grid):
-        raise ValueError("field does not live on the given grid")
-    vals = lam.values
+    vals = _field(lam, (grid.n_points, 2, 2), "2-D")
+    if not np.array_equal(vals[:, 0, 1], vals[:, 1, 0]):
+        raise ValueError("field matrices must be symmetric")
+    if np.any(vals[:, 0, 0] < 0) or np.any(vals[:, 1, 1] < 0):
+        raise ValueError("diagonal entries must be non-negative")
     det = vals[:, 0, 0] * vals[:, 1, 1] - vals[:, 0, 1] ** 2
     l2 = float(np.sum(grid.trapezoid_weights() * np.sqrt(np.clip(det, 0.0, None))))
 
@@ -139,9 +118,7 @@ def lkc_estimate(*residuals):
     grid = residuals[0].grid
     if not all(grids_equal(r.grid, grid) for r in residuals):
         raise ValueError("grid mismatch between the residual samples")
-    fields = [lambda_hat(r) for r in residuals]
-    # A single field is used as it is: summing would only validate it again.
-    lam = fields[0] if len(fields) == 1 else LambdaField(sum(f.values for f in fields), grid)
+    lam = sum(lambda_hat(r) for r in residuals)
     if isinstance(grid, Grid1D):
         return LKCVector(1, (lkc_1d(lam, grid),))
     return LKCVector(1, lkc_2d(lam, grid))
@@ -168,7 +145,7 @@ def tau_sq_1d(residuals):
     if n < 2:
         raise ValueError("gradient covariance needs at least 2 residual rows")
 
-    grads = gradient(residuals)
+    (grads,) = gradient(residuals)
     centered = grads - grads.mean(axis=0)
     cdot = centered.T @ centered / (n - 1)
     diag = _nonzero_scale(np.diag(cdot), residuals.grid, "gradient variance")

@@ -29,17 +29,7 @@ from scipy.special import comb
 
 from .fdata import FunctionalSample, Grid1D, Grid2D
 
-__all__ = [
-    "ModelSpec",
-    "gen_model",
-    "gen_model_block",
-    "add_observation_noise",
-    "model_mean",
-    "model_amplitude",
-    "bernstein_basis",
-    "bump_basis_1d",
-    "bump_basis_2d",
-]
+__all__ = ["ModelSpec", "gen_model", "gen_model_block", "add_observation_noise", "model_mean"]
 
 _MODEL_B_CENTERS = np.arange(1, 22) / 21.0
 _MODEL_B_WIDTHS = np.array([0.04] * 9 + [0.2, 0.2] + [0.08] * 10)

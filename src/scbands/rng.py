@@ -12,7 +12,7 @@ replicates run.
 
 import numpy as np
 
-__all__ = ["child_sequence", "substream"]
+__all__ = ["substream"]
 
 
 def child_sequence(seed, *path):

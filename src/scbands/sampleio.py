@@ -119,12 +119,17 @@ _COLUMNS = {
 }
 
 
-def write_report_csv(path, report):
-    """Flatten an experiment report's cells to CSV (one row per cell)."""
+def _columns(report):
+    """Table columns of the report's kind; ValueError for an unknown kind."""
     kind = report.get("kind")
     if kind not in _COLUMNS:
         raise ValueError(f"unknown report kind {kind!r}")
-    columns = _COLUMNS[kind]
+    return _COLUMNS[kind]
+
+
+def write_report_csv(path, report):
+    """Flatten an experiment report's cells to CSV (one row per cell)."""
+    columns = _columns(report)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
@@ -136,7 +141,7 @@ def write_report_csv(path, report):
 
 def format_report_table(report):
     """Render a report's cells as an aligned text table."""
-    columns = _COLUMNS[report["kind"]]
+    columns = _columns(report)
 
     def render(v):
         return "-" if v is None else f"{v:.4f}" if isinstance(v, float) else str(v)

@@ -1,10 +1,13 @@
 """Public API guard: the package exports exactly what its modules export."""
 
 import importlib
+import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,36 @@ MODULES = (
     "bands", "bootstrap", "cli", "errors", "experiments", "fdata", "kinematic",
     "lkc", "models", "rng", "sampleio", "scalespace",
 )
+
+PUBLIC = {
+    "DegenerateVarianceError", "ECDensityModel", "ExperimentConfig", "FunctionalSample",
+    "Grid1D", "Grid2D", "LKCVector", "METHOD_NAMES", "ModelSpec", "QuantileNoSolutionError",
+    "SCBand", "ScaleGrid", "add_observation_noise", "band_to_dict", "ceiling_rank_quantile",
+    "covers", "eec", "format_report_table", "gaussian_kernel", "gen_model", "gen_model_block",
+    "lambda_hat", "lkc_1d", "lkc_2d", "lkc_estimate", "model_mean", "normed_residuals",
+    "read_sample", "run_coverage", "run_width", "scb_one_sample", "scb_scale_space",
+    "scb_two_sample", "smooth_sample", "substream", "tgkf_quantile", "two_sample_residuals",
+    "weight_matrix", "write_band", "write_report_csv", "write_report_json", "write_sample",
+}
+
+# Functions that perfbench/tracer.py reads by name, with the leading
+# parameters its hooks bind. The tracer wraps every unprefixed function of
+# a module and names its span <module>.<function>, so renaming, prefixing or
+# moving one of these silently zeroes a per-layer benchmark row. After
+# renaming any package function, also run `python -m pytest perfbench/tests`.
+TRACED = {
+    "kinematic": {"tgkf_quantile": (), "eec": (), "ec_density": ()},
+    "bootstrap": {
+        "mult_t_quantile": ("sample", "law", "cfg"),
+        "boots_t_quantile": ("sample", "cfg"),
+    },
+    "lkc": {"lambda_hat": (), "lkc_1d": (), "lkc_2d": ()},
+    "models": {"gen_model": ("spec", "n", "rng")},
+    "rng": {"substream": ()},
+    "scalespace": {"weight_matrix": (), "smooth_sample": ()},
+    "sampleio": {"read_sample": ("path",)},
+    "experiments": {"run_coverage": (), "run_width": ()},
+}
 
 
 def test_every_module_is_guarded():
@@ -29,6 +62,33 @@ def test_module_exports_exist_and_are_re_exported(name):
             continue
         assert attr in scbands.__all__, f"scbands does not re-export {name}.{attr}"
         assert getattr(scbands, attr) is getattr(module, attr)
+
+
+def test_public_api_is_the_pinned_set():
+    assert len(scbands.__all__) == len(PUBLIC) == 42
+    assert set(scbands.__all__) == PUBLIC
+
+
+def test_readme_lists_the_public_api_by_module():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Public API\n", 1)[1].split("\n## ", 1)[0]
+    listed = {
+        module: set(re.findall(r"`(\w+)`", names))
+        for module, names in re.findall(r"^- `(\w+)`: (.*?)\.$", section, re.M | re.S)
+    }
+    exported = {m: set(importlib.import_module(f"scbands.{m}").__all__) for m in MODULES}
+    assert listed == {m: names for m, names in exported.items() if m != "cli"}
+
+
+@pytest.mark.parametrize("module", sorted(TRACED))
+def test_traced_functions_keep_their_names_and_parameters(module):
+    mod = importlib.import_module(f"scbands.{module}")
+    for name, params in TRACED[module].items():
+        fn = vars(mod).get(name)
+        assert inspect.isfunction(fn), f"scbands.{module}.{name} is not a function"
+        assert (fn.__module__, fn.__name__) == (mod.__name__, name)
+        leading = tuple(inspect.signature(fn).parameters)[: len(params)]
+        assert leading == params, f"scbands.{module}.{name} binds {leading}, not {params}"
 
 
 def test_package_exports_are_unique_and_come_from_modules():

@@ -7,8 +7,6 @@ from scipy import stats
 
 from scbands import (
     METHOD_NAMES,
-    RADEMACHER_MULTIPLIERS,
-    BootstrapConfig,
     DegenerateVarianceError,
     FunctionalSample,
     Grid1D,
@@ -16,11 +14,9 @@ from scbands import (
     ModelSpec,
     ScaleGrid,
     band_to_dict,
-    boots_t_quantile,
     covers,
     gaussian_kernel,
     gen_model,
-    mult_t_quantile,
     normed_residuals,
     scb_one_sample,
     scb_scale_space,
@@ -29,6 +25,7 @@ from scbands import (
     two_sample_residuals,
     weight_matrix,
 )
+from scbands.bootstrap import BootstrapConfig, boots_t_quantile, mult_t_quantile
 
 
 def test_two_constant_rows_band_arithmetic():
@@ -116,7 +113,7 @@ def test_degenerate_sample_rejected():
         lambda: scb_one_sample(sample, method="tgkf"),
         lambda: scb_one_sample(sample, method="gauss-sim", replicates=20),
         lambda: boots_t_quantile(sample, plain),
-        lambda: mult_t_quantile(sample, RADEMACHER_MULTIPLIERS, plain),
+        lambda: mult_t_quantile(sample, "rademacher", plain),
         lambda: normed_residuals(sample),
         lambda: scb_two_sample(sample, sample, method="tgkf"),
         lambda: two_sample_residuals(sample, sample),

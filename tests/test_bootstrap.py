@@ -8,22 +8,28 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from scbands import (
-    GAUSSIAN_MULTIPLIERS,
-    RADEMACHER_MULTIPLIERS,
-    BootstrapConfig,
     DegenerateVarianceError,
     FunctionalSample,
     Grid1D,
     ModelSpec,
-    boots_t_quantile,
     ceiling_rank_quantile,
     gen_model,
-    mult_t_quantile,
     scb_one_sample,
     scb_two_sample,
     substream,
     two_sample_residuals,
 )
+from scbands.bootstrap import BootstrapConfig, boots_t_quantile, mult_t_quantile
+
+LAWS = ("gaussian", "rademacher")
+
+
+def _multipliers(law, seed, shape):
+    """The multiplier matrix mult_t_quantile draws from the band's stream."""
+    gen = substream(seed)
+    if law == "gaussian":
+        return gen.standard_normal(shape)
+    return gen.integers(0, 2, size=shape) * 2.0 - 1.0
 
 
 @pytest.fixture
@@ -65,13 +71,18 @@ def test_multiplier_zero_residuals_gives_zero():
     g = Grid1D(np.linspace(0.0, 1.0, 40))
     s = FunctionalSample(np.full((5, 40), -1.5), g)
     cfg = BootstrapConfig(replicates=50, seed=1)
-    assert mult_t_quantile(s, GAUSSIAN_MULTIPLIERS, cfg) == 0.0
-    assert mult_t_quantile(s, RADEMACHER_MULTIPLIERS, cfg) == 0.0
+    assert mult_t_quantile(s, "gaussian", cfg) == 0.0
+    assert mult_t_quantile(s, "rademacher", cfg) == 0.0
+
+
+def test_unknown_multiplier_law_rejected(sample):
+    with pytest.raises(ValueError, match="unknown multiplier law 'normal'"):
+        mult_t_quantile(sample, "normal", BootstrapConfig(replicates=50, seed=1))
 
 
 def test_multiplier_deterministic_per_seed(sample):
     cfg = BootstrapConfig(replicates=300, alpha=0.05, seed=9)
-    for law in (GAUSSIAN_MULTIPLIERS, RADEMACHER_MULTIPLIERS):
+    for law in LAWS:
         assert mult_t_quantile(sample, law, cfg) == mult_t_quantile(sample, law, cfg)
 
 
@@ -81,7 +92,7 @@ def test_multiplier_sign_flip_invariance(sample):
         2.0 * sample.values.mean(axis=0) - sample.values, sample.grid
     )
     cfg = BootstrapConfig(replicates=300, alpha=0.05, seed=2)
-    for law in (GAUSSIAN_MULTIPLIERS, RADEMACHER_MULTIPLIERS):
+    for law in LAWS:
         assert_allclose(
             mult_t_quantile(sample, law, cfg),
             mult_t_quantile(flipped, law, cfg),
@@ -92,8 +103,8 @@ def test_multiplier_sign_flip_invariance(sample):
 def test_multiplier_shift_invariance(sample):
     shifted = FunctionalSample(sample.values + 11.0, sample.grid)
     cfg = BootstrapConfig(replicates=200, seed=6)
-    q0 = mult_t_quantile(sample, GAUSSIAN_MULTIPLIERS, cfg)
-    q1 = mult_t_quantile(shifted, GAUSSIAN_MULTIPLIERS, cfg)
+    q0 = mult_t_quantile(sample, "gaussian", cfg)
+    q1 = mult_t_quantile(shifted, "gaussian", cfg)
     assert_allclose(q0, q1, rtol=1e-12)
 
 
@@ -105,7 +116,7 @@ def test_quantiles_decrease_with_level(sample):
     assert qs[0] >= qs[1] >= qs[2]
     qs = [
         mult_t_quantile(
-            sample, RADEMACHER_MULTIPLIERS, BootstrapConfig(replicates=400, alpha=a, seed=3)
+            sample, "rademacher", BootstrapConfig(replicates=400, alpha=a, seed=3)
         )
         for a in (0.01, 0.05, 0.2)
     ]
@@ -121,7 +132,7 @@ def test_rademacher_statistic_triangle_bound(sample):
     )
     bound = np.abs(resid).sum(axis=0).max() / np.sqrt(n)
     cfg = BootstrapConfig(replicates=500, seed=8, studentized=False)
-    assert mult_t_quantile(sample, RADEMACHER_MULTIPLIERS, cfg) <= bound + 1e-12
+    assert mult_t_quantile(sample, "rademacher", cfg) <= bound + 1e-12
 
 
 # "gauss-sim" draws R'g / sqrt(N-1) with g ~ N(0, I_N) and R the normed
@@ -211,7 +222,7 @@ def test_bootstrap_config_rejects_fractional_replicates():
 def _loop_mult(sample, law, cfg):
     groups = sample if isinstance(sample, tuple) else (sample,)
     sizes = [g.n_samples for g in groups]
-    gmat = law.draw(substream(cfg.seed), (cfg.replicates, sum(sizes)))
+    gmat = _multipliers(law, cfg.seed, (cfg.replicates, sum(sizes)))
     edges = np.cumsum([0] + sizes)
     stats_b = []
     for row in gmat:
@@ -257,7 +268,7 @@ def _loop_boots(sample, cfg):
 def test_vectorised_kernels_match_replicate_loops(sample, studentized):
     for seed in (0, 17, np.random.SeedSequence(5, spawn_key=(4, 1))):
         cfg = BootstrapConfig(replicates=300, alpha=0.1, studentized=studentized, seed=seed)
-        for law in (GAUSSIAN_MULTIPLIERS, RADEMACHER_MULTIPLIERS):
+        for law in LAWS:
             assert_allclose(
                 mult_t_quantile(sample, law, cfg), _loop_mult(sample, law, cfg), rtol=1e-12
             )
@@ -272,7 +283,7 @@ def test_group_multiplier_kernel_matches_replicate_loop(studentized):
     groups = (FunctionalSample(vals[:12], grid), FunctionalSample(2.0 * vals[12:] + 1.0, grid))
     for seed in (0, 17, np.random.SeedSequence(5, spawn_key=(4, 1))):
         cfg = BootstrapConfig(replicates=300, alpha=0.1, studentized=studentized, seed=seed)
-        for law in (GAUSSIAN_MULTIPLIERS, RADEMACHER_MULTIPLIERS):
+        for law in LAWS:
             assert_allclose(
                 mult_t_quantile(groups, law, cfg), _loop_mult(groups, law, cfg), rtol=1e-12
             )
@@ -287,7 +298,7 @@ def test_multiplier_blocks_match_replicate_loop_at_block_edges(sample, replicate
     for data in (sample, groups):
         for studentized in (True, False):
             cfg = BootstrapConfig(replicates=replicates, studentized=studentized, seed=3)
-            for law in (GAUSSIAN_MULTIPLIERS, RADEMACHER_MULTIPLIERS):
+            for law in LAWS:
                 assert_allclose(
                     mult_t_quantile(data, law, cfg), _loop_mult(data, law, cfg), rtol=1e-12
                 )
@@ -299,12 +310,12 @@ def test_rademacher_t_on_two_curves_is_degenerate():
     # a nonzero numerator. The first replicate of seed 3 is one.
     s = FunctionalSample(substream(40, 3).standard_normal((2, 30)), Grid1D(np.linspace(0, 1, 30)))
     cfg = BootstrapConfig(replicates=200, seed=3)
-    g = RADEMACHER_MULTIPLIERS.draw(substream(3), (1, 2))
+    g = _multipliers("rademacher", 3, (1, 2))
     assert g[0, 0] != g[0, 1]
     match = r"multiplier sd degenerate .* in replicate 0$"
     with pytest.raises(DegenerateVarianceError, match=match):
-        mult_t_quantile(s, RADEMACHER_MULTIPLIERS, cfg)
-    assert np.isfinite(mult_t_quantile(s, GAUSSIAN_MULTIPLIERS, cfg))
+        mult_t_quantile(s, "rademacher", cfg)
+    assert np.isfinite(mult_t_quantile(s, "gaussian", cfg))
 
 
 def test_degenerate_multiplier_replicate_is_named_past_the_first_block():
@@ -319,15 +330,15 @@ def test_degenerate_multiplier_replicate_is_named_past_the_first_block():
     vals[:, 7] = np.sqrt(7 / 8.0) * signs
     s = FunctionalSample(vals, Grid1D(np.linspace(0.0, 1.0, 20)))
     cfg = BootstrapConfig(replicates=300, seed=0)
-    flips = RADEMACHER_MULTIPLIERS.draw(substream(0), (300, 8)) * signs
+    flips = _multipliers("rademacher", 0, (300, 8)) * signs
     first = int(np.argmax(np.all(flips == flips[:, :1], axis=1)))
     assert first == 96
     with pytest.raises(DegenerateVarianceError, match="at grid point 7 in replicate 96$"):
-        mult_t_quantile(s, RADEMACHER_MULTIPLIERS, cfg)
-    assert np.isfinite(mult_t_quantile(s, GAUSSIAN_MULTIPLIERS, cfg))
+        mult_t_quantile(s, "rademacher", cfg)
+    assert np.isfinite(mult_t_quantile(s, "gaussian", cfg))
 
 
-@pytest.mark.parametrize("law", [GAUSSIAN_MULTIPLIERS, RADEMACHER_MULTIPLIERS])
+@pytest.mark.parametrize("law", LAWS)
 def test_multiplier_peak_memory_stays_below_one_replicate_by_point_array(law):
     # B = 20000, N = 50, P = 200: one (B, P) float64 array is 32 MB; the
     # (B, N) multiplier draw is 8 MB and row blocks keep the rest small

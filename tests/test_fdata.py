@@ -10,14 +10,11 @@ from scbands import (
     Grid1D,
     Grid2D,
     ceiling_rank_quantile,
-    child_sequence,
-    gradient,
-    grids_equal,
     normed_residuals,
-    pointwise_sd,
-    rectangle_boundary,
     substream,
 )
+from scbands.fdata import _mean_field, gradient, grids_equal, rectangle_boundary
+from scbands.rng import child_sequence
 
 
 def test_grid1d_basic():
@@ -72,16 +69,18 @@ def test_sample_shape_validation():
 def test_pointwise_mean_and_sd():
     g = Grid1D(np.array([0.0, 1.0, 2.0]))
     s = FunctionalSample(np.array([[0.0, 1.0, 4.0], [2.0, 3.0, 0.0]]), g)
-    assert_allclose(s.values.mean(axis=0), [1.0, 2.0, 2.0])
+    center, sd, rate = _mean_field(np.copy(s.values))
+    assert_allclose(center, [1.0, 2.0, 2.0])
     # ddof=1: sd of {0,2} is sqrt(2), of {4,0} is 2 sqrt(2)
-    assert_allclose(pointwise_sd(s), [np.sqrt(2.0), np.sqrt(2.0), 2.0 * np.sqrt(2.0)])
+    assert_allclose(sd, [np.sqrt(2.0), np.sqrt(2.0), 2.0 * np.sqrt(2.0)])
+    assert rate == np.sqrt(2.0)
 
 
 def test_gradient_exact_on_linear_rows():
     # second-order differences reproduce affine functions exactly
     g = Grid1D(np.linspace(0.0, 2.0, 31))
     rows = np.vstack([3.0 * g.points - 1.0, -0.5 * g.points + 4.0])
-    grad = gradient(FunctionalSample(rows, g))
+    (grad,) = gradient(FunctionalSample(rows, g))
     assert grad.shape == (2, 31)
     assert_allclose(grad[0], 3.0, atol=1e-12)
     assert_allclose(grad[1], -0.5, atol=1e-12)
@@ -90,10 +89,10 @@ def test_gradient_exact_on_linear_rows():
 def test_gradient_2d_exact_on_planes():
     g = Grid2D(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 2.0, 7))
     x, y = g.lattice_coords()
-    grad = gradient(FunctionalSample((2.0 * x - 5.0 * y)[None, :], g))
-    assert grad.shape == (1, 63, 2)
-    assert_allclose(grad[0, :, 0], 2.0, atol=1e-12)
-    assert_allclose(grad[0, :, 1], -5.0, atol=1e-12)
+    dx, dy = gradient(FunctionalSample((2.0 * x - 5.0 * y)[None, :], g))
+    assert dx.shape == dy.shape == (1, 63)
+    assert_allclose(dx, 2.0, atol=1e-12)
+    assert_allclose(dy, -5.0, atol=1e-12)
 
 
 def test_normed_residuals_identities():
@@ -140,6 +139,16 @@ def test_ceiling_rank_quantile_small_cases():
     rng = np.random.default_rng(0)
     shuffled = rng.permutation(draws)
     assert ceiling_rank_quantile(shuffled, 0.25) == 8.0
+
+
+def test_ceiling_rank_quantile_rejects_bad_input():
+    with pytest.raises(ValueError, match="at least one draw"):
+        ceiling_rank_quantile([], 0.05)
+    for alpha in (1.5, 0.0, -1.0, 1.0, np.nan):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            ceiling_rank_quantile(np.arange(1.0, 11.0), alpha)
+    with pytest.raises(ValueError, match="NaN"):
+        ceiling_rank_quantile([1.0, np.nan, 3.0], 0.05)
 
 
 def test_substream_reproducible_and_distinct():

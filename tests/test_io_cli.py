@@ -137,6 +137,15 @@ def test_report_files_and_table(tmp_path):
     assert "-" in table.splitlines()[-1]
 
 
+@pytest.mark.parametrize("report", [{"kind": "x", "cells": []}, {"cells": []}])
+def test_report_writers_reject_an_unknown_kind(tmp_path, report):
+    with pytest.raises(ValueError, match="unknown report kind"):
+        format_report_table(report)
+    with pytest.raises(ValueError, match="unknown report kind"):
+        write_report_csv(tmp_path / "report.csv", report)
+    assert not (tmp_path / "report.csv").exists()
+
+
 def _write_config(path, **overrides):
     doc = {
         "model": {"name": "A", "resolution": 40},

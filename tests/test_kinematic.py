@@ -15,7 +15,6 @@ from scbands import (
     LKCVector,
     ModelSpec,
     QuantileNoSolutionError,
-    ec_density,
     eec,
     gen_model,
     lkc_estimate,
@@ -24,6 +23,7 @@ from scbands import (
     substream,
     tgkf_quantile,
 )
+from scbands.kinematic import ec_density
 
 GAUSS = ECDensityModel.gaussian()
 

@@ -10,17 +10,16 @@ from scbands import (
     FunctionalSample,
     Grid1D,
     Grid2D,
-    LambdaField,
-    gradient,
     lambda_hat,
     lkc_1d,
     lkc_2d,
     lkc_estimate,
     normed_residuals,
     substream,
-    tau_sq_1d,
     two_sample_residuals,
 )
+from scbands.fdata import gradient
+from scbands.lkc import tau_sq_1d
 
 TWO_PI = 2.0 * np.pi
 
@@ -44,38 +43,38 @@ def test_lambda_of_linear_spread_rows():
     # rows +s and -s have slope spread 2 exactly (ddof=1 variance of {1,-1})
     g = Grid1D(np.linspace(0.0, 1.0, 101))
     lam = lambda_hat(FunctionalSample(np.vstack([g.points, -g.points]), g))
-    assert_allclose(lam.values, 2.0, atol=1e-10)
+    assert_allclose(lam, 2.0, atol=1e-10)
 
 
 def test_lambda_of_zero_rows():
     g = Grid1D(np.linspace(0.0, 1.0, 31))
     lam = lambda_hat(FunctionalSample(np.zeros((4, 31)), g))
-    assert_allclose(lam.values, 0.0, atol=0.0)
+    assert_allclose(lam, 0.0, atol=0.0)
     assert lkc_1d(lam, g) == 0.0
 
 
 def test_curvature_integral_of_constant_fields():
     g = Grid1D(np.linspace(0.0, 1.0, 101))
-    assert_allclose(lkc_1d(LambdaField(np.ones(101), g), g), 1.0, rtol=1e-12)
+    assert_allclose(lkc_1d(np.ones(101), g), 1.0, rtol=1e-12)
     g2 = Grid1D(np.linspace(0.0, 2.0, 101))
     # integral of sqrt(4) over [0, 2]
-    assert_allclose(lkc_1d(LambdaField(4.0 * np.ones(101), g2), g2), 4.0, rtol=1e-12)
+    assert_allclose(lkc_1d(4.0 * np.ones(101), g2), 4.0, rtol=1e-12)
 
 
 def test_surface_curvatures_of_constant_metric():
     g = Grid2D(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 41))
     eye = np.broadcast_to(np.eye(2), (g.n_points, 2, 2)).copy()
-    l1, l2 = lkc_2d(LambdaField(eye, g), g)
+    l1, l2 = lkc_2d(eye, g)
     # unit square under the identity metric: half perimeter and area
     assert_allclose((l1, l2), (2.0, 1.0), rtol=1e-12)
-    l1, l2 = lkc_2d(LambdaField(4.0 * eye, g), g)
+    l1, l2 = lkc_2d(4.0 * eye, g)
     assert_allclose((l1, l2), (4.0, 4.0), rtol=1e-12)
 
 
 def test_surface_curvatures_scale_with_domain():
     g = Grid2D(np.linspace(0.0, 2.0, 41), np.linspace(0.0, 3.0, 41))
     eye = np.broadcast_to(np.eye(2), (g.n_points, 2, 2)).copy()
-    l1, l2 = lkc_2d(LambdaField(eye, g), g)
+    l1, l2 = lkc_2d(eye, g)
     assert_allclose((l1, l2), (5.0, 6.0), rtol=1e-12)
 
 
@@ -92,7 +91,7 @@ def test_surface_curvatures_of_constant_spd_metric(dx, dy, x0, y0, a, b, d):
     ys = y0 + np.concatenate([[0.0], np.cumsum(dy)])
     g = Grid2D(xs, ys)
     m = np.array([[a * a + b * b, b * d], [b * d, d * d]])
-    l1, l2 = lkc_2d(LambdaField(np.broadcast_to(m, (g.n_points, 2, 2)), g), g)
+    l1, l2 = lkc_2d(np.broadcast_to(m, (g.n_points, 2, 2)), g)
     w, h = xs[-1] - xs[0], ys[-1] - ys[0]
     assert_allclose(l1, w * np.sqrt(m[0, 0]) + h * np.sqrt(m[1, 1]), rtol=1e-12)
     assert_allclose(l2, w * h * abs(a * d), rtol=1e-12)
@@ -102,21 +101,58 @@ def test_lambda_2d_shape_and_symmetry():
     g = Grid2D(np.linspace(0.0, 1.0, 15), np.linspace(0.0, 1.0, 15))
     rng = np.random.default_rng(8)
     lam = lambda_hat(FunctionalSample(rng.standard_normal((12, g.n_points)), g))
-    assert lam.values.shape == (g.n_points, 2, 2)
+    assert lam.shape == (g.n_points, 2, 2)
+    assert not lam.flags.writeable
     # exactly symmetric, with no symmetrising step
-    assert np.array_equal(lam.values, np.transpose(lam.values, (0, 2, 1)))
+    assert np.array_equal(lam, np.transpose(lam, (0, 2, 1)))
     # diagonal entries are variances
-    assert (lam.values[:, 0, 0] >= 0).all()
-    assert (lam.values[:, 1, 1] >= 0).all()
+    assert (lam[:, 0, 0] >= 0).all()
+    assert (lam[:, 1, 1] >= 0).all()
 
 
 def test_lambda_field_needs_exactly_equal_off_diagonals():
     g = Grid2D(np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 3))
     vals = np.tile(np.array([[2.0, 0.3], [0.3, 1.0]]), (g.n_points, 1, 1))
-    assert_array_equal(LambdaField(vals, g).values, vals)
+    # the unit square under this constant metric
+    assert_allclose(lkc_2d(vals, g), (np.sqrt(2.0) + 1.0, np.sqrt(1.91)), rtol=1e-12)
     vals[5, 1, 0] = np.nextafter(0.3, 1.0)  # one ulp apart
     with pytest.raises(ValueError, match="field matrices must be symmetric"):
-        LambdaField(vals, g)
+        lkc_2d(vals, g)
+
+
+def test_curve_field_is_checked_against_its_grid():
+    g = Grid1D(np.linspace(0.0, 1.0, 40))
+    cases = [
+        (np.ones(39), r"1-D field must have shape \(40,\)"),
+        (np.ones((40, 2, 2)), r"1-D field must have shape \(40,\)"),
+        (np.r_[np.ones(39), -1.0], "derivative variances must be non-negative"),
+        (np.r_[np.ones(39), np.nan], "field contains non-finite entries"),
+        (np.r_[np.ones(39), np.inf], "field contains non-finite entries"),
+    ]
+    for lam, match in cases:
+        with pytest.raises(ValueError, match=match):
+            lkc_1d(lam, g)
+    with pytest.raises(ValueError, match="lkc_1d needs a 1-D grid"):
+        lkc_1d(np.ones(40), Grid2D(g.points, g.points))
+
+
+def test_surface_field_is_checked_against_its_grid():
+    g = Grid2D(np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 3))
+    eye = np.tile(np.eye(2), (g.n_points, 1, 1))
+    negative, nonfinite = eye.copy(), eye.copy()
+    negative[3, 1, 1] = -1e-300
+    nonfinite[2, 0, 1] = nonfinite[2, 1, 0] = np.nan
+    cases = [
+        (eye[:-1], r"2-D field must have shape \(12, 2, 2\)"),
+        (np.ones(12), r"2-D field must have shape \(12, 2, 2\)"),
+        (negative, "diagonal entries must be non-negative"),
+        (nonfinite, "field contains non-finite entries"),
+    ]
+    for lam, match in cases:
+        with pytest.raises(ValueError, match=match):
+            lkc_2d(lam, g)
+    with pytest.raises(ValueError, match="lkc_2d needs a 2-D grid"):
+        lkc_2d(eye, Grid1D(np.linspace(0.0, 1.0, 12)))
 
 
 # Non-square lattices with geometric (non-uniform) and evenly spaced axes,
@@ -131,7 +167,7 @@ LATTICES = [
 
 def _stacked_lambda_2d(residuals):
     """The 2-D field as one 3-index product over the centered (N, P, 2) gradient."""
-    grads = gradient(residuals)
+    grads = np.stack(gradient(residuals), axis=-1)
     centered = grads - grads.mean(axis=0)
     return np.einsum("npi,npj->pij", centered, centered) / (residuals.n_samples - 1)
 
@@ -142,7 +178,7 @@ def test_lambda_2d_equals_the_stacked_gradient_formula(lattice, n):
     g = Grid2D(*LATTICES[lattice])
     values = substream(31, lattice, n).standard_normal((n, g.n_points)).cumsum(axis=1)
     r = FunctionalSample(values, g)
-    assert_array_equal(lambda_hat(r).values, _stacked_lambda_2d(r))
+    assert_array_equal(lambda_hat(r), _stacked_lambda_2d(r))
 
 
 @pytest.mark.parametrize("lattice", range(len(LATTICES)))
@@ -151,14 +187,14 @@ def test_two_sample_2d_curvatures_integrate_the_summed_field(lattice):
     y = FunctionalSample(substream(32, lattice, 0).standard_normal((9, g.n_points)), g)
     x = FunctionalSample(substream(32, lattice, 1).standard_normal((6, g.n_points)), g)
     groups = two_sample_residuals(y, x)[3]
-    summed = LambdaField(sum(lambda_hat(r).values for r in groups), g)
+    summed = lambda_hat(groups[0]) + lambda_hat(groups[1])
     assert lkc_estimate(*groups).curvatures == lkc_2d(summed, g)
 
 
 def test_cosine_curvature_field_near_constant():
     s = cosine_sample(4000, 21, 1)
     lam = lambda_hat(centered(s))
-    assert_allclose(lam.values, TWO_PI**2, rtol=0.10)
+    assert_allclose(lam, TWO_PI**2, rtol=0.10)
 
 
 def test_cosine_arc_length_from_normed_residuals():

@@ -9,17 +9,19 @@ from scbands import (
     Grid2D,
     ModelSpec,
     add_observation_noise,
-    bernstein_basis,
-    bump_basis_1d,
-    bump_basis_2d,
     gen_model,
     gen_model_block,
-    grids_equal,
-    model_amplitude,
     model_mean,
     substream,
 )
-from scbands.models import _model_parts
+from scbands.fdata import grids_equal
+from scbands.models import (
+    _model_parts,
+    bernstein_basis,
+    bump_basis_1d,
+    bump_basis_2d,
+    model_amplitude,
+)
 
 
 def test_mean_curve_values():

@@ -39,35 +39,26 @@ __all__ = [
     "band_to_dict",
 ]
 
-METHOD_NAMES = (
-    "tgkf",
-    "boots-t",
-    "boots",
-    "gmult-t",
-    "gmult",
-    "rmult-t",
-    "rmult",
-    "gauss-sim",
-)
+# name -> (kind, law, studentized); law is the multiplier law of the "mult" kind.
+_METHODS = {
+    "tgkf": ("tgkf", None, None),
+    "boots-t": ("boots", None, True),
+    "boots": ("boots", None, False),
+    "gmult-t": ("mult", "gaussian", True),
+    "gmult": ("mult", "gaussian", False),
+    "rmult-t": ("mult", "rademacher", True),
+    "rmult": ("mult", "rademacher", False),
+    "gauss-sim": ("mult", "gaussian", False),
+}
+METHOD_NAMES = tuple(_METHODS)
 
 
 def parse_method(method):
-    """Canonical (name, kind, law, studentized) tuple for a method string.
-
-    law is the multiplier law, "gaussian" or "rademacher", of the "mult" kind.
-    """
+    """Canonical (name, kind, law, studentized) tuple for a method string."""
     key = str(method).lower().replace("_", "-")
-    if key == "tgkf":
-        return key, "tgkf", None, None
-    if key == "gauss-sim":
-        return key, "mult", "gaussian", False
-    if key in ("boots-t", "boots"):
-        return key, "boots", None, key.endswith("-t")
-    if key in ("gmult-t", "gmult"):
-        return key, "mult", "gaussian", key.endswith("-t")
-    if key in ("rmult-t", "rmult"):
-        return key, "mult", "rademacher", key.endswith("-t")
-    raise ValueError(f"unknown method {method!r}; choose one of {METHOD_NAMES}")
+    if key not in _METHODS:
+        raise ValueError(f"unknown method {method!r}; choose one of {METHOD_NAMES}")
+    return (key, *_METHODS[key])
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,18 +83,29 @@ class SCBand:
             raise ValueError("band must satisfy lower <= center <= upper")
 
 
-def _one_sample_residuals(sample):
-    """(center, scale, rate, residual groups) of the one-sample mean field.
+def _residual_field(samples):
+    """(center, scale, rate, residual groups) of the mean field of one sample
+    (see normed_residuals) or of the difference of two (two_sample_residuals).
 
-    center = mean, scale = sd and rate = sqrt(N) (fdata._mean_field); the
-    one residual group is (Y_n - mean) / sd.
+    center, scale and rate are fdata._mean_field's; one sample's residual
+    group reuses its center, so the field takes no second mean pass.
     """
-    if sample.n_samples < 2:
-        raise ValueError("a band needs at least 2 curves")
-    center, sd, rate = _mean_field(np.copy(sample.values))
-    sd = _nonzero_scale(sd, sample.grid, "pointwise sd")
-    res = sample.values - center
-    return center, sd, rate, (FunctionalSample(np.divide(res, sd, out=res), sample.grid),)
+    one, grid = len(samples) == 1, samples[0].grid
+    if not all(grids_equal(s.grid, grid) for s in samples[1:]):
+        raise ValueError("grid mismatch between the two samples")
+    if min(s.n_samples for s in samples) < 2:
+        raise ValueError("a band needs at least 2 curves" if one
+                         else "both groups need at least 2 curves")
+    center, scale, rate = _mean_field(*(np.copy(s.values) for s in samples))
+    scale = _nonzero_scale(scale, grid, "pointwise sd" if one else "pooled sd")
+    if one:
+        res = [samples[0].values - center]
+    else:
+        c = samples[0].n_samples / samples[1].n_samples
+        res = [w * (s.values - s.values.mean(axis=0))
+               for w, s in zip((np.sqrt(1.0 + 1.0 / c), np.sqrt(1.0 + c)), samples)]
+    groups = tuple(FunctionalSample(np.divide(r, scale, out=r), grid) for r in res)
+    return center, scale, rate, groups
 
 
 def normed_residuals(sample):
@@ -113,7 +115,7 @@ def normed_residuals(sample):
     DegenerateVarianceError naming the first grid point where the
     pointwise sd vanishes.
     """
-    return _one_sample_residuals(sample)[3][0]
+    return _residual_field((sample,))[3][0]
 
 
 def two_sample_residuals(sample_y, sample_x):
@@ -125,34 +127,25 @@ def two_sample_residuals(sample_y, sample_x):
     pooled. Their per-group covariances sum to the correlation of the limit
     field of the mean difference.
     """
-    if not grids_equal(sample_y.grid, sample_x.grid):
-        raise ValueError("grid mismatch between the two samples")
-    n, m = sample_y.n_samples, sample_x.n_samples
-    if n < 2 or m < 2:
-        raise ValueError("both groups need at least 2 curves")
-    center, pooled, rate = _mean_field(np.copy(sample_y.values), np.copy(sample_x.values))
-    pooled = _nonzero_scale(pooled, sample_y.grid, "pooled sd")
-    c = n / m
-    groups = tuple(
-        FunctionalSample(w * (s.values - s.values.mean(axis=0)) / pooled, s.grid)
-        for w, s in ((np.sqrt(1.0 + 1.0 / c), sample_y), (np.sqrt(1.0 + c), sample_x))
-    )
-    return center, pooled, rate, groups
+    return _residual_field((sample_y, sample_x))
 
 
-def _scb(parsed, field, data, alpha, replicates, seed):
-    """Band center +/- q * scale / rate of a mean field.
+def _scb(method, samples, alpha, replicates, seed):
+    """Band center +/- q * scale / rate of the mean field of one or two samples.
 
-    parsed is parse_method's tuple. The tGKF reads the field's residual
-    groups: sum(N_g - 1) degrees of freedom and their summed curvature
-    field. The resampling kernels read data.
+    The tGKF reads the field's residual groups: sum(N_g - 1) degrees of
+    freedom and their summed curvature field. The resampling kernels read
+    the one sample itself, or the two pooled residual groups.
     """
-    name, kind, law, studentized = parsed
-    center, scale, rate, groups = field
+    name, kind, law, studentized = parse_method(method)
+    if kind == "boots" and len(samples) == 2:
+        raise ValueError(f"two-sample bands support every method but 'boots(-t)', not {method!r}")
+    center, scale, rate, groups = _residual_field(samples)
     if kind == "tgkf":
         dof = sum(g.n_samples - 1 for g in groups)
         q = tgkf_quantile(lkc_estimate(*groups), ECDensityModel.student_t(dof), alpha)
     else:
+        data = samples[0] if len(samples) == 1 else groups
         cfg = BootstrapConfig(replicates, alpha, studentized, seed)
         q = boots_t_quantile(data, cfg) if kind == "boots" else mult_t_quantile(data, law, cfg)
     half = q * scale / rate
@@ -168,8 +161,7 @@ def scb_one_sample(sample, method="tgkf", alpha=0.05, replicates=1000, seed=0):
     replicate count. seed, an integer or a SeedSequence, drives all random
     methods; the tGKF path is deterministic.
     """
-    return _scb(parse_method(method), _one_sample_residuals(sample), sample, alpha,
-                replicates, seed)
+    return _scb(method, (sample,), alpha, replicates, seed)
 
 
 def scb_two_sample(sample_y, sample_x, method="tgkf", alpha=0.05, replicates=1000, seed=0):
@@ -181,11 +173,7 @@ def scb_two_sample(sample_y, sample_x, method="tgkf", alpha=0.05, replicates=100
     draw independent multipliers for the two pooled residual groups. The
     bootstrap-t is not defined for the two-sample band and raises.
     """
-    parsed = parse_method(method)
-    if parsed[1] == "boots":
-        raise ValueError(f"two-sample bands support every method but 'boots(-t)', not {method!r}")
-    field = two_sample_residuals(sample_y, sample_x)
-    return _scb(parsed, field, field[3], alpha, replicates, seed)
+    return _scb(method, (sample_y, sample_x), alpha, replicates, seed)
 
 
 def scb_scale_space(raw, kernel, sg, method="tgkf", alpha=0.05, replicates=1000, seed=0):

@@ -20,14 +20,13 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
-from numbers import Real
 
 import numpy as np
 
 from .bands import covers, parse_method, scb_one_sample, scb_two_sample
 from .bootstrap import ceiling_rank_quantile
 from .fdata import FunctionalSample, _mean_field, _nonzero_scale
-from .models import ModelSpec, _integer, _model_parts, gen_model_block
+from .models import ModelSpec, _integer, _is_real, _model_parts, gen_model_block
 from .rng import child_sequence, substream
 from .scalespace import ScaleGrid, gaussian_kernel, weight_matrix
 
@@ -98,20 +97,20 @@ class ExperimentConfig:
         for m in self.methods:
             if parse_method(m)[1] == "boots" and self.two_sample:
                 raise ValueError(f"two_sample supports every method but 'boots(-t)', not {m!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not (_is_real(self.alpha) and 0.0 < self.alpha < 1.0):
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if self.replications < 1 or self.true_replications < 1:
             raise ValueError("replication counts must be positive")
         if self.bootstrap_replicates < 1:
             raise ValueError("bootstrap_replicates must be positive")
-        if not (math.isfinite(self.sigma_obs) and self.sigma_obs >= 0):
-            raise ValueError(f"sigma_obs must be finite and non-negative, got {self.sigma_obs}")
+        if not (_is_real(self.sigma_obs) and math.isfinite(self.sigma_obs) and self.sigma_obs >= 0):
+            raise ValueError(f"sigma_obs must be finite and non-negative, got {self.sigma_obs!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.scale_grid is not None:
             grid = self.scale_grid
             items = () if isinstance(grid, (str, bytes)) or not np.iterable(grid) else tuple(grid)
-            if [isinstance(v, Real) and not isinstance(v, bool) for v in items] != [True] * 3:
+            if [_is_real(v) for v in items] != [True] * 3:
                 raise ValueError(f"scale_grid must be 3 numbers, got {grid!r}")
             h_min, h_max = float(items[0]), float(items[1])
             count = _integer("scale_grid count", items[2])

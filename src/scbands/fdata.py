@@ -54,20 +54,6 @@ class Grid1D:
         return _trapezoid_weights(self.points)
 
 
-def rectangle_boundary(n_x, n_y):
-    """Counterclockwise perimeter of an n_x x n_y lattice as index pairs."""
-    verts = []
-    for ix in range(n_x - 1):
-        verts.append((ix, 0))
-    for iy in range(n_y - 1):
-        verts.append((n_x - 1, iy))
-    for ix in range(n_x - 1, 0, -1):
-        verts.append((ix, n_y - 1))
-    for iy in range(n_y - 1, 0, -1):
-        verts.append((0, iy))
-    return np.array(verts, dtype=np.intp)
-
-
 @dataclass(frozen=True, eq=False)
 class Grid2D:
     """Full rectangular lattice over x_points by y_points."""
@@ -90,10 +76,6 @@ class Grid2D:
     @property
     def n_points(self):
         return self.n_x * self.n_y
-
-    def flat_index(self, ix, iy):
-        """Column index of lattice node (ix, iy) in the row-major layout."""
-        return np.asarray(ix) * self.n_y + np.asarray(iy)
 
     def lattice_coords(self):
         """(x, y) coordinates of every node in flat (row-major) order."""

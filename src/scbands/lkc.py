@@ -16,7 +16,6 @@ from .fdata import (
     _nonzero_scale,
     gradient,
     grids_equal,
-    rectangle_boundary,
 )
 from .kinematic import LKCVector
 
@@ -79,12 +78,12 @@ def lkc_2d(lam, grid):
 
     lam holds the (P, 2, 2) covariance matrices of lambda_hat on grid, with
     exactly equal off-diagonals and non-negative diagonals. L1 is half the
-    metric length of the rectangle's perimeter, integrating
-    sqrt(t' Lambda t) per lattice segment with the endpoint-averaged matrix
-    and the segment's coordinate delta t; L2 is
-    the lattice trapezoid integral of sqrt(det Lambda). The determinant is
-    clamped at zero: sampling noise can push the 2x2 determinant slightly
-    negative.
+    metric length of the rectangle's perimeter: every segment lies along an
+    axis, so it contributes |d| sqrt(m), with d its coordinate step and m
+    the endpoint average of Lambda_xx (bottom and top edges) or Lambda_yy
+    (left and right edges). L2 is the lattice trapezoid integral of
+    sqrt(det Lambda). The determinant is clamped at zero: sampling noise
+    can push the 2x2 determinant slightly negative.
     """
     if not isinstance(grid, Grid2D):
         raise ValueError("lkc_2d needs a 2-D grid")
@@ -96,13 +95,15 @@ def lkc_2d(lam, grid):
     det = vals[:, 0, 0] * vals[:, 1, 1] - vals[:, 0, 1] ** 2
     l2 = float(np.sum(grid.trapezoid_weights() * np.sqrt(np.clip(det, 0.0, None))))
 
-    ix, iy = rectangle_boundary(grid.n_x, grid.n_y).T
-    coords = np.column_stack([grid.x_points[ix], grid.y_points[iy]])
-    t = np.roll(coords, -1, axis=0) - coords
-    seg = vals[grid.flat_index(ix, iy)]
-    seg_mid = 0.5 * (seg + np.roll(seg, -1, axis=0))
-    quad = np.einsum("ki,kij,kj->k", t, seg_mid, t)
-    l1 = 0.5 * float(np.sum(np.sqrt(np.clip(quad, 0.0, None))))
+    lxx = vals[:, 0, 0].reshape(grid.n_x, grid.n_y)
+    lyy = vals[:, 1, 1].reshape(grid.n_x, grid.n_y)
+    dx, dy = np.diff(grid.x_points), np.diff(grid.y_points)
+    # bottom, right, top, left: counterclockwise from node (0, 0), so the
+    # top and left edges run against their axes
+    edges = ((dx, lxx[:, 0]), (dy, lyy[-1]), (dx, lxx[:, -1]), (dy, lyy[0]))
+    terms = [d * (0.5 * (m[:-1] + m[1:])) * d for d, m in edges]
+    terms[2:] = [t[::-1] for t in terms[2:]]
+    l1 = 0.5 * float(np.sum(np.sqrt(np.concatenate(terms))))
     return l1, l2
 
 

@@ -23,6 +23,7 @@ once and cached; gen_model_block draws a stack of samples from them.
 
 import functools
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from scipy.special import comb
@@ -122,9 +123,15 @@ class ModelSpec:
         return Grid1D(pts)
 
 
+def _is_real(value):
+    """True for a real number that is not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def _integer(name, value):
-    """int(value), or ValueError when value is not integer-valued (10.0 is)."""
-    if not float(value).is_integer():
+    """int(value), or ValueError when value is not an integer-valued real
+    number (10.0 is; True, "10" and None are not)."""
+    if not (_is_real(value) and float(value).is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -114,3 +114,12 @@ def test_import_loads_neither_scipy_stats_nor_optimize():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
+def test_distribution_has_the_package_name_and_version():
+    # one version string: the built distribution reads scbands.__version__
+    pyproject = pytest.importorskip("setuptools.config.pyprojecttoml")
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = pyproject.read_configuration(path)["project"]
+    assert (project["name"], project["version"]) == ("scbands", scbands.__version__)

@@ -146,6 +146,21 @@ def test_two_sample_grid_mismatch():
         scb_two_sample(y, x)
 
 
+def test_band_size_and_grid_checks():
+    # the one field builder checks one or two samples before any quantile
+    g = Grid1D(np.linspace(0.0, 1.0, 10))
+    one = FunctionalSample(np.ones((1, 10)), g)
+    two = FunctionalSample(substream(46).standard_normal((2, 10)), g)
+    moved = FunctionalSample(two.values, Grid1D(np.linspace(0.0, 2.0, 10)))
+    with pytest.raises(ValueError, match="^a band needs at least 2 curves$"):
+        scb_one_sample(one)
+    for y, x in ((one, two), (two, one)):
+        with pytest.raises(ValueError, match="^both groups need at least 2 curves$"):
+            scb_two_sample(y, x)
+    with pytest.raises(ValueError, match="^grid mismatch between the two samples$"):
+        scb_two_sample(two, moved)
+
+
 def test_two_sample_bootstrap_not_offered():
     # the bootstrap-t in either form is refused; the multipliers are drawn
     # per group, so every other method gives a band

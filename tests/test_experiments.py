@@ -12,6 +12,8 @@ from scbands import (
     DegenerateVarianceError,
     ExperimentConfig,
     ModelSpec,
+    FunctionalSample,
+    Grid1D,
     QuantileNoSolutionError,
     ScaleGrid,
     add_observation_noise,
@@ -20,6 +22,7 @@ from scbands import (
     model_mean,
     run_coverage,
     run_width,
+    scb_one_sample,
     smooth_sample,
     substream,
     weight_matrix,
@@ -78,6 +81,22 @@ def test_coverage_cells_record_quantile_failures(monkeypatch):
     assert cell["hits"] == 0
     assert cell["coverage"] is None
     assert cell["se"] is None
+
+
+def test_tgkf_coverage_under_skewed_coefficients():
+    # The tGKF band is asymptotic beyond Gaussian data: with centered
+    # chi-square(7) coefficients, model A at N=100 still covers near 0.95.
+    cfg = ExperimentConfig(
+        model=ModelSpec("A", coef_law="chisq"),
+        n_values=(100,),
+        methods=("tgkf",),
+        alpha=0.05,
+        replications=1000,
+        seed=7,
+    )
+    (cell,) = run_coverage(cfg)["cells"]
+    assert cell["failures"] == 0
+    assert 0.93 <= cell["coverage"] <= 0.97
 
 
 def test_coverage_multiple_methods_ordering():
@@ -403,6 +422,39 @@ def test_config_rejects_fractional_counts(name):
 def test_config_rejects_malformed_scale_grid(grid):
     with pytest.raises(ValueError, match=r"scale_grid must be 3 numbers, got"):
         ExperimentConfig.from_dict({"scale_grid": grid})
+
+
+def _band_replicates(replicates):
+    g = Grid1D(np.linspace(0.0, 1.0, 10))
+    sample = FunctionalSample(substream(3).standard_normal((5, g.n_points)), g)
+    return scb_one_sample(sample, "rmult-t", replicates=replicates)
+
+
+# A bool or a numeric string used to pass as a number (True as 1, "10" as
+# 10) and None raised a TypeError; each is now a named ValueError.
+@pytest.mark.parametrize(
+    "build, value, match",
+    [
+        (lambda v: ExperimentConfig.from_dict({"replications": v}), True,
+         "replications must be an integer, got True"),
+        (lambda v: ExperimentConfig.from_dict({"replications": v}), None,
+         "replications must be an integer, got None"),
+        (lambda v: ExperimentConfig.from_dict({"bootstrap_replicates": v}), "10",
+         "bootstrap_replicates must be an integer, got '10'"),
+        (lambda v: ExperimentConfig.from_dict({"alpha": v}), "0.05",
+         r"alpha must lie in \(0, 1\), got '0.05'"),
+        (lambda v: ExperimentConfig.from_dict({"sigma_obs": v}), True,
+         "sigma_obs must be finite and non-negative, got True"),
+        (lambda v: ExperimentConfig.from_dict({"sigma_obs": v}), "0.1",
+         "sigma_obs must be finite and non-negative, got '0.1'"),
+        (_band_replicates, True, "replicates must be an integer, got True"),
+    ],
+    ids=["replications-bool", "replications-null", "replicates-string", "alpha-string",
+         "sigma-bool", "sigma-string", "band-replicates-bool"],
+)
+def test_numbers_must_be_real_and_not_bool(build, value, match):
+    with pytest.raises(ValueError, match=match):
+        build(value)
 
 
 def test_reference_block_holds_one_array_per_group():

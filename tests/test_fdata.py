@@ -13,7 +13,7 @@ from scbands import (
     normed_residuals,
     substream,
 )
-from scbands.fdata import _mean_field, gradient, grids_equal, rectangle_boundary
+from scbands.fdata import _mean_field, gradient, grids_equal
 from scbands.rng import child_sequence
 
 
@@ -46,16 +46,6 @@ def test_grid2d_lattice_row_major():
 def test_grid2d_needs_three_points_per_axis():
     with pytest.raises(ValueError, match="at least 3"):
         Grid2D(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5]))
-
-
-def test_rectangle_boundary_is_closed_loop():
-    idx = rectangle_boundary(4, 3)
-    # every consecutive pair differs by one step in exactly one coordinate
-    steps = np.abs(np.diff(np.vstack([idx, idx[:1]]), axis=0)).sum(axis=1)
-    assert_array_equal(steps, np.ones(len(idx), dtype=int))
-    assert len(np.unique(idx, axis=0)) == len(idx)
-    # interior points never appear
-    assert not any((0 < i < 3) and (0 < j < 2) for i, j in idx)
 
 
 def test_sample_shape_validation():

@@ -97,6 +97,42 @@ def test_surface_curvatures_of_constant_spd_metric(dx, dy, x0, y0, a, b, d):
     assert_allclose(l2, w * h * abs(a * d), rtol=1e-12)
 
 
+def _perimeter_walk_l1(lam, g):
+    """Half of sum sqrt(t' M t) over the counterclockwise boundary loop from
+    node (0, 0): t is a segment's coordinate delta, M its endpoint-averaged
+    matrix."""
+    n_x, n_y = g.n_x, g.n_y
+    loop = (
+        [(i, 0) for i in range(n_x - 1)]
+        + [(n_x - 1, j) for j in range(n_y - 1)]
+        + [(i, n_y - 1) for i in range(n_x - 1, 0, -1)]
+        + [(0, j) for j in range(n_y - 1, 0, -1)]
+    )
+    ix, iy = np.array(loop).T
+    coords = np.column_stack([g.x_points[ix], g.y_points[iy]])
+    t = np.roll(coords, -1, axis=0) - coords
+    seg = lam[ix * n_y + iy]
+    seg_mid = 0.5 * (seg + np.roll(seg, -1, axis=0))
+    quad = np.einsum("ki,kij,kj->k", t, seg_mid, t)
+    return 0.5 * float(np.sum(np.sqrt(np.clip(quad, 0.0, None))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_steps, _steps, _origin, _origin, st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+def test_surface_length_equals_the_perimeter_walk(dx, dy, x0, y0, seed, log_scale):
+    # uneven lattices of 3-12 points per axis; at every node the Gram matrix
+    # of two random vectors, a symmetric PSD field that varies along the edges
+    xs = x0 + np.concatenate([[0.0], np.cumsum(dx)])
+    ys = y0 + np.concatenate([[0.0], np.cumsum(dy)])
+    g = Grid2D(xs, ys)
+    u, v = 10.0**log_scale * np.random.default_rng(seed).standard_normal((2, g.n_points, 2))
+    lam = np.empty((g.n_points, 2, 2))
+    lam[:, 0, 0] = u[:, 0] ** 2 + u[:, 1] ** 2
+    lam[:, 1, 1] = v[:, 0] ** 2 + v[:, 1] ** 2
+    lam[:, 0, 1] = lam[:, 1, 0] = u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1]
+    assert lkc_2d(lam, g)[0] == _perimeter_walk_l1(lam, g)
+
+
 def test_lambda_2d_shape_and_symmetry():
     g = Grid2D(np.linspace(0.0, 1.0, 15), np.linspace(0.0, 1.0, 15))
     rng = np.random.default_rng(8)

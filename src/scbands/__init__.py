@@ -9,82 +9,25 @@ volumes estimated from residuals, or from resampling (the nonparametric
 bootstrap-t, or multiplier processes, which include direct Gaussian
 simulation).
 
-The names below are the public API; every other module-level name is
-internal and may change without notice.
+The public API is the union of the modules' __all__ lists (all but the
+command line's, scbands.cli), re-exported here; every other module-level
+name is internal and may change without notice.
 """
 
-from .bands import (
-    METHOD_NAMES,
-    SCBand,
-    band_to_dict,
-    covers,
-    normed_residuals,
-    scb_one_sample,
-    scb_scale_space,
-    scb_two_sample,
-    two_sample_residuals,
-)
-from .bootstrap import ceiling_rank_quantile
-from .errors import DegenerateVarianceError, QuantileNoSolutionError
-from .experiments import ExperimentConfig, run_coverage, run_width
-from .fdata import FunctionalSample, Grid1D, Grid2D
-from .kinematic import ECDensityModel, LKCVector, eec, tgkf_quantile
-from .lkc import lambda_hat, lkc_1d, lkc_2d, lkc_estimate
-from .models import ModelSpec, add_observation_noise, gen_model, gen_model_block, model_mean
-from .rng import substream
-from .sampleio import (
-    format_report_table,
-    read_sample,
-    write_band,
-    write_report_csv,
-    write_report_json,
-    write_sample,
-)
-from .scalespace import ScaleGrid, gaussian_kernel, smooth_sample, weight_matrix
+from . import bands, bootstrap, errors, experiments, fdata, kinematic, lkc, models, rng
+from . import sampleio, scalespace
+from .bands import *  # noqa: F403
+from .bootstrap import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .fdata import *  # noqa: F403
+from .kinematic import *  # noqa: F403
+from .lkc import *  # noqa: F403
+from .models import *  # noqa: F403
+from .rng import *  # noqa: F403
+from .sampleio import *  # noqa: F403
+from .scalespace import *  # noqa: F403
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "DegenerateVarianceError",
-    "ECDensityModel",
-    "ExperimentConfig",
-    "FunctionalSample",
-    "Grid1D",
-    "Grid2D",
-    "LKCVector",
-    "METHOD_NAMES",
-    "ModelSpec",
-    "QuantileNoSolutionError",
-    "SCBand",
-    "ScaleGrid",
-    "add_observation_noise",
-    "band_to_dict",
-    "ceiling_rank_quantile",
-    "covers",
-    "eec",
-    "format_report_table",
-    "gaussian_kernel",
-    "gen_model",
-    "gen_model_block",
-    "lambda_hat",
-    "lkc_1d",
-    "lkc_2d",
-    "lkc_estimate",
-    "model_mean",
-    "normed_residuals",
-    "read_sample",
-    "run_coverage",
-    "run_width",
-    "scb_one_sample",
-    "scb_scale_space",
-    "scb_two_sample",
-    "smooth_sample",
-    "substream",
-    "tgkf_quantile",
-    "two_sample_residuals",
-    "weight_matrix",
-    "write_band",
-    "write_report_csv",
-    "write_report_json",
-    "write_sample",
-]
+__all__ = sorted(name for module in (bands, bootstrap, errors, experiments, fdata, kinematic, lkc,
+                                     models, rng, sampleio, scalespace) for name in module.__all__)

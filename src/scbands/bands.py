@@ -25,6 +25,7 @@ from .bootstrap import BootstrapConfig, boots_t_quantile, mult_t_quantile
 from .fdata import FunctionalSample, Grid1D, _mean_field, _nonzero_scale, grids_equal
 from .kinematic import ECDensityModel, tgkf_quantile
 from .lkc import lkc_estimate
+from .models import _check_alpha
 from .scalespace import smooth_sample
 
 __all__ = [
@@ -59,6 +60,14 @@ def parse_method(method):
     if key not in _METHODS:
         raise ValueError(f"unknown method {method!r}; choose one of {METHOD_NAMES}")
     return (key, *_METHODS[key])
+
+
+def _parse_method_for(method, two_sample):
+    """parse_method(method); a two-sample band refuses boots(-t), which takes one sample."""
+    parsed = parse_method(method)
+    if two_sample and parsed[1] == "boots":
+        raise ValueError(f"two-sample bands support every method but 'boots(-t)', not {method!r}")
+    return parsed
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,9 +146,8 @@ def _scb(method, samples, alpha, replicates, seed):
     freedom and their summed curvature field. The resampling kernels read
     the one sample itself, or the two pooled residual groups.
     """
-    name, kind, law, studentized = parse_method(method)
-    if kind == "boots" and len(samples) == 2:
-        raise ValueError(f"two-sample bands support every method but 'boots(-t)', not {method!r}")
+    name, kind, law, studentized = _parse_method_for(method, len(samples) == 2)
+    _check_alpha(alpha)
     center, scale, rate, groups = _residual_field(samples)
     if kind == "tgkf":
         dof = sum(g.n_samples - 1 for g in groups)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateVarianceError
 from .fdata import _nonzero_scale
-from .models import _integer
+from .models import _check_alpha, _integer
 from .rng import substream
 
 __all__ = ["ceiling_rank_quantile"]
@@ -50,8 +50,7 @@ class BootstrapConfig:
         object.__setattr__(self, "replicates", _integer("replicates", self.replicates))
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
 
 
 def ceiling_rank_quantile(draws, alpha):
@@ -63,8 +62,7 @@ def ceiling_rank_quantile(draws, alpha):
     b = draws.size
     if b == 0:
         raise ValueError("ceiling-rank quantile needs at least one draw")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if np.isnan(draws).any():
         raise ValueError("replicate statistics contain NaN")
     rank = int(np.ceil((1.0 - alpha) * b))  # in [1, B] for alpha in (0, 1)

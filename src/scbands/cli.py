@@ -53,13 +53,9 @@ def _load_config(args):
     return ExperimentConfig.from_dict(doc), inputs
 
 
-def _out_path(cfg, default):
-    return cfg.out if cfg.out else default
-
-
 def _cmd_generate(cfg, inputs):
     sample = _raw_draw(cfg, 0, 0)
-    path = _out_path(cfg, "sample.csv")
+    path = cfg.out or "sample.csv"
     write_sample(path, sample)
     print(f"wrote {sample.n_samples} x {sample.n_points} sample to {path}")
     return 0
@@ -80,7 +76,7 @@ def _cmd_scb(cfg, inputs):
         groups = [smooth_sample(g, kernel, ScaleGrid(g.grid, bandwidths)) for g in groups]
     build = scb_two_sample if len(groups) == 2 else scb_one_sample
     band = build(*groups, method, cfg.alpha, replicates=cfg.bootstrap_replicates, seed=cfg.seed)
-    path = _out_path(cfg, "band.json")
+    path = cfg.out or "band.json"
     write_band(path, band)
     print(f"wrote {method} band (alpha={cfg.alpha}, quantile={band.quantile:.6g}) to {path}")
     return 0
@@ -125,7 +121,7 @@ def main(argv=None):
         cfg, inputs = _load_config(args)
         if args.command in _SWEEPS:
             run = run_coverage if args.command == "coverage" else run_width
-            return _write_report(run(cfg, threads=args.threads), _out_path(cfg, args.command))
+            return _write_report(run(cfg, threads=args.threads), cfg.out or args.command)
         command = _cmd_scb if args.command == "scb" else _cmd_generate
         return command(cfg, inputs)
     except Exception as exc:

@@ -23,10 +23,11 @@ from functools import partial
 
 import numpy as np
 
-from .bands import covers, parse_method, scb_one_sample, scb_two_sample
+from .bands import _parse_method_for, covers, scb_one_sample, scb_two_sample
 from .bootstrap import ceiling_rank_quantile
-from .fdata import FunctionalSample, _mean_field, _nonzero_scale
-from .models import ModelSpec, _integer, _is_real, _model_parts, gen_model_block
+from .fdata import FunctionalSample, _bad_scale, _mean_field, _nonzero_scale
+from .models import (ModelSpec, _check_alpha, _check_sigma_obs, _integer, _is_real, _model_parts,
+                     gen_model_block)
 from .rng import child_sequence, substream
 from .scalespace import ScaleGrid, gaussian_kernel, weight_matrix
 
@@ -95,16 +96,13 @@ class ExperimentConfig:
         if not self.methods:
             raise ValueError("need at least one method")
         for m in self.methods:
-            if parse_method(m)[1] == "boots" and self.two_sample:
-                raise ValueError(f"two_sample supports every method but 'boots(-t)', not {m!r}")
-        if not (_is_real(self.alpha) and 0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+            _parse_method_for(m, self.two_sample)
+        _check_alpha(self.alpha)
         if self.replications < 1 or self.true_replications < 1:
             raise ValueError("replication counts must be positive")
         if self.bootstrap_replicates < 1:
             raise ValueError("bootstrap_replicates must be positive")
-        if not (_is_real(self.sigma_obs) and math.isfinite(self.sigma_obs) and self.sigma_obs >= 0):
-            raise ValueError(f"sigma_obs must be finite and non-negative, got {self.sigma_obs!r}")
+        _check_sigma_obs(self.sigma_obs)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.scale_grid is not None:
@@ -296,18 +294,18 @@ def _reference_block(pipe, n_index, reps):
 
     The mean field (fdata._mean_field) and the max-t statistics are taken
     along axis 1 of the block's (R, N, P) draws. A replicate with a zero
-    scale fails with the DegenerateVarianceError of fdata._nonzero_scale,
+    zero or non-finite scale fails with the error of fdata._nonzero_scale,
     one whose statistic is not finite with FloatingPointError.
     """
     groups = pipe.draw_groups(n_index, reps, _TRUE_TAGS)
     with np.errstate(all="ignore"):
         center, scale, rate = _mean_field(*groups)
         stats = np.max(rate * np.abs(center - pipe.truth) / scale, axis=1)
-    has_zero = np.any(scale == 0, axis=1)
+    has_bad = np.any(_bad_scale(scale), axis=1)
     name = "pooled sd" if pipe.cfg.two_sample else "pointwise sd"
 
     def checked(r):
-        if has_zero[r]:
+        if has_bad[r]:
             _nonzero_scale(scale[r], pipe.grid, name)
         stat = float(stats[r])
         if not math.isfinite(stat):

@@ -135,13 +135,19 @@ def _point_label(grid, p):
     return f"{p} (x={xs[p]:.6g}, y={ys[p]:.6g})"
 
 
+def _bad_scale(scale):
+    """True where a scale cannot studentize: it is zero or not finite."""
+    return (scale == 0) | ~np.isfinite(scale)
+
+
 def _nonzero_scale(scale, grid, name):
-    """scale, raising DegenerateVarianceError at its first zero grid point."""
-    zeros = np.flatnonzero(scale == 0)
-    if zeros.size:
-        raise DegenerateVarianceError(
-            f"{name} is zero at grid point {_point_label(grid, int(zeros[0]))}"
-        )
+    """scale, raising at its first grid point where it is zero or not finite."""
+    bad = np.flatnonzero(_bad_scale(scale))
+    if bad.size:
+        p = int(bad[0])
+        if scale[p] == 0:
+            raise DegenerateVarianceError(f"{name} is zero at grid point {_point_label(grid, p)}")
+        raise ValueError(f"{name} is not finite at grid point {_point_label(grid, p)}")
     return scale
 
 

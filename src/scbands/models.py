@@ -128,6 +128,18 @@ def _is_real(value):
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
+def _check_alpha(alpha):
+    """ValueError unless alpha is a real number in (0, 1) that is not a bool."""
+    if not (_is_real(alpha) and 0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
+def _check_sigma_obs(sigma_obs):
+    """ValueError unless the noise sd is a finite, non-negative real that is not a bool."""
+    if not (_is_real(sigma_obs) and 0.0 <= sigma_obs < np.inf):
+        raise ValueError(f"sigma_obs must be finite and non-negative, got {sigma_obs!r}")
+
+
 def _integer(name, value):
     """int(value), or ValueError when value is not an integer-valued real
     number (10.0 is; True, "10" and None are not)."""
@@ -193,7 +205,6 @@ def gen_model(spec, n, rng):
 
 def add_observation_noise(sample, sigma_obs, rng):
     """Add iid N(0, sigma_obs) noise from the Generator rng to every entry."""
-    if sigma_obs < 0:
-        raise ValueError("sigma_obs must be non-negative")
+    _check_sigma_obs(sigma_obs)
     noise = rng.normal(0.0, sigma_obs, size=sample.values.shape)
     return FunctionalSample(sample.values + noise, sample.grid)

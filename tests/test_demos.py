@@ -11,19 +11,21 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 SRC = DEMOS.parent / "src"
 
 
-# coverage_study.py is left out: its 300-replication coverage sweep on four
-# threads takes about 5 s, ten times any demo here, and it only calls
-# run_coverage and format_report_table, which the experiment and CLI tests
-# already run.
+# Command-line arguments per script: coverage_study.py reads its replication
+# count from argv[1], and its default 300 would take about 5 s.
+ARGS = {"coverage_study.py": ["5"]}
+
+
 @pytest.mark.parametrize(
     "script",
-    ["band_basics.py", "fibre_comparison.py", "group_comparison.py", "scale_space_tour.py"],
+    ["band_basics.py", "fibre_comparison.py", "group_comparison.py", "scale_space_tour.py",
+     "coverage_study.py"],
 )
 def test_demo_exits_cleanly(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, str(DEMOS / script)],
+        [sys.executable, str(DEMOS / script), *ARGS.get(script, [])],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr

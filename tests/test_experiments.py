@@ -1,5 +1,6 @@
 """Simulation drivers: coverage and width tables."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from scbands import (
     run_coverage,
     run_width,
     scb_one_sample,
+    scb_two_sample,
     smooth_sample,
     substream,
     weight_matrix,
@@ -358,10 +360,52 @@ def test_width_reference_row_counts_failed_draws(monkeypatch, two_sample):
         scbands.experiments._Pipeline(cfg), 0, range(3)
     )
     assert stats[0][0] is None and "DegenerateVarianceError" in stats[0][1]
-    # the block statistic builds no residuals, so a non-finite two-sample
-    # draw fails like a one-sample one
-    assert stats[1][0] is None and "FloatingPointError" in stats[1][1]
+    # the overflowing mean makes the sd inf, which the scale check names the
+    # same way for one sample and for two
+    sd = "pooled sd" if two_sample else "pointwise sd"
+    assert stats[1][0] is None and stats[1][1].startswith(f"ValueError: {sd} is not finite")
     assert stats[2][0] is not None and stats[2][1] is None
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_huge_finite_samples_give_finite_bands_or_a_named_error(monkeypatch):
+    # Past about 1e154 the pointwise variance of finite curves overflows to
+    # inf. An inf scale used to pass the scale check, so the bands came out
+    # non-finite and the reference row counted such a draw as a statistic.
+    g = Grid1D(np.linspace(0.0, 1.0, 20))
+    y, x = substream(8, 0).standard_normal((6, 20)), substream(8, 1).standard_normal((5, 20))
+    builds = {m: lambda a, b, m=m: scb_one_sample(a, m, replicates=200)
+              for m in ("tgkf", "rmult-t", "boots-t", "gauss-sim")}
+    builds.update({f"two-sample {m}": lambda a, b, m=m: scb_two_sample(a, b, m, replicates=200)
+                   for m in ("tgkf", "rmult-t")})
+    named = re.compile(r"(pointwise|pooled) sd is not finite at grid point \d+ \(s=")
+    refused = {name: [] for name in builds}
+    for k in range(150, 306, 5):
+        a, b = FunctionalSample(y * 10.0**k, g), FunctionalSample(x * 10.0**k, g)
+        for name, build in builds.items():
+            try:
+                band = build(a, b)
+            except ValueError as exc:
+                assert type(exc) is ValueError and named.match(str(exc)), (name, k, exc)
+                refused[name].append(k)
+                continue
+            assert np.all(np.isfinite([band.quantile, *band.lower, *band.upper])), (name, k)
+    for name, ks in refused.items():
+        assert 150 not in ks and 305 in ks, name
+
+    draw_block = scbands.experiments._Pipeline.draw_block
+
+    def patched(self, n_index, reps, data_tag, noise_tag):
+        values = draw_block(self, n_index, reps, data_tag, noise_tag)
+        values[list(reps).index(0)] *= 1e160
+        return values
+
+    monkeypatch.setattr(scbands.experiments._Pipeline, "draw_block", patched)
+    pipe = scbands.experiments._Pipeline(small_config(n_values=(10,)))
+    stats = scbands.experiments._reference_block(pipe, 0, range(3))
+    assert stats[0] == (None, "ValueError: pointwise sd is not finite at grid point 0 (s=0)")
+    assert all(np.isfinite(value) and reason is None for value, reason in stats[1:])
 
 
 # Each value below used to pass the config and then fail every replication
@@ -397,7 +441,8 @@ def test_config_rejects_two_bandwidths():
 def test_config_rejects_two_sample_resampling(method):
     # two-sample runs take the multiplier methods but not the bootstrap-t
     if method.startswith("boots"):
-        with pytest.raises(ValueError, match=r"two_sample supports every method but 'boots\(-t\)'"):
+        match = r"two-sample bands support every method but 'boots\(-t\)'"
+        with pytest.raises(ValueError, match=match):
             ExperimentConfig(methods=("tgkf", method), two_sample=True)
     else:
         assert ExperimentConfig(methods=("tgkf", method), two_sample=True).methods[1] == method
@@ -424,37 +469,60 @@ def test_config_rejects_malformed_scale_grid(grid):
         ExperimentConfig.from_dict({"scale_grid": grid})
 
 
-def _band_replicates(replicates):
+def _curves(seed=3):
     g = Grid1D(np.linspace(0.0, 1.0, 10))
-    sample = FunctionalSample(substream(3).standard_normal((5, g.n_points)), g)
-    return scb_one_sample(sample, "rmult-t", replicates=replicates)
+    return FunctionalSample(substream(seed).standard_normal((5, g.n_points)), g)
+
+
+def _band_replicates(replicates):
+    return scb_one_sample(_curves(), "rmult-t", replicates=replicates)
+
+
+def _alpha_case(build, value, id):
+    return pytest.param(build, value, re.escape(f"alpha must lie in (0, 1), got {value!r}"), id=id)
+
+
+def _noise_case(value):
+    match = re.escape(f"sigma_obs must be finite and non-negative, got {value!r}")
+    return pytest.param(lambda v: add_observation_noise(_curves(), v, substream(4)), value, match,
+                        id=f"noise-{value!r}")
 
 
 # A bool or a numeric string used to pass as a number (True as 1, "10" as
-# 10) and None raised a TypeError; each is now a named ValueError.
+# 10) and None raised a TypeError; each is now a named ValueError. The band
+# functions and add_observation_noise check alpha and the noise level with
+# the config's own check, whatever the method.
 @pytest.mark.parametrize(
     "build, value, match",
     [
-        (lambda v: ExperimentConfig.from_dict({"replications": v}), True,
-         "replications must be an integer, got True"),
-        (lambda v: ExperimentConfig.from_dict({"replications": v}), None,
-         "replications must be an integer, got None"),
-        (lambda v: ExperimentConfig.from_dict({"bootstrap_replicates": v}), "10",
-         "bootstrap_replicates must be an integer, got '10'"),
-        (lambda v: ExperimentConfig.from_dict({"alpha": v}), "0.05",
-         r"alpha must lie in \(0, 1\), got '0.05'"),
-        (lambda v: ExperimentConfig.from_dict({"sigma_obs": v}), True,
-         "sigma_obs must be finite and non-negative, got True"),
-        (lambda v: ExperimentConfig.from_dict({"sigma_obs": v}), "0.1",
-         "sigma_obs must be finite and non-negative, got '0.1'"),
-        (_band_replicates, True, "replicates must be an integer, got True"),
+        pytest.param(lambda v: ExperimentConfig.from_dict({"replications": v}), True,
+                     "replications must be an integer, got True", id="replications-bool"),
+        pytest.param(lambda v: ExperimentConfig.from_dict({"replications": v}), None,
+                     "replications must be an integer, got None", id="replications-null"),
+        pytest.param(lambda v: ExperimentConfig.from_dict({"bootstrap_replicates": v}), "10",
+                     "bootstrap_replicates must be an integer, got '10'", id="replicates-string"),
+        _alpha_case(lambda v: ExperimentConfig.from_dict({"alpha": v}), "0.05", "alpha-string"),
+        pytest.param(lambda v: ExperimentConfig.from_dict({"sigma_obs": v}), True,
+                     "sigma_obs must be finite and non-negative, got True", id="sigma-bool"),
+        pytest.param(lambda v: ExperimentConfig.from_dict({"sigma_obs": v}), "0.1",
+                     "sigma_obs must be finite and non-negative, got '0.1'", id="sigma-string"),
+        pytest.param(_band_replicates, True, "replicates must be an integer, got True",
+                     id="band-replicates-bool"),
+        *(
+            _alpha_case(lambda v, m=m: scb_one_sample(_curves(), m, alpha=v), value,
+                        f"band-alpha-{m}-{value!r}")
+            for m in ("tgkf", "rmult-t", "boots-t")
+            for value in ("0.05", True, None, 0, 1)
+        ),
+        _alpha_case(lambda v: scb_two_sample(_curves(), _curves(4), "tgkf", alpha=v), True,
+                    "two-sample-alpha-True"),
+        *(_noise_case(value) for value in (True, "0.1", float("nan"), float("inf"), -0.1)),
     ],
-    ids=["replications-bool", "replications-null", "replicates-string", "alpha-string",
-         "sigma-bool", "sigma-string", "band-replicates-bool"],
 )
 def test_numbers_must_be_real_and_not_bool(build, value, match):
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=match) as info:
         build(value)
+    assert type(info.value) is ValueError
 
 
 def test_reference_block_holds_one_array_per_group():

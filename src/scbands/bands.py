@@ -54,20 +54,15 @@ _METHODS = {
 METHOD_NAMES = tuple(_METHODS)
 
 
-def parse_method(method):
-    """Canonical (name, kind, law, studentized) tuple for a method string."""
+def _parse_method_for(method, two_sample):
+    """Canonical (name, kind, law, studentized) tuple for a method string; a
+    two-sample band refuses boots(-t), which takes one sample."""
     key = str(method).lower().replace("_", "-")
     if key not in _METHODS:
         raise ValueError(f"unknown method {method!r}; choose one of {METHOD_NAMES}")
-    return (key, *_METHODS[key])
-
-
-def _parse_method_for(method, two_sample):
-    """parse_method(method); a two-sample band refuses boots(-t), which takes one sample."""
-    parsed = parse_method(method)
-    if two_sample and parsed[1] == "boots":
+    if two_sample and _METHODS[key][0] == "boots":
         raise ValueError(f"two-sample bands support every method but 'boots(-t)', not {method!r}")
-    return parsed
+    return (key, *_METHODS[key])
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +101,8 @@ def _residual_field(samples):
         raise ValueError("a band needs at least 2 curves" if one
                          else "both groups need at least 2 curves")
     center, scale, rate = _mean_field(*(np.copy(s.values) for s in samples))
-    scale = _nonzero_scale(scale, grid, "pointwise sd" if one else "pooled sd")
+    scale = _nonzero_scale(scale, grid, "pointwise sd" if one else "pooled sd",
+                           [s.values for s in samples])
     if one:
         res = [samples[0].values - center]
     else:
@@ -142,9 +138,10 @@ def two_sample_residuals(sample_y, sample_x):
 def _scb(method, samples, alpha, replicates, seed):
     """Band center +/- q * scale / rate of the mean field of one or two samples.
 
-    The tGKF reads the field's residual groups: sum(N_g - 1) degrees of
-    freedom and their summed curvature field. The resampling kernels read
-    the one sample itself, or the two pooled residual groups.
+    Every kernel reads the field's unit-scale residual groups, never the
+    raw values, whose squares can overflow or underflow: the tGKF their
+    sum(N_g - 1) degrees of freedom and summed curvature field, a
+    resampling kernel one group as itself and two as a tuple.
     """
     name, kind, law, studentized = _parse_method_for(method, len(samples) == 2)
     _check_alpha(alpha)
@@ -153,7 +150,7 @@ def _scb(method, samples, alpha, replicates, seed):
         dof = sum(g.n_samples - 1 for g in groups)
         q = tgkf_quantile(lkc_estimate(*groups), ECDensityModel.student_t(dof), alpha)
     else:
-        data = samples[0] if len(samples) == 1 else groups
+        data = groups[0] if len(groups) == 1 else groups
         cfg = BootstrapConfig(replicates, alpha, studentized, seed)
         q = boots_t_quantile(data, cfg) if kind == "boots" else mult_t_quantile(data, law, cfg)
     half = q * scale / rate

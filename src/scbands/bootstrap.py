@@ -14,6 +14,9 @@ only their row maxima, so no (B, P) array forms. With g^2 = 1 a Rademacher
 block needs one product per group, and one studentized group maps only
 its row maxima through a monotone function (mult_t_quantile).
 
+Bands hand every kernel the unit-scale residual groups of their mean field
+(bands._scb), so no second moment formed here overflows or underflows.
+
 Each band draws all of its B replicates from one counter-based stream,
 ``substream(seed)``, in one call: row b of the (B, N) multiplier or index
 matrix is replicate b. Estimates are reproducible bit for bit from the seed

@@ -19,7 +19,6 @@ not grow with true_replications and its statistics equal one-at-a-time draws.
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 
@@ -53,7 +52,7 @@ _TRUE_TAGS = ((_TAG_TRUE_DATA_Y, _TAG_TRUE_NOISE_Y), (_TAG_TRUE_DATA_X, _TAG_TRU
 # row's memory does not grow with true_replications.
 _BLOCK_VALUES = 1 << 16
 
-# Integer counts of ExperimentConfig; a non-integer one would fail mid-run.
+# Positive integer counts of ExperimentConfig; any other value would fail mid-run.
 _COUNT_FIELDS = ("replications", "bootstrap_replicates", "true_replications")
 # JSON keys of the ModelSpec fields in a config; the model letter is "name".
 _MODEL_KEYS = {f.name: "name" if f.name == "model" else f.name for f in fields(ModelSpec)}
@@ -89,8 +88,12 @@ class ExperimentConfig:
             self, "n_values", tuple(_integer("n_values entry", n) for n in self.n_values)
         )
         object.__setattr__(self, "methods", tuple(str(m) for m in self.methods))
-        for name in _COUNT_FIELDS + ("seed",):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in _COUNT_FIELDS:
+            count = _integer(name, getattr(self, name))
+            if count < 1:
+                raise ValueError(f"{name} must be positive, got {count}")
+            object.__setattr__(self, name, count)
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         if not self.n_values or any(n < 2 for n in self.n_values):
             raise ValueError("n_values must hold sample sizes of at least 2")
         if not self.methods:
@@ -98,10 +101,6 @@ class ExperimentConfig:
         for m in self.methods:
             _parse_method_for(m, self.two_sample)
         _check_alpha(self.alpha)
-        if self.replications < 1 or self.true_replications < 1:
-            raise ValueError("replication counts must be positive")
-        if self.bootstrap_replicates < 1:
-            raise ValueError("bootstrap_replicates must be positive")
         _check_sigma_obs(self.sigma_obs)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
@@ -206,44 +205,49 @@ def _failure_tolerant(fn, *args):
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _sweep(pipe, reps, block_values, score_block, threads):
+def _sweep(pipe, block, reps, block_values, threads):
     """Rows of the replicates 0..reps-1 of every N, one list of rows per N.
 
     Each N's replicates are cut into blocks of about block_values values
-    (at least one replicate), the blocks run on the thread pool, and
-    score_block(n_index, reps) returns one row per replicate of its block.
+    (at least one replicate). block is a module-level function, and
+    block(pipe, n_index, reps) returns one row per replicate of its block;
+    the thread pool maps it over the blocks' plain-data arguments.
     """
     items = []
     for i, n in enumerate(pipe.cfg.n_values):
         size = max(1, block_values // (n * pipe.width))
-        items += [(i, range(r, min(r + size, reps))) for r in range(0, reps, size)]
+        items += [(pipe, i, range(r, min(r + size, reps))) for r in range(0, reps, size)]
     if threads <= 1:
-        blocks = [score_block(*item) for item in items]
+        blocks = list(map(block, *zip(*items)))
     else:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            blocks = list(pool.map(lambda item: score_block(*item), items))
-    rows = [row for block in blocks for row in block]
+            blocks = list(pool.map(block, *zip(*items)))
+    rows = [row for block_rows in blocks for row in block_rows]
     return [rows[i * reps : (i + 1) * reps] for i in range(len(pipe.cfg.n_values))]
 
 
-def _band_block(pipe, score, n_index, reps):
-    """One row per replicate of reps, holding a (value, reason) pair per method.
-
-    value is score(band), or None with the failure message as reason when
-    the draw or the estimator failed.
-    """
+def _band(pipe, samples, method, seed):
+    """(quantile, covered) of the method's band on the samples of one replicate."""
     cfg = pipe.cfg
     build = scb_two_sample if cfg.two_sample else scb_one_sample
+    band = build(*samples, method, cfg.alpha, cfg.bootstrap_replicates, seed)
+    return band.quantile, covers(band, pipe.truth)
 
-    def band_score(samples, method, seed):
-        return score(build(*samples, method, cfg.alpha, cfg.bootstrap_replicates, seed))
+
+def _band_block(pipe, n_index, reps):
+    """One row per replicate of reps, holding a (value, reason) pair per method.
+
+    value is the band's (quantile, covered) pair, or None with the failure
+    message as reason when the draw or the estimator failed.
+    """
+    cfg = pipe.cfg
 
     def scores(rep):
         groups = pipe.draw_groups(n_index, [rep], _BAND_TAGS)
         samples = [FunctionalSample(values[0], pipe.grid) for values in groups]
         return [
             _failure_tolerant(
-                band_score, samples, method,
+                _band, pipe, samples, method,
                 child_sequence(cfg.seed, _TAG_METHOD, n_index, rep, m_index),
             )
             for m_index, method in enumerate(cfg.methods)
@@ -251,11 +255,6 @@ def _band_block(pipe, score, n_index, reps):
 
     rows = [_failure_tolerant(scores, rep) for rep in reps]
     return [[(None, reason)] * len(cfg.methods) if reason else row for row, reason in rows]
-
-
-def _band_rows(pipe, score, threads):
-    """Band rows of every N, one replicate per block: a band is the unit of work."""
-    return _sweep(pipe, pipe.cfg.replications, 1, partial(_band_block, pipe, score), threads)
 
 
 def _cells(n, methods, columns, summary):
@@ -275,10 +274,10 @@ def _cells(n, methods, columns, summary):
 def run_coverage(cfg, threads=1):
     """Coverage table: one cell per (N, method) with hit rate and binomial SE."""
     pipe = _Pipeline(cfg)
-    rows = _band_rows(pipe, lambda band: covers(band, pipe.truth), threads)
+    rows = _sweep(pipe, _band_block, cfg.replications, 1, threads)
 
-    def summary(outcomes):
-        hits, valid = sum(outcomes), len(outcomes)
+    def summary(pairs):
+        hits, valid = sum(covered for _, covered in pairs), len(pairs)
         coverage = hits / valid if valid else None
         se = math.sqrt(coverage * (1 - coverage) / valid) if valid else None
         return {"hits": hits, "coverage": coverage, "se": se}
@@ -293,9 +292,10 @@ def _reference_block(pipe, n_index, reps):
     """(value, reason) of the maximal studentized deviation of each replicate.
 
     The mean field (fdata._mean_field) and the max-t statistics are taken
-    along axis 1 of the block's (R, N, P) draws. A replicate with a zero
-    zero or non-finite scale fails with the error of fdata._nonzero_scale,
-    one whose statistic is not finite with FloatingPointError.
+    along axis 1 of the block's (R, N, P) draws. A replicate whose scale
+    cannot studentize (fdata._bad_scale) fails with the error of
+    fdata._nonzero_scale, one whose statistic is not finite with
+    FloatingPointError.
     """
     groups = pipe.draw_groups(n_index, reps, _TRUE_TAGS)
     with np.errstate(all="ignore"):
@@ -315,24 +315,17 @@ def _reference_block(pipe, n_index, reps):
     return [_failure_tolerant(checked, r) for r in range(len(reps))]
 
 
-def _reference_row(pipe, threads):
-    """(value, reason) of every reference draw, one list per N, in blocks of
-    about _BLOCK_VALUES values."""
-    block = partial(_reference_block, pipe)
-    return _sweep(pipe, pipe.cfg.true_replications, _BLOCK_VALUES, block, threads)
-
-
 def run_width(cfg, threads=1):
     """Width table: mean quantile +/- 2 SE per (N, method), plus the
     brute-force reference row from true_replications max-t draws."""
     pipe = _Pipeline(cfg)
-    rows = _band_rows(pipe, lambda band: band.quantile, threads)
-    true_rows = _reference_row(pipe, threads)
+    rows = _sweep(pipe, _band_block, cfg.replications, 1, threads)
+    true_rows = _sweep(pipe, _reference_block, cfg.true_replications, _BLOCK_VALUES, threads)
 
-    def summary(quantiles):
-        if not quantiles:
+    def summary(pairs):
+        if not pairs:
             return {"mean_quantile": None, "two_se": None}
-        good = np.array(quantiles)
+        good = np.array([quantile for quantile, _ in pairs])
         two_se = float(2.0 * good.std(ddof=1) / math.sqrt(good.size)) if good.size > 1 else None
         return {"mean_quantile": float(good.mean()), "two_se": two_se}
 

@@ -136,18 +136,24 @@ def _point_label(grid, p):
 
 
 def _bad_scale(scale):
-    """True where a scale cannot studentize: it is zero or not finite."""
-    return (scale == 0) | ~np.isfinite(scale)
+    """True where a scale cannot studentize: it is not finite, or below 2^-511,
+    where its square, the variance behind it, is no longer a normal double."""
+    return ~((scale >= 2.0**-511) & (scale < np.inf))
 
 
-def _nonzero_scale(scale, grid, name):
-    """scale, raising at its first grid point where it is zero or not finite."""
+def _nonzero_scale(scale, grid, name, values=()):
+    """scale, raising at its first grid point that _bad_scale flags: with
+    DegenerateVarianceError where it is zero and none of the (N, P) arrays
+    values behind it varies there, else with ValueError."""
     bad = np.flatnonzero(_bad_scale(scale))
     if bad.size:
         p = int(bad[0])
-        if scale[p] == 0:
-            raise DegenerateVarianceError(f"{name} is zero at grid point {_point_label(grid, p)}")
-        raise ValueError(f"{name} is not finite at grid point {_point_label(grid, p)}")
+        where = f"at grid point {_point_label(grid, p)}"
+        if not np.isfinite(scale[p]):
+            raise ValueError(f"{name} is not finite {where}")
+        if scale[p] == 0 and not any(np.ptp(v[:, p]) for v in values):
+            raise DegenerateVarianceError(f"{name} is zero {where}")
+        raise ValueError(f"{name} underflows {where}")
     return scale
 
 

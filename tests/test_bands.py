@@ -1,10 +1,13 @@
 """Band construction: one-sample, two-sample, and scale-space surfaces."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
+import scbands.bands
 from scbands import (
     METHOD_NAMES,
     DegenerateVarianceError,
@@ -120,6 +123,73 @@ def test_degenerate_sample_rejected():
     ):
         with pytest.raises(DegenerateVarianceError, match="sd is zero at grid point 0"):
             estimate()
+    # On a lattice the message names the node's (x, y) coordinates.
+    surface = substream(3, 0).standard_normal((4, 20))
+    surface[:, 7] = 2.0
+    lattice = Grid2D(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4))
+    with pytest.raises(DegenerateVarianceError,
+                       match=re.escape("pointwise sd is zero at grid point 7 (x=0.25, y=1)")):
+        scb_one_sample(FunctionalSample(surface, lattice))
+
+
+@pytest.mark.parametrize("method, kernel", [("rmult-t", "mult_t_quantile"),
+                                            ("boots-t", "boots_t_quantile")])
+def test_one_sample_kernels_read_the_normed_residuals(monkeypatch, method, kernel):
+    # A one-sample resampling kernel reads one FunctionalSample, the normed
+    # residuals, never the raw sample or a 1-tuple of groups.
+    sample = gen_model(ModelSpec("A", resolution=30), 12, rng=substream(48, 0))
+    seen = []
+    real = getattr(scbands.bands, kernel)
+
+    def spy(data, *args):
+        seen.append(data)
+        return real(data, *args)
+
+    monkeypatch.setattr(scbands.bands, kernel, spy)
+    scb_one_sample(sample, method, replicates=50)
+    (data,) = seen
+    assert isinstance(data, FunctionalSample)
+    assert_array_equal(data.values, normed_residuals(sample).values)
+
+
+# 2^e for e across the magnitudes of double samples: steps of 2 up to
+# 2^-500, where the pointwise variance loses precision and then underflows,
+# steps of 24 octaves in between, and steps of 1/8 over the top 4 octaves,
+# where it overflows. At integer e the scaling is exact.
+_EXPONENTS = np.r_[np.arange(-560, -500, 2), np.arange(-500, 508, 24),
+                   np.arange(508, 512.01, 0.125)]
+_FIELD_ERROR = re.compile(r"(pointwise|pooled) sd (is not finite|underflows) at grid point ")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "method, two_sample",
+    [(m, False) for m in METHOD_NAMES]
+    + [(m, True) for m in METHOD_NAMES if not m.startswith("boots")],
+)
+def test_scaled_samples_give_the_scaled_band_or_a_named_error(method, two_sample):
+    # Every column varies, so the band of 2^e times the sample is 2^e times
+    # the band, with the same quantile, unless the field names the scale
+    # that cannot studentize: no kernel forms second moments of raw values.
+    g = Grid1D(np.linspace(0.0, 1.0, 20))
+    y = np.random.default_rng(0).standard_normal((6, 20))
+    x = np.random.default_rng(1).standard_normal((5, 20))
+
+    def band(scale):
+        samples = [FunctionalSample(v * scale, g) for v in ((y, x) if two_sample else (y,))]
+        build = scb_two_sample if two_sample else scb_one_sample
+        return build(*samples, method, 0.05, 200, 1)
+
+    ref = band(1.0)
+    for e in _EXPONENTS:
+        try:
+            scaled = band(2.0**e)
+        except ValueError as exc:
+            assert type(exc) is ValueError and _FIELD_ERROR.match(str(exc)), (e, exc)
+            continue
+        assert_allclose(np.r_[scaled.quantile, scaled.lower / 2.0**e, scaled.upper / 2.0**e],
+                        np.r_[ref.quantile, ref.lower, ref.upper], rtol=1e-9, err_msg=str(e))
 
 
 def test_two_sample_band_swap_antisymmetry():

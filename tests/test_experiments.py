@@ -1,5 +1,6 @@
 """Simulation drivers: coverage and width tables."""
 
+import pickle
 import re
 import tracemalloc
 
@@ -263,13 +264,50 @@ def test_reference_blocks_equal_per_replicate_draws(overrides, n):
         true_replications=13,
         **overrides,
     )
-    pipe = scbands.experiments._Pipeline(cfg)
-    size = scbands.experiments._BLOCK_VALUES // (n * pipe.width)
+    ex = scbands.experiments
+    pipe = ex._Pipeline(cfg)
+    size = ex._BLOCK_VALUES // (n * pipe.width)
     assert 1 < size < 13 and 13 % size  # several blocks, the last one partial
-    rows = scbands.experiments._reference_row(pipe, threads=1)
+    rows = ex._sweep(pipe, ex._reference_block, 13, ex._BLOCK_VALUES, 1)
     for n_index, row in enumerate(rows):
         expected = [_loop_reference_statistic(cfg, n_index, rep) for rep in range(13)]
         assert row == [(stat, None) for stat in expected]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"two_sample": True}, {"scale_grid": (0.05, 0.15, 3), "sigma_obs": 0.1}],
+    ids=["plain", "two-sample", "scale-grid"],
+)
+def test_sweep_work_items_pickle_and_give_the_same_rows(monkeypatch, overrides):
+    # The pool receives a module-level block function and plain-data
+    # (pipeline, n_index, replicates) items, so a process pool could run them.
+    cfg = small_config(methods=("tgkf", "rmult-t"), bootstrap_replicates=50, **overrides)
+    serial = run_coverage(cfg), run_width(cfg)
+    seen = set()
+
+    class PicklingPool:  # runs each work item from a pickled copy
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, block, *iterables):
+            out = []
+            for item in zip(*iterables):
+                copy_block, copy_item = pickle.loads(pickle.dumps((block, item)))
+                out.append(copy_block(*copy_item))
+                assert out[-1] == block(*item)
+                seen.add(block.__name__)
+            return out
+
+    monkeypatch.setattr(scbands.experiments, "ThreadPoolExecutor", PicklingPool)
+    assert (run_coverage(cfg, threads=2), run_width(cfg, threads=2)) == serial
+    assert seen == {"_band_block", "_reference_block"}
 
 
 def test_config_round_trip():
@@ -295,8 +333,9 @@ def test_config_validation():
         ExperimentConfig.from_dict({"n_values": [5], "bogus": 1})
     with pytest.raises(ValueError):
         ExperimentConfig(methods=("nope",))
-    with pytest.raises(ValueError):
-        ExperimentConfig(replications=0)
+    for name in ("replications", "bootstrap_replicates", "true_replications"):
+        with pytest.raises(ValueError, match=f"^{name} must be positive, got 0$"):
+            ExperimentConfig(**{name: 0})
     with pytest.raises(ValueError):
         ExperimentConfig(alpha=0.0)
     with pytest.raises(ValueError, match="curve models only"):

@@ -19,8 +19,10 @@ Bands hand every kernel the unit-scale residual groups of their mean field
 
 Each band draws all of its B replicates from one counter-based stream,
 ``substream(seed)``, in one call: row b of the (B, N) multiplier or index
-matrix is replicate b. Estimates are reproducible bit for bit from the seed
-alone, whatever the thread count or the order in which bands are built.
+matrix is replicate b. Rademacher signs are the bits of B N / 8 random
+bytes, one bit per sign, row-major. Estimates are reproducible bit for bit
+from the seed alone, whatever the thread count or the order in which bands
+are built.
 """
 
 from dataclasses import dataclass
@@ -187,6 +189,13 @@ def _point_stats(gblk, parts, var_fixed):
     return num * num / var
 
 
+def _rademacher(gen, shape):
+    """Array of the given shape of signs +-1, one per bit of gen.bytes (row-major)."""
+    count = int(np.prod(shape))
+    bits = np.unpackbits(np.frombuffer(gen.bytes(-(-count // 8)), dtype=np.uint8), count=count)
+    return bits.reshape(shape) * 2.0 - 1.0
+
+
 def mult_t_quantile(sample, law, cfg):
     """Multiplier bootstrap quantile of the max studentized statistic.
 
@@ -194,8 +203,9 @@ def mult_t_quantile(sample, law, cfg):
     law names the mean-zero, unit-variance multipliers: "gaussian" or
     "rademacher". The (B, sum N_g) multiplier matrix G comes from one draw
     of the band's stream; row b is replicate b, and its columns are split
-    into the groups in order. With R_n = sqrt(N_g/(N_g-1)) (Y_n - mean_g)
-    in group g,
+    into the groups in order; Rademacher signs are 2 bit - 1 over the bits
+    of one ``Generator.bytes`` draw (_rademacher). With
+    R_n = sqrt(N_g/(N_g-1)) (Y_n - mean_g) in group g,
 
         T* = max_s | sum_g N_g^(-1/2) sum_n g_n R_n(s) | / sd*(s),
 
@@ -223,7 +233,7 @@ def mult_t_quantile(sample, law, cfg):
     if law == "gaussian":
         gmat = gen.standard_normal(shape)
     else:
-        gmat = gen.integers(0, 2, size=shape) * 2.0 - 1.0
+        gmat = _rademacher(gen, shape)
     var = None
     if not cfg.studentized:
         var = sum(g.values.var(axis=0, ddof=1) for g in groups)

@@ -3,17 +3,19 @@
 Both drivers share one scenario pipeline: draw a synthetic sample, add
 observation noise when requested, optionally smooth onto a scale grid (one
 bandwidth, or a whole lattice of them), then hand the analysis sample to
-the band engine. Every replication draws from substreams addressed by
-(purpose, n-index, rep), so a report depends only on (config, seed), never
-on thread count or evaluation order. Estimator failures (degenerate
-variance, no quantile solution) are recorded per cell instead of aborting
-the sweep.
+the band engine. Every draw comes from a substream addressed by (purpose,
+n-index, block), so a report depends only on (config, seed), never on
+thread count or evaluation order. Estimator failures (degenerate variance,
+no quantile solution) are recorded per cell instead of aborting the sweep.
 
 The bands and the width table's brute-force reference row share one
-scheduler of replicate blocks: a band block holds one replicate, a
-reference block about 2^16 values (one (R, N, P) array per group, centered
-in place, one substream per replicate), so the reference row's memory does
-not grow with true_replications and its statistics equal one-at-a-time draws.
+scheduler of replicate blocks. A band block holds one replicate, drawn from
+the substreams of its replicate index. A reference block holds about
+_BLOCK_VALUES values: one (R, N, P) array per group, drawn from one
+substream per purpose and centered in place, so the reference row's memory
+does not grow with true_replications. Block boundaries depend only on N,
+the grid width and _BLOCK_VALUES, and the last block is drawn in full, so
+raising true_replications keeps every earlier statistic.
 """
 
 import math
@@ -27,7 +29,7 @@ from .bootstrap import ceiling_rank_quantile
 from .fdata import FunctionalSample, _bad_scale, _mean_field, _nonzero_scale
 from .models import (ModelSpec, _check_alpha, _check_sigma_obs, _integer, _is_real, _model_parts,
                      gen_model_block)
-from .rng import child_sequence, substream
+from .rng import STREAM_LAYOUT, child_sequence, substream
 from .scalespace import ScaleGrid, gaussian_kernel, weight_matrix
 
 __all__ = ["ExperimentConfig", "run_coverage", "run_width"]
@@ -49,7 +51,8 @@ _BAND_TAGS = ((_TAG_DATA_Y, _TAG_NOISE_Y), (_TAG_DATA_X, _TAG_NOISE_X))
 _TRUE_TAGS = ((_TAG_TRUE_DATA_Y, _TAG_TRUE_NOISE_Y), (_TAG_TRUE_DATA_X, _TAG_TRUE_NOISE_X))
 
 # A block of reference-row draws holds about this many doubles, so the
-# row's memory does not grow with true_replications.
+# row's memory does not grow with true_replications. The blocks are the
+# reference row's stream addresses: changing this moves its draws.
 _BLOCK_VALUES = 1 << 16
 
 # Positive integer counts of ExperimentConfig; any other value would fail mid-run.
@@ -166,8 +169,15 @@ class _Pipeline:
         # Values per path of the widest array a block of draws holds.
         self.width = max(grid.n_points, self.grid.n_points)
 
+    def block_size(self, n_index, block_values):
+        """Replicates (at least one) per block of about block_values values at n_values[n_index]."""
+        return max(1, block_values // (self.cfg.n_values[n_index] * self.width))
+
     def draw_block(self, n_index, reps, data_tag, noise_tag):
-        """(R, N, P) analysis values of the replicates reps, after any smoothing."""
+        """(R, N, P) analysis values of the block of replicates reps, after any smoothing.
+
+        reps is range(b R, (b + 1) R), the replicates of block b (_raw_block).
+        """
         vals = _raw_block(self.cfg, n_index, reps, data_tag, noise_tag)
         return vals if self.weights is None else vals @ self.weights.T
 
@@ -177,25 +187,28 @@ class _Pipeline:
 
 
 def _raw_block(cfg, n_index, reps, data_tag=_TAG_DATA_Y, noise_tag=_TAG_NOISE_Y):
-    """(R, N, P) model draws plus observation noise of the replicates reps.
+    """(R, N, P) model draws plus observation noise of the block of replicates reps.
 
-    Replicate r draws its paths from substream (seed, data_tag, n_index, r)
-    and its noise from substream (seed, noise_tag, n_index, r), so a block
-    holds exactly the draws its replicates would make one at a time.
+    reps is range(b R, (b + 1) R): the block draws all its paths from
+    substream (seed, data_tag, n_index, b) in one call and all its noise
+    from substream (seed, noise_tag, n_index, b) in one call. A block of
+    one replicate r is thus addressed by r itself.
     """
-    n = cfg.n_values[n_index]
-    gens = [substream(cfg.seed, data_tag, n_index, r) for r in reps]
-    vals = gen_model_block(cfg.model, n, gens)
+    size = len(reps)
+    block = reps.start // size
+    vals = gen_model_block(cfg.model, cfg.n_values[n_index],
+                           substream(cfg.seed, data_tag, n_index, block), size)
     if cfg.sigma_obs > 0:
-        for r, v in zip(reps, vals):
-            v += substream(cfg.seed, noise_tag, n_index, r).normal(0.0, cfg.sigma_obs, v.shape)
+        vals += substream(cfg.seed, noise_tag, n_index, block).normal(0.0, cfg.sigma_obs,
+                                                                        vals.shape)
     return vals
 
 
 def _raw_draw(cfg, n_index, rep):
     """One replicate's model draw plus observation noise, before any smoothing
     (the sample that ``scbands generate`` writes)."""
-    return FunctionalSample(_raw_block(cfg, n_index, [rep])[0], _model_parts(cfg.model)[0])
+    vals = _raw_block(cfg, n_index, range(rep, rep + 1))[0]
+    return FunctionalSample(vals, _model_parts(cfg.model)[0])
 
 
 def _failure_tolerant(fn, *args):
@@ -208,14 +221,14 @@ def _failure_tolerant(fn, *args):
 def _sweep(pipe, block, reps, block_values, threads):
     """Rows of the replicates 0..reps-1 of every N, one list of rows per N.
 
-    Each N's replicates are cut into blocks of about block_values values
-    (at least one replicate). block is a module-level function, and
+    Each N's replicates are cut into blocks of pipe.block_size replicates;
+    the last block may be cut short. block is a module-level function, and
     block(pipe, n_index, reps) returns one row per replicate of its block;
     the thread pool maps it over the blocks' plain-data arguments.
     """
     items = []
-    for i, n in enumerate(pipe.cfg.n_values):
-        size = max(1, block_values // (n * pipe.width))
+    for i in range(len(pipe.cfg.n_values)):
+        size = pipe.block_size(i, block_values)
         items += [(pipe, i, range(r, min(r + size, reps))) for r in range(0, reps, size)]
     if threads <= 1:
         blocks = list(map(block, *zip(*items)))
@@ -243,7 +256,7 @@ def _band_block(pipe, n_index, reps):
     cfg = pipe.cfg
 
     def scores(rep):
-        groups = pipe.draw_groups(n_index, [rep], _BAND_TAGS)
+        groups = pipe.draw_groups(n_index, range(rep, rep + 1), _BAND_TAGS)
         samples = [FunctionalSample(values[0], pipe.grid) for values in groups]
         return [
             _failure_tolerant(
@@ -285,19 +298,25 @@ def run_coverage(cfg, threads=1):
     cells = []
     for n, block in zip(cfg.n_values, rows):
         cells += _cells(n, cfg.methods, zip(*block), summary)
-    return {"kind": "coverage", "config": cfg.to_dict(), "cells": cells}
+    return {"kind": "coverage", "config": cfg.to_dict(), "stream_layout": STREAM_LAYOUT,
+            "cells": cells}
 
 
 def _reference_block(pipe, n_index, reps):
     """(value, reason) of the maximal studentized deviation of each replicate.
 
-    The mean field (fdata._mean_field) and the max-t statistics are taken
-    along axis 1 of the block's (R, N, P) draws. A replicate whose scale
-    cannot studentize (fdata._bad_scale) fails with the error of
-    fdata._nonzero_scale, one whose statistic is not finite with
-    FloatingPointError.
+    reps lies in one block of pipe.block_size(n_index, _BLOCK_VALUES)
+    replicates, drawn in full whatever part of it reps is. The mean field
+    (fdata._mean_field) and the max-t statistics are taken along axis 1 of
+    the (R, N, P) draws of reps. A replicate whose scale cannot studentize
+    (fdata._bad_scale) fails with the error of fdata._nonzero_scale, one
+    whose statistic is not finite with FloatingPointError.
     """
-    groups = pipe.draw_groups(n_index, reps, _TRUE_TAGS)
+    size = pipe.block_size(n_index, _BLOCK_VALUES)
+    first = reps.start // size * size
+    rows = slice(reps.start - first, reps.stop - first)
+    full = range(first, first + size)
+    groups = [values[rows] for values in pipe.draw_groups(n_index, full, _TRUE_TAGS)]
     with np.errstate(all="ignore"):
         center, scale, rate = _mean_field(*groups)
         stats = np.max(rate * np.abs(center - pipe.truth) / scale, axis=1)
@@ -337,4 +356,5 @@ def run_width(cfg, threads=1):
     for n, block, true_row in zip(cfg.n_values, rows, true_rows):
         cells += _cells(n, cfg.methods, zip(*block), summary)
         cells += _cells(n, ("true",), (true_row,), true_summary)
-    return {"kind": "width", "config": cfg.to_dict(), "cells": cells}
+    return {"kind": "width", "config": cfg.to_dict(), "stream_layout": STREAM_LAYOUT,
+            "cells": cells}

@@ -142,18 +142,33 @@ def _bad_scale(scale):
 
 
 def _nonzero_scale(scale, grid, name, values=()):
-    """scale, raising at its first grid point that _bad_scale flags: with
-    DegenerateVarianceError where it is zero and none of the (N, P) arrays
-    values behind it varies there, else with ValueError."""
-    bad = np.flatnonzero(_bad_scale(scale))
-    if bad.size:
-        p = int(bad[0])
-        where = f"at grid point {_point_label(grid, p)}"
-        if not np.isfinite(scale[p]):
-            raise ValueError(f"{name} is not finite {where}")
-        if scale[p] == 0 and not any(np.ptp(v[:, p]) for v in values):
-            raise DegenerateVarianceError(f"{name} is zero {where}")
-        raise ValueError(f"{name} underflows {where}")
+    """scale, raising at its first grid point that _bad_scale flags or where
+    none of the (N, P) arrays values behind it varies: with
+    DegenerateVarianceError where none varies (a zero scale, when values is
+    empty), else with ValueError.
+
+    Equal curves leave a scale of rounding size, below n^2 2^-52 of their
+    value for n curves in all, so only the points where the scale is that
+    small next to the first curves' magnitude are searched for equal values.
+    """
+    tol = sum(len(v) for v in values) ** 2 * 2.0**-52
+    suspect = _bad_scale(scale)
+    for v in values:
+        suspect |= scale <= tol * np.abs(v[0])
+    suspect = np.flatnonzero(suspect)
+    if suspect.size:
+        # without values, only a zero scale tells of equal values
+        spread = sum(np.ptp(v[:, suspect], axis=0) for v in values) if values else scale[suspect]
+        failed = np.flatnonzero((spread == 0) | _bad_scale(scale[suspect]))
+        if failed.size:
+            k = int(failed[0])
+            p = int(suspect[k])
+            where = f"at grid point {_point_label(grid, p)}"
+            if spread[k] == 0:
+                raise DegenerateVarianceError(f"{name} is zero {where}")
+            if not np.isfinite(scale[p]):
+                raise ValueError(f"{name} is not finite {where}")
+            raise ValueError(f"{name} underflows {where}")
     return scale
 
 

@@ -181,18 +181,19 @@ def _model_parts(spec):
     return grid, basis, mu, amp
 
 
-def gen_model_block(spec, n, rngs):
-    """(R, N, P) array of R samples of N paths, sample r drawn from rngs[r].
+def gen_model_block(spec, n, rng, replicates):
+    """(R, N, P) array of R = replicates samples of N paths, all from the Generator rng.
 
-    Sample r takes its coefficients from the Generator rngs[r] alone, and
-    the stacked product computes each sample as its own (N, K) @ (K, P)
-    matmul, so sample r equals gen_model(spec, n, rngs[r]) bit for bit.
+    The (R, N, K) coefficients come from one draw of rng, so sample r
+    holds the draws that follow sample r - 1's, and the stacked product
+    computes each sample as its own (N, K) @ (K, P) matmul. One replicate
+    is gen_model(spec, n, rng) bit for bit.
     """
     if n < 1:
         raise ValueError("need at least one sample path")
     _, basis, mu, amp = _model_parts(spec)
-    shape = (int(n), basis.shape[0])
-    values = np.stack([_draw_coefficients(spec, shape, gen) for gen in rngs]) @ basis
+    shape = (int(replicates), int(n), basis.shape[0])
+    values = _draw_coefficients(spec, shape, rng) @ basis
     values *= amp
     values += mu  # mu + amp * (coeffs @ basis), without two (R, N, P) temporaries
     return values
@@ -200,7 +201,7 @@ def gen_model_block(spec, n, rngs):
 
 def gen_model(spec, n, rng):
     """Draw N sample paths of the model from the Generator rng."""
-    return FunctionalSample(gen_model_block(spec, n, [rng])[0], _model_parts(spec)[0])
+    return FunctionalSample(gen_model_block(spec, n, rng, 1)[0], _model_parts(spec)[0])
 
 
 def add_observation_noise(sample, sigma_obs, rng):

@@ -5,14 +5,24 @@ Every random draw in this package comes from a generator made by
 counter-based generator by the SeedSequence that
 ``child_sequence(seed, *path)`` addresses. ``seed`` is an integer or
 a SeedSequence (a branch of a caller's stream tree) and ``path`` is a
-tuple of integers. A replicate addressed by ``(seed, *path)`` always sees
-the same stream, no matter in which order (or on how many threads) the
-replicates run.
+tuple of integers. A stream addressed by ``(seed, *path)`` always gives
+the same draws, in whatever order (or on however many threads) the streams
+are used.
+
+STREAM_LAYOUT numbers the layout below; the sweep reports carry it, since
+a new layout moves seeded outputs. A resampling band draws all of its
+replicates from one stream (Rademacher signs as the bits of
+``Generator.bytes``). A sweep replicate draws its curves, and its noise,
+from one stream each. A block of the width table's reference row draws the
+curves, and the noise, of all of its replicates from one stream each; its
+boundaries depend only on N, the grid and the block's value budget.
 """
 
 import numpy as np
 
 __all__ = ["substream"]
+
+STREAM_LAYOUT = 2
 
 
 def child_sequence(seed, *path):

@@ -132,6 +132,36 @@ def test_degenerate_sample_rejected():
         scb_one_sample(FunctionalSample(surface, lattice))
 
 
+@pytest.mark.parametrize("two_sample", [False, True], ids=["one-sample", "two-sample"])
+def test_equal_curves_have_zero_sd_when_their_mean_rounds(two_sample):
+    # Three curves equal to 0.1 at a grid point have a mean 1 ulp above 0.1,
+    # so their sd came out about 1e-17 instead of 0, and the tgkf band got a
+    # half-width of 3e-16 there (quantile 31.07) instead of an error.
+    g = Grid1D(np.linspace(0.0, 1.0, 5))
+    y, x = substream(9, 0).standard_normal((3, 5)), substream(9, 1).standard_normal((4, 5))
+    methods = [m for m in METHOD_NAMES if not (two_sample and m.startswith("boots"))]
+    name = "pooled" if two_sample else "pointwise"
+
+    def build(method="tgkf"):
+        samples = [FunctionalSample(y, g), FunctionalSample(x, g)][: 1 + two_sample]
+        return (scb_two_sample if two_sample else scb_one_sample)(*samples, method, replicates=50)
+
+    for value in (0.1, 1.0 / 3.0, 1e-300, 1e300):
+        y[:, 2] = x[:, 2] = value
+        for method in methods:
+            with pytest.raises(DegenerateVarianceError,
+                               match=re.escape(f"{name} sd is zero at grid point 2 (s=0.5)")):
+                build(method)
+    # Curves that differ by one ulp there still vary, and so do two groups
+    # that are equal within one group only.
+    y[:, 2] = [1.0, 1.0 + 2.0**-52, 1.0]
+    x[:, 2] = np.arange(4.0)
+    assert build().upper[2] > build().lower[2]
+    if two_sample:
+        y[:, 2] = 0.1
+        assert build().upper[2] > build().lower[2]
+
+
 @pytest.mark.parametrize("method, kernel", [("rmult-t", "mult_t_quantile"),
                                             ("boots-t", "boots_t_quantile")])
 def test_one_sample_kernels_read_the_normed_residuals(monkeypatch, method, kernel):

@@ -19,17 +19,20 @@ from scbands import (
     substream,
     two_sample_residuals,
 )
-from scbands.bootstrap import BootstrapConfig, boots_t_quantile, mult_t_quantile
+from scbands.bootstrap import BootstrapConfig, _rademacher, boots_t_quantile, mult_t_quantile
 
 LAWS = ("gaussian", "rademacher")
 
 
 def _multipliers(law, seed, shape):
-    """The multiplier matrix mult_t_quantile draws from the band's stream."""
+    """The multiplier matrix mult_t_quantile draws from the band's stream:
+    Rademacher signs are the bits of ceil(B N / 8) bytes, row-major."""
     gen = substream(seed)
     if law == "gaussian":
         return gen.standard_normal(shape)
-    return gen.integers(0, 2, size=shape) * 2.0 - 1.0
+    count = shape[0] * shape[1]
+    bits = np.unpackbits(np.frombuffer(gen.bytes((count + 7) // 8), dtype=np.uint8))
+    return np.where(bits[:count] == 1, 1.0, -1.0).reshape(shape)
 
 
 @pytest.fixture
@@ -304,15 +307,27 @@ def test_multiplier_blocks_match_replicate_loop_at_block_edges(sample, replicate
                 )
 
 
+def test_rademacher_signs_are_packed_bits():
+    # 7 x 13 = 91 signs take 12 bytes, the last one only partly
+    gen = substream(5)
+    signs = _rademacher(gen, (7, 13))
+    assert signs.shape == (7, 13) and set(np.unique(signs)) == {-1.0, 1.0}
+    assert np.array_equal(signs, _multipliers("rademacher", 5, (7, 13)))
+    assert gen.bytes(4) == substream(5).bytes(16)[12:]
+    # 317^2 = 100489 signs are balanced within 5 standard errors
+    signs = _rademacher(substream(6), (317, 317))
+    assert abs(signs.mean()) <= 5.0 / 317
+
+
 def test_rademacher_t_on_two_curves_is_degenerate():
     # the two residuals are each other's negative, so a replicate with
     # g_1 != g_2 puts both multiplied residuals at one value: sd* = 0 under
-    # a nonzero numerator. The first replicate of seed 3 is one.
+    # a nonzero numerator. The first such replicate of seed 3 is replicate 2.
     s = FunctionalSample(substream(40, 3).standard_normal((2, 30)), Grid1D(np.linspace(0, 1, 30)))
     cfg = BootstrapConfig(replicates=200, seed=3)
-    g = _multipliers("rademacher", 3, (1, 2))
-    assert g[0, 0] != g[0, 1]
-    match = r"multiplier sd degenerate .* in replicate 0$"
+    g = _multipliers("rademacher", 3, (3, 2))
+    assert list(g[:, 0] != g[:, 1]) == [False, False, True]
+    match = r"multiplier sd degenerate .* in replicate 2$"
     with pytest.raises(DegenerateVarianceError, match=match):
         mult_t_quantile(s, "rademacher", cfg)
     assert np.isfinite(mult_t_quantile(s, "gaussian", cfg))
@@ -321,7 +336,7 @@ def test_rademacher_t_on_two_curves_is_degenerate():
 def test_degenerate_multiplier_replicate_is_named_past_the_first_block():
     # At grid point 7 the eight curves alternate +-sqrt(7/8), so the normed
     # residuals are exactly +-1: a replicate whose signs follow them has
-    # every g_n R_n equal, sd* = 0 and numerator 8. Under seed 0 the first
+    # every g_n R_n equal, sd* = 0 and numerator 8. Under seed 8 the first
     # such replicate is 96, in the second block of rows; grid points 0-2
     # have no spread and contribute 0.
     vals = substream(8, 4).standard_normal((8, 20))
@@ -329,8 +344,8 @@ def test_degenerate_multiplier_replicate_is_named_past_the_first_block():
     signs = np.array([1.0, -1.0] * 4)
     vals[:, 7] = np.sqrt(7 / 8.0) * signs
     s = FunctionalSample(vals, Grid1D(np.linspace(0.0, 1.0, 20)))
-    cfg = BootstrapConfig(replicates=300, seed=0)
-    flips = _multipliers("rademacher", 0, (300, 8)) * signs
+    cfg = BootstrapConfig(replicates=300, seed=8)
+    flips = _multipliers("rademacher", 8, (300, 8)) * signs
     first = int(np.argmax(np.all(flips == flips[:, :1], axis=1)))
     assert first == 96
     with pytest.raises(DegenerateVarianceError, match="at grid point 7 in replicate 96$"):

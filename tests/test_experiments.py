@@ -30,6 +30,7 @@ from scbands import (
     substream,
     weight_matrix,
 )
+from scbands.rng import STREAM_LAYOUT
 
 
 def small_config(**overrides):
@@ -50,6 +51,7 @@ def test_coverage_report_shape():
     report = run_coverage(small_config())
     assert report["kind"] == "coverage"
     assert report["config"]["seed"] == 5
+    assert report["stream_layout"] == STREAM_LAYOUT == 2
     cells = report["cells"]
     assert [(c["n"], c["method"]) for c in cells] == [(8, "tgkf"), (15, "tgkf")]
     for c in cells:
@@ -188,6 +190,7 @@ def test_coverage_presmooth_mode():
 
 def test_width_report_includes_reference():
     report = run_width(small_config(n_values=(10,)))
+    assert report["stream_layout"] == STREAM_LAYOUT
     methods = [(c["n"], c["method"]) for c in report["cells"]]
     assert (10, "tgkf") in methods and (10, "true") in methods
     for c in report["cells"]:
@@ -211,9 +214,10 @@ def test_width_deterministic_and_thread_invariant():
         assert [(c["n"], c["failures"]) for c in ref] == [(10, 0), (300, 0)]
 
 
-def _loop_reference_statistic(cfg, n_index, rep):
-    """Max-t statistic of one reference draw, from the public draw functions
-    and the mean field written out in numpy."""
+def _loop_reference_statistics(cfg, n_index, block, size):
+    """Max-t statistics of the size replicates of one reference block, drawn
+    one replicate at a time from the block's streams by the public draw
+    functions, with the mean field written out in numpy."""
     n = cfg.n_values[n_index]
     grid = cfg.model.make_grid()
     truth = model_mean(cfg.model.model, grid.points)
@@ -221,29 +225,36 @@ def _loop_reference_statistic(cfg, n_index, rep):
     if bandwidths is not None:
         sg = ScaleGrid(grid, bandwidths)
         truth = weight_matrix(gaussian_kernel(), grid.points, sg) @ truth
+    if cfg.two_sample:
+        truth = 0.0
 
-    def draw(data_tag, noise_tag):
-        sample = gen_model(cfg.model, n, substream(cfg.seed, data_tag, n_index, rep))
-        if cfg.sigma_obs > 0:
-            noise = substream(cfg.seed, noise_tag, n_index, rep)
-            sample = add_observation_noise(sample, cfg.sigma_obs, noise)
-        if bandwidths is not None:
-            sample = smooth_sample(sample, gaussian_kernel(), sg)
-        return sample
+    def draws(data_tag, noise_tag):
+        # one stream per purpose and block; replicate r takes the draws after r - 1's
+        data = substream(cfg.seed, data_tag, n_index, block)
+        noise = substream(cfg.seed, noise_tag, n_index, block)
+        for _ in range(size):
+            sample = gen_model(cfg.model, n, data)
+            if cfg.sigma_obs > 0:
+                sample = add_observation_noise(sample, cfg.sigma_obs, noise)
+            if bandwidths is not None:
+                sample = smooth_sample(sample, gaussian_kernel(), sg)
+            yield sample.values
 
     # substream tags of the reference row: data and noise of Y, then of X
-    y = draw(9, 10).values
-    if cfg.two_sample:
-        x = draw(11, 12).values
-        c = n / x.shape[0]
-        center = y.mean(axis=0) - x.mean(axis=0)
-        var_y, var_x = y.var(axis=0, ddof=1), x.var(axis=0, ddof=1)
-        scale = np.sqrt((1.0 + 1.0 / c) * var_y + (1.0 + c) * var_x)
-        rate = np.sqrt(n + x.shape[0] - 2)
-        truth = 0.0
-    else:
-        center, scale, rate = y.mean(axis=0), y.std(axis=0, ddof=1), np.sqrt(n)
-    return float(np.max(rate * np.abs(center - truth) / scale))
+    ys = draws(9, 10)
+    xs = draws(11, 12) if cfg.two_sample else [None] * size
+    stats = []
+    for y, x in zip(ys, xs):
+        if cfg.two_sample:
+            c = n / x.shape[0]
+            center = y.mean(axis=0) - x.mean(axis=0)
+            var_y, var_x = y.var(axis=0, ddof=1), x.var(axis=0, ddof=1)
+            scale = np.sqrt((1.0 + 1.0 / c) * var_y + (1.0 + c) * var_x)
+            rate = np.sqrt(n + x.shape[0] - 2)
+        else:
+            center, scale, rate = y.mean(axis=0), y.std(axis=0, ddof=1), np.sqrt(n)
+        stats.append(float(np.max(rate * np.abs(center - truth) / scale)))
+    return stats
 
 
 @pytest.mark.parametrize(
@@ -258,6 +269,8 @@ def _loop_reference_statistic(cfg, n_index, rep):
     ids=["plain", "noisy", "presmooth", "scale-grid", "two-sample"],
 )
 def test_reference_blocks_equal_per_replicate_draws(overrides, n):
+    # Reference block b of N-index i draws its curves, and its noise, from
+    # one stream each, (seed, tag, i, b), replicate after replicate.
     cfg = small_config(
         model=ModelSpec("A", resolution=40, midpoint_grid=True),
         n_values=(6, n),
@@ -270,8 +283,29 @@ def test_reference_blocks_equal_per_replicate_draws(overrides, n):
     assert 1 < size < 13 and 13 % size  # several blocks, the last one partial
     rows = ex._sweep(pipe, ex._reference_block, 13, ex._BLOCK_VALUES, 1)
     for n_index, row in enumerate(rows):
-        expected = [_loop_reference_statistic(cfg, n_index, rep) for rep in range(13)]
-        assert row == [(stat, None) for stat in expected]
+        size = pipe.block_size(n_index, ex._BLOCK_VALUES)
+        expected = []
+        for block in range(-(-13 // size)):
+            expected += _loop_reference_statistics(cfg, n_index, block, size)
+        assert row == [(stat, None) for stat in expected[:13]]
+
+
+def test_reference_block_size_is_pinned():
+    # The reference blocks are the reference row's stream addresses, so
+    # changing _BLOCK_VALUES moves every reference draw of every seed.
+    assert scbands.experiments._BLOCK_VALUES == 1 << 16
+
+
+@pytest.mark.parametrize("two_sample", [False, True])
+def test_raising_true_replications_keeps_earlier_reference_rows(two_sample):
+    # At N=300 on 40 points a block holds 5 replicates: 13 replications end
+    # inside the third block, 20 fill four, and neither the thread count nor
+    # the end of the row moves a block boundary.
+    ex = scbands.experiments
+    pipe = ex._Pipeline(small_config(n_values=(10, 300), two_sample=two_sample))
+    short = ex._sweep(pipe, ex._reference_block, 13, ex._BLOCK_VALUES, 1)
+    long = ex._sweep(pipe, ex._reference_block, 20, ex._BLOCK_VALUES, 3)
+    assert [row[:13] for row in long] == short
 
 
 @pytest.mark.parametrize(

@@ -201,8 +201,14 @@ def test_gen_model_equals_uncached_formula(spec):
 
 
 def test_gen_model_block_stacks_gen_model():
-    spec = ModelSpec("B", coef_law="t3", resolution=50)
-    block = gen_model_block(spec, 4, [substream(69, r) for r in range(3)])
-    assert block.shape == (3, 4, 50)
-    for r in range(3):
-        assert block[r].tobytes() == gen_model(spec, 4, substream(69, r)).values.tobytes()
+    # A block of R samples is R successive gen_model draws from its one
+    # stream, bit for bit, under every coefficient law.
+    for law in ("gaussian", "t3", "chisq"):
+        spec = ModelSpec("B", coef_law=law, resolution=50)
+        block = gen_model_block(spec, 4, substream(69, 1), 3)
+        assert block.shape == (3, 4, 50)
+        gen = substream(69, 1)
+        for r in range(3):
+            assert block[r].tobytes() == gen_model(spec, 4, gen).values.tobytes()
+        one = gen_model_block(spec, 4, substream(69, 2), 1)
+        assert one[0].tobytes() == gen_model(spec, 4, substream(69, 2)).values.tobytes()

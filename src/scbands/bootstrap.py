@@ -1,21 +1,25 @@
 """Resampling estimators of the max-statistic quantile.
 
-Two families: the nonparametric bootstrap-t (resample curves, restudentize)
-and the multiplier bootstrap (perturb residuals with mean-0 variance-1
-weights, drawn independently per group of curves). Unstudentized Gaussian
-multipliers are the Gaussian simulation from the estimated correlation,
-since G R / sqrt(N-1) has exactly that law. Both reduce the band problem
-to the empirical quantile of B replicate maxima; the ceiling-rank order
-statistic ceil((1-alpha) B) is used throughout, which is the conservative
-standard for bootstrap bands.
+Every resampling band is one weighted-residual statistic under one of three
+weight laws. Replicate b weighs the residual curves X_n of a group by
+mean-0, variance-1 multipliers w_bn, Gaussian or Rademacher, or by the
+counts C_bn of curve n in a resample drawn with replacement: the
+nonparametric bootstrap. With a = w_b X and Q = v_b X^2, where v = w∘w for
+multipliers (1 for Rademacher signs) and v = C for counts, one group has
+T*^2 = (N-1) x / (1-x) with x = a^2 / (N Q) in [0, 1], the squared t
+statistic of the weighted curves, or a^2 / (N var) with the sample's own
+variance when unstudentized. Multipliers weigh X = sqrt(N/(N-1)) (Y -
+mean), resamples X = Y - mean. Unstudentized Gaussian multipliers are the
+Gaussian simulation from the estimated correlation, since G X / sqrt(N-1)
+has exactly that law. The quantile is the ceiling-rank order statistic
+ceil((1-alpha) B) of the B replicate maxima, the conservative standard for
+bootstrap bands.
 
-Both walk the (B, N) index or multiplier matrix in row blocks that return
-only their row maxima, so no (B, P) array forms. With g^2 = 1 a Rademacher
-block needs one product per group, and one studentized group maps only
-its row maxima through a monotone function (mult_t_quantile).
-
-Bands hand every kernel the unit-scale residual groups of their mean field
-(bands._scb), so no second moment formed here overflows or underflows.
+One kernel, _point_stats, walks the (B, N) weight matrix in row blocks that
+return only their row maxima, so no (B, P) array forms; N X^2 is built once
+per band, and only the row maxima of x are mapped to T*^2. Bands hand it
+the unit-scale residual groups of their mean field (bands._scb), so no
+second moment formed here overflows or underflows.
 
 Each band draws all of its B replicates from one counter-based stream,
 ``substream(seed)``, in one call: row b of the (B, N) multiplier or index
@@ -74,15 +78,15 @@ def ceiling_rank_quantile(draws, alpha):
     return float(np.partition(draws, rank - 1)[rank - 1])
 
 
-# Both resampling families process replicates in blocks of this many rows,
-# so their (rows, P) temporaries stay small whatever B is.
+# Every resampling kernel walks its replicates in blocks of this many rows,
+# so its (rows, P) temporaries stay small whatever B is.
 _BLOCK_ROWS = 64
 
 
-def _in_blocks(fn, rows, *args):
-    """fn(rows[block], *args) over row blocks of rows; each output concatenated."""
-    parts = [fn(rows[lo : lo + _BLOCK_ROWS], *args) for lo in range(0, len(rows), _BLOCK_ROWS)]
-    return [np.concatenate(outputs) for outputs in zip(*parts)]
+def _in_blocks(fn, rows):
+    """fn(rows[block]) over row blocks of rows, concatenated."""
+    starts = range(0, len(rows), _BLOCK_ROWS)
+    return np.concatenate([fn(rows[lo : lo + _BLOCK_ROWS]) for lo in starts])
 
 
 def _row_counts(idx, n):
@@ -92,35 +96,34 @@ def _row_counts(idx, n):
     return np.bincount(flat, minlength=k * n).reshape(k, n).astype(float)
 
 
-def _resample_max_t(idx, vals, resid, var_fixed):
-    """(max_s sqrt(N) |mean* - mean| / sd*, degenerate) per row of idx.
+def _point_stats(wblk, parts, var_fixed, counts=False):
+    """(rows, P) statistic of a block of weight rows W at every point.
 
-    With C the count matrix (C[b, n] = multiplicity of curve n in resample
-    b) and X = Y - mean: mean* - mean = C X / N and (N-1) var* =
-    C X^2 - N (mean* - mean)^2. Rows where that difference cancels to below
-    1e-3 of C X^2 (spread far below the sample's) are recomputed from
-    their gathered curves. A resample whose curves all coincide at some
-    grid point has a spread of rounding size (0 <= 0 when X is 0 there),
-    so it is always gathered; an exact comparison of its curves flags it
-    degenerate, and its statistic is a placeholder for the caller to
-    redraw. var_fixed, when given, replaces var* and no row is degenerate.
+    parts holds (columns, N_g, R_g, M_g) per group, with prod_g = W_g R_g and
+    M_g a fixed vector (N var_fixed, or Rademacher weights' column sum) or
+    N_g R_g^2, which the block weighs by W∘W, or by the counts W themselves
+    (counts=True). One group gives x = prod^2 / M, T*^2 itself when
+    unstudentized; two give S^2 / V with S = sum_g prod_g / sqrt(N_g) and
+    V = var_fixed or sum_g max(M_g - prod_g^2, 0) / (N_g (N_g - 1)).
     """
-    n = idx.shape[1]
-    counts = _row_counts(idx, n)
-    shift = counts @ resid / n
-    degenerate = np.zeros(idx.shape[0], dtype=bool)
-    if var_fixed is None:
-        sumsq = counts @ (resid * resid)
-        spread = sumsq - n * shift * shift
-        var_star = spread / (n - 1.0)
-        for b in np.flatnonzero(np.any(spread <= 1e-3 * sumsq, axis=1)):
-            rows = vals[idx[b]]
-            degenerate[b] = np.any(np.all(rows == rows[0], axis=0))
-            var_star[b] = 1.0 if degenerate[b] else rows.var(axis=0, ddof=1)
-    else:
-        var_star = var_fixed
-    # max |t| is the root of max t^2: one square root per replicate.
-    return np.sqrt(n * np.max(shift * shift / var_star, axis=1)), degenerate
+    num, var = 0.0, 0.0 if var_fixed is None else var_fixed
+    for cols, n, res, moment in parts:
+        w = wblk[:, cols]
+        prod = w @ res
+        if moment.ndim == 2:
+            moment = (w if counts else w * w) @ moment
+        if len(parts) == 1:  # x, in place
+            prod *= prod
+            return np.divide(prod, moment, out=prod)
+        num = num + prod / np.sqrt(n)
+        if var_fixed is None:
+            var = var + np.maximum(moment - prod * prod, 0.0) / (n * (n - 1.0))
+    return num * num / var
+
+
+def _studentized(x, n):
+    """T*^2 = (N-1) x / (1-x) of one studentized group, increasing in x."""
+    return (n - 1.0) * x / (1.0 - x)
 
 
 def boots_t_quantile(sample, cfg):
@@ -128,13 +131,15 @@ def boots_t_quantile(sample, cfg):
 
     Resamples rows with replacement B times: the (B, N) index matrix comes
     from one draw of the band's stream, and no B x N x P array of resampled
-    curves is formed. In studentized mode sd* is the resample's own
-    pointwise sd; degenerate resamples, where every selected row coincides
-    at some grid point, are rejected and redrawn together from the same
-    stream, as one (k, N) draw in ascending replicate order, until none is
-    left (error once more than B/10 rejections accumulate). With
-    studentized=False the original-sample sd is used and no resample is
-    degenerate.
+    curves is formed. This is the module docstring's statistic under count
+    weights: sd* is the resample's own pointwise sd, or the sample's with
+    studentized=False. Near x = 1 the spread Q - a^2 / N cancels, so a resample
+    whose max x is NaN (no spread at some point) or at least 1 - 1e-3 takes
+    its statistic from its gathered curves. One whose curves all coincide
+    at some grid point is degenerate: such resamples are rejected and
+    redrawn together from the same stream, as one (k, N) draw in ascending
+    replicate order, until none is left (error once more than B/10
+    rejections accumulate).
     """
     vals = sample.values
     n = vals.shape[0]
@@ -142,15 +147,37 @@ def boots_t_quantile(sample, cfg):
         raise ValueError("bootstrap needs at least 2 curves")
     gen = substream(cfg.seed)
     idx = gen.integers(0, n, size=(cfg.replicates, n))
-    var_fixed = None
-    if not cfg.studentized:
-        var_fixed = _nonzero_scale(vals.std(axis=0, ddof=1), sample.grid, "pointwise sd") ** 2
-    resid = vals - vals.mean(axis=0)
+    mean = vals.mean(axis=0)
+    resid = vals - mean
+    if cfg.studentized:
+        moment = n * (resid * resid)
+    else:
+        moment = n * _nonzero_scale(vals.std(axis=0, ddof=1), sample.grid, "pointwise sd") ** 2
+    parts = [(slice(0, n), n, resid, moment)]
 
-    stats, degenerate = _in_blocks(_resample_max_t, idx, vals, resid, var_fixed)
+    def block_max(blk):  # 0/0, a resample with no spread at some point, is NaN
+        counts = _row_counts(blk, n)
+        return np.max(_point_stats(counts, parts, None, counts=True), axis=1)
+
+    def t_squared(rows):
+        """T*^2 of each resample in rows, NaN for a degenerate one."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = _in_blocks(block_max, rows)
+            if not cfg.studentized:
+                return x
+            stat = _studentized(x, n)
+        for b in np.flatnonzero(~(x < 1.0 - 1e-3)):
+            boot = vals[rows[b]]
+            if np.any(np.all(boot == boot[0], axis=0)):
+                stat[b] = np.nan
+            else:
+                stat[b] = np.max(n * (boot.mean(axis=0) - mean) ** 2 / boot.var(axis=0, ddof=1))
+        return stat
+
+    stat = t_squared(idx)
     max_rejects = cfg.replicates // 10
     rejects = 0
-    redo = np.flatnonzero(degenerate)
+    redo = np.flatnonzero(np.isnan(stat))
     while redo.size:
         rejects += redo.size
         if rejects > max_rejects:
@@ -159,34 +186,10 @@ def boots_t_quantile(sample, cfg):
                 f"(all rows equal at some grid point)"
             )
         idx[redo] = gen.integers(0, n, size=(redo.size, n))
-        stats[redo], degenerate = _in_blocks(_resample_max_t, idx[redo], vals, resid, var_fixed)
-        redo = redo[degenerate]
-    return ceiling_rank_quantile(stats, cfg.alpha)
-
-
-def _point_stats(gblk, parts, var_fixed):
-    """(rows, P) statistic of a block of multiplier rows at every point.
-
-    parts holds (columns, N_g, R_g, M_g) per group, with prod_g = G_g R_g and
-    M_g = N_g (G_g∘G_g)(R_g∘R_g): a fixed vector (Rademacher weights), or
-    the matrix N_g R_g^2 for Gaussian ones. One group gives x = prod^2 / M,
-    T*^2 itself when unstudentized (M = N var_fixed); two give S^2 / V with
-    S = sum_g prod_g / sqrt(N_g) and V = var_fixed or
-    sum_g max(M_g - prod_g^2, 0) / (N_g (N_g - 1)).
-    """
-    num, var = 0.0, 0.0 if var_fixed is None else var_fixed
-    for cols, n, res, moment in parts:
-        g = gblk[:, cols]
-        prod = g @ res
-        if moment.ndim == 2:
-            moment = (g * g) @ moment
-        if len(parts) == 1:  # x, in place
-            prod *= prod
-            return np.divide(prod, moment, out=prod)
-        num = num + prod / np.sqrt(n)
-        if var_fixed is None:
-            var = var + np.maximum(moment - prod * prod, 0.0) / (n * (n - 1.0))
-    return num * num / var
+        stat[redo] = t_squared(idx[redo])
+        redo = redo[np.isnan(stat[redo])]
+    # max |t| is the root of max t^2: one square root per replicate.
+    return ceiling_rank_quantile(np.sqrt(stat), cfg.alpha)
 
 
 def _rademacher(gen, shape):
@@ -200,28 +203,20 @@ def mult_t_quantile(sample, law, cfg):
     """Multiplier bootstrap quantile of the max studentized statistic.
 
     sample is one FunctionalSample or a tuple of independent groups, and
-    law names the mean-zero, unit-variance multipliers: "gaussian" or
-    "rademacher". The (B, sum N_g) multiplier matrix G comes from one draw
-    of the band's stream; row b is replicate b, and its columns are split
-    into the groups in order; Rademacher signs are 2 bit - 1 over the bits
-    of one ``Generator.bytes`` draw (_rademacher). With
-    R_n = sqrt(N_g/(N_g-1)) (Y_n - mean_g) in group g,
+    law names the multipliers: "gaussian" or "rademacher". The (B, sum N_g)
+    multiplier matrix G comes from one draw of the band's stream; row b is
+    replicate b, and its columns are split into the groups in order;
+    Rademacher signs come from _rademacher. With R_n = sqrt(N_g/(N_g-1))
+    (Y_n - mean_g) in group g,
 
         T* = max_s | sum_g N_g^(-1/2) sum_n g_n R_n(s) | / sd*(s),
 
     where sd*^2 sums over groups the pointwise variance (divisor N_g-1) of
-    the multiplied residuals g_n R_n; with studentized=False it sums the
-    groups' own variances. Unstudentized Gaussian multipliers draw exactly
-    N(0, sum of the groups' sample covariances) / sd, the "gauss-sim" law.
-
-    G is walked in blocks of _BLOCK_ROWS rows, each returning its row
-    maxima: per group one product G_g R_g, plus (G∘G)(R∘R) for Gaussian
-    weights; Rademacher ones have g^2 = 1, so that second moment Q is the
-    column sum of R^2. One studentized group has sd*^2 = Q (1-x) / (N-1)
-    with x = (G R)^2 / (N Q), and T*^2 = (N-1) x / (1-x) increases in x, so
-    only the row maxima of x are mapped. Points where every residual is
-    zero contribute 0; sd* = 0 under a nonzero numerator (x >= 1) raises
-    the degenerate-variance error naming the grid point and the replicate.
+    the multiplied residuals g_n R_n, or the groups' own variances when
+    unstudentized; one group is the module docstring's statistic. Points
+    where every residual is zero contribute 0; sd* = 0 under a nonzero
+    numerator (x >= 1) raises the degenerate-variance error naming the
+    grid point and the replicate.
     """
     if law not in ("gaussian", "rademacher"):
         raise ValueError(f"unknown multiplier law {law!r}")
@@ -246,12 +241,12 @@ def mult_t_quantile(sample, law, cfg):
         lo += n
 
     def block_max(blk):  # 0/0 where no residual spreads is NaN, which fmax skips
-        return (np.fmax.reduce(_point_stats(blk, parts, var), axis=1, initial=0.0),)
+        return np.fmax.reduce(_point_stats(blk, parts, var), axis=1, initial=0.0)
 
     # a point at the limit has sd* = 0 under a nonzero numerator
     limit = 1.0 if len(groups) == 1 and var is None else np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        (stat,) = _in_blocks(block_max, gmat)
+        stat = _in_blocks(block_max, gmat)
         if np.any(stat >= limit):
             start = int(np.argmax(stat >= limit)) // _BLOCK_ROWS * _BLOCK_ROWS
             block = _point_stats(gmat[start : start + _BLOCK_ROWS], parts, var)
@@ -260,6 +255,6 @@ def mult_t_quantile(sample, law, cfg):
                 f"multiplier sd degenerate at grid point {p} in replicate {start + b}"
             )
     if limit == 1.0:
-        stat = (sizes[0] - 1.0) * stat / (1.0 - stat)
+        stat = _studentized(stat, sizes[0])
     # max |T*| is the root of max T*^2: one square root per replicate.
     return ceiling_rank_quantile(np.sqrt(stat), cfg.alpha)

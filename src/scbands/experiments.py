@@ -70,7 +70,8 @@ class ExperimentConfig:
     grid's points and the bandwidths, or onto the data grid itself when
     count is 1 (write one bandwidth h as (h, h, 1)). two_sample=True
     compares two independent equal-law groups of the same size (difference
-    target identically zero).
+    target identically zero). methods are kept under their canonical names
+    (METHOD_NAMES), each at most once.
     """
 
     model: ModelSpec = ModelSpec()
@@ -90,7 +91,6 @@ class ExperimentConfig:
         object.__setattr__(
             self, "n_values", tuple(_integer("n_values entry", n) for n in self.n_values)
         )
-        object.__setattr__(self, "methods", tuple(str(m) for m in self.methods))
         for name in _COUNT_FIELDS:
             count = _integer(name, getattr(self, name))
             if count < 1:
@@ -99,10 +99,12 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", _integer("seed", self.seed))
         if not self.n_values or any(n < 2 for n in self.n_values):
             raise ValueError("n_values must hold sample sizes of at least 2")
-        if not self.methods:
+        methods = tuple(_parse_method_for(m, self.two_sample)[0] for m in self.methods)
+        if not methods:
             raise ValueError("need at least one method")
-        for m in self.methods:
-            _parse_method_for(m, self.two_sample)
+        if len(set(methods)) < len(methods):
+            raise ValueError(f"methods list a method twice: {methods!r}")
+        object.__setattr__(self, "methods", methods)
         _check_alpha(self.alpha)
         _check_sigma_obs(self.sigma_obs)
         if self.seed < 0:

@@ -26,6 +26,7 @@ import numpy as np
 from scipy import special
 
 from .errors import QuantileNoSolutionError
+from .models import _integer, _is_real
 
 __all__ = ["LKCVector", "ECDensityModel", "eec", "tgkf_quantile"]
 
@@ -45,15 +46,15 @@ class LKCVector:
     curvatures: tuple
 
     def __post_init__(self):
-        curv = tuple(float(c) for c in self.curvatures)
+        curv, l0 = tuple(self.curvatures), _integer("L0", self.l0)
         if not 1 <= len(curv) <= 2:
             raise ValueError("only 1-D and 2-D domains are supported")
-        if any(not np.isfinite(c) or c < 0 for c in curv):
-            raise ValueError("curvatures must be finite and non-negative")
-        if int(self.l0) < 0:
+        if not all(_is_real(c) and 0.0 <= c < np.inf for c in curv):
+            raise ValueError(f"curvatures must be finite non-negative numbers, got {curv!r}")
+        if l0 < 0:
             raise ValueError("L0 must be non-negative")
-        object.__setattr__(self, "l0", int(self.l0))
-        object.__setattr__(self, "curvatures", curv)
+        object.__setattr__(self, "l0", l0)
+        object.__setattr__(self, "curvatures", tuple(map(float, curv)))
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,8 @@ class ECDensityModel:
         if self.family not in ("gaussian", "student_t"):
             raise ValueError(f"unknown EC density family {self.family!r}")
         if self.family == "student_t":
-            if self.dof is None or not np.isfinite(self.dof) or self.dof < 1:
-                raise ValueError("student_t needs dof >= 1")
+            if not (_is_real(self.dof) and 1 <= self.dof < np.inf):
+                raise ValueError(f"student_t needs a finite dof >= 1, got {self.dof!r}")
             object.__setattr__(self, "dof", float(self.dof))
         elif self.dof is not None:
             raise ValueError("dof only applies to the student_t family")
@@ -79,7 +80,7 @@ class ECDensityModel:
 
     @classmethod
     def student_t(cls, dof):
-        return cls("student_t", float(dof))
+        return cls("student_t", dof)
 
 
 def ec_density(model, d, u):
@@ -145,8 +146,8 @@ def tgkf_quantile(lkc, model, alpha):
     then not searched); and when the EEC is still at least alpha/2 at
     u = 2^39, as flat or slowly decaying tails (nu <= 2) can be.
     """
-    if not 0.0 < alpha < 1.0:
-        raise QuantileNoSolutionError(f"alpha must lie in (0, 1), got {alpha}")
+    if not (_is_real(alpha) and 0.0 < alpha < 1.0):
+        raise QuantileNoSolutionError(f"alpha must lie in (0, 1), got {alpha!r}")
     # curvatures[1:] holds L2 on a 2-D domain and nothing on a 1-D one.
     if model.family == "student_t" and model.dof < 2 and sum(lkc.curvatures[1:]) > 0:
         raise QuantileNoSolutionError(

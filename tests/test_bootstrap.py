@@ -294,7 +294,8 @@ def test_group_multiplier_kernel_matches_replicate_loop(studentized):
 
 @pytest.mark.parametrize("replicates", [1, 63, 64, 65, 1000])
 def test_multiplier_blocks_match_replicate_loop_at_block_edges(sample, replicates):
-    # B around the 64-row block, for one group and two unequal groups
+    # B around the 64-row block, for one group and two unequal groups, and
+    # for the bootstrap-t (one group), whose count weights share the blocks
     vals = substream(31, 2).standard_normal((29, 50))
     grid = Grid1D(np.linspace(0.0, 1.0, 50))
     groups = (FunctionalSample(vals[:12], grid), FunctionalSample(vals[12:] - 0.5, grid))
@@ -305,6 +306,9 @@ def test_multiplier_blocks_match_replicate_loop_at_block_edges(sample, replicate
                 assert_allclose(
                     mult_t_quantile(data, law, cfg), _loop_mult(data, law, cfg), rtol=1e-12
                 )
+    for studentized in (True, False):
+        cfg = BootstrapConfig(replicates=replicates, studentized=studentized, seed=3)
+        assert_allclose(boots_t_quantile(sample, cfg), _loop_boots(sample, cfg)[0], rtol=1e-12)
 
 
 def test_rademacher_signs_are_packed_bits():
@@ -418,8 +422,8 @@ def test_boots_t_rejection_limit_with_ties():
 
 def test_boots_t_tiny_resample_spread_is_exact():
     # rows 0-2 differ by 1e-9, row 3 is far away: a third of all resamples
-    # pick near-equal rows only, their sd* cancels in the count-matrix
-    # formula, and the quantile lands among them
+    # pick near-equal rows only, their sd* cancels in the count-weighted
+    # spread C X^2 - (C X)^2 / N, and the quantile lands among them
     base = substream(8, 2).standard_normal(20)
     vals = np.vstack([base, base + 1e-9, base - 1e-9, base + 3.0])
     s = FunctionalSample(vals, Grid1D(np.linspace(0.0, 1.0, 20)))
@@ -432,7 +436,7 @@ def test_boots_t_tiny_resample_spread_is_exact():
 def test_boots_t_redraws_ties_at_the_column_mean():
     # rows 0-2 are 0 on the first five grid points and rows 3-5 sum to 0
     # there, so the tied rows sit exactly at the column mean: X = 0 and
-    # C X^2 = 0 for a resample of tied rows only. Its spread is 0 <= 0, so
+    # C X^2 = 0 for a resample of tied rows only. Its x is 0/0 = NaN, so
     # it is still gathered, found degenerate and redrawn.
     vals = substream(8, 3).standard_normal((6, 30))
     vals[:3, :5] = 0.0

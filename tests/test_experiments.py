@@ -367,6 +367,12 @@ def test_config_validation():
         ExperimentConfig.from_dict({"n_values": [5], "bogus": 1})
     with pytest.raises(ValueError):
         ExperimentConfig(methods=("nope",))
+    # methods are stored under their canonical names, each at most once
+    assert ExperimentConfig(methods=("RMULT_T", "Gauss_Sim")).methods == ("rmult-t", "gauss-sim")
+    with pytest.raises(ValueError, match=r"^methods list a method twice: \('rmult-t', 'rmult-t'\)$"):
+        ExperimentConfig(methods=("RMULT_T", "rmult-t"))
+    with pytest.raises(ValueError, match="a method twice"):
+        ExperimentConfig.from_dict({"methods": ["tgkf", "boots-t", "TGKF"]})
     for name in ("replications", "bootstrap_replicates", "true_replications"):
         with pytest.raises(ValueError, match=f"^{name} must be positive, got 0$"):
             ExperimentConfig(**{name: 0})

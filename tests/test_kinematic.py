@@ -207,8 +207,8 @@ def test_quantile_rejects_two_dimensional_dof_below_two():
 
 def test_quantile_rejects_bad_level():
     lkc = LKCVector(1.0, (2.0,))
-    for alpha in (0.0, 1.0, -0.2, 1.7):
-        with pytest.raises(QuantileNoSolutionError):
+    for alpha in (0.0, 1.0, -0.2, 1.7, float("nan"), "0.05", True, None):
+        with pytest.raises(QuantileNoSolutionError, match=r"alpha must lie in \(0, 1\)"):
             tgkf_quantile(lkc, GAUSS, alpha)
 
 
@@ -225,6 +225,29 @@ def test_density_model_validation():
         ECDensityModel.student_t(0.5)
     with pytest.raises(ValueError, match="dof"):
         ECDensityModel("gaussian", 7)
+    for dof in (True, "5", None, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="student_t needs a finite dof >= 1"):
+            ECDensityModel.student_t(dof)
+    assert ECDensityModel.student_t(np.int64(5)) == ECDensityModel("student_t", 5.0)
+
+
+def test_lkc_vector_validation():
+    # L0 is an integer-valued number, the curvatures finite non-negative numbers
+    for l0 in (1.5, 0.5, True, "1", None):
+        with pytest.raises(ValueError, match="L0 must be an integer"):
+            LKCVector(l0, (2.0,))
+    with pytest.raises(ValueError, match="L0 must be non-negative"):
+        LKCVector(-1, (2.0,))
+    for curv in ((True,), ("2",), (None,), (-0.1,), (float("inf"),), (1.0, float("nan"))):
+        with pytest.raises(ValueError, match="curvatures must be finite non-negative numbers"):
+            LKCVector(1, curv)
+    for curv in ((), (1.0, 2.0, 3.0)):
+        with pytest.raises(ValueError, match="only 1-D and 2-D domains"):
+            LKCVector(1, curv)
+    lkc = LKCVector(1.0, (np.float64(2.0), 3))
+    assert (lkc.l0, lkc.curvatures) == (1, (2.0, 3.0))
+    assert type(lkc.l0) is int and all(type(c) is float for c in lkc.curvatures)
+    assert LKCVector(np.int64(0), (2.0,)).l0 == 0
 
 
 def test_density_order_zero_is_bitwise_scipy_stats():

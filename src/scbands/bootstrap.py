@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DegenerateVarianceError
 from .fdata import _nonzero_scale
-from .models import _check_alpha, _integer
+from .models import _check_alpha, _count
 from .rng import substream
 
 __all__ = ["ceiling_rank_quantile"]
@@ -56,9 +56,7 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "replicates", _integer("replicates", self.replicates))
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
+        object.__setattr__(self, "replicates", _count("replicates", self.replicates, positive=True))
         _check_alpha(self.alpha)
 
 

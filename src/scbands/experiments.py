@@ -27,8 +27,8 @@ import numpy as np
 from .bands import _parse_method_for, covers, scb_one_sample, scb_two_sample
 from .bootstrap import ceiling_rank_quantile
 from .fdata import FunctionalSample, _bad_scale, _mean_field, _nonzero_scale
-from .models import (ModelSpec, _check_alpha, _check_sigma_obs, _integer, _is_real, _model_parts,
-                     gen_model_block)
+from .models import (ModelSpec, _check_alpha, _check_sigma_obs, _count, _flag, _integer, _is_real,
+                     _model_parts, _sequence, gen_model_block)
 from .rng import STREAM_LAYOUT, child_sequence, substream
 from .scalespace import ScaleGrid, gaussian_kernel, weight_matrix
 
@@ -88,18 +88,18 @@ class ExperimentConfig:
     out: str = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "n_values", tuple(_integer("n_values entry", n) for n in self.n_values)
-        )
+        if not isinstance(self.model, ModelSpec):
+            raise ValueError(f"model must be a ModelSpec, got {self.model!r}")
+        n_values = _sequence("n_values", self.n_values)
+        object.__setattr__(self, "n_values", tuple(_integer("n_values entry", n) for n in n_values))
         for name in _COUNT_FIELDS:
-            count = _integer(name, getattr(self, name))
-            if count < 1:
-                raise ValueError(f"{name} must be positive, got {count}")
-            object.__setattr__(self, name, count)
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
+            object.__setattr__(self, name, _count(name, getattr(self, name), positive=True))
+        object.__setattr__(self, "seed", _count("seed", self.seed))
+        object.__setattr__(self, "two_sample", _flag("two_sample", self.two_sample))
         if not self.n_values or any(n < 2 for n in self.n_values):
             raise ValueError("n_values must hold sample sizes of at least 2")
-        methods = tuple(_parse_method_for(m, self.two_sample)[0] for m in self.methods)
+        methods = _sequence("methods", self.methods)
+        methods = tuple(_parse_method_for(m, self.two_sample)[0] for m in methods)
         if not methods:
             raise ValueError("need at least one method")
         if len(set(methods)) < len(methods):
@@ -107,11 +107,11 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", methods)
         _check_alpha(self.alpha)
         _check_sigma_obs(self.sigma_obs)
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise ValueError(f"out must be a path, got {self.out!r}")
         if self.scale_grid is not None:
             grid = self.scale_grid
-            items = () if isinstance(grid, (str, bytes)) or not np.iterable(grid) else tuple(grid)
+            items = _sequence("scale_grid", grid, "3 numbers")
             if [_is_real(v) for v in items] != [True] * 3:
                 raise ValueError(f"scale_grid must be 3 numbers, got {grid!r}")
             h_min, h_max = float(items[0]), float(items[1])
@@ -138,6 +138,8 @@ class ExperimentConfig:
     def from_dict(cls, doc):
         doc = dict(doc)
         model_doc = doc.pop("model", {})
+        if not isinstance(model_doc, dict):
+            raise ValueError(f"model must be an object of model keys, got {model_doc!r}")
         model_names = {key: name for name, key in _MODEL_KEYS.items()}
         unknown = set(model_doc) - set(model_names)
         if unknown:
@@ -228,14 +230,15 @@ def _sweep(pipe, block, reps, block_values, threads):
     block(pipe, n_index, reps) returns one row per replicate of its block;
     the thread pool maps it over the blocks' plain-data arguments.
     """
+    threads = _count("threads", threads, positive=True)
     items = []
     for i in range(len(pipe.cfg.n_values)):
         size = pipe.block_size(i, block_values)
         items += [(pipe, i, range(r, min(r + size, reps))) for r in range(0, reps, size)]
-    if threads <= 1:
+    if threads == 1:
         blocks = list(map(block, *zip(*items)))
     else:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = list(pool.map(block, *zip(*items)))
     rows = [row for block_rows in blocks for row in block_rows]
     return [rows[i * reps : (i + 1) * reps] for i in range(len(pipe.cfg.n_values))]

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import special
 
 from .errors import QuantileNoSolutionError
-from .models import _integer, _is_real
+from .models import _count, _is_real, _sequence
 
 __all__ = ["LKCVector", "ECDensityModel", "eec", "tgkf_quantile"]
 
@@ -46,13 +46,11 @@ class LKCVector:
     curvatures: tuple
 
     def __post_init__(self):
-        curv, l0 = tuple(self.curvatures), _integer("L0", self.l0)
+        curv, l0 = _sequence("curvatures", self.curvatures), _count("L0", self.l0)
         if not 1 <= len(curv) <= 2:
             raise ValueError("only 1-D and 2-D domains are supported")
         if not all(_is_real(c) and 0.0 <= c < np.inf for c in curv):
             raise ValueError(f"curvatures must be finite non-negative numbers, got {curv!r}")
-        if l0 < 0:
-            raise ValueError("L0 must be non-negative")
         object.__setattr__(self, "l0", l0)
         object.__setattr__(self, "curvatures", tuple(map(float, curv)))
 
@@ -86,40 +84,33 @@ class ECDensityModel:
 def ec_density(model, d, u):
     """d-th EC density rho_d(u) of the model's field family, vectorized in u.
 
-    Gaussian:
-        rho_0 = 1 - Phi(u) = Phi(-u)
-        rho_1 = exp(-u^2/2) / (2 pi)
-        rho_2 = u exp(-u^2/2) / (2 pi)^(3/2)
-    Student t with nu degrees of freedom:
-        rho_0 = upper tail of t_nu at u = F_nu(-u)
-        rho_1 = (1 + u^2/nu)^(-(nu-1)/2) / (2 pi)
-        rho_2 = Gamma((nu+1)/2) / (Gamma(nu/2) sqrt(nu/2))
-                * u (1 + u^2/nu)^(-(nu-1)/2) / (2 pi)^(3/2)
+    Each family supplies an upper tail, a shape and a constant c:
+
+        rho_0 = tail(u)
+        rho_1 = shape(u) / (2 pi)
+        rho_2 = c u shape(u) / (2 pi)^(3/2)
+
+    Gaussian: tail Phi(-u), shape exp(-u^2/2), c = 1.
+    Student t with nu degrees of freedom: tail F_nu(-u), shape
+    (1 + u^2/nu)^(-(nu-1)/2), c = Gamma((nu+1)/2) / (Gamma(nu/2) sqrt(nu/2)).
+    As nu grows, the t family tends to the Gaussian one and c to 1.
     """
     if d not in (0, 1, 2):
         raise ValueError(f"EC densities are defined for d in 0..2, got {d}")
     uu = np.asarray(u, dtype=float)
-    if model.family == "gaussian":
-        if d == 0:
-            out = special.ndtr(-uu)
-        elif d == 1:
-            out = np.exp(-0.5 * uu * uu) / _TWO_PI
-        else:
-            out = uu * np.exp(-0.5 * uu * uu) * _TWO_PI**-1.5
+    gaussian, nu = model.family == "gaussian", model.dof
+    if d == 0:
+        out = special.ndtr(-uu) if gaussian else special.stdtr(nu, -uu)
     else:
-        nu = model.dof
-        if d == 0:
-            out = special.stdtr(nu, -uu)
+        if gaussian:
+            shape, const = np.exp(-0.5 * uu * uu), 1.0
         else:
-            # log1p keeps (1 + u^2/nu)^(-(nu-1)/2) accurate for huge nu,
-            # where the direct power underflows to 1^(-inf) noise.
+            # log1p keeps the shape accurate for huge nu, where the direct
+            # power underflows to 1^(-inf) noise, and poch(nu/2, 1/2) is c's
+            # Gamma ratio without a difference of two huge log-Gammas.
             shape = np.exp(-0.5 * (nu - 1.0) * np.log1p(uu * uu / nu))
-            if d == 1:
-                out = shape / _TWO_PI
-            else:
-                lg = special.gammaln(0.5 * (nu + 1.0)) - special.gammaln(0.5 * nu)
-                const = np.exp(lg) / np.sqrt(0.5 * nu)
-                out = const * uu * shape * _TWO_PI**-1.5
+            const = special.poch(0.5 * nu, 0.5) / np.sqrt(0.5 * nu) if d == 2 else 1.0
+        out = shape / _TWO_PI if d == 1 else const * uu * shape * _TWO_PI**-1.5
     out = np.asarray(out)
     return float(out) if out.ndim == 0 else out
 

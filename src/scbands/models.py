@@ -102,7 +102,7 @@ class ModelSpec:
     def __post_init__(self):
         for name in ("nu", "resolution"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        object.__setattr__(self, "midpoint_grid", bool(self.midpoint_grid))
+        object.__setattr__(self, "midpoint_grid", _flag("midpoint_grid", self.midpoint_grid))
         if self.model not in ("A", "B", "C"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.coef_law not in ("gaussian", "t3", "chisq"):
@@ -148,6 +148,31 @@ def _integer(name, value):
     return int(value)
 
 
+def _count(name, value, positive=False):
+    """_integer(name, value), or ValueError when it is negative (or zero, if positive)."""
+    value = _integer(name, value)
+    if value < 0 or positive and value == 0:
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be {sign}, got {value}")
+    return value
+
+
+def _flag(name, value):
+    """bool(value), or ValueError unless value is a Python or numpy bool
+    (a JSON "false" or a 0 is not)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return bool(value)
+
+
+def _sequence(name, value, what="a list"):
+    """tuple(value), or ValueError "<name> must be <what>" when value is a
+    string, a mapping or not iterable (a lone number where a list belongs)."""
+    if isinstance(value, (str, bytes, dict)) or not np.iterable(value):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return tuple(value)
+
+
 def _draw_coefficients(spec, shape, gen):
     if spec.coef_law == "gaussian":
         return gen.standard_normal(shape)
@@ -189,10 +214,9 @@ def gen_model_block(spec, n, rng, replicates):
     computes each sample as its own (N, K) @ (K, P) matmul. One replicate
     is gen_model(spec, n, rng) bit for bit.
     """
-    if n < 1:
-        raise ValueError("need at least one sample path")
+    n, replicates = _count("n", n, positive=True), _count("replicates", replicates)
     _, basis, mu, amp = _model_parts(spec)
-    shape = (int(replicates), int(n), basis.shape[0])
+    shape = (replicates, n, basis.shape[0])
     values = _draw_coefficients(spec, shape, rng) @ basis
     values *= amp
     values += mu  # mu + amp * (coeffs @ basis), without two (R, N, P) temporaries

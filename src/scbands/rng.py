@@ -20,6 +20,8 @@ boundaries depend only on N, the grid and the block's value budget.
 
 import numpy as np
 
+from .models import _count
+
 __all__ = ["substream"]
 
 STREAM_LAYOUT = 2
@@ -32,10 +34,10 @@ def child_sequence(seed, *path):
     branches of an existing stream tree; with an empty path an integer
     seed gives its root sequence.
     """
-    key = tuple(int(p) for p in path)
+    key = tuple(_count("stream path entry", p) for p in path)
     if isinstance(seed, np.random.SeedSequence):
         return np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key + key)
-    return np.random.SeedSequence(entropy=int(seed), spawn_key=key)  # its root's key is ()
+    return np.random.SeedSequence(entropy=_count("seed", seed), spawn_key=key)  # root key ()
 
 
 def substream(seed, *path):

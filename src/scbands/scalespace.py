@@ -49,7 +49,7 @@ class ScaleGrid:
             raise ValueError("s_points must be a Grid1D: smoothing applies to curves, not surfaces")
         h = np.array(self.h_points, dtype=float)
         if h.ndim != 1 or h.size == 0:
-            raise ValueError("empty bandwidth list")
+            raise ValueError(f"h_points must be a non-empty list, got {self.h_points!r}")
         if not np.all(np.isfinite(h)) or np.any(h <= 0):
             raise ValueError("bandwidths must be finite and positive")
         if h.size > 1 and not np.all(np.diff(h) > 0):

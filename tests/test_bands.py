@@ -15,6 +15,7 @@ from scbands import (
     Grid1D,
     Grid2D,
     ModelSpec,
+    SCBand,
     ScaleGrid,
     band_to_dict,
     covers,
@@ -55,6 +56,19 @@ def test_band_boundary_is_covered():
     broken = band.center.copy()
     broken[1] = band.lower[1] - 1e-9
     assert not covers(band, broken)
+    with pytest.raises(ValueError, match=re.escape("truth has shape (4,), band has (3,)")):
+        covers(band, np.zeros(4))
+
+
+def test_band_arrays_match_the_grid_and_are_ordered():
+    g = Grid1D(np.array([0.0, 0.5, 1.0]))
+    center, half = np.array([1.0, 2.0, 3.0]), np.full(3, 0.5)
+    with pytest.raises(ValueError, match="^upper does not match the grid size$"):
+        SCBand(center, center - half, np.ones(4), 2.0, "tgkf", 0.05, g)
+    with pytest.raises(ValueError, match="^center does not match the grid size$"):
+        SCBand(np.ones((3, 1)), center - half, center + half, 2.0, "tgkf", 0.05, g)
+    with pytest.raises(ValueError, match="^band must satisfy lower <= center <= upper$"):
+        SCBand(center, center + half, center - half, 2.0, "tgkf", 0.05, g)
 
 
 def test_band_affine_equivariance():
@@ -86,6 +100,11 @@ def test_band_seed_controls_resampling():
     c = scb_one_sample(s, method="rmult-t", replicates=200, seed=2)
     assert a.quantile == b.quantile
     assert a.quantile != c.quantile
+    # a resampling seed is a non-negative integer: 1.5 no longer gives seed 1's band
+    for bad in (1.5, "1", True):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {bad!r}$"):
+            scb_one_sample(s, method="rmult-t", replicates=200, seed=bad)
+    assert scb_one_sample(s, method="rmult-t", replicates=200, seed=1.0).quantile == a.quantile
     # the closed-form method ignores the seed entirely
     x = scb_one_sample(s, method="tgkf", seed=1)
     y = scb_one_sample(s, method="tgkf", seed=99)

@@ -212,6 +212,19 @@ def test_bootstrap_config_validation():
         BootstrapConfig(alpha=1.5)
 
 
+def test_kernels_need_two_curves_per_group(sample):
+    # the band code checks this first; called directly, each kernel checks it too
+    one = FunctionalSample(sample.values[:1], sample.grid)
+    cfg = BootstrapConfig(replicates=20)
+    with pytest.raises(ValueError, match="^bootstrap needs at least 2 curves$"):
+        boots_t_quantile(one, cfg)
+    for law in LAWS:
+        for groups in (one, (sample, one), (one, sample)):
+            with pytest.raises(ValueError,
+                               match="^multiplier bootstrap needs at least 2 curves per group$"):
+                mult_t_quantile(groups, law, cfg)
+
+
 def test_bootstrap_config_rejects_fractional_replicates():
     with pytest.raises(ValueError, match="replicates must be an integer, got 2.5"):
         BootstrapConfig(replicates=2.5)

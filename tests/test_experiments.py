@@ -382,6 +382,25 @@ def test_config_validation():
         ExperimentConfig(model=ModelSpec("C", resolution=10), scale_grid=(0.02, 0.1, 3))
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_dict({"presmooth_bandwidth": 0.05, "scale_grid": [0.02, 0.1, 3]})
+    with pytest.raises(ValueError, match=r"^unknown model config keys: \['bogus'\]$"):
+        ExperimentConfig.from_dict({"model": {"name": "A", "bogus": 1}})
+    for n_values in ((), (1,), (10, 1)):
+        with pytest.raises(ValueError, match="^n_values must hold sample sizes of at least 2$"):
+            ExperimentConfig(n_values=n_values)
+    with pytest.raises(ValueError, match="^need at least one method$"):
+        ExperimentConfig(methods=())
+    # a lone value where a list belongs, and a model that is not a spec, are
+    # named: 50 raised a TypeError, "tgkf" read as the methods 't', 'g', ...
+    for name, value in (("n_values", 50), ("methods", "tgkf"), ("methods", None)):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a list, got {value!r}")):
+            ExperimentConfig.from_dict({name: value})
+    for model in (None, "A", ["A"]):
+        message = f"model must be an object of model keys, got {model!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.from_dict({"model": model})
+    with pytest.raises(ValueError, match=r"^model must be a ModelSpec, got \{'name': 'A'\}$"):
+        ExperimentConfig(model={"name": "A"})
+    assert ExperimentConfig(two_sample=np.bool_(True)).two_sample is True
 
 
 def test_config_rejects_alpha_at_the_bounds():
@@ -596,12 +615,63 @@ def _noise_case(value):
         _alpha_case(lambda v: scb_two_sample(_curves(), _curves(4), "tgkf", alpha=v), True,
                     "two-sample-alpha-True"),
         *(_noise_case(value) for value in (True, "0.1", float("nan"), float("inf"), -0.1)),
+        # A JSON "false" used to read as True (midpoint_grid) or be stored as
+        # a string that failed mid-sweep (two_sample); flags are booleans.
+        *(
+            pytest.param(build, value, re.escape(f"{name} must be true or false, got {value!r}"),
+                         id=f"{name}-{value!r}")
+            for name, build in (
+                ("two_sample", lambda v: ExperimentConfig.from_dict({"two_sample": v})),
+                ("midpoint_grid",
+                 lambda v: ExperimentConfig.from_dict({"model": {"midpoint_grid": v}})),
+            )
+            for value in ("false", 0, 1, None)
+        ),
     ],
 )
 def test_numbers_must_be_real_and_not_bool(build, value, match):
     with pytest.raises(ValueError, match=match) as info:
         build(value)
     assert type(info.value) is ValueError
+
+
+def test_threads_must_be_a_positive_integer(monkeypatch):
+    # 0 and -1 used to run serially, 2.5 on two workers; the check runs
+    # before any worker starts
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(scbands.experiments, "ThreadPoolExecutor", no_pool)
+    cfg = small_config(n_values=(8,), replications=2, true_replications=2)
+    for run in (run_coverage, run_width):
+        for threads in (0, -1):
+            with pytest.raises(ValueError, match=f"^threads must be positive, got {threads}$"):
+                run(cfg, threads=threads)
+        for threads in (2.5, "2", True, None):
+            with pytest.raises(ValueError, match=f"^threads must be an integer, got {threads!r}$"):
+                run(cfg, threads=threads)
+        assert run(cfg, threads=1.0) == run(cfg)
+
+
+def test_reference_row_names_a_non_finite_statistic():
+    # a finite draw whose scale passes the check gives a finite statistic,
+    # so only a non-finite truth reaches this guard
+    pipe = scbands.experiments._Pipeline(small_config(n_values=(10,)))
+    pipe.truth = np.full_like(pipe.truth, np.nan)
+    stats = scbands.experiments._reference_block(pipe, 0, range(2))
+    assert stats == [(None, "FloatingPointError: max-t statistic is nan")] * 2
+
+
+def test_width_cell_whose_bands_all_fail(monkeypatch):
+    def unsolvable(lkc, model, alpha):
+        raise QuantileNoSolutionError("EEC never reaches alpha/2 on the tail")
+
+    monkeypatch.setattr(scbands.bands, "tgkf_quantile", unsolvable)
+    report = run_width(small_config(n_values=(8,), true_replications=20))
+    cell, true = report["cells"]
+    assert cell["failures"] == cell["replications"] == 6
+    assert cell["mean_quantile"] is None and cell["two_se"] is None
+    assert true["method"] == "true" and true["failures"] == 0 and true["mean_quantile"] > 0
 
 
 def test_reference_block_holds_one_array_per_group():

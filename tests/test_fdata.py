@@ -34,6 +34,14 @@ def test_grid1d_rejects_duplicates():
         Grid1D(np.array([0.0, 0.3, 0.3, 1.0]))
 
 
+def test_grid_points_must_be_finite_and_one_dimensional():
+    with pytest.raises(ValueError, match="^points must be a one-dimensional sequence$"):
+        Grid1D(np.zeros((3, 3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^y_points contains non-finite entries$"):
+            Grid2D([0.0, 0.5, 1.0], [0.0, 0.5, bad])
+
+
 def test_grid2d_lattice_row_major():
     g = Grid2D(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 1.0]))
     assert g.n_points == 9
@@ -54,6 +62,11 @@ def test_sample_shape_validation():
         FunctionalSample(np.zeros((3, 7)), g)
     with pytest.raises(ValueError):
         FunctionalSample(np.zeros(40), g)
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.zeros((3, 40))
+        values[1, 7] = bad
+        with pytest.raises(ValueError, match="^values contain non-finite entries$"):
+            FunctionalSample(values, g)
 
 
 def test_pointwise_mean_and_sd():
@@ -156,6 +169,26 @@ def test_child_sequence_feeds_substream():
     x = substream(seq).standard_normal(4)
     y = substream(7, 1, 2).standard_normal(4)
     assert_array_equal(x, y)
+
+
+def test_seeds_and_stream_paths_are_non_negative_integers():
+    # a seed of 2.7 used to address the stream of seed 2, "3" and True
+    # those of 3 and 1
+    for bad in (2.7, "3", True, None):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {bad!r}$"):
+            substream(bad)
+        with pytest.raises(ValueError, match=f"^stream path entry must be an integer, got {bad!r}"):
+            child_sequence(3, 1, bad)
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        substream(-1, 0)
+    with pytest.raises(ValueError, match="^stream path entry must be non-negative, got -2$"):
+        substream(3, -2)
+    draws = substream(3, 1).standard_normal(4)
+    for seed, path in ((3.0, 1), (np.int64(3), np.uint8(1)), (3, 1.0)):
+        assert_array_equal(substream(seed, path).standard_normal(4), draws)
+    # a SeedSequence seed is still a branch of its stream tree
+    branch = np.random.SeedSequence(3, spawn_key=(1,))
+    assert_array_equal(substream(branch).standard_normal(4), draws)
 
 
 def _two_step_sequence(seed, *path):

@@ -82,6 +82,20 @@ def test_read_rejects_degenerate_files(tmp_path):
     p.write_text("0:0,0:1,1:0\n1,2,3\n")
     with pytest.raises(ValueError, match="rectangular lattice"):
         read_sample(p)
+    p.write_text("\n1,2,3\n")
+    with pytest.raises(ValueError, match="^sample CSV has an empty header$"):
+        read_sample(p)
+    p.write_text("0:0,0:1:2,1:0\n1,2,3\n")
+    with pytest.raises(ValueError, match="^malformed surface header cell '0:1:2'$"):
+        read_sample(p)
+
+
+def test_read_skips_blank_lines(tmp_path):
+    p = tmp_path / "gaps.csv"
+    p.write_text("0.0,0.5,1.0\n\n1,2,3\n\n\n4,5,7\n\n")
+    s = read_sample(p)
+    assert_array_equal(s.values, [[1.0, 2.0, 3.0], [4.0, 5.0, 7.0]])
+    assert_array_equal(s.grid.points, [0.0, 0.5, 1.0])
 
 
 def test_band_json_file(tmp_path):
@@ -385,6 +399,48 @@ def test_cli_errors_are_json_on_stderr(tmp_path, capsys):
     doc = json.loads(err.strip().splitlines()[-1])
     assert doc["error"]
     assert "missing.csv" in doc["message"]
+
+
+def _cli_error(capsys, argv):
+    """The JSON error line main(argv) prints, after checking its exit status 1."""
+    assert main(argv) == 1
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+def test_cli_scb_needs_an_input(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json")
+    doc = _cli_error(capsys, ["scb", "--config", str(cfg)])
+    message = 'scb needs an "input" sample CSV in the config'
+    assert doc == {"error": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"two_sample": "false"}, "two_sample must be true or false, got 'false'"),
+        ({"model": {"name": "B", "midpoint_grid": "false"}},
+         "midpoint_grid must be true or false, got 'false'"),
+        ({"n_values": 50}, "n_values must be a list, got 50"),
+        ({"methods": "tgkf"}, "methods must be a list, got 'tgkf'"),
+        ({"model": None}, "model must be an object of model keys, got None"),
+        ({"seed": 2.7}, "seed must be an integer, got 2.7"),
+        # an integer was opened as a file descriptor: 1 wrote to stdout and closed it
+        ({"out": 1}, "out must be a path, got 1"),
+    ],
+)
+def test_cli_names_malformed_config_values(tmp_path, capsys, overrides, message):
+    cfg = _write_config(tmp_path / "cfg.json", **overrides)
+    for command in ("generate", "coverage"):
+        doc = _cli_error(capsys, [command, "--config", str(cfg)])
+        assert doc == {"error": "ValueError", "message": message}
+
+
+def test_cli_threads_must_be_positive(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json")
+    for threads in ("0", "-1"):
+        doc = _cli_error(capsys, ["width", "--config", str(cfg), "--threads", threads])
+        message = f"threads must be positive, got {threads}"
+        assert doc == {"error": "ValueError", "message": message}
 
 
 def test_cli_scb_rejects_malformed_scale_grid(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Euler characteristic densities, tail curves, and quantile inversion."""
 
+import re
 import signal
 from contextlib import contextmanager
 
@@ -58,6 +59,15 @@ def test_t_density_approaches_gaussian_for_huge_dof():
             assert_allclose(
                 ec_density(big, d, u), ec_density(GAUSS, d, u), rtol=1e-4
             )
+    # rho_2's constant tends to 1 without cancellation, up to the largest
+    # finite dof, so the 2-D quantile converges to the Gaussian one
+    lkc = LKCVector(1, (10.0, 5.0))
+    assert tgkf_quantile(lkc, GAUSS, 0.05) == 3.0579081964679062
+    for dof in (1e10, 1e14, 1e15, 1e16, 1e100, 1e300, 1.7e308):
+        huge = ECDensityModel.student_t(dof)
+        for u in (0.5, 2.0, 3.5):
+            assert_allclose(ec_density(huge, 2, u), ec_density(GAUSS, 2, u), rtol=1e-8)
+        assert abs(tgkf_quantile(lkc, huge, 0.05) - 3.0579081964679062) <= 1e-8, dof
 
 
 def test_t_density_heavier_tail_than_gaussian():
@@ -218,6 +228,21 @@ def test_quantile_unreachable_tail_level():
         tgkf_quantile(LKCVector(0.0, (0.01,)), GAUSS, 0.5)
 
 
+def test_quantile_tail_cap():
+    # nu = 1 makes rho_1 the constant 1 / (2 pi): with L1 / (2 pi) >= alpha/2
+    # the EEC never drops below alpha/2, and the doubling stops at 2^40
+    t1 = ECDensityModel.student_t(1)
+    assert eec(LKCVector(1, (1.0,)), t1, 2.0**39) > 0.025
+    with pytest.raises(QuantileNoSolutionError, match="^EEC tail failed to drop below alpha/2$"):
+        tgkf_quantile(LKCVector(1, (1.0,)), t1, 0.05)
+
+
+def test_density_order_above_two_rejected():
+    for model in (GAUSS, ECDensityModel.student_t(5)):
+        with pytest.raises(ValueError, match=r"^EC densities are defined for d in 0..2, got 3$"):
+            ec_density(model, 3, 1.0)
+
+
 def test_density_model_validation():
     with pytest.raises(ValueError, match="family"):
         ECDensityModel("cauchy")
@@ -243,6 +268,10 @@ def test_lkc_vector_validation():
             LKCVector(1, curv)
     for curv in ((), (1.0, 2.0, 3.0)):
         with pytest.raises(ValueError, match="only 1-D and 2-D domains"):
+            LKCVector(1, curv)
+    # a lone number or None where the curvature list belongs is named too
+    for curv in (2.0, None, "12"):
+        with pytest.raises(ValueError, match=re.escape(f"curvatures must be a list, got {curv!r}")):
             LKCVector(1, curv)
     lkc = LKCVector(1.0, (np.float64(2.0), 3))
     assert (lkc.l0, lkc.curvatures) == (1, (2.0, 3.0))

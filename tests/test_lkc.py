@@ -268,6 +268,19 @@ def test_tau_sq_requires_curve_grid():
         tau_sq_1d(FunctionalSample(np.zeros((3, 25)), g))
 
 
+def test_residual_estimators_need_two_rows_of_a_sample():
+    s = cosine_sample(5, 18)
+    one = FunctionalSample(s.values[:1], s.grid)
+    with pytest.raises(ValueError, match="^lambda_hat needs a FunctionalSample of residuals$"):
+        lambda_hat(s.values)
+    for estimator in (lambda_hat, tau_sq_1d):
+        with pytest.raises(ValueError, match="^gradient covariance needs at least 2 residual rows"):
+            estimator(one)
+    other = cosine_sample(5, 18, n_points=101)
+    with pytest.raises(ValueError, match="^grid mismatch between the residual samples$"):
+        lkc_estimate(s, other)
+
+
 def test_two_sample_curvature_swap_invariance():
     rng = np.random.default_rng(17)
     g = Grid1D(np.linspace(0.0, 1.0, 60))

@@ -144,6 +144,34 @@ def test_spec_validation():
         ModelSpec("A", resolution=2)
     with pytest.raises(ValueError):
         gen_model(ModelSpec("A"), 0, substream(67, 0))
+    with pytest.raises(ValueError, match="^chi-square dof must be at least 1$"):
+        ModelSpec("A", coef_law="chisq", nu=0)
+    s = np.linspace(0.0, 1.0, 5)
+    for profile in (model_mean, model_amplitude):
+        with pytest.raises(ValueError, match="^unknown model 'D'$"):
+            profile("D", s)
+
+
+def test_midpoint_grid_is_a_boolean():
+    # a JSON "false" used to read as True and draw on the midpoint grid
+    for flag in ("false", "true", 0, 1, None):
+        with pytest.raises(ValueError, match=f"^midpoint_grid must be true or false, got {flag!r}"):
+            ModelSpec("B", midpoint_grid=flag)
+    for flag in (True, np.bool_(True)):
+        spec = ModelSpec("B", midpoint_grid=flag)
+        assert spec.midpoint_grid is True and spec == ModelSpec("B", midpoint_grid=True)
+
+
+def test_draw_counts_are_integers():
+    # 2.5 paths used to draw 2, and replicates=True one sample
+    spec = ModelSpec("A", resolution=30)
+    with pytest.raises(ValueError, match="^n must be an integer, got 2.5$"):
+        gen_model(spec, 2.5, substream(68))
+    for bad in (True, 1.5, "3"):
+        with pytest.raises(ValueError, match=f"^replicates must be an integer, got {bad!r}$"):
+            gen_model_block(spec, 3, substream(68), bad)
+    block = gen_model_block(spec, np.int64(3), substream(68), 2.0)
+    assert block.tobytes() == gen_model_block(spec, 3, substream(68), 2).tobytes()
 
 
 def test_model_parts_are_cached_and_read_only():

@@ -1,5 +1,7 @@
 """Kernel smoothing of discrete measurements onto a location-bandwidth lattice."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -112,3 +114,32 @@ def test_scale_grid_validation():
         ScaleGrid(locs, np.array([0.1, 0.05, 0.2]))
     with pytest.raises(ValueError):
         ScaleGrid(locs, np.array([0.0, 0.1, 0.2]))
+
+
+def test_scale_grid_needs_a_list_of_bandwidths():
+    # a lone bandwidth used to be reported as an empty list
+    locs = Grid1D(np.linspace(0.0, 1.0, 5))
+    for bad in ([], 0.05, [[0.05, 0.1]]):
+        message = f"h_points must be a non-empty list, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ScaleGrid(locs, bad)
+
+
+def test_weight_matrix_rejects_bad_points_and_kernels(setup):
+    measure, sg, _ = setup
+    kernel = gaussian_kernel()
+    for pts in ([0.5], np.zeros((4, 5))):
+        with pytest.raises(ValueError, match="^need at least 2 measurement points$"):
+            weight_matrix(kernel, pts, sg)
+    with pytest.raises(ValueError, match="^kernel produced non-finite weights at h=0.04$"):
+        weight_matrix(lambda offsets, h: np.full_like(offsets, np.nan), measure, sg)
+    with pytest.raises(ValueError, match="^kernel weights sum to zero at h=0.04$"):
+        weight_matrix(lambda offsets, h: 0.0 * offsets, measure, sg)
+
+
+def test_smoothing_needs_curves(setup):
+    _, sg, raw = setup
+    surfaces = FunctionalSample(np.zeros((2, 9)), Grid2D([0.0, 0.5, 1.0], [0.0, 0.5, 1.0]))
+    for bad in (surfaces, raw.values):
+        with pytest.raises(ValueError, match="^smooth_sample needs a FunctionalSample on a 1-D"):
+            smooth_sample(bad, gaussian_kernel(), sg)

@@ -45,11 +45,10 @@ _SWEEPS = ("coverage", "width")  # the subcommands that take --threads
 def _load_config(args):
     with open(args.config) as fh:
         doc = json.load(fh)
-    inputs = {k: doc.pop(k, None) for k in _INPUT_KEYS}
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.out is not None:
-        doc["out"] = args.out
+    inputs = {}
+    if isinstance(doc, dict):  # from_dict names any other document
+        inputs = {k: doc.pop(k, None) for k in _INPUT_KEYS}
+        doc.update((k, v) for k, v in (("seed", args.seed), ("out", args.out)) if v is not None)
     return ExperimentConfig.from_dict(doc), inputs
 
 

@@ -136,8 +136,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc):
-        doc = dict(doc)
-        model_doc = doc.pop("model", {})
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {doc!r}")
+        model_doc = doc.get("model", {})
         if not isinstance(model_doc, dict):
             raise ValueError(f"model must be an object of model keys, got {model_doc!r}")
         model_names = {key: name for name, key in _MODEL_KEYS.items()}
@@ -148,7 +149,7 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         spec = ModelSpec(**{model_names[k]: v for k, v in model_doc.items()})
-        return cls(model=spec, **doc)
+        return cls(**{**doc, "model": spec})
 
 
 class _Pipeline:

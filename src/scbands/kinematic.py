@@ -11,13 +11,14 @@ the decreasing tail gives the critical value of a two-sided simultaneous
 band, since for one- and two-dimensional domains the EEC dominates the
 excursion probability of max |T|.
 
-The root is bracketed by [0, hi] for the first doubling hi with EEC(hi) <
-alpha/2: with L0 >= 1, EEC(0) >= rho_0(0) = 1/2 > alpha/2, and for u > 0 the
-slope is (1 + u^2/nu)^(-(nu+1)/2) times -L0 c - L1 (nu-1) u / (2 pi nu) +
-L2 k (1 - (nu-2) u^2 / nu) with c, k > 0, which decreases in u for nu >= 2
-and in the Gaussian limit. So the EEC rises at most once, then falls, and
-crosses alpha/2 exactly once: at the largest root. For nu < 2, rho_2 grows
-like u^(2-nu): with L2 > 0 the EEC has no last crossing, and is rejected.
+The root is bracketed by [hi/2, hi] for the first doubling hi with EEC(hi) <
+alpha/2, or by [0, 1] if EEC(1) < alpha/2: L0 >= 1, so EEC(0) >= rho_0(0) =
+1/2 > alpha/2, and for u > 0 the slope is (1 + u^2/nu)^(-(nu+1)/2) times
+-L0 c - L1 (nu-1) u / (2 pi nu) + L2 k (1 - (nu-2) u^2 / nu) with c, k > 0,
+which decreases in u for nu >= 2 and in the Gaussian limit. So the EEC
+rises at most once, then falls, and crosses alpha/2 exactly once: at the
+largest root. For nu < 2, rho_2 grows like u^(2-nu): with L2 > 0 the EEC
+has no last crossing, and is rejected.
 """
 
 from dataclasses import dataclass
@@ -37,16 +38,16 @@ _TWO_PI = 2.0 * np.pi
 class LKCVector:
     """Intrinsic volumes (L0, L1[, L2]) of a domain under the field metric.
 
-    l0 is the Euler characteristic of the domain (1 for the intervals and
-    rectangles used here, 0 admitted for algebra like the EEC linearity
-    identity); curvatures holds (L1,) in 1-D or (L1, L2) in 2-D.
+    l0 is the Euler characteristic of the domain, a positive integer (1 for
+    the intervals and rectangles used here); curvatures holds (L1,) in 1-D
+    or (L1, L2) in 2-D.
     """
 
     l0: int
     curvatures: tuple
 
     def __post_init__(self):
-        curv, l0 = _sequence("curvatures", self.curvatures), _count("L0", self.l0)
+        curv, l0 = _sequence("curvatures", self.curvatures), _count("L0", self.l0, positive=True)
         if not 1 <= len(curv) <= 2:
             raise ValueError("only 1-D and 2-D domains are supported")
         if not all(_is_real(c) and 0.0 <= c < np.inf for c in curv):
@@ -126,15 +127,15 @@ def eec(lkc, model, u):
 def tgkf_quantile(lkc, model, alpha):
     """Largest u solving EEC(u) = alpha/2.
 
-    Bisects [0, hi], hi doubling from 1 until EEC(hi) < alpha/2 (the module
-    docstring shows this bracket holds one root), and stops at a width of
-    1e-9 or at adjacent doubles (past about 4.5e6). So u lies within
-    max(1e-9, one ulp) of a sign change of the floating EEC; rounding blurs
-    where that is, e.g. near a root of 4e5 the floating EEC changes sign
-    several times within 7e-10. Raises QuantileNoSolutionError for alpha
-    outside (0, 1); for dof < 2 on a 2-D domain with L2 > 0; for EEC(0) <
-    alpha/2, which needs L0 = 0 (a 2-D EEC that climbs to alpha/2 later is
-    then not searched); and when the EEC is still at least alpha/2 at
+    hi doubles from 1 until EEC(hi) < alpha/2; the bisection then starts
+    from [hi/2, hi], the last bracket the doubling proved ([0, 1] when
+    EEC(1) is already below; the module docstring shows it holds one root),
+    so no u is evaluated twice. It stops at a width of 1e-9 or at adjacent
+    doubles (past about 4.5e6). So u lies within max(1e-9, one ulp) of a
+    sign change of the floating EEC; rounding blurs where that is, e.g. near
+    a root of 4e5 the floating EEC changes sign several times within 7e-10.
+    Raises QuantileNoSolutionError for alpha outside (0, 1); for dof < 2 on
+    a 2-D domain with L2 > 0; and when the EEC is still at least alpha/2 at
     u = 2^39, as flat or slowly decaying tails (nu <= 2) can be.
     """
     if not (_is_real(alpha) and 0.0 < alpha < 1.0):
@@ -145,12 +146,9 @@ def tgkf_quantile(lkc, model, alpha):
             f"2-D tGKF needs dof >= 2 (at least 3 surfaces), got dof={model.dof:g}"
         )
     target = 0.5 * alpha
-    if eec(lkc, model, 0.0) < target:
-        raise QuantileNoSolutionError(f"alpha={alpha} too large: EEC(0) is below {target}")
-
     lo, hi = 0.0, 1.0
     while eec(lkc, model, hi) >= target:
-        hi *= 2.0
+        lo, hi = hi, 2.0 * hi
         if hi > 1e12:
             raise QuantileNoSolutionError("EEC tail failed to drop below alpha/2")
 

@@ -44,25 +44,30 @@ def write_sample(path, sample):
             writer.writerow([_fmt(v) for v in row])
 
 
+def _header_coords(cell, surface):
+    """Coordinates of one header cell ("x:y" on a surface), or ValueError naming it."""
+    parts = cell.split(":") if surface else [cell]
+    if len(parts) == 1 + surface:
+        try:
+            return [float(p) for p in parts]
+        except ValueError:
+            pass
+    raise ValueError(f"malformed {'surface' if surface else 'curve'} header cell {cell!r}")
+
+
 def _parse_grid(header):
     if not header:
         raise ValueError("sample CSV has an empty header")
-    if ":" in header[0]:
-        pairs = []
-        for cell in header:
-            parts = cell.split(":")
-            if len(parts) != 2:
-                raise ValueError(f"malformed surface header cell {cell!r}")
-            pairs.append((float(parts[0]), float(parts[1])))
-        xs, ys = np.array(pairs).T
-        x_points, y_points = np.unique(xs), np.unique(ys)
-        if not (
-            np.array_equal(xs, np.repeat(x_points, y_points.size))
-            and np.array_equal(ys, np.tile(y_points, x_points.size))
-        ):
-            raise ValueError("surface header is not a row-major rectangular lattice")
-        return Grid2D(x_points, y_points)
-    return Grid1D(np.array([float(cell) for cell in header]))
+    surface = ":" in header[0]
+    coords = np.array([_header_coords(cell, surface) for cell in header]).T
+    if not surface:
+        return Grid1D(coords[0])
+    x_points, y_points = np.unique(coords[0]), np.unique(coords[1])
+    if len(header) == x_points.size * y_points.size:
+        grid = Grid2D(x_points, y_points)
+        if all(map(np.array_equal, grid.lattice_coords(), coords)):
+            return grid
+    raise ValueError("surface header is not a row-major rectangular lattice")
 
 
 def read_sample(path):
@@ -70,7 +75,7 @@ def read_sample(path):
 
     Validates the header (monotone coordinates, rectangular lattice for
     surfaces), rejects ragged or non-finite rows, and reports the offending
-    1-based row number on failure.
+    1-based line number of the file on failure.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -79,7 +84,7 @@ def read_sample(path):
         except StopIteration:
             raise ValueError("sample CSV is empty") from None
         grid = _parse_grid(header)
-        rows = []
+        rows = {}  # file line number -> values
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -88,15 +93,15 @@ def read_sample(path):
                     f"row {line_no} has {len(row)} values, expected {len(header)}"
                 )
             try:
-                rows.append([float(cell) for cell in row])
+                rows[line_no] = [float(cell) for cell in row]
             except ValueError:
                 raise ValueError(f"row {line_no} holds a non-numeric value") from None
     if not rows:
         raise ValueError("sample CSV holds no data rows")
-    values = np.array(rows)
-    if not np.all(np.isfinite(values)):
-        bad = int(np.where(~np.isfinite(values).all(axis=1))[0][0]) + 2
-        raise ValueError(f"row {bad} holds a non-finite value")
+    values = np.array(list(rows.values()))
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {list(rows)[np.argmin(finite)]} holds a non-finite value")
     return FunctionalSample(values, grid)
 
 

@@ -7,7 +7,7 @@ statements over locations and bandwidths together, which removes the need
 to pick one smoothing parameter.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,14 +35,15 @@ def gaussian_kernel():
 class ScaleGrid:
     """Evaluation locations plus a strictly increasing positive bandwidth list.
 
-    grid is the grid of the smoothed values: the locations themselves for
-    one bandwidth, else the (s, h) lattice with x = locations and y =
-    bandwidths. (Two bandwidths cannot form a valid 2-D lattice; use one,
-    or three and more.)
+    grid, built once, is the grid of the smoothed values: the locations
+    themselves for one bandwidth, else the (s, h) lattice with x = locations
+    and y = bandwidths. Two bandwidths cannot form a valid 2-D lattice and
+    are rejected; use one, or three and more.
     """
 
     s_points: Grid1D
     h_points: np.ndarray
+    grid: "Grid1D | Grid2D" = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.s_points, Grid1D):
@@ -50,26 +51,16 @@ class ScaleGrid:
         h = np.array(self.h_points, dtype=float)
         if h.ndim != 1 or h.size == 0:
             raise ValueError(f"h_points must be a non-empty list, got {self.h_points!r}")
+        if h.size == 2:
+            raise ValueError("h_points needs one or at least 3 bandwidths, got 2")
         if not np.all(np.isfinite(h)) or np.any(h <= 0):
             raise ValueError("bandwidths must be finite and positive")
         if h.size > 1 and not np.all(np.diff(h) > 0):
             raise ValueError("bandwidths must be strictly increasing")
         h.setflags(write=False)
         object.__setattr__(self, "h_points", h)
-
-    @property
-    def n_s(self):
-        return self.s_points.n_points
-
-    @property
-    def n_h(self):
-        return self.h_points.size
-
-    @property
-    def grid(self):
-        if self.n_h == 1:
-            return self.s_points
-        return Grid2D(self.s_points.points, self.h_points)
+        grid = self.s_points if h.size == 1 else Grid2D(self.s_points.points, h)
+        object.__setattr__(self, "grid", grid)
 
 
 def weight_matrix(kernel, measure_points, sg):
@@ -94,7 +85,7 @@ def weight_matrix(kernel, measure_points, sg):
             raise ValueError(f"kernel weights sum to zero at h={h:.6g}")
         per_h.append(k / row_sums)
     # (n_s, n_h, P) -> flat row-major (s major, h minor) to match Grid2D.
-    return np.stack(per_h, axis=1).reshape(sg.n_s * sg.n_h, pts.size)
+    return np.stack(per_h, axis=1).reshape(sg.grid.n_points, pts.size)
 
 
 def smooth_sample(raw, kernel, sg):

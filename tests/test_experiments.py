@@ -394,6 +394,10 @@ def test_config_validation():
     for name, value in (("n_values", 50), ("methods", "tgkf"), ("methods", None)):
         with pytest.raises(ValueError, match=re.escape(f"{name} must be a list, got {value!r}")):
             ExperimentConfig.from_dict({name: value})
+    for doc in ([1, 2], None, 3, "abc"):
+        message = f"config must be a JSON object, got {doc!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.from_dict(doc)
     for model in (None, "A", ["A"]):
         message = f"model must be an object of model keys, got {model!r}"
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -88,6 +88,25 @@ def test_read_rejects_degenerate_files(tmp_path):
     p.write_text("0:0,0:1:2,1:0\n1,2,3\n")
     with pytest.raises(ValueError, match="^malformed surface header cell '0:1:2'$"):
         read_sample(p)
+    # header cells that are not numbers are named, on curves as on surfaces
+    p.write_text("0,a,1\n1,2,3\n")
+    with pytest.raises(ValueError, match="^malformed curve header cell 'a'$"):
+        read_sample(p)
+    p.write_text("0:0,0:b,1:0\n1,2,3\n")
+    with pytest.raises(ValueError, match="^malformed surface header cell '0:b'$"):
+        read_sample(p)
+    # a full lattice written column-major is not write_sample's order
+    cells = [f"{x}:{y}" for y in range(3) for x in range(3)]
+    p.write_text(",".join(cells) + "\n" + ",".join("1" * 9) + "\n")
+    with pytest.raises(ValueError, match="rectangular lattice"):
+        read_sample(p)
+    # bad rows are named by their line in the file, blank lines counted
+    p.write_text("0,0.5,1\n\n1,2,3\n\n4,inf,6\n")
+    with pytest.raises(ValueError, match="^row 5 holds a non-finite value$"):
+        read_sample(p)
+    p.write_text("0,0.5,1\n\n1,2,3\n\n4,x,6\n")
+    with pytest.raises(ValueError, match="^row 5 holds a non-numeric value$"):
+        read_sample(p)
 
 
 def test_read_skips_blank_lines(tmp_path):
@@ -452,6 +471,16 @@ def test_cli_scb_rejects_malformed_scale_grid(tmp_path, capsys):
     message = "scale_grid must be 3 numbers, got [0.02, 0.1]"
     assert doc == {"error": "ValueError", "message": message}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("document", [[1, 2], "abc", None, 3])
+def test_cli_rejects_a_config_that_is_not_an_object(tmp_path, capsys, document):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(document))
+    for argv in (["coverage"], ["scb", "--seed", "3", "--out", str(tmp_path / "b.json")]):
+        doc = _cli_error(capsys, [*argv, "--config", str(p)])
+        message = f"config must be a JSON object, got {document!r}"
+        assert doc == {"error": "ValueError", "message": message}
 
 
 def test_cli_rejects_unknown_config_keys(tmp_path, capsys):

@@ -24,6 +24,7 @@ from scbands import (
     substream,
     tgkf_quantile,
 )
+from scbands import kinematic
 from scbands.kinematic import ec_density
 
 GAUSS = ECDensityModel.gaussian()
@@ -86,12 +87,14 @@ def test_eec_frozen_value():
 
 
 def test_eec_linear_in_the_curvatures():
+    # L0 = 1 throughout: eec(1, a) + eec(1, b) - eec(1, 0) = eec(1, a + b)
     t19 = ECDensityModel.student_t(19)
     u = 2.7
     a = eec(LKCVector(1.0, (3.0,)), t19, u)
-    b = eec(LKCVector(0.0, (2.0,)), t19, u)
+    b = eec(LKCVector(1.0, (2.0,)), t19, u)
+    base = eec(LKCVector(1.0, (0.0,)), t19, u)
     combined = eec(LKCVector(1.0, (5.0,)), t19, u)
-    assert_allclose(combined, a + b, rtol=1e-14)
+    assert_allclose(combined, a + b - base, rtol=1e-14)
 
 
 def test_eec_two_dimensional_terms():
@@ -222,10 +225,37 @@ def test_quantile_rejects_bad_level():
             tgkf_quantile(lkc, GAUSS, alpha)
 
 
-def test_quantile_unreachable_tail_level():
-    # tiny domain: the tail curve never reaches alpha/2 = 0.25
-    with pytest.raises(QuantileNoSolutionError):
-        tgkf_quantile(LKCVector(0.0, (0.01,)), GAUSS, 0.5)
+def test_lkc_vector_needs_a_positive_euler_characteristic():
+    # L0 >= 1 keeps EEC(0) >= 1/2 > alpha/2, so the solver needs no EEC(0) test
+    for l0 in (0, 0.0, np.int64(0)):
+        with pytest.raises(ValueError, match="^L0 must be positive, got 0$"):
+            LKCVector(l0, (0.01,))
+
+
+@pytest.mark.parametrize(
+    "curvatures, model",
+    [
+        ((2.0,), GAUSS),
+        ((40.0,), ECDensityModel.student_t(7)),
+        ((0.0,), ECDensityModel.student_t(3)),
+        ((4.0, 2.5), GAUSS),
+        ((10.0, 60.0), ECDensityModel.student_t(12)),
+        ((1.0, 0.5), ECDensityModel.student_t(4)),
+    ],
+)
+def test_quantile_evaluates_each_u_once_and_never_zero(monkeypatch, curvatures, model):
+    lkc, seen = LKCVector(1, curvatures), []
+
+    def recording_eec(lkc, model, u):
+        seen.append(u)
+        return eec(lkc, model, u)
+
+    monkeypatch.setattr(kinematic, "eec", recording_eec)
+    for alpha in (1e-8, 0.05, 0.6, 0.99):
+        seen.clear()
+        tgkf_quantile(lkc, model, alpha)
+        assert 0.0 not in seen
+        assert len(set(seen)) == len(seen), sorted(seen)
 
 
 def test_quantile_tail_cap():
@@ -261,7 +291,7 @@ def test_lkc_vector_validation():
     for l0 in (1.5, 0.5, True, "1", None):
         with pytest.raises(ValueError, match="L0 must be an integer"):
             LKCVector(l0, (2.0,))
-    with pytest.raises(ValueError, match="L0 must be non-negative"):
+    with pytest.raises(ValueError, match="L0 must be positive"):
         LKCVector(-1, (2.0,))
     for curv in ((True,), ("2",), (None,), (-0.1,), (float("inf"),), (1.0, float("nan"))):
         with pytest.raises(ValueError, match="curvatures must be finite non-negative numbers"):
@@ -276,7 +306,7 @@ def test_lkc_vector_validation():
     lkc = LKCVector(1.0, (np.float64(2.0), 3))
     assert (lkc.l0, lkc.curvatures) == (1, (2.0, 3.0))
     assert type(lkc.l0) is int and all(type(c) is float for c in lkc.curvatures)
-    assert LKCVector(np.int64(0), (2.0,)).l0 == 0
+    assert LKCVector(np.int64(1), (2.0,)).l0 == 1
 
 
 def test_density_order_zero_is_bitwise_scipy_stats():

@@ -103,8 +103,8 @@ def test_bandwidth_lattice_axis(setup):
 
 def test_two_bandwidths_rejected(setup):
     measure, _, raw = setup
-    sg = ScaleGrid(Grid1D(np.linspace(0.05, 0.95, 12)), np.array([0.05, 0.1]))
     with pytest.raises(ValueError, match="at least 3"):
+        sg = ScaleGrid(Grid1D(np.linspace(0.05, 0.95, 12)), np.array([0.05, 0.1]))
         smooth_sample(raw, gaussian_kernel(), sg)
 
 
@@ -143,3 +143,12 @@ def test_smoothing_needs_curves(setup):
     for bad in (surfaces, raw.values):
         with pytest.raises(ValueError, match="^smooth_sample needs a FunctionalSample on a 1-D"):
             smooth_sample(bad, gaussian_kernel(), sg)
+
+
+def test_scale_grid_builds_its_lattice_once():
+    locs = Grid1D(np.linspace(0.0, 1.0, 5))
+    sg = ScaleGrid(locs, [0.04, 0.08, 0.16])
+    assert sg.grid is sg.grid
+    assert ScaleGrid(locs, [0.08]).grid is locs
+    with pytest.raises(ValueError, match="^h_points needs one or at least 3 bandwidths, got 2$"):
+        ScaleGrid(locs, [0.05, 0.1])

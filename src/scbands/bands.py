@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import BootstrapConfig, boots_t_quantile, mult_t_quantile
+from .errors import _check_alpha
 from .fdata import FunctionalSample, Grid1D, _mean_field, _nonzero_scale, grids_equal
 from .kinematic import ECDensityModel, tgkf_quantile
 from .lkc import lkc_estimate
-from .models import _check_alpha
 from .scalespace import smooth_sample
 
 __all__ = [

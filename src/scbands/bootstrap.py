@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVarianceError
+from .errors import DegenerateVarianceError, _check_alpha, _count
 from .fdata import _nonzero_scale
-from .models import _check_alpha, _count
 from .rng import substream
 
 __all__ = ["ceiling_rank_quantile"]

@@ -9,13 +9,14 @@ thread count or evaluation order. Estimator failures (degenerate variance,
 no quantile solution) are recorded per cell instead of aborting the sweep.
 
 The bands and the width table's brute-force reference row share one
-scheduler of replicate blocks. A band block holds one replicate, drawn from
-the substreams of its replicate index. A reference block holds about
-_BLOCK_VALUES values: one (R, N, P) array per group, drawn from one
-substream per purpose and centered in place, so the reference row's memory
-does not grow with true_replications. Block boundaries depend only on N,
-the grid width and _BLOCK_VALUES, and the last block is drawn in full, so
-raising true_replications keeps every earlier statistic.
+scheduler of replicate blocks, _sweep, the only code that cuts blocks. A
+band block holds one replicate, drawn from the substreams of its replicate
+index. A reference block holds about _BLOCK_VALUES values: one (R, N, P)
+array per group, drawn from one substream per purpose and centered in
+place, so the reference row's memory does not grow with true_replications.
+Block boundaries depend only on N, the grid width and _BLOCK_VALUES, and
+every block is drawn whole, its rows past the replication count dropped,
+so raising true_replications keeps every earlier statistic.
 """
 
 import math
@@ -26,9 +27,9 @@ import numpy as np
 
 from .bands import _parse_method_for, covers, scb_one_sample, scb_two_sample
 from .bootstrap import ceiling_rank_quantile
+from .errors import _check_alpha, _check_sigma_obs, _count, _flag, _integer, _is_real, _sequence
 from .fdata import FunctionalSample, _bad_scale, _mean_field, _nonzero_scale
-from .models import (ModelSpec, _check_alpha, _check_sigma_obs, _count, _flag, _integer, _is_real,
-                     _model_parts, _sequence, gen_model_block)
+from .models import ModelSpec, _model_parts, gen_model_block
 from .rng import STREAM_LAYOUT, child_sequence, substream
 from .scalespace import ScaleGrid, gaussian_kernel, weight_matrix
 
@@ -116,7 +117,8 @@ class ExperimentConfig:
                 raise ValueError(f"scale_grid must be 3 numbers, got {grid!r}")
             h_min, h_max = float(items[0]), float(items[1])
             count = _integer("scale_grid count", items[2])
-            if not (0 < h_min <= h_max < math.inf and (count == 1 or count >= 3 and h_min < h_max)):
+            if not (0 < h_min <= h_max < math.inf
+                    and (count == 1 if h_min == h_max else count >= 3)):
                 raise ValueError(
                     "scale_grid must be (h_min, h_max, count) with 0 < h_min < h_max, "
                     "count 1 or >= 3 (h_min = h_max at count 1)"
@@ -178,17 +180,12 @@ class _Pipeline:
         """Replicates (at least one) per block of about block_values values at n_values[n_index]."""
         return max(1, block_values // (self.cfg.n_values[n_index] * self.width))
 
-    def draw_block(self, n_index, reps, data_tag, noise_tag):
-        """(R, N, P) analysis values of the block of replicates reps, after any smoothing.
-
-        reps is range(b R, (b + 1) R), the replicates of block b (_raw_block).
-        """
-        vals = _raw_block(self.cfg, n_index, reps, data_tag, noise_tag)
-        return vals if self.weights is None else vals @ self.weights.T
-
     def draw_groups(self, n_index, reps, tags):
-        """draw_block of Y, and of X in two-sample mode, for (data, noise) tags."""
-        return [self.draw_block(n_index, reps, *pair) for pair in tags[: 1 + self.cfg.two_sample]]
+        """(R, N, P) analysis values of the block of replicates reps (_raw_block),
+        after any smoothing: of Y, and of X in two-sample mode, for (data, noise) tags."""
+        pairs = tags[: 1 + self.cfg.two_sample]
+        groups = (_raw_block(self.cfg, n_index, reps, *pair) for pair in pairs)
+        return [vals if self.weights is None else vals @ self.weights.T for vals in groups]
 
 
 def _raw_block(cfg, n_index, reps, data_tag=_TAG_DATA_Y, noise_tag=_TAG_NOISE_Y):
@@ -226,23 +223,26 @@ def _failure_tolerant(fn, *args):
 def _sweep(pipe, block, reps, block_values, threads):
     """Rows of the replicates 0..reps-1 of every N, one list of rows per N.
 
-    Each N's replicates are cut into blocks of pipe.block_size replicates;
-    the last block may be cut short. block is a module-level function, and
-    block(pipe, n_index, reps) returns one row per replicate of its block;
-    the thread pool maps it over the blocks' plain-data arguments.
+    Each N's replicates are cut into whole blocks range(b R, (b + 1) R) of
+    R = pipe.block_size replicates; the rows past reps are dropped. block is
+    a module-level function, and block(pipe, n_index, reps) returns one row
+    per replicate of its block; the thread pool maps it over the blocks'
+    plain-data arguments.
     """
     threads = _count("threads", threads, positive=True)
     items = []
     for i in range(len(pipe.cfg.n_values)):
         size = pipe.block_size(i, block_values)
-        items += [(pipe, i, range(r, min(r + size, reps))) for r in range(0, reps, size)]
+        items += [(pipe, i, range(r, r + size)) for r in range(0, reps, size)]
     if threads == 1:
         blocks = list(map(block, *zip(*items)))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = list(pool.map(block, *zip(*items)))
-    rows = [row for block_rows in blocks for row in block_rows]
-    return [rows[i * reps : (i + 1) * reps] for i in range(len(pipe.cfg.n_values))]
+    rows = [[] for _ in pipe.cfg.n_values]
+    for (_, i, _), block_rows in zip(items, blocks):
+        rows[i] += block_rows
+    return [row[:reps] for row in rows]
 
 
 def _band(pipe, samples, method, seed):
@@ -264,13 +264,9 @@ def _band_block(pipe, n_index, reps):
     def scores(rep):
         groups = pipe.draw_groups(n_index, range(rep, rep + 1), _BAND_TAGS)
         samples = [FunctionalSample(values[0], pipe.grid) for values in groups]
-        return [
-            _failure_tolerant(
-                _band, pipe, samples, method,
-                child_sequence(cfg.seed, _TAG_METHOD, n_index, rep, m_index),
-            )
-            for m_index, method in enumerate(cfg.methods)
-        ]
+        return [_failure_tolerant(_band, pipe, samples, method,
+                                  child_sequence(cfg.seed, _TAG_METHOD, n_index, rep, m_index))
+                for m_index, method in enumerate(cfg.methods)]
 
     rows = [_failure_tolerant(scores, rep) for rep in reps]
     return [[(None, reason)] * len(cfg.methods) if reason else row for row, reason in rows]
@@ -309,20 +305,13 @@ def run_coverage(cfg, threads=1):
 
 
 def _reference_block(pipe, n_index, reps):
-    """(value, reason) of the maximal studentized deviation of each replicate.
-
-    reps lies in one block of pipe.block_size(n_index, _BLOCK_VALUES)
-    replicates, drawn in full whatever part of it reps is. The mean field
-    (fdata._mean_field) and the max-t statistics are taken along axis 1 of
-    the (R, N, P) draws of reps. A replicate whose scale cannot studentize
-    (fdata._bad_scale) fails with the error of fdata._nonzero_scale, one
-    whose statistic is not finite with FloatingPointError.
-    """
-    size = pipe.block_size(n_index, _BLOCK_VALUES)
-    first = reps.start // size * size
-    rows = slice(reps.start - first, reps.stop - first)
-    full = range(first, first + size)
-    groups = [values[rows] for values in pipe.draw_groups(n_index, full, _TRUE_TAGS)]
+    """(value, reason) of the maximal studentized deviation of each replicate
+    of the whole block reps (_raw_block): the max-t statistic of the mean
+    field (fdata._mean_field) along axis 1 of its (R, N, P) draws. A
+    replicate whose scale cannot studentize (fdata._bad_scale) fails with
+    fdata._nonzero_scale's error, one with a non-finite statistic with
+    FloatingPointError."""
+    groups = pipe.draw_groups(n_index, reps, _TRUE_TAGS)
     with np.errstate(all="ignore"):
         center, scale, rate = _mean_field(*groups)
         stats = np.max(rate * np.abs(center - pipe.truth) / scale, axis=1)

@@ -9,17 +9,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVarianceError
+from .errors import DegenerateVarianceError, _is_real
 
 __all__ = ["Grid1D", "Grid2D", "FunctionalSample"]
 
 
-def _ascending_points(points, name):
-    pts = np.array(points, dtype=float)
+def _ascending_points(points, name, fewest=3):
+    """points as a read-only float array, or ValueError naming the field unless
+    they are a 1-D sequence of at least fewest real numbers (not bools or
+    strings: a numeric ndarray passes by its dtype, any other sequence entry by
+    entry), finite and strictly increasing."""
+    pts = np.asarray(points)
     if pts.ndim != 1:
         raise ValueError(f"{name} must be a one-dimensional sequence")
-    if pts.size < 3:
-        raise ValueError(f"{name} needs at least 3 points, got {pts.size}")
+    numeric = isinstance(points, np.ndarray) and pts.dtype.kind in "iuf"
+    if not (numeric or all(map(_is_real, points))):
+        raise ValueError(f"{name} must hold real numbers, got {points!r}")
+    if pts.size < fewest:
+        raise ValueError(f"{name} needs at least {fewest} points, got {pts.size}")
+    pts = pts.astype(float)
     if not np.all(np.isfinite(pts)):
         raise ValueError(f"{name} contains non-finite entries")
     if not np.all(np.diff(pts) > 0):
@@ -106,14 +114,15 @@ class FunctionalSample:
     grid: "Grid1D | Grid2D"
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
+        vals = np.asarray(self.values)
+        if vals.dtype.kind not in "iuf":
+            raise ValueError(f"values must hold real numbers, got dtype {vals.dtype}")
+        vals = np.array(vals, dtype=float)
         if vals.ndim != 2:
             raise ValueError("values must be an N x P matrix")
         if vals.shape[1] != self.grid.n_points:
-            raise ValueError(
-                f"values have {vals.shape[1]} columns but the grid has "
-                f"{self.grid.n_points} points"
-            )
+            raise ValueError(f"values have {vals.shape[1]} columns but the grid has "
+                             f"{self.grid.n_points} points")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values contain non-finite entries")
         vals.setflags(write=False)

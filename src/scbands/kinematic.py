@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import QuantileNoSolutionError
-from .models import _count, _is_real, _sequence
+from .errors import QuantileNoSolutionError, _check_alpha, _count, _is_real, _sequence
 
 __all__ = ["LKCVector", "ECDensityModel", "eec", "tgkf_quantile"]
 
@@ -138,8 +137,7 @@ def tgkf_quantile(lkc, model, alpha):
     a 2-D domain with L2 > 0; and when the EEC is still at least alpha/2 at
     u = 2^39, as flat or slowly decaying tails (nu <= 2) can be.
     """
-    if not (_is_real(alpha) and 0.0 < alpha < 1.0):
-        raise QuantileNoSolutionError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_alpha(alpha, QuantileNoSolutionError)
     # curvatures[1:] holds L2 on a 2-D domain and nothing on a 1-D one.
     if model.family == "student_t" and model.dof < 2 and sum(lkc.curvatures[1:]) > 0:
         raise QuantileNoSolutionError(

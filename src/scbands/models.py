@@ -23,11 +23,11 @@ once and cached; gen_model_block draws a stack of samples from them.
 
 import functools
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 from scipy.special import comb
 
+from .errors import _check_sigma_obs, _count, _flag, _integer
 from .fdata import FunctionalSample, Grid1D, Grid2D
 
 __all__ = ["ModelSpec", "gen_model", "gen_model_block", "add_observation_noise", "model_mean"]
@@ -121,56 +121,6 @@ class ModelSpec:
         else:
             pts = np.linspace(0.0, 1.0, self.resolution)
         return Grid1D(pts)
-
-
-def _is_real(value):
-    """True for a real number that is not a bool."""
-    return isinstance(value, Real) and not isinstance(value, bool)
-
-
-def _check_alpha(alpha):
-    """ValueError unless alpha is a real number in (0, 1) that is not a bool."""
-    if not (_is_real(alpha) and 0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-
-
-def _check_sigma_obs(sigma_obs):
-    """ValueError unless the noise sd is a finite, non-negative real that is not a bool."""
-    if not (_is_real(sigma_obs) and 0.0 <= sigma_obs < np.inf):
-        raise ValueError(f"sigma_obs must be finite and non-negative, got {sigma_obs!r}")
-
-
-def _integer(name, value):
-    """int(value), or ValueError when value is not an integer-valued real
-    number (10.0 is; True, "10" and None are not)."""
-    if not (_is_real(value) and float(value).is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _count(name, value, positive=False):
-    """_integer(name, value), or ValueError when it is negative (or zero, if positive)."""
-    value = _integer(name, value)
-    if value < 0 or positive and value == 0:
-        sign = "positive" if positive else "non-negative"
-        raise ValueError(f"{name} must be {sign}, got {value}")
-    return value
-
-
-def _flag(name, value):
-    """bool(value), or ValueError unless value is a Python or numpy bool
-    (a JSON "false" or a 0 is not)."""
-    if not isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-    return bool(value)
-
-
-def _sequence(name, value, what="a list"):
-    """tuple(value), or ValueError "<name> must be <what>" when value is a
-    string, a mapping or not iterable (a lone number where a list belongs)."""
-    if isinstance(value, (str, bytes, dict)) or not np.iterable(value):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    return tuple(value)
 
 
 def _draw_coefficients(spec, shape, gen):

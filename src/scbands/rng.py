@@ -20,7 +20,7 @@ boundaries depend only on N, the grid and the block's value budget.
 
 import numpy as np
 
-from .models import _count
+from .errors import _count
 
 __all__ = ["substream"]
 

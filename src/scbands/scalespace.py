@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fdata import FunctionalSample, Grid1D, Grid2D
+from .fdata import FunctionalSample, Grid1D, Grid2D, _ascending_points
 
 __all__ = ["gaussian_kernel", "ScaleGrid", "weight_matrix", "smooth_sample"]
 
@@ -48,16 +48,13 @@ class ScaleGrid:
     def __post_init__(self):
         if not isinstance(self.s_points, Grid1D):
             raise ValueError("s_points must be a Grid1D: smoothing applies to curves, not surfaces")
-        h = np.array(self.h_points, dtype=float)
-        if h.ndim != 1 or h.size == 0:
+        if np.ndim(self.h_points) != 1 or np.size(self.h_points) == 0:
             raise ValueError(f"h_points must be a non-empty list, got {self.h_points!r}")
-        if h.size == 2:
+        if np.size(self.h_points) == 2:
             raise ValueError("h_points needs one or at least 3 bandwidths, got 2")
-        if not np.all(np.isfinite(h)) or np.any(h <= 0):
-            raise ValueError("bandwidths must be finite and positive")
-        if h.size > 1 and not np.all(np.diff(h) > 0):
-            raise ValueError("bandwidths must be strictly increasing")
-        h.setflags(write=False)
+        h = _ascending_points(self.h_points, "h_points", fewest=1)
+        if h[0] <= 0:
+            raise ValueError(f"bandwidths must be positive, got {h[0]:.6g}")
         object.__setattr__(self, "h_points", h)
         grid = self.s_points if h.size == 1 else Grid2D(self.s_points.points, h)
         object.__setattr__(self, "grid", grid)

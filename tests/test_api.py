@@ -1,5 +1,6 @@
 """Public API guard: the package exports exactly what its modules export."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -89,6 +90,31 @@ def test_traced_functions_keep_their_names_and_parameters(module):
         assert (fn.__module__, fn.__name__) == (mod.__name__, name)
         leading = tuple(inspect.signature(fn).parameters)[: len(params)]
         assert leading == params, f"scbands.{module}.{name} binds {leading}, not {params}"
+
+
+def _package_imports(path):
+    """Package modules that the module file at path imports, all by relative imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] != "scbands", path.name
+        elif isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "scbands" for alias in node.names), path.name
+    return names
+
+
+def test_errors_is_the_import_root_and_only_experiments_imports_models():
+    # errors holds the input checks every module applies, so it imports
+    # nothing from the package; models holds the synthetic draws, which
+    # only the sweeps and the package root need.
+    src = Path(scbands.__file__).resolve().parent
+    imports = {path.stem: _package_imports(path) for path in src.glob("*.py")}
+    assert set(imports) == {*MODULES, "__init__"}
+    assert imports["errors"] == set()
+    assert {name for name, used in imports.items() if "models" in used} == {"experiments",
+                                                                             "__init__"}
 
 
 def test_package_exports_are_unique_and_come_from_modules():

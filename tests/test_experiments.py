@@ -438,18 +438,18 @@ def test_width_reference_row_counts_failed_draws(monkeypatch, two_sample):
     cfg = small_config(n_values=(10,), two_sample=two_sample)
     clean = run_width(cfg)
     broken = {0: 0.0, 1: 1.5e308}
-    draw_block = scbands.experiments._Pipeline.draw_block
+    raw_block = scbands.experiments._raw_block
     true_tags = (scbands.experiments._TAG_TRUE_DATA_Y, scbands.experiments._TAG_TRUE_DATA_X)
 
-    def patched(self, n_index, reps, data_tag, noise_tag):
-        values = draw_block(self, n_index, reps, data_tag, noise_tag)
+    def patched(cfg, n_index, reps, data_tag, noise_tag):
+        values = raw_block(cfg, n_index, reps, data_tag, noise_tag)
         if data_tag in true_tags:
             for k, rep in enumerate(reps):
                 if rep in broken:
                     values[k] = broken[rep]
         return values
 
-    monkeypatch.setattr(scbands.experiments._Pipeline, "draw_block", patched)
+    monkeypatch.setattr(scbands.experiments, "_raw_block", patched)
     report = run_width(cfg)
     ref = [c for c in report["cells"] if c["method"] == "true"]
     assert len(ref) == 1
@@ -496,14 +496,14 @@ def test_huge_finite_samples_give_finite_bands_or_a_named_error(monkeypatch):
     for name, ks in refused.items():
         assert 150 not in ks and 305 in ks, name
 
-    draw_block = scbands.experiments._Pipeline.draw_block
+    raw_block = scbands.experiments._raw_block
 
-    def patched(self, n_index, reps, data_tag, noise_tag):
-        values = draw_block(self, n_index, reps, data_tag, noise_tag)
+    def patched(cfg, n_index, reps, data_tag, noise_tag):
+        values = raw_block(cfg, n_index, reps, data_tag, noise_tag)
         values[list(reps).index(0)] *= 1e160
         return values
 
-    monkeypatch.setattr(scbands.experiments._Pipeline, "draw_block", patched)
+    monkeypatch.setattr(scbands.experiments, "_raw_block", patched)
     pipe = scbands.experiments._Pipeline(small_config(n_values=(10,)))
     stats = scbands.experiments._reference_block(pipe, 0, range(3))
     assert stats[0] == (None, "ValueError: pointwise sd is not finite at grid point 0 (s=0)")
@@ -530,11 +530,11 @@ def test_config_rejects_negative_or_fractional_seed():
 def test_config_rejects_two_bandwidths():
     with pytest.raises(ValueError, match="count 1 or >= 3"):
         ExperimentConfig(scale_grid=(0.02, 0.1, 2))
-    for count in (1, 3):
-        assert ExperimentConfig(scale_grid=(0.02, 0.1, count)).scale_grid[2] == count
+    assert ExperimentConfig(scale_grid=(0.02, 0.1, 3)).scale_grid[2] == 3
     # one bandwidth h is written (h, h, 1); a lattice needs h_min < h_max
     assert_array_equal(ExperimentConfig(scale_grid=(0.05, 0.05, 1)).bandwidths(), [0.05])
-    for bad in ((0.05, 0.05, 3), (0.05, 0.05, 2), (0.1, 0.05, 1), (0.0, 0.0, 1), (0.05, np.inf, 3)):
+    for bad in ((0.05, 0.05, 3), (0.05, 0.05, 2), (0.1, 0.05, 1), (0.0, 0.0, 1), (0.05, np.inf, 3),
+                (0.02, 0.1, 1)):
         with pytest.raises(ValueError, match="0 < h_min < h_max"):
             ExperimentConfig(scale_grid=bad)
 
@@ -685,7 +685,7 @@ def test_reference_block_holds_one_array_per_group():
     cfg = ExperimentConfig(model=ModelSpec("B"), n_values=(100,), true_replications=3, seed=1)
     pipe = scbands.experiments._Pipeline(cfg)
     reps = range(3)
-    draw = pipe.draw_block(0, reps, *scbands.experiments._TRUE_TAGS[0])
+    (draw,) = pipe.draw_groups(0, reps, scbands.experiments._TRUE_TAGS)
     expected = scbands.experiments._reference_block(pipe, 0, reps)
     tracemalloc.start()
     try:

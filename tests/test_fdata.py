@@ -1,5 +1,7 @@
 """Grids, sample containers, residual transforms, and stream plumbing."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -40,6 +42,18 @@ def test_grid_points_must_be_finite_and_one_dimensional():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="^y_points contains non-finite entries$"):
             Grid2D([0.0, 0.5, 1.0], [0.0, 0.5, bad])
+    # bools and strings are not coordinates, whether listed or in an array
+    for bad in ([True, 2, 3], np.array([True, False, True]), ["0", "0.5", "1"], ["a", 1, 2]):
+        message = f"points must hold real numbers, got {bad!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            Grid1D(bad)
+        with pytest.raises(ValueError, match="^y_" + re.escape(message) + "$"):
+            Grid2D([0.0, 0.5, 1.0], bad)
+    # numeric arrays of any integer or float dtype still build
+    for good in (np.arange(4), np.array([0.0, 0.5, 1.0], dtype=np.float32), [0, 0.5, np.int8(1)]):
+        grid = Grid1D(good)
+        assert grid.points.dtype == float
+        assert_array_equal(grid.points, np.asarray(good, dtype=float))
 
 
 def test_grid2d_lattice_row_major():
@@ -67,6 +81,14 @@ def test_sample_shape_validation():
         values[1, 7] = bad
         with pytest.raises(ValueError, match="^values contain non-finite entries$"):
             FunctionalSample(values, g)
+    # strings and bools are not read as numbers
+    g3 = Grid1D([0.0, 0.5, 1.0])
+    for bad, dtype in ((np.array([["1", "2", "3"]]), "<U1"), (np.ones((2, 3), dtype=bool), "bool"),
+                       ([["a", 2, 3], [1, 2, 3]], "<U21")):
+        with pytest.raises(ValueError, match=f"^values must hold real numbers, got dtype {dtype}$"):
+            FunctionalSample(bad, g3)
+    for good in (np.arange(6).reshape(2, 3), np.ones((2, 3), dtype=np.float32), [[1, 2.5, 3]]):
+        assert_array_equal(FunctionalSample(good, g3).values, np.asarray(good, dtype=float))
 
 
 def test_pointwise_mean_and_sd():

@@ -112,8 +112,22 @@ def test_scale_grid_validation():
     locs = Grid1D(np.linspace(0.0, 1.0, 5))
     with pytest.raises(ValueError):
         ScaleGrid(locs, np.array([0.1, 0.05, 0.2]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bandwidths must be positive, got 0$"):
         ScaleGrid(locs, np.array([0.0, 0.1, 0.2]))
+    with pytest.raises(ValueError, match="^bandwidths must be positive, got -0.1$"):
+        ScaleGrid(locs, [-0.1])
+    with pytest.raises(ValueError, match="^h_points contains non-finite entries$"):
+        ScaleGrid(locs, [0.1, 0.2, np.inf])
+    # bools and strings are not bandwidths, whether listed or in an array
+    for bad in ([True, 2, 3], np.array([True, False, True]), ["0", "0.5", "1"], ["a", 1, 2]):
+        message = f"h_points must hold real numbers, got {bad!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            ScaleGrid(locs, bad)
+    # integer and float32 arrays, and one bandwidth, still build
+    for good in (np.arange(1, 4), np.array([0.05, 0.1, 0.2], dtype=np.float32), [0.05]):
+        sg = ScaleGrid(locs, good)
+        assert sg.h_points.dtype == float
+        assert_allclose(sg.h_points, np.asarray(good, dtype=float), rtol=0)
 
 
 def test_scale_grid_needs_a_list_of_bandwidths():

@@ -17,13 +17,13 @@ Coverage means the whole target curve sits inside the closed band at every
 grid point.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .bootstrap import BootstrapConfig, boots_t_quantile, mult_t_quantile
 from .errors import _check_alpha
-from .fdata import FunctionalSample, Grid1D, _mean_field, _nonzero_scale, grids_equal
+from .fdata import FunctionalSample, _mean_field, _nonzero_scale, grids_equal
 from .kinematic import ECDensityModel, tgkf_quantile
 from .lkc import lkc_estimate
 from .scalespace import smooth_sample
@@ -205,19 +205,13 @@ def covers(band, truth):
 
 
 def band_to_dict(band):
-    """JSON-ready dict: {method, alpha, quantile, grid, center, lower, upper}."""
-    if isinstance(band.grid, Grid1D):
-        grid = {"points": band.grid.points.tolist()}
-    else:
-        grid = {
-            "x_points": band.grid.x_points.tolist(),
-            "y_points": band.grid.y_points.tolist(),
-        }
+    """JSON-ready dict: {method, alpha, quantile, grid, center, lower, upper},
+    the grid as {point field name: points}."""
     return {
         "method": band.method,
         "alpha": band.alpha,
         "quantile": band.quantile,
-        "grid": grid,
+        "grid": {f.name: getattr(band.grid, f.name).tolist() for f in fields(band.grid)},
         "center": band.center.tolist(),
         "lower": band.lower.tolist(),
         "upper": band.upper.tolist(),

@@ -1,11 +1,15 @@
 """Functional samples on fixed grids and their pointwise statistics.
 
 A FunctionalSample is an N x P matrix of N functions observed on a shared
-1-D grid or 2-D rectangular lattice. Surfaces are stored row-major over
-(x, y): the flat column index of lattice node (ix, iy) is ix * n_y + iy.
+grid, a rectangular _Lattice: a Grid1D of points or a Grid2D over x and y
+points. Surfaces are stored row-major over (x, y): the flat column index of
+lattice node (ix, iy) is ix * n_y + iy.
 """
 
-from dataclasses import dataclass
+import functools
+import math
+from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -19,8 +23,11 @@ def _ascending_points(points, name, fewest=3):
     they are a 1-D sequence of at least fewest real numbers (not bools or
     strings: a numeric ndarray passes by its dtype, any other sequence entry by
     entry), finite and strictly increasing."""
-    pts = np.asarray(points)
-    if pts.ndim != 1:
+    try:
+        pts = np.asarray(points)
+    except ValueError:  # a ragged nested list numpy cannot stack
+        pts = None
+    if pts is None or pts.ndim != 1:
         raise ValueError(f"{name} must be a one-dimensional sequence")
     numeric = isinstance(points, np.ndarray) and pts.dtype.kind in "iuf"
     if not (numeric or all(map(_is_real, points))):
@@ -45,33 +52,43 @@ def _trapezoid_weights(points):
 
 
 @dataclass(frozen=True, eq=False)
-class Grid1D:
-    """Strictly increasing evaluation points on a compact interval."""
-
-    points: np.ndarray
+class _Lattice:
+    """A rectangular lattice with one strictly increasing point field per axis,
+    each read by _ascending_points under the field's name. axes (the fields'
+    arrays) and n_points (the node count) are attributes set once; nodes are in
+    row-major order, the last axis fastest. _labels names each axis's
+    coordinate in _point_label's messages."""
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _ascending_points(self.points, "points"))
+        for f in fields(self):
+            object.__setattr__(self, f.name, _ascending_points(getattr(self, f.name), f.name))
+        object.__setattr__(self, "axes", tuple(getattr(self, f.name) for f in fields(self)))
+        object.__setattr__(self, "n_points", math.prod(a.size for a in self.axes))
 
-    @property
-    def n_points(self):
-        return self.points.size
+    def lattice_coords(self):
+        """Coordinates of every node in flat order, one array per axis."""
+        return tuple(c.ravel() for c in np.meshgrid(*self.axes, indexing="ij"))
 
     def trapezoid_weights(self):
-        """Quadrature weights matching the actual (possibly uneven) spacing."""
-        return _trapezoid_weights(self.points)
+        """Product trapezoid weights in flat order; they sum to the length or area."""
+        return functools.reduce(np.multiply.outer, map(_trapezoid_weights, self.axes)).ravel()
 
 
 @dataclass(frozen=True, eq=False)
-class Grid2D:
+class Grid1D(_Lattice):
+    """Strictly increasing evaluation points on a compact interval."""
+
+    _labels = ("s",)
+    points: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Grid2D(_Lattice):
     """Full rectangular lattice over x_points by y_points."""
 
+    _labels = ("x", "y")
     x_points: np.ndarray
     y_points: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x_points", _ascending_points(self.x_points, "x_points"))
-        object.__setattr__(self, "y_points", _ascending_points(self.y_points, "y_points"))
 
     @property
     def n_x(self):
@@ -81,29 +98,10 @@ class Grid2D:
     def n_y(self):
         return self.y_points.size
 
-    @property
-    def n_points(self):
-        return self.n_x * self.n_y
-
-    def lattice_coords(self):
-        """(x, y) coordinates of every node in flat (row-major) order."""
-        xx, yy = np.meshgrid(self.x_points, self.y_points, indexing="ij")
-        return xx.ravel(), yy.ravel()
-
-    def trapezoid_weights(self):
-        """Product trapezoid weights in flat order; they sum to the area."""
-        return np.outer(
-            _trapezoid_weights(self.x_points), _trapezoid_weights(self.y_points)
-        ).ravel()
-
 
 def grids_equal(a, b):
     """Exact equality of grid coordinates (and type)."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Grid1D):
-        return bool(np.array_equal(a.points, b.points))
-    return bool(np.array_equal(a.x_points, b.x_points) and np.array_equal(a.y_points, b.y_points))
+    return type(a) is type(b) and all(map(np.array_equal, a.axes, b.axes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,12 +112,17 @@ class FunctionalSample:
     grid: "Grid1D | Grid2D"
 
     def __post_init__(self):
-        vals = np.asarray(self.values)
+        try:
+            vals = np.asarray(self.values)
+        except ValueError:  # a ragged nested list
+            raise ValueError("values must be an N x P matrix") from None
         if vals.dtype.kind not in "iuf":
             raise ValueError(f"values must hold real numbers, got dtype {vals.dtype}")
         vals = np.array(vals, dtype=float)
         if vals.ndim != 2:
             raise ValueError("values must be an N x P matrix")
+        if not (isinstance(self.values, np.ndarray) or all(map(_is_real, chain(*self.values)))):
+            raise ValueError("values must hold real numbers, not bools")  # bools read as ints
         if vals.shape[1] != self.grid.n_points:
             raise ValueError(f"values have {vals.shape[1]} columns but the grid has "
                              f"{self.grid.n_points} points")
@@ -138,10 +141,8 @@ class FunctionalSample:
 
 
 def _point_label(grid, p):
-    if isinstance(grid, Grid1D):
-        return f"{p} (s={grid.points[p]:.6g})"
-    xs, ys = grid.lattice_coords()
-    return f"{p} (x={xs[p]:.6g}, y={ys[p]:.6g})"
+    coords = (f"{name}={c[p]:.6g}" for name, c in zip(grid._labels, grid.lattice_coords()))
+    return f"{p} ({', '.join(coords)})"
 
 
 def _bad_scale(scale):
@@ -211,12 +212,12 @@ def gradient(sample):
     """Finite-difference partials of every row, one fresh (N, P) array per axis.
 
     Central second-order differences at interior points and one-sided
-    second-order stencils at the grid edges, per axis: the tuple holds the
+    second-order stencils at the grid edges, per axis, in one np.gradient
+    call over the rows as an (N, *axis sizes) array: the tuple holds the
     derivative on a 1-D grid and the (x, y) partials on a 2-D lattice.
     """
-    n, grid = sample.n_samples, sample.grid
-    if isinstance(grid, Grid1D):
-        return (np.gradient(sample.values, grid.points, axis=1, edge_order=2),)
-    cube = sample.values.reshape(n, grid.n_x, grid.n_y)
-    dx, dy = np.gradient(cube, grid.x_points, grid.y_points, axis=(1, 2), edge_order=2)
-    return dx.reshape(n, -1), dy.reshape(n, -1)
+    n, axes = sample.n_samples, sample.grid.axes
+    cube = sample.values.reshape(n, *(a.size for a in axes))
+    parts = np.gradient(cube, *axes, axis=tuple(range(1, cube.ndim)), edge_order=2)
+    # numpy returns a bare array, not a 1-tuple, for a single axis
+    return tuple(d.reshape(n, -1) for d in (parts if len(axes) > 1 else (parts,)))

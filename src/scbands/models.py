@@ -17,11 +17,13 @@ equals the amplitude profile.
 Coefficient laws: "gaussian" (standard normal), "t3" (t_3 / sqrt(3)), and
 "chisq" ((chi^2_nu - nu) / sqrt(2 nu), skewed but asymptotically normal).
 
-The grid, normalised basis, mean and amplitude of a ModelSpec are built
-once and cached; gen_model_block draws a stack of samples from them.
+The grid of a ModelSpec, and its normalised basis, mean and amplitude (its
+_MODELS entry at the grid's nodes), are built once and cached;
+gen_model_block draws a stack of samples from them.
 """
 
 import functools
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,28 +61,43 @@ def bump_basis_2d(x, y):
     return np.exp(-0.5 * d2 / 0.06**2)
 
 
+# name -> (mean, amplitude, basis), each a function of the nodes' float coordinate
+# arrays, a grid's lattice_coords(): (s,) on the curve models', (x, y) on C's.
+_CURVE = (lambda s: np.sin(8.0 * np.pi * s) * np.exp(-3.0 * s),
+          lambda s: ((0.6 - s) ** 2 + 1.0) / 6.0)
+_MODELS = {
+    "A": (*_CURVE, bernstein_basis),
+    "B": (*_CURVE, bump_basis_1d),
+    "C": (lambda x, y: x * y, lambda x, y: (x + 1.0) / (y**2 + 1.0), bump_basis_2d),
+}
+
+
+def _model(name):
+    """_MODELS[name], or ValueError for a name that is not a model's."""
+    if not isinstance(name, str) or name not in _MODELS:
+        raise ValueError(f"unknown model {name!r}")
+    return _MODELS[name]
+
+
+def _profile(name, part, coords):
+    """_model(name)[part] at the coordinate arrays coords, or ValueError for a
+    coordinate count that is not the model's."""
+    fn = _model(name)[part]
+    dim = len(inspect.signature(fn).parameters)
+    if len(coords) != dim:
+        raise ValueError(f"model {name} takes {dim} coordinate array{'s' * (dim > 1)}, "
+                         f"got {len(coords)}")
+    return fn(*(np.asarray(c, dtype=float) for c in coords))
+
+
 def model_mean(name, *coords):
     """True mean function of the model at the given coordinates."""
-    if name in ("A", "B"):
-        (s,) = coords
-        s = np.asarray(s, dtype=float)
-        return np.sin(8.0 * np.pi * s) * np.exp(-3.0 * s)
-    if name == "C":
-        x, y = coords
-        return np.asarray(x, dtype=float) * np.asarray(y, dtype=float)
-    raise ValueError(f"unknown model {name!r}")
+    return _profile(name, 0, coords)
 
 
 def model_amplitude(name, *coords):
     """Pointwise noise sd profile of the model."""
-    if name in ("A", "B"):
-        (s,) = coords
-        s = np.asarray(s, dtype=float)
-        return ((0.6 - s) ** 2 + 1.0) / 6.0
-    if name == "C":
-        x, y = coords
-        return (np.asarray(x, dtype=float) + 1.0) / (np.asarray(y, dtype=float) ** 2 + 1.0)
-    raise ValueError(f"unknown model {name!r}")
+    return _profile(name, 1, coords)
 
 
 @dataclass(frozen=True)
@@ -103,8 +120,7 @@ class ModelSpec:
         for name in ("nu", "resolution"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         object.__setattr__(self, "midpoint_grid", _flag("midpoint_grid", self.midpoint_grid))
-        if self.model not in ("A", "B", "C"):
-            raise ValueError(f"unknown model {self.model!r}")
+        _model(self.model)
         if self.coef_law not in ("gaussian", "t3", "chisq"):
             raise ValueError(f"unknown coefficient law {self.coef_law!r}")
         if self.resolution < 3:
@@ -140,16 +156,8 @@ def _model_parts(spec):
     field c' basis has unit pointwise variance.
     """
     grid = spec.make_grid()
-    if spec.model == "C":
-        x, y = grid.lattice_coords()
-        basis = bump_basis_2d(x, y)
-        mu = model_mean("C", x, y)
-        amp = model_amplitude("C", x, y)
-    else:
-        s = grid.points
-        basis = bernstein_basis(s) if spec.model == "A" else bump_basis_1d(s)
-        mu = model_mean(spec.model, s)
-        amp = model_amplitude(spec.model, s)
+    coords = grid.lattice_coords()
+    mu, amp, basis = (fn(*coords) for fn in _MODELS[spec.model])
     basis = basis / np.linalg.norm(basis, axis=0)
     for arr in (basis, mu, amp):
         arr.setflags(write=False)

@@ -31,12 +31,7 @@ def _fmt(x):
 
 def write_sample(path, sample):
     """Write a functional sample to CSV (header = grid, one row per curve)."""
-    grid = sample.grid
-    if isinstance(grid, Grid2D):
-        x, y = grid.lattice_coords()
-        header = [f"{_fmt(a)}:{_fmt(b)}" for a, b in zip(x, y)]
-    else:
-        header = [_fmt(p) for p in grid.points]
+    header = [":".join(map(_fmt, node)) for node in zip(*sample.grid.lattice_coords())]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

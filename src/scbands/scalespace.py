@@ -66,11 +66,10 @@ def weight_matrix(kernel, measure_points, sg):
     Row (i_s * n_h + i_h) holds the kernel weights producing the smoothed
     value at location s_points[i_s] and bandwidth h_points[i_h], rescaled
     to sum to 1: a convex combination, so smoothed values stay inside the
-    data range.
+    data range. The measurement points follow the grids' points rule, with
+    at least 2 of them.
     """
-    pts = np.asarray(measure_points, dtype=float)
-    if pts.ndim != 1 or pts.size < 2:
-        raise ValueError("need at least 2 measurement points")
+    pts = _ascending_points(measure_points, "measurement points", fewest=2)
     offs = sg.s_points.points[:, None] - pts[None, :]
     per_h = []
     for h in sg.h_points:

@@ -24,6 +24,11 @@ def test_grid1d_basic():
     assert g.n_points == 11
     assert_allclose(g.points[0], 0.0)
     assert_allclose(g.points[-1], 1.0)
+    # the grid's lattice has one axis: its nodes are the points themselves
+    assert g.axes == (g.points,) and type(g.n_points) is int
+    (coords,) = g.lattice_coords()
+    assert_array_equal(coords, g.points)
+    assert_allclose(g.trapezoid_weights(), np.r_[0.05, [0.1] * 9, 0.05], rtol=1e-15)
 
 
 def test_grid1d_rejects_unsorted_points():
@@ -49,6 +54,11 @@ def test_grid_points_must_be_finite_and_one_dimensional():
             Grid1D(bad)
         with pytest.raises(ValueError, match="^y_" + re.escape(message) + "$"):
             Grid2D([0.0, 0.5, 1.0], bad)
+    # a ragged nested list is not a sequence of points
+    with pytest.raises(ValueError, match="^points must be a one-dimensional sequence$"):
+        Grid1D([[0, 1], [2]])
+    with pytest.raises(ValueError, match="^x_points must be a one-dimensional sequence$"):
+        Grid2D([[0.0], [0.5, 1.0]], [0.0, 0.5, 1.0])
     # numeric arrays of any integer or float dtype still build
     for good in (np.arange(4), np.array([0.0, 0.5, 1.0], dtype=np.float32), [0, 0.5, np.int8(1)]):
         grid = Grid1D(good)
@@ -63,6 +73,8 @@ def test_grid2d_lattice_row_major():
     # y varies fastest within an x-row of the flattened lattice
     assert_array_equal(x[:6], [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
     assert_array_equal(y[:6], [0.0, 0.5, 1.0, 0.0, 0.5, 1.0])
+    assert g.axes == (g.x_points, g.y_points) and (g.n_x, g.n_y) == (3, 3)
+    assert_array_equal(g.trapezoid_weights(), np.outer([0.5, 1.0, 0.5], [0.25, 0.5, 0.25]).ravel())
 
 
 def test_grid2d_needs_three_points_per_axis():
@@ -87,7 +99,15 @@ def test_sample_shape_validation():
                        ([["a", 2, 3], [1, 2, 3]], "<U21")):
         with pytest.raises(ValueError, match=f"^values must hold real numbers, got dtype {dtype}$"):
             FunctionalSample(bad, g3)
-    for good in (np.arange(6).reshape(2, 3), np.ones((2, 3), dtype=np.float32), [[1, 2.5, 3]]):
+    # a ragged list is no matrix, and a bool among numbers is no number
+    with pytest.raises(ValueError, match="^values must be an N x P matrix$"):
+        FunctionalSample([[1, 2, 3], [1, 2]], g3)
+    for bad in ([[True, 2, 3]], [[1, 2, 3], [1, np.False_, 3]],
+                [np.array([1, 2, 3]), [1, 2, True]]):
+        with pytest.raises(ValueError, match="^values must hold real numbers, not bools$"):
+            FunctionalSample(bad, g3)
+    for good in (np.arange(6).reshape(2, 3), np.ones((2, 3), dtype=np.float32), [[1, 2.5, 3]],
+                 [np.arange(3), (np.int8(1), np.float32(2), 3)]):
         assert_array_equal(FunctionalSample(good, g3).values, np.asarray(good, dtype=float))
 
 
@@ -153,6 +173,8 @@ def test_grids_equal():
     assert grids_equal(a, b)
     assert not grids_equal(a, c)
     assert not grids_equal(a, Grid2D(a.points, a.points))
+    assert grids_equal(Grid2D(a.points, c.points), Grid2D(b.points, c.points))
+    assert not grids_equal(Grid2D(a.points, c.points), Grid2D(a.points, a.points))
 
 
 def test_ceiling_rank_quantile_small_cases():

@@ -1,5 +1,7 @@
 """Synthetic process generators used by the simulation experiments."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -136,8 +138,9 @@ def test_observation_noise_rejects_negative_sd():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError, match="unknown model"):
-        ModelSpec("D")
+    for name in ("D", ["A"], None):
+        with pytest.raises(ValueError, match=f"^unknown model {re.escape(repr(name))}$"):
+            ModelSpec(name)
     with pytest.raises(ValueError, match="law"):
         ModelSpec("A", coef_law="poisson")
     with pytest.raises(ValueError):
@@ -150,6 +153,15 @@ def test_spec_validation():
     for profile in (model_mean, model_amplitude):
         with pytest.raises(ValueError, match="^unknown model 'D'$"):
             profile("D", s)
+        with pytest.raises(ValueError, match=r"^unknown model \['A'\]$"):
+            profile(["A"], s)
+        # a wrong coordinate count is named, not an unpacking error
+        with pytest.raises(ValueError, match="^model A takes 1 coordinate array, got 2$"):
+            profile("A", s, s)
+        with pytest.raises(ValueError, match="^model C takes 2 coordinate arrays, got 1$"):
+            profile("C", s)
+        with pytest.raises(ValueError, match="^model B takes 1 coordinate array, got 0$"):
+            profile("B")
 
 
 def test_midpoint_grid_is_a_boolean():

@@ -4,6 +4,8 @@ Example counts are small and the search is derandomized, so the suite stays
 fast and every run checks the same examples.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -29,7 +31,7 @@ from scbands import (
     tgkf_quantile,
     write_sample,
 )
-from scbands.fdata import _mean_field, gradient
+from scbands.fdata import _mean_field, _trapezoid_weights, gradient
 
 FEW = settings(max_examples=12, deadline=None, derandomize=True)
 
@@ -189,3 +191,33 @@ def test_curve_lambda_hat_is_bitwise_the_gradient_variance(values):
     sample = FunctionalSample(values, grid)
     expected = gradient(sample)[0].var(axis=0, ddof=1)
     assert np.array_equal(_bits(lambda_hat(sample)), _bits(expected))
+
+
+@st.composite
+def _grids(draw):
+    """A Grid1D or Grid2D of 3 to 9 unevenly spaced points per axis."""
+    steps = st.lists(st.floats(1e-3, 10.0), min_size=2, max_size=8)
+    axes = [np.cumsum([draw(st.floats(-5.0, 5.0))] + draw(steps))
+            for _ in range(draw(st.integers(1, 2)))]
+    return Grid1D(*axes) if len(axes) == 1 else Grid2D(*axes)
+
+
+@FEW
+@given(grid=_grids(), data=st.data())
+def test_lattice_is_its_point_fields(grid, data):
+    # axes and n_points are the fields' arrays and node count, the weights
+    # the per-axis trapezoid weights (their outer product in 2-D), and the
+    # gradient numpy's per axis, all bit for bit
+    points = [getattr(grid, f.name) for f in fields(grid)]
+    assert len(grid.axes) == len(points) and all(a is p for a, p in zip(grid.axes, points))
+    assert grid.n_points == np.prod([p.size for p in points]) and type(grid.n_points) is int
+    per_axis = [_trapezoid_weights(p) for p in points]
+    weights = per_axis[0] if len(points) == 1 else np.outer(*per_axis).ravel()
+    assert np.array_equal(_bits(grid.trapezoid_weights()), _bits(weights))
+    coords = np.meshgrid(*points, indexing="ij")
+    assert all(np.array_equal(a, c.ravel()) for a, c in zip(grid.lattice_coords(), coords))
+    values = data.draw(arrays(np.float64, (2, grid.n_points), elements=_entries))
+    cube = values.reshape(2, *(p.size for p in points))
+    for k, part in enumerate(gradient(FunctionalSample(values, grid))):
+        expected = np.gradient(cube, points[k], axis=k + 1, edge_order=2).reshape(2, -1)
+        assert np.array_equal(_bits(part), _bits(expected))

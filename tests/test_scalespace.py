@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from scbands import (
     FunctionalSample,
@@ -142,9 +142,21 @@ def test_scale_grid_needs_a_list_of_bandwidths():
 def test_weight_matrix_rejects_bad_points_and_kernels(setup):
     measure, sg, _ = setup
     kernel = gaussian_kernel()
-    for pts in ([0.5], np.zeros((4, 5))):
-        with pytest.raises(ValueError, match="^need at least 2 measurement points$"):
+    # measurement points follow the grids' points rule, with at least 2 of them
+    for pts, message in (
+        ([0.5], "needs at least 2 points, got 1"),
+        (np.zeros((4, 5)), "must be a one-dimensional sequence"),
+        ([[0.1, 0.2], [0.3]], "must be a one-dimensional sequence"),
+        (["a", "b", "c"], "must hold real numbers, got ['a', 'b', 'c']"),
+        ([True, 0.5, 1], "must hold real numbers, got [True, 0.5, 1]"),
+        ([0.5, 0.2, 0.9], "must be strictly increasing"),
+        ([0.2, np.nan], "contains non-finite entries"),
+    ):
+        message = re.escape(f"measurement points {message}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             weight_matrix(kernel, pts, sg)
+    listed = weight_matrix(kernel, [0, 1], sg)
+    assert_array_equal(listed, weight_matrix(kernel, np.array([0.0, 1.0]), sg))
     with pytest.raises(ValueError, match="^kernel produced non-finite weights at h=0.04$"):
         weight_matrix(lambda offsets, h: np.full_like(offsets, np.nan), measure, sg)
     with pytest.raises(ValueError, match="^kernel weights sum to zero at h=0.04$"):

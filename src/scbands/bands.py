@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bootstrap import BootstrapConfig, boots_t_quantile, mult_t_quantile
-from .errors import _check_alpha
+from .errors import _check_alpha, _real_array
 from .fdata import FunctionalSample, _mean_field, _nonzero_scale, grids_equal
 from .kinematic import ECDensityModel, tgkf_quantile
 from .lkc import lkc_estimate
@@ -67,7 +67,8 @@ def _parse_method_for(method, two_sample):
 
 @dataclass(frozen=True, eq=False)
 class SCBand:
-    """A symmetric simultaneous band around an estimated curve or surface."""
+    """A symmetric simultaneous band around an estimated curve or surface, its
+    arrays held as errors._real_array's read-only copies once checked."""
 
     center: np.ndarray
     lower: np.ndarray
@@ -79,8 +80,8 @@ class SCBand:
 
     def __post_init__(self):
         for name in ("center", "lower", "upper"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (self.grid.n_points,):
+            arr = _real_array(name, getattr(self, name), 1, "a one-dimensional sequence")
+            if arr.size != self.grid.n_points:
                 raise ValueError(f"{name} does not match the grid size")
             object.__setattr__(self, name, arr)
         if np.any(self.lower > self.center) or np.any(self.center > self.upper):
@@ -195,8 +196,9 @@ def scb_scale_space(raw, kernel, sg, method="tgkf", alpha=0.05, replicates=1000,
 
 
 def covers(band, truth):
-    """True when the closed band contains the curve at every grid point."""
-    t = np.asarray(truth, dtype=float)
+    """True when the closed band contains the curve at every grid point; a
+    truth that errors._real_array refuses (a NaN entry) raises, never False."""
+    t = _real_array("truth", truth, 1, "a one-dimensional sequence")
     if t.shape != band.center.shape:
         raise ValueError(
             f"grid mismatch: truth has shape {t.shape}, band has {band.center.shape}"

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, _check_alpha, _count
+from .errors import DegenerateVarianceError, _check_alpha, _count, _real_array
 from .fdata import _nonzero_scale
 from .rng import substream
 
@@ -62,15 +62,14 @@ class BootstrapConfig:
 def ceiling_rank_quantile(draws, alpha):
     """Order statistic ceil((1-alpha) B) of the replicate statistics.
 
-    Raises ValueError for no draws, alpha outside (0, 1) or a NaN draw.
+    Raises ValueError for no draws, alpha outside (0, 1), or draws that
+    errors._real_array refuses: not a 1-D list of reals, or a non-finite draw.
     """
-    draws = np.asarray(draws, dtype=float)
+    draws = _real_array("draws", draws, 1, "a one-dimensional sequence")
     b = draws.size
     if b == 0:
         raise ValueError("ceiling-rank quantile needs at least one draw")
     _check_alpha(alpha)
-    if np.isnan(draws).any():
-        raise ValueError("replicate statistics contain NaN")
     rank = int(np.ceil((1.0 - alpha) * b))  # in [1, B] for alpha in (0, 1)
     return float(np.partition(draws, rank - 1)[rank - 1])
 

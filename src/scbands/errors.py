@@ -1,5 +1,7 @@
 """Shared exception types, and the input checks of every module (each raises a
-ValueError naming the field): the import root, importing nothing from the package."""
+ValueError naming the field): the import root, importing nothing from the package.
+Every array read from outside goes through _real_array; its caller checks only
+shape, size and order."""
 
 from numbers import Real
 
@@ -64,3 +66,26 @@ def _sequence(name, value, what="a list"):
     if isinstance(value, (str, bytes, dict)) or not np.iterable(value):
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return tuple(value)
+
+
+def _real_array(name, value, ndim, what):
+    """A fresh read-only float64 copy of value, or ValueError "<name> must be
+    <what>" (ragged, or not ndim dimensions), "<name> must hold real numbers,
+    got <value>" (a dtype other than int or float: strings, bools, ints past
+    the largest double; input that is not an ndarray is judged entry by entry
+    too, so a bool among numbers is caught) or "<name> contains non-finite
+    entries"."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting numpy cannot stack
+        arr = None
+    if arr is None or arr.ndim != ndim:
+        raise ValueError(f"{name} must be {what}")
+    if not (arr.dtype.kind in "iuf" and (isinstance(value, np.ndarray)
+            or all(map(_is_real, np.asarray(value, dtype=object).flat)))):
+        raise ValueError(f"{name} must hold real numbers, got {value!r}")
+    arr = arr.astype(float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    arr.setflags(write=False)
+    return arr

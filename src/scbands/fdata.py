@@ -9,37 +9,23 @@ lattice node (ix, iy) is ix * n_y + iy.
 import functools
 import math
 from dataclasses import dataclass, fields
-from itertools import chain
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, _is_real
+from .errors import DegenerateVarianceError, _real_array
 
 __all__ = ["Grid1D", "Grid2D", "FunctionalSample"]
 
 
 def _ascending_points(points, name, fewest=3):
-    """points as a read-only float array, or ValueError naming the field unless
-    they are a 1-D sequence of at least fewest real numbers (not bools or
-    strings: a numeric ndarray passes by its dtype, any other sequence entry by
-    entry), finite and strictly increasing."""
-    try:
-        pts = np.asarray(points)
-    except ValueError:  # a ragged nested list numpy cannot stack
-        pts = None
-    if pts is None or pts.ndim != 1:
-        raise ValueError(f"{name} must be a one-dimensional sequence")
-    numeric = isinstance(points, np.ndarray) and pts.dtype.kind in "iuf"
-    if not (numeric or all(map(_is_real, points))):
-        raise ValueError(f"{name} must hold real numbers, got {points!r}")
+    """points as errors._real_array's read-only float copy of a one-dimensional
+    sequence, or ValueError naming the field unless it holds at least fewest
+    strictly increasing points."""
+    pts = _real_array(name, points, 1, "a one-dimensional sequence")
     if pts.size < fewest:
-        raise ValueError(f"{name} needs at least {fewest} points, got {pts.size}")
-    pts = pts.astype(float)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError(f"{name} needs at least {fewest} point{'s' * (fewest > 1)}, got {pts.size}")
     if not np.all(np.diff(pts) > 0):
         raise ValueError(f"{name} must be strictly increasing")
-    pts.setflags(write=False)
     return pts
 
 
@@ -112,23 +98,10 @@ class FunctionalSample:
     grid: "Grid1D | Grid2D"
 
     def __post_init__(self):
-        try:
-            vals = np.asarray(self.values)
-        except ValueError:  # a ragged nested list
-            raise ValueError("values must be an N x P matrix") from None
-        if vals.dtype.kind not in "iuf":
-            raise ValueError(f"values must hold real numbers, got dtype {vals.dtype}")
-        vals = np.array(vals, dtype=float)
-        if vals.ndim != 2:
-            raise ValueError("values must be an N x P matrix")
-        if not (isinstance(self.values, np.ndarray) or all(map(_is_real, chain(*self.values)))):
-            raise ValueError("values must hold real numbers, not bools")  # bools read as ints
+        vals = _real_array("values", self.values, 2, "an N x P matrix")
         if vals.shape[1] != self.grid.n_points:
             raise ValueError(f"values have {vals.shape[1]} columns but the grid has "
                              f"{self.grid.n_points} points")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values contain non-finite entries")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property

@@ -8,6 +8,7 @@ the curvatures L1 (metric length, halved boundary length in 2-D) and L2
 
 import numpy as np
 
+from .errors import _real_array
 from .fdata import (
     FunctionalSample,
     Grid1D,
@@ -51,19 +52,19 @@ def lambda_hat(residuals):
 
 
 def _field(lam, shape, dim):
-    """lam as a float array of the given shape with finite entries."""
-    vals = np.asarray(lam, dtype=float)
+    """lam as errors._real_array's read-only float copy, of the given shape."""
+    what = f"an array of shape {shape}"
+    vals = _real_array(f"{dim} field", lam, len(shape), what)
     if vals.shape != shape:
-        raise ValueError(f"{dim} field must have shape {shape}")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("field contains non-finite entries")
+        raise ValueError(f"{dim} field must be {what}")
     return vals
 
 
 def lkc_1d(lam, grid):
     """Metric length of the interval: trapezoid integral of sqrt(Lambda).
 
-    lam holds the (P,) derivative variances of lambda_hat on grid.
+    lam holds the (P,) derivative variances of lambda_hat on grid, read by
+    errors._real_array (named "1-D field" in its errors).
     """
     if not isinstance(grid, Grid1D):
         raise ValueError("lkc_1d needs a 1-D grid")
@@ -83,7 +84,8 @@ def lkc_2d(lam, grid):
     the endpoint average of Lambda_xx (bottom and top edges) or Lambda_yy
     (left and right edges). L2 is the lattice trapezoid integral of
     sqrt(det Lambda). The determinant is clamped at zero: sampling noise
-    can push the 2x2 determinant slightly negative.
+    can push the 2x2 determinant slightly negative. lam is read by
+    errors._real_array (named "2-D field" in its errors).
     """
     if not isinstance(grid, Grid2D):
         raise ValueError("lkc_2d needs a 2-D grid")

@@ -40,22 +40,18 @@ _MODEL_B_WIDTHS = np.array([0.04] * 9 + [0.2, 0.2] + [0.08] * 10)
 
 def bernstein_basis(s):
     """The seven degree-6 Bernstein polynomials, one row per function."""
-    s = np.asarray(s, dtype=float)
     i = np.arange(7)[:, None]
     return comb(6, i) * s[None, :] ** i * (1.0 - s[None, :]) ** (6 - i)
 
 
 def bump_basis_1d(s):
     """21 Gaussian bumps exp(-(s - x_i)^2 / (2 h_i^2)), one row per bump."""
-    s = np.asarray(s, dtype=float)
     d = s[None, :] - _MODEL_B_CENTERS[:, None]
     return np.exp(-0.5 * (d / _MODEL_B_WIDTHS[:, None]) ** 2)
 
 
 def bump_basis_2d(x, y):
     """36 Gaussian bumps of width 0.06 centred on the lattice (i/6, j/6), i, j = 1..6."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     centers = np.array([(i / 6.0, j / 6.0) for i in range(1, 7) for j in range(1, 7)])
     d2 = (x[None, :] - centers[:, 0:1]) ** 2 + (y[None, :] - centers[:, 1:2]) ** 2
     return np.exp(-0.5 * d2 / 0.06**2)

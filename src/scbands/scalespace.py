@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import _real_array
 from .fdata import FunctionalSample, Grid1D, Grid2D, _ascending_points
 
 __all__ = ["gaussian_kernel", "ScaleGrid", "weight_matrix", "smooth_sample"]
@@ -48,11 +49,9 @@ class ScaleGrid:
     def __post_init__(self):
         if not isinstance(self.s_points, Grid1D):
             raise ValueError("s_points must be a Grid1D: smoothing applies to curves, not surfaces")
-        if np.ndim(self.h_points) != 1 or np.size(self.h_points) == 0:
-            raise ValueError(f"h_points must be a non-empty list, got {self.h_points!r}")
-        if np.size(self.h_points) == 2:
-            raise ValueError("h_points needs one or at least 3 bandwidths, got 2")
         h = _ascending_points(self.h_points, "h_points", fewest=1)
+        if h.size == 2:
+            raise ValueError("h_points needs one or at least 3 bandwidths, got 2")
         if h[0] <= 0:
             raise ValueError(f"bandwidths must be positive, got {h[0]:.6g}")
         object.__setattr__(self, "h_points", h)
@@ -67,15 +66,17 @@ def weight_matrix(kernel, measure_points, sg):
     value at location s_points[i_s] and bandwidth h_points[i_h], rescaled
     to sum to 1: a convex combination, so smoothed values stay inside the
     data range. The measurement points follow the grids' points rule, with
-    at least 2 of them.
+    at least 2 of them. errors._real_array reads the "kernel output at h=<h>",
+    which must hold one weight per (location, measurement point): (n_s, P).
     """
     pts = _ascending_points(measure_points, "measurement points", fewest=2)
     offs = sg.s_points.points[:, None] - pts[None, :]
     per_h = []
     for h in sg.h_points:
-        k = np.asarray(kernel(offs, h), dtype=float)
-        if not np.all(np.isfinite(k)):
-            raise ValueError(f"kernel produced non-finite weights at h={h:.6g}")
+        name, what = f"kernel output at h={h:.6g}", f"an array of shape {offs.shape}"
+        k = _real_array(name, kernel(offs, h), 2, what)
+        if k.shape != offs.shape:
+            raise ValueError(f"{name} must be {what}")
         row_sums = k.sum(axis=1, keepdims=True)
         if np.any(row_sums == 0):
             raise ValueError(f"kernel weights sum to zero at h={h:.6g}")

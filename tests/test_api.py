@@ -117,6 +117,61 @@ def test_errors_is_the_import_root_and_only_experiments_imports_models():
                                                                              "__init__"}
 
 
+# The public entry points that read an array from outside, by module: each
+# reads it through errors._real_array (grids through _ascending_points) and
+# converts nothing itself.
+ARRAY_READERS = {
+    "fdata": ("_ascending_points", "_Lattice.__post_init__", "FunctionalSample.__post_init__"),
+    "bands": ("SCBand.__post_init__", "covers"),
+    "lkc": ("_field",),
+    "bootstrap": ("ceiling_rank_quantile",),
+    "scalespace": ("ScaleGrid.__post_init__", "weight_matrix"),
+}
+
+
+def _functions(tree):
+    """{qualified name: node} of the module-level functions and class methods."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            found |= {f"{node.name}.{f.name}": f for f in node.body
+                      if isinstance(f, ast.FunctionDef)}
+    return found
+
+
+def _called(node):
+    """Names of the functions called inside node: bare names and attributes."""
+    calls = (n.func for n in ast.walk(node) if isinstance(n, ast.Call))
+    return {f.id if isinstance(f, ast.Name) else f"{ast.unparse(f.value)}.{f.attr}"
+            for f in calls if isinstance(f, (ast.Name, ast.Attribute))}
+
+
+def test_the_array_rule_has_one_owner():
+    src = Path(scbands.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    converters = {"np.asarray", "np.array"}
+    for module, names in ARRAY_READERS.items():
+        functions = _functions(trees[module])
+        for name in names:
+            called = _called(functions[name])
+            assert called & {"_real_array", "_ascending_points"}, f"{module}.{name}"
+            assert not called & converters, f"{module}.{name} converts an array itself"
+    # numpy's ragged-list error comes from a conversion: only errors catches
+    # a ValueError around one
+    catchers = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Try) or not any(
+                "ValueError" in ast.unparse(h.type) for h in node.handlers if h.type
+            ):
+                continue
+            if converters & set().union(*map(_called, node.body)):
+                catchers.add(module)
+    assert catchers == {"errors"}
+
+
 def test_package_exports_are_unique_and_come_from_modules():
     names = scbands.__all__
     assert len(names) == len(set(names))

@@ -45,7 +45,7 @@ def test_two_constant_rows_band_arithmetic():
     assert_allclose(band.upper, 1.0 + band.quantile, rtol=1e-12)
 
 
-def test_band_boundary_is_covered():
+def test_band_boundary_is_covered(malformed):
     g = Grid1D(np.array([0.0, 0.5, 1.0]))
     s = FunctionalSample(np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]]), g)
     band = scb_one_sample(s, method="tgkf", alpha=0.05)
@@ -58,17 +58,40 @@ def test_band_boundary_is_covered():
     assert not covers(band, broken)
     with pytest.raises(ValueError, match=re.escape("truth has shape (4,), band has (3,)")):
         covers(band, np.zeros(4))
+    for bad, message in malformed(band.center, "truth", "a one-dimensional sequence"):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            covers(band, bad)
 
 
-def test_band_arrays_match_the_grid_and_are_ordered():
+def test_band_arrays_match_the_grid_and_are_ordered(malformed):
     g = Grid1D(np.array([0.0, 0.5, 1.0]))
     center, half = np.array([1.0, 2.0, 3.0]), np.full(3, 0.5)
     with pytest.raises(ValueError, match="^upper does not match the grid size$"):
         SCBand(center, center - half, np.ones(4), 2.0, "tgkf", 0.05, g)
-    with pytest.raises(ValueError, match="^center does not match the grid size$"):
+    with pytest.raises(ValueError, match="^center must be a one-dimensional sequence$"):
         SCBand(np.ones((3, 1)), center - half, center + half, 2.0, "tgkf", 0.05, g)
     with pytest.raises(ValueError, match="^band must satisfy lower <= center <= upper$"):
         SCBand(center, center + half, center - half, 2.0, "tgkf", 0.05, g)
+    arrays = {"center": center, "lower": center - half, "upper": center + half}
+    for name, good in arrays.items():
+        for bad, message in malformed(good, name, "a one-dimensional sequence"):
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                SCBand(**{**arrays, name: bad}, quantile=2.0, method="tgkf", alpha=0.05, grid=g)
+
+
+def test_band_arrays_are_read_only_copies():
+    g = Grid1D(np.array([0.0, 0.5, 1.0]))
+    center, half = np.array([1.0, 2.0, 3.0]), np.full(3, 0.5)
+    upper = center + half
+    band = SCBand(center, center - half, upper, 2.0, "tgkf", 0.05, g)
+    # neither writing to the band's arrays nor to the arrays passed in can
+    # break lower <= center <= upper after validation
+    with pytest.raises(ValueError, match="read-only"):
+        band.upper[0] = -1.0
+    upper[0] = -1.0
+    assert_array_equal(band.upper, [1.5, 2.5, 3.5])
+    for name in ("center", "lower", "upper"):
+        assert not getattr(band, name).flags.writeable
 
 
 def test_band_affine_equivariance():

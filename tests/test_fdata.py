@@ -41,14 +41,16 @@ def test_grid1d_rejects_duplicates():
         Grid1D(np.array([0.0, 0.3, 0.3, 1.0]))
 
 
-def test_grid_points_must_be_finite_and_one_dimensional():
+def test_grid_points_must_be_finite_and_one_dimensional(malformed):
     with pytest.raises(ValueError, match="^points must be a one-dimensional sequence$"):
         Grid1D(np.zeros((3, 3)))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="^y_points contains non-finite entries$"):
             Grid2D([0.0, 0.5, 1.0], [0.0, 0.5, bad])
-    # bools and strings are not coordinates, whether listed or in an array
-    for bad in ([True, 2, 3], np.array([True, False, True]), ["0", "0.5", "1"], ["a", 1, 2]):
+    # bools, strings and ints past the largest double are not coordinates,
+    # whether listed or in an array
+    for bad in ([True, 2, 3], np.array([True, False, True]), ["0", "0.5", "1"], ["a", 1, 2],
+                [0, 1, 10**400]):
         message = f"points must hold real numbers, got {bad!r}"
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             Grid1D(bad)
@@ -59,6 +61,13 @@ def test_grid_points_must_be_finite_and_one_dimensional():
         Grid1D([[0, 1], [2]])
     with pytest.raises(ValueError, match="^x_points must be a one-dimensional sequence$"):
         Grid2D([[0.0], [0.5, 1.0]], [0.0, 0.5, 1.0])
+    points = np.array([0.0, 0.5, 1.0])
+    for bad, message in malformed(points, "points", "a one-dimensional sequence"):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            Grid1D(bad)
+        for args, axis in (((bad, points), "x_"), ((points, bad), "y_")):
+            with pytest.raises(ValueError, match="^" + re.escape(axis + message) + "$"):
+                Grid2D(*args)
     # numeric arrays of any integer or float dtype still build
     for good in (np.arange(4), np.array([0.0, 0.5, 1.0], dtype=np.float32), [0, 0.5, np.int8(1)]):
         grid = Grid1D(good)
@@ -82,7 +91,7 @@ def test_grid2d_needs_three_points_per_axis():
         Grid2D(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5]))
 
 
-def test_sample_shape_validation():
+def test_sample_shape_validation(malformed):
     g = Grid1D(np.linspace(0.0, 1.0, 40))
     with pytest.raises(ValueError, match="columns"):
         FunctionalSample(np.zeros((3, 7)), g)
@@ -91,20 +100,20 @@ def test_sample_shape_validation():
     for bad in (np.nan, np.inf, -np.inf):
         values = np.zeros((3, 40))
         values[1, 7] = bad
-        with pytest.raises(ValueError, match="^values contain non-finite entries$"):
+        with pytest.raises(ValueError, match="^values contains non-finite entries$"):
             FunctionalSample(values, g)
-    # strings and bools are not read as numbers
+    # a ragged list is no matrix
     g3 = Grid1D([0.0, 0.5, 1.0])
-    for bad, dtype in ((np.array([["1", "2", "3"]]), "<U1"), (np.ones((2, 3), dtype=bool), "bool"),
-                       ([["a", 2, 3], [1, 2, 3]], "<U21")):
-        with pytest.raises(ValueError, match=f"^values must hold real numbers, got dtype {dtype}$"):
-            FunctionalSample(bad, g3)
-    # a ragged list is no matrix, and a bool among numbers is no number
     with pytest.raises(ValueError, match="^values must be an N x P matrix$"):
         FunctionalSample([[1, 2, 3], [1, 2]], g3)
-    for bad in ([[True, 2, 3]], [[1, 2, 3], [1, np.False_, 3]],
-                [np.array([1, 2, 3]), [1, 2, True]]):
-        with pytest.raises(ValueError, match="^values must hold real numbers, not bools$"):
+    # strings and bools, a bool among numbers too, are not read as numbers
+    for bad in (np.array([["1", "2", "3"]]), np.ones((2, 3), dtype=bool), [["a", 2, 3], [1, 2, 3]],
+                [[True, 2, 3]], [[1, 2, 3], [1, np.False_, 3]], [np.array([1, 2, 3]), [1, 2, True]]):
+        message = f"values must hold real numbers, got {bad!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            FunctionalSample(bad, g3)
+    for bad, message in malformed(np.zeros((3, 3)), "values", "an N x P matrix"):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             FunctionalSample(bad, g3)
     for good in (np.arange(6).reshape(2, 3), np.ones((2, 3), dtype=np.float32), [[1, 2.5, 3]],
                  [np.arange(3), (np.int8(1), np.float32(2), 3)]):
@@ -188,14 +197,17 @@ def test_ceiling_rank_quantile_small_cases():
     assert ceiling_rank_quantile(shuffled, 0.25) == 8.0
 
 
-def test_ceiling_rank_quantile_rejects_bad_input():
+def test_ceiling_rank_quantile_rejects_bad_input(malformed):
     with pytest.raises(ValueError, match="at least one draw"):
         ceiling_rank_quantile([], 0.05)
     for alpha in (1.5, 0.0, -1.0, 1.0, np.nan):
         with pytest.raises(ValueError, match="alpha must lie in"):
             ceiling_rank_quantile(np.arange(1.0, 11.0), alpha)
-    with pytest.raises(ValueError, match="NaN"):
+    with pytest.raises(ValueError, match="^draws contains non-finite entries$"):
         ceiling_rank_quantile([1.0, np.nan, 3.0], 0.05)
+    for bad, message in malformed(np.arange(1.0, 11.0), "draws", "a one-dimensional sequence"):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            ceiling_rank_quantile(bad, 0.05)
 
 
 def test_substream_reproducible_and_distinct():

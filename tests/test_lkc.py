@@ -1,5 +1,7 @@
 """Curvature field estimation and the curvature integrals."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,11 +158,11 @@ def test_lambda_field_needs_exactly_equal_off_diagonals():
         lkc_2d(vals, g)
 
 
-def test_curve_field_is_checked_against_its_grid():
+def test_curve_field_is_checked_against_its_grid(malformed):
     g = Grid1D(np.linspace(0.0, 1.0, 40))
     cases = [
-        (np.ones(39), r"1-D field must have shape \(40,\)"),
-        (np.ones((40, 2, 2)), r"1-D field must have shape \(40,\)"),
+        (np.ones(39), r"^1-D field must be an array of shape \(40,\)$"),
+        (np.ones((40, 2, 2)), r"^1-D field must be an array of shape \(40,\)$"),
         (np.r_[np.ones(39), -1.0], "derivative variances must be non-negative"),
         (np.r_[np.ones(39), np.nan], "field contains non-finite entries"),
         (np.r_[np.ones(39), np.inf], "field contains non-finite entries"),
@@ -168,24 +170,30 @@ def test_curve_field_is_checked_against_its_grid():
     for lam, match in cases:
         with pytest.raises(ValueError, match=match):
             lkc_1d(lam, g)
+    for lam, message in malformed(np.ones(40), "1-D field", "an array of shape (40,)"):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            lkc_1d(lam, g)
     with pytest.raises(ValueError, match="lkc_1d needs a 1-D grid"):
         lkc_1d(np.ones(40), Grid2D(g.points, g.points))
 
 
-def test_surface_field_is_checked_against_its_grid():
+def test_surface_field_is_checked_against_its_grid(malformed):
     g = Grid2D(np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 3))
     eye = np.tile(np.eye(2), (g.n_points, 1, 1))
     negative, nonfinite = eye.copy(), eye.copy()
     negative[3, 1, 1] = -1e-300
     nonfinite[2, 0, 1] = nonfinite[2, 1, 0] = np.nan
     cases = [
-        (eye[:-1], r"2-D field must have shape \(12, 2, 2\)"),
-        (np.ones(12), r"2-D field must have shape \(12, 2, 2\)"),
+        (eye[:-1], r"^2-D field must be an array of shape \(12, 2, 2\)$"),
+        (np.ones(12), r"^2-D field must be an array of shape \(12, 2, 2\)$"),
         (negative, "diagonal entries must be non-negative"),
         (nonfinite, "field contains non-finite entries"),
     ]
     for lam, match in cases:
         with pytest.raises(ValueError, match=match):
+            lkc_2d(lam, g)
+    for lam, message in malformed(eye, "2-D field", "an array of shape (12, 2, 2)"):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             lkc_2d(lam, g)
     with pytest.raises(ValueError, match="lkc_2d needs a 2-D grid"):
         lkc_2d(eye, Grid1D(np.linspace(0.0, 1.0, 12)))

@@ -21,6 +21,7 @@ from scbands import (
     LKCVector,
     ModelSpec,
     QuantileNoSolutionError,
+    SCBand,
     eec,
     gen_model,
     lambda_hat,
@@ -221,3 +222,40 @@ def test_lattice_is_its_point_fields(grid, data):
     for k, part in enumerate(gradient(FunctionalSample(values, grid))):
         expected = np.gradient(cube, points[k], axis=k + 1, edge_order=2).reshape(2, -1)
         assert np.array_equal(_bits(part), _bits(expected))
+
+
+_DTYPES = {
+    np.int64: st.integers(-1000, 1000),
+    np.float32: st.floats(-1e6, 1e6, width=32),
+    np.float64: _entries,
+}
+
+
+@st.composite
+def _real_inputs(draw, shape, unique=False):
+    """A finite int64, float32 or float64 array of the given shape, or its nested list."""
+    dtype = draw(st.sampled_from(list(_DTYPES)))
+    x = draw(arrays(dtype, shape, elements=_DTYPES[dtype], unique=unique))
+    return x.tolist() if draw(st.booleans()) else x
+
+
+@FEW
+@given(data=st.data(), n=st.integers(1, 4), p=st.integers(3, 9))
+def test_held_arrays_are_read_only_float64_copies(data, n, p):
+    # every array a grid, sample or band holds is errors._real_array's copy:
+    # read-only float64, bitwise np.asarray(x, dtype=float), sharing no memory
+    points = data.draw(_real_inputs(p, unique=True))
+    points = sorted(points) if isinstance(points, list) else np.sort(points)
+    grid = Grid1D(points)
+    values = data.draw(_real_inputs((n, p)))
+    triple = data.draw(_real_inputs((3, p)))
+    lower, center, upper = np.sort(triple, axis=0)
+    if isinstance(triple, list):
+        lower, center, upper = lower.tolist(), center.tolist(), upper.tolist()
+    band = SCBand(center, lower, upper, 2.0, "tgkf", 0.05, grid)
+    held = [(grid.points, points), (FunctionalSample(values, grid).values, values),
+            (band.center, center), (band.lower, lower), (band.upper, upper)]
+    for arr, given_x in held:
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+        assert np.array_equal(_bits(arr), _bits(np.asarray(given_x, dtype=float)))
+        assert not np.shares_memory(arr, given_x)

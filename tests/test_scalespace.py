@@ -108,7 +108,7 @@ def test_two_bandwidths_rejected(setup):
         smooth_sample(raw, gaussian_kernel(), sg)
 
 
-def test_scale_grid_validation():
+def test_scale_grid_validation(malformed):
     locs = Grid1D(np.linspace(0.0, 1.0, 5))
     with pytest.raises(ValueError):
         ScaleGrid(locs, np.array([0.1, 0.05, 0.2]))
@@ -123,6 +123,10 @@ def test_scale_grid_validation():
         message = f"h_points must hold real numbers, got {bad!r}"
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             ScaleGrid(locs, bad)
+    for bad, message in malformed(np.array([0.05, 0.1, 0.2]), "h_points",
+                                  "a one-dimensional sequence"):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            ScaleGrid(locs, bad)
     # integer and float32 arrays, and one bandwidth, still build
     for good in (np.arange(1, 4), np.array([0.05, 0.1, 0.2], dtype=np.float32), [0.05]):
         sg = ScaleGrid(locs, good)
@@ -133,13 +137,14 @@ def test_scale_grid_validation():
 def test_scale_grid_needs_a_list_of_bandwidths():
     # a lone bandwidth used to be reported as an empty list
     locs = Grid1D(np.linspace(0.0, 1.0, 5))
-    for bad in ([], 0.05, [[0.05, 0.1]]):
-        message = f"h_points must be a non-empty list, got {bad!r}"
-        with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match="^h_points needs at least 1 point, got 0$"):
+        ScaleGrid(locs, [])
+    for bad in (0.05, [[0.05, 0.1]]):
+        with pytest.raises(ValueError, match="^h_points must be a one-dimensional sequence$"):
             ScaleGrid(locs, bad)
 
 
-def test_weight_matrix_rejects_bad_points_and_kernels(setup):
+def test_weight_matrix_rejects_bad_points_and_kernels(setup, malformed):
     measure, sg, _ = setup
     kernel = gaussian_kernel()
     # measurement points follow the grids' points rule, with at least 2 of them
@@ -155,9 +160,20 @@ def test_weight_matrix_rejects_bad_points_and_kernels(setup):
         message = re.escape(f"measurement points {message}")
         with pytest.raises(ValueError, match=f"^{message}$"):
             weight_matrix(kernel, pts, sg)
+    for pts, message in malformed(measure, "measurement points", "a one-dimensional sequence"):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            weight_matrix(kernel, pts, sg)
+    # the kernel returns one real weight per (location, measurement point) pair
+    shape = "an array of shape (12, 20)"
+    outputs = malformed(np.ones((12, 20)), "kernel output at h=0.04", shape)
+    for out in (1.0, np.ones(20), np.ones((1, 20)), np.ones((20, 12))):
+        outputs.append((out, f"kernel output at h=0.04 must be {shape}"))
+    for out, message in outputs:
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            weight_matrix(lambda offsets, h, out=out: out, measure, sg)
     listed = weight_matrix(kernel, [0, 1], sg)
     assert_array_equal(listed, weight_matrix(kernel, np.array([0.0, 1.0]), sg))
-    with pytest.raises(ValueError, match="^kernel produced non-finite weights at h=0.04$"):
+    with pytest.raises(ValueError, match="^kernel output at h=0.04 contains non-finite entries$"):
         weight_matrix(lambda offsets, h: np.full_like(offsets, np.nan), measure, sg)
     with pytest.raises(ValueError, match="^kernel weights sum to zero at h=0.04$"):
         weight_matrix(lambda offsets, h: 0.0 * offsets, measure, sg)

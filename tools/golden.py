@@ -19,12 +19,19 @@ of all 8 methods at seeds 0 and 7 on models A, B (chisq), C and a noisy B
 sample, and their errors on samples with a zero-variance column; the 6
 two-sample methods; LKC vectors and gradient covariances; sample CSV text
 and its read-back; band JSON; scale-space bands over 20 and 1 bandwidths;
-1,000 seeded tGKF solves (1-D and 2-D, Gaussian and t); and run_coverage /
-run_width reports of four configs at 1 and 2 threads. An error is kept as
-its type and message.
+1,000 seeded tGKF solves (1-D and 2-D, Gaussian and t); run_coverage /
+run_width reports of four configs at 1 and 2 threads; and the band-requests
+benchmark workload's requests at its own sizes at seeds 1 and 2: tgkf,
+boots-t and gauss-sim (B=1000) on model A (N=50, P=200), tgkf on model C
+(50 x 50, N=50), the scale-space tgkf band of noisy model B on its midpoint
+design (P=100, sigma_obs=0.1, 20 bandwidths from 0.02 to 0.1) and the CLI
+scb band JSON of the model A sample. An error is kept as its type and
+message.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import pickle
@@ -37,6 +44,7 @@ import numpy as np
 import scipy
 
 import scbands as sb
+from scbands.cli import main as cli_main
 from scbands.fdata import gradient
 from scbands.models import _model_parts
 
@@ -202,6 +210,36 @@ def report_outputs(out):
             out[f"width/{name}/{threads}"] = sb.run_width(cfg, threads=threads)
 
 
+def band_request_outputs(out):
+    """The band-requests workload's requests, built as that workload builds them."""
+    for seed in (1, 2):
+        curves = sb.gen_model(sb.ModelSpec("A"), 50, sb.substream(seed, 0))
+        surfaces = sb.gen_model(sb.ModelSpec("C", resolution=50), 50, sb.substream(seed, 1))
+        raw = sb.add_observation_noise(
+            sb.gen_model(sb.ModelSpec("B", resolution=100, midpoint_grid=True), 50,
+                         sb.substream(seed, 2)),
+            0.1, sb.substream(seed, 3))
+        sg = sb.ScaleGrid(raw.grid, np.linspace(0.02, 0.1, 20))
+        key = f"band_request/{seed}"
+        out[f"{key}/tgkf-1d"] = _band(sb.scb_one_sample, curves, "tgkf", 0.05)
+        out[f"{key}/tgkf-2d"] = _band(sb.scb_one_sample, surfaces, "tgkf", 0.05)
+        out[f"{key}/tgkf-scale"] = _band(
+            sb.scb_scale_space, raw, sb.gaussian_kernel(), sg, "tgkf", 0.05)
+        for method in ("boots-t", "gauss-sim"):
+            out[f"{key}/{method}"] = _band(sb.scb_one_sample, curves, method, 0.05, 1000, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path, config = os.path.join(tmp, "sample.csv"), os.path.join(tmp, "scb.json")
+            band_path = os.path.join(tmp, "band.json")
+            sb.write_sample(csv_path, curves)
+            with open(config, "w") as fh:
+                json.dump({"methods": ["tgkf"], "alpha": 0.05, "seed": seed,
+                           "input": csv_path}, fh)
+            with contextlib.redirect_stdout(io.StringIO()):  # the CLI's "wrote ..." line
+                status = cli_main(["scb", "--config", config, "--out", band_path])
+            with open(band_path) as fh:
+                out[f"{key}/cli-scb"] = (status, fh.read())
+
+
 def collect():
     out = {}
     samples = _samples()
@@ -211,6 +249,7 @@ def collect():
     scale_space_outputs(out)
     solver_outputs(out)
     report_outputs(out)
+    band_request_outputs(out)
     return out
 
 

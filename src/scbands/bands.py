@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bootstrap import BootstrapConfig, boots_t_quantile, mult_t_quantile
-from .errors import _check_alpha, _real_array
+from .errors import _owned, _real_array
 from .fdata import FunctionalSample, _mean_field, _nonzero_scale, grids_equal
 from .kinematic import ECDensityModel, tgkf_quantile
 from .lkc import lkc_estimate
@@ -67,8 +67,9 @@ def _parse_method_for(method, two_sample):
 
 @dataclass(frozen=True, eq=False)
 class SCBand:
-    """A symmetric simultaneous band around an estimated curve or surface, its
-    arrays held as errors._real_array's read-only copies once checked."""
+    """A symmetric simultaneous band around an estimated curve or surface. Its
+    arrays are read-only: errors._real_array's copies once checked, or the
+    band code's own arrays (errors._owned)."""
 
     center: np.ndarray
     lower: np.ndarray
@@ -110,7 +111,9 @@ def _residual_field(samples):
         c = samples[0].n_samples / samples[1].n_samples
         res = [w * (s.values - s.values.mean(axis=0))
                for w, s in zip((np.sqrt(1.0 + 1.0 / c), np.sqrt(1.0 + c)), samples)]
-    groups = tuple(FunctionalSample(np.divide(r, scale, out=r), grid) for r in res)
+    # _nonzero_scale passed, so |Y - mean| <= sqrt(N-1) scale, also under the pooled scale
+    groups = tuple(_owned(FunctionalSample, values=np.divide(r, scale, out=r), grid=grid)
+                   for r in res)
     return center, scale, rate, groups
 
 
@@ -142,21 +145,25 @@ def _scb(method, samples, alpha, replicates, seed):
     Every kernel reads the field's unit-scale residual groups, never the
     raw values, whose squares can overflow or underflow: the tGKF their
     sum(N_g - 1) degrees of freedom and summed curvature field, a
-    resampling kernel one group as itself and two as a tuple.
+    resampling kernel one group as itself and two as a tuple. The
+    replicate count and seed are checked for every method, the tGKF too.
     """
     name, kind, law, studentized = _parse_method_for(method, len(samples) == 2)
-    _check_alpha(alpha)
+    cfg = BootstrapConfig(replicates, alpha, studentized, seed)
     center, scale, rate, groups = _residual_field(samples)
     if kind == "tgkf":
         dof = sum(g.n_samples - 1 for g in groups)
         q = tgkf_quantile(lkc_estimate(*groups), ECDensityModel.student_t(dof), alpha)
     else:
         data = groups[0] if len(groups) == 1 else groups
-        cfg = BootstrapConfig(replicates, alpha, studentized, seed)
         q = boots_t_quantile(data, cfg) if kind == "boots" else mult_t_quantile(data, law, cfg)
+    if not q < 2.0**458:
+        raise ValueError(f"quantile {q:g} is too large for a finite band")
     half = q * scale / rate
-    return SCBand(center, center - half, center + half, float(q), name, float(alpha),
-                  groups[0].grid)
+    # center is finite (means of finite sums, within DBL_MAX / 2) and 0 <= half < 2^970, half an
+    # ulp of DBL_MAX (scale < 2^512, rate >= sqrt(2)): center -/+ half is finite and ordered
+    return _owned(SCBand, center=center, lower=center - half, upper=center + half,
+                  quantile=float(q), method=name, alpha=float(alpha), grid=groups[0].grid)
 
 
 def scb_one_sample(sample, method="tgkf", alpha=0.05, replicates=1000, seed=0):

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DegenerateVarianceError, _check_alpha, _count, _real_array
 from .fdata import _nonzero_scale
-from .rng import substream
+from .rng import _seed_key, substream
 
 __all__ = ["ceiling_rank_quantile"]
 
@@ -45,8 +45,9 @@ class BootstrapConfig:
     """Replicate count, level, studentization switch, and seed.
 
     seed is an integer or a SeedSequence (a branch of the caller's stream
-    tree). B >= 100 is advisable for any quantile meant for inference;
-    smaller values are accepted (determinism tests use them).
+    tree), checked by rng's seed rule. B >= 100 is advisable for any
+    quantile meant for inference; smaller values are accepted (determinism
+    tests use them).
     """
 
     replicates: int = 1000
@@ -57,6 +58,7 @@ class BootstrapConfig:
     def __post_init__(self):
         object.__setattr__(self, "replicates", _count("replicates", self.replicates, positive=True))
         _check_alpha(self.alpha)
+        _seed_key(self.seed)
 
 
 def ceiling_rank_quantile(draws, alpha):

@@ -1,7 +1,7 @@
 """Shared exception types, and the input checks of every module (each raises a
 ValueError naming the field): the import root, importing nothing from the package.
 Every array read from outside goes through _real_array; its caller checks only
-shape, size and order."""
+shape, size and order. Arrays the package builds itself skip it through _owned."""
 
 from numbers import Real
 
@@ -89,3 +89,16 @@ def _real_array(name, value, ndim, what):
         raise ValueError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def _owned(cls, **fields):
+    """A cls, a frozen dataclass, holding fields as given, without its checks:
+    for arrays the package built itself. Each caller proves what _real_array
+    and cls would check (float64, shape, finite entries) in a comment at the
+    call. Each array is marked read-only in place, neither copied nor scanned."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj

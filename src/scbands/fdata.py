@@ -140,8 +140,10 @@ def _nonzero_scale(scale, grid, name, values=()):
         suspect |= scale <= tol * np.abs(v[0])
     suspect = np.flatnonzero(suspect)
     if suspect.size:
-        # without values, only a zero scale tells of equal values
-        spread = sum(np.ptp(v[:, suspect], axis=0) for v in values) if values else scale[suspect]
+        # without values, only a zero scale tells of equal values; an inf spread is not zero
+        with np.errstate(over="ignore"):
+            spread = (sum(np.ptp(v[:, suspect], axis=0) for v in values) if values
+                      else scale[suspect])
         failed = np.flatnonzero((spread == 0) | _bad_scale(scale[suspect]))
         if failed.size:
             k = int(failed[0])
@@ -169,16 +171,18 @@ def _mean_field(y, x=None):
     Two independent groups Y and X of N and M rows, with c = N/M: the mean
     difference, the pooled sqrt((1 + 1/c) var_Y + (1 + c) var_X) and
     sqrt(N + M - 2). Leading axes index independent replicates. y and x are
-    consumed (_mean_var); zero scales are the caller's to check.
+    consumed (_mean_var). Zero scales, and the inf or NaN ones an overflow
+    leaves (without a warning), are the caller's to check.
     """
     n = y.shape[-2]
-    mean_y, var_y = _mean_var(y)
-    if x is None:
-        return mean_y, np.sqrt(var_y), np.sqrt(n)
-    mean_x, var_x = _mean_var(x)
-    c = n / x.shape[-2]
-    var = (1.0 + 1.0 / c) * var_y + (1.0 + c) * var_x
-    return mean_y - mean_x, np.sqrt(var), np.sqrt(n + x.shape[-2] - 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_y, var_y = _mean_var(y)
+        if x is None:
+            return mean_y, np.sqrt(var_y), np.sqrt(n)
+        mean_x, var_x = _mean_var(x)
+        c = n / x.shape[-2]
+        var = (1.0 + 1.0 / c) * var_y + (1.0 + c) * var_x
+        return mean_y - mean_x, np.sqrt(var), np.sqrt(n + x.shape[-2] - 2)
 
 
 def gradient(sample):
@@ -187,10 +191,13 @@ def gradient(sample):
     Central second-order differences at interior points and one-sided
     second-order stencils at the grid edges, per axis, in one np.gradient
     call over the rows as an (N, *axis sizes) array: the tuple holds the
-    derivative on a 1-D grid and the (x, y) partials on a 2-D lattice.
+    derivative on a 1-D grid and the (x, y) partials on a 2-D lattice. A
+    step whose square underflows (below about 1e-154) can give inf or NaN
+    entries, without a warning.
     """
     n, axes = sample.n_samples, sample.grid.axes
     cube = sample.values.reshape(n, *(a.size for a in axes))
-    parts = np.gradient(cube, *axes, axis=tuple(range(1, cube.ndim)), edge_order=2)
+    with np.errstate(all="ignore"):
+        parts = np.gradient(cube, *axes, axis=tuple(range(1, cube.ndim)), edge_order=2)
     # numpy returns a bare array, not a 1-tuple, for a single axis
     return tuple(d.reshape(n, -1) for d in (parts if len(axes) > 1 else (parts,)))

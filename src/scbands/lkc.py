@@ -15,6 +15,7 @@ from .fdata import (
     Grid2D,
     _mean_var,
     _nonzero_scale,
+    _point_label,
     gradient,
     grids_equal,
 )
@@ -30,7 +31,9 @@ def lambda_hat(residuals):
     (P, 2, 2) covariance matrices of the two partials on a 2-D lattice. There
     the three distinct entries are three column products of the two (N, P)
     partials, centered in place; the off-diagonal one fills (0, 1) and (1, 0):
-    exactly symmetric by construction.
+    exactly symmetric by construction. Raises ValueError at the first grid
+    point where an entry is not finite (curves or steps past what a double
+    holds); a zero variance is legal.
     """
     if not isinstance(residuals, FunctionalSample):
         raise ValueError("lambda_hat needs a FunctionalSample of residuals")
@@ -38,15 +41,20 @@ def lambda_hat(residuals):
     if n < 2:
         raise ValueError("gradient covariance needs at least 2 residual rows")
     parts = gradient(residuals)
-    if len(parts) == 1:
-        lam = _mean_var(parts[0])[1]
-    else:
-        for d in parts:
-            d -= d.mean(axis=0)
-        lam = np.empty((residuals.n_points, 2, 2))
-        for i, j in ((0, 0), (1, 1), (0, 1)):
-            lam[:, i, j] = lam[:, j, i] = np.einsum("np,np->p", parts[i], parts[j])
-        lam /= n - 1
+    with np.errstate(all="ignore"):  # an inf or NaN entry is named below
+        if len(parts) == 1:
+            lam = _mean_var(parts[0])[1]
+        else:
+            for d in parts:
+                d -= d.mean(axis=0)
+            lam = np.empty((residuals.n_points, 2, 2))
+            for i, j in ((0, 0), (1, 1), (0, 1)):
+                lam[:, i, j] = lam[:, j, i] = np.einsum("np,np->p", parts[i], parts[j])
+            lam /= n - 1
+    if not np.isfinite(lam).all():
+        p = int(np.argwhere(~np.isfinite(lam))[0, 0])
+        raise ValueError(f"gradient variance is not finite at grid point "
+                         f"{_point_label(residuals.grid, p)}")
     lam.setflags(write=False)
     return lam
 
@@ -149,8 +157,9 @@ def tau_sq_1d(residuals):
         raise ValueError("gradient covariance needs at least 2 residual rows")
 
     (grads,) = gradient(residuals)
-    centered = grads - grads.mean(axis=0)
-    cdot = centered.T @ centered / (n - 1)
+    with np.errstate(all="ignore"):  # _nonzero_scale names a variance that overflows
+        centered = grads - grads.mean(axis=0)
+        cdot = centered.T @ centered / (n - 1)
     diag = _nonzero_scale(np.diag(cdot), residuals.grid, "gradient variance")
     w = residuals.grid.trapezoid_weights()
     integrand = cdot**2 / np.sqrt(np.outer(diag, diag))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import comb
 
-from .errors import _check_sigma_obs, _count, _flag, _integer
+from .errors import _check_sigma_obs, _count, _flag, _integer, _owned
 from .fdata import FunctionalSample, Grid1D, Grid2D
 
 __all__ = ["ModelSpec", "gen_model", "gen_model_block", "add_observation_noise", "model_mean"]
@@ -179,11 +179,14 @@ def gen_model_block(spec, n, rng, replicates):
 
 def gen_model(spec, n, rng):
     """Draw N sample paths of the model from the Generator rng."""
-    return FunctionalSample(gen_model_block(spec, n, rng, 1)[0], _model_parts(spec)[0])
+    # finite draws times a finite basis, scaled by a finite amplitude plus a finite mean
+    return _owned(FunctionalSample, values=gen_model_block(spec, n, rng, 1)[0],
+                  grid=_model_parts(spec)[0])
 
 
 def add_observation_noise(sample, sigma_obs, rng):
     """Add iid N(0, sigma_obs) noise from the Generator rng to every entry."""
     _check_sigma_obs(sigma_obs)
     noise = rng.normal(0.0, sigma_obs, size=sample.values.shape)
-    return FunctionalSample(sample.values + noise, sample.grid)
+    with np.errstate(over="ignore"):  # FunctionalSample names an overflow to inf
+        return FunctionalSample(sample.values + noise, sample.grid)

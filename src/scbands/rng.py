@@ -27,6 +27,14 @@ __all__ = ["substream"]
 STREAM_LAYOUT = 2
 
 
+def _seed_key(seed):
+    """(entropy, spawn key) of a SeedSequence seed, or of a non-negative
+    integer seed with the root key (); ValueError for any other seed."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed.entropy, seed.spawn_key
+    return _count("seed", seed), ()
+
+
 def child_sequence(seed, *path):
     """Child SeedSequence of ``seed`` addressed by the integers in ``path``.
 
@@ -35,9 +43,8 @@ def child_sequence(seed, *path):
     seed gives its root sequence.
     """
     key = tuple(_count("stream path entry", p) for p in path)
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key + key)
-    return np.random.SeedSequence(entropy=_count("seed", seed), spawn_key=key)  # root key ()
+    entropy, root = _seed_key(seed)
+    return np.random.SeedSequence(entropy=entropy, spawn_key=root + key)
 
 
 def substream(seed, *path):

@@ -13,6 +13,7 @@ import json
 import numpy as np
 
 from .bands import band_to_dict
+from .errors import _owned
 from .fdata import FunctionalSample, Grid1D, Grid2D
 
 __all__ = [
@@ -97,7 +98,8 @@ def read_sample(path):
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise ValueError(f"row {list(rows)[np.argmin(finite)]} holds a non-finite value")
-    return FunctionalSample(values, grid)
+    # rows of len(header) == grid.n_points floats, each checked finite above
+    return _owned(FunctionalSample, values=values, grid=grid)
 
 
 def write_band(path, band):

@@ -148,6 +148,51 @@ def test_unknown_method_rejected():
         scb_one_sample(s, method="jackknife")
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_curves_get_the_named_error_without_a_numpy_warning():
+    # Each raised numpy's overflow warning before the named error: curves
+    # times 1e200 (the variance), rows +-2^511 (the pooled variance) and
+    # rows +-1.7e308 (the spread searched for equal values).
+    s = gen_model(ModelSpec("A", resolution=30), 12, rng=substream(44, 1))
+    g = Grid1D(np.linspace(0.0, 1.0, 5))
+    rows_511, rows_max = (FunctionalSample(np.outer([a, -a], np.ones(5)), g)
+                          for a in (2.0**511, 1.7e308))
+    cases = [((FunctionalSample(1e200 * s.values, s.grid),), "pointwise"),
+             ((rows_511, rows_511), "pooled"), ((rows_max,), "pointwise"),
+             ((rows_max, rows_max), "pooled")]
+    for samples, name in cases:
+        build = scb_two_sample if len(samples) == 2 else scb_one_sample
+        with pytest.raises(ValueError, match=re.escape(f"{name} sd is not finite at grid point 0")):
+            build(*samples)
+
+
+@pytest.mark.parametrize("method", ["tgkf", "boots-t", "rmult-t"])
+@pytest.mark.parametrize("argument, message", [
+    ({"replicates": "abc"}, "replicates must be an integer, got 'abc'"),
+    ({"replicates": -5}, "replicates must be positive, got -5"),
+    ({"seed": None}, "seed must be an integer, got None"),
+    ({"seed": -3}, "seed must be non-negative, got -3"),
+])
+def test_every_method_checks_replicates_and_seed(method, argument, message):
+    # the tgkf path ignores both, but returned a band for these values
+    s = gen_model(ModelSpec("A", resolution=30), 12, rng=substream(44, 2))
+    groups = [(s,)] if method == "boots-t" else [(s,), (s, s)]
+    for samples in groups:
+        build = scb_two_sample if len(samples) == 2 else scb_one_sample
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(*samples, method, **argument)
+
+
+def test_a_quantile_past_what_a_finite_band_holds_is_named(monkeypatch):
+    # A band is center -/+ q scale / rate with scale < 2^512: a quantile
+    # below 2^458 keeps it finite however large the curves are.
+    s = gen_model(ModelSpec("A", resolution=30), 12, rng=substream(44, 3))
+    monkeypatch.setattr(scbands.bands, "tgkf_quantile", lambda *args: 2.0**458)
+    message = r"^quantile 7\.44283e\+137 is too large for a finite band$"
+    with pytest.raises(ValueError, match=message):
+        scb_one_sample(s)
+
+
 def test_degenerate_sample_rejected():
     g = Grid1D(np.linspace(0.0, 1.0, 10))
     vals = np.vstack([np.zeros(10), np.r_[np.zeros(5), np.ones(5)]])
@@ -233,8 +278,6 @@ _EXPONENTS = np.r_[np.arange(-560, -500, 2), np.arange(-500, 508, 24),
 _FIELD_ERROR = re.compile(r"(pointwise|pooled) sd (is not finite|underflows) at grid point ")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "method, two_sample",
     [(m, False) for m in METHOD_NAMES]

@@ -428,8 +428,6 @@ def test_config_rejects_fractional_sweep_integers():
     assert isinstance(cfg.scale_grid[2], int)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("two_sample", [False, True])
 def test_width_reference_row_counts_failed_draws(monkeypatch, two_sample):
     # Reference draws 0 (a zero sd) and 1 (a mean that overflows to inf)
@@ -469,8 +467,6 @@ def test_width_reference_row_counts_failed_draws(monkeypatch, two_sample):
     assert stats[2][0] is not None and stats[2][1] is None
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_huge_finite_samples_give_finite_bands_or_a_named_error(monkeypatch):
     # Past about 1e154 the pointwise variance of finite curves overflows to
     # inf. An inf scale used to pass the scale check, so the bands came out

@@ -140,6 +140,14 @@ def test_gradient_exact_on_linear_rows():
     assert_allclose(grad[1], -0.5, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_gradient_on_a_step_below_the_stencil_is_not_finite_without_a_numpy_warning():
+    # np.gradient divides by zero there; lambda_hat names the point
+    g = Grid1D(1e-300 * np.arange(5.0))
+    (grad,) = gradient(FunctionalSample(substream(3, 2).standard_normal((2, 5)), g))
+    assert not np.isfinite(grad).all()
+
+
 def test_gradient_2d_exact_on_planes():
     g = Grid2D(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 2.0, 7))
     x, y = g.lattice_coords()

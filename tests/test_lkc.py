@@ -17,6 +17,7 @@ from scbands import (
     lkc_2d,
     lkc_estimate,
     normed_residuals,
+    scb_one_sample,
     substream,
     two_sample_residuals,
 )
@@ -53,6 +54,30 @@ def test_lambda_of_zero_rows():
     lam = lambda_hat(FunctionalSample(np.zeros((4, 31)), g))
     assert_allclose(lam, 0.0, atol=0.0)
     assert lkc_1d(lam, g) == 0.0
+
+
+@pytest.mark.parametrize("scale, step", [(1e200, 1.0 / 29.0), (1.0, 1e-300), (1.0, 1e-160)],
+                         ids=["huge-curves", "step-1e-300", "step-1e-160"])
+def test_lambda_hat_names_a_field_past_the_doubles(scale, step):
+    # Curves times 1e200 gave an inf field, and a step of 1e-300 (1e-160)
+    # a NaN (inf) one, without an error: a tgkf band on such a grid then
+    # named a "1-D field" its caller never passed.
+    values = scale * cosine_sample(5, 19, n_points=30).values
+    sample = FunctionalSample(values, Grid1D(step * np.arange(30.0)))
+    message = re.escape("gradient variance is not finite at grid point 0 (s=0)")
+    with pytest.raises(ValueError, match=message):
+        lambda_hat(sample)
+    if scale == 1.0:  # huge curves fail the band's sd check first
+        with pytest.raises(ValueError, match=message):
+            scb_one_sample(sample)
+
+
+def test_lambda_hat_names_a_surface_field_past_the_doubles():
+    values = 1e200 * substream(19, 1).standard_normal((4, 36))
+    surface = FunctionalSample(values, Grid2D(np.arange(6.0), np.arange(6.0)))
+    with pytest.raises(ValueError, match=re.escape(
+            "gradient variance is not finite at grid point 0 (x=0, y=0)")):
+        lambda_hat(surface)
 
 
 def test_curvature_integral_of_constant_fields():

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from scbands import (
+    FunctionalSample,
     Grid1D,
     Grid2D,
     ModelSpec,
@@ -135,6 +136,13 @@ def test_observation_noise_rejects_negative_sd():
     clean = gen_model(ModelSpec("A", resolution=30), 5, rng=substream(66, 0))
     with pytest.raises(ValueError, match="non-negative"):
         add_observation_noise(clean, -0.1, substream(66, 1))
+
+
+@pytest.mark.filterwarnings("error")
+def test_noise_that_overflows_gets_the_named_error_without_a_numpy_warning():
+    huge = FunctionalSample(np.full((3, 30), 1.7e308), Grid1D(np.linspace(0.0, 1.0, 30)))
+    with pytest.raises(ValueError, match="^values contains non-finite entries$"):
+        add_observation_noise(huge, 1e308, substream(66, 2))
 
 
 def test_spec_validation():

@@ -8,7 +8,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -25,11 +25,13 @@ from scbands import (
     eec,
     gen_model,
     lambda_hat,
+    normed_residuals,
     read_sample,
     scb_one_sample,
     scb_two_sample,
     substream,
     tgkf_quantile,
+    two_sample_residuals,
     write_sample,
 )
 from scbands.fdata import _mean_field, _trapezoid_weights, gradient
@@ -259,3 +261,32 @@ def test_held_arrays_are_read_only_float64_copies(data, n, p):
         assert arr.dtype == np.float64 and not arr.flags.writeable
         assert np.array_equal(_bits(arr), _bits(np.asarray(given_x, dtype=float)))
         assert not np.shares_memory(arr, given_x)
+
+
+@FEW
+@given(exponent=st.integers(-500, 500), two_d=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(exponent=-500, two_d=False, seed=1)
+@example(exponent=500, two_d=True, seed=2)
+def test_owned_arrays_pass_the_public_checks(tmp_path_factory, exponent, two_d, seed):
+    # Samples and bands built from arrays the package made skip the array
+    # rule; the public constructors accept the same arrays and hold them
+    # bitwise, and the skipped ones are read-only and share no memory with
+    # the curves passed in, for curves from 2^-500 to 2^500 times unit scale.
+    spec = ModelSpec("C", resolution=6) if two_d else ModelSpec("A", resolution=20)
+    drawn = [gen_model(spec, n, substream(seed, k)) for k, n in enumerate((8, 6))]
+    y, x = (FunctionalSample(2.0**exponent * s.values, s.grid) for s in drawn)
+    path = tmp_path_factory.mktemp("owned") / "sample.csv"
+    write_sample(path, y)
+    owned = [*drawn, read_sample(path), normed_residuals(y), *two_sample_residuals(y, x)[3]]
+    for method in ("tgkf", "boots-t", "rmult-t"):
+        owned.append(scb_one_sample(y, method, replicates=50, seed=seed))
+        if method != "boots-t":
+            owned.append(scb_two_sample(y, x, method, replicates=50, seed=seed))
+    for obj in owned:
+        checked = type(obj)(*(getattr(obj, f.name) for f in fields(obj)))
+        arrays_held = [f.name for f in fields(obj) if isinstance(getattr(obj, f.name), np.ndarray)]
+        for name in arrays_held:
+            arr = getattr(obj, name)
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+            assert np.array_equal(_bits(arr), _bits(getattr(checked, name)))
+            assert not any(np.shares_memory(arr, s.values) for s in (y, x))

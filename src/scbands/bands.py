@@ -93,8 +93,8 @@ def _residual_field(samples):
     """(center, scale, rate, residual groups) of the mean field of one sample
     (see normed_residuals) or of the difference of two (two_sample_residuals).
 
-    center, scale and rate are fdata._mean_field's; one sample's residual
-    group reuses its center, so the field takes no second mean pass.
+    Every part is fdata._mean_field's: center, scale, rate, and each
+    group's mean and factor, so the field takes no second mean pass.
     """
     one, grid = len(samples) == 1, samples[0].grid
     if not all(grids_equal(s.grid, grid) for s in samples[1:]):
@@ -102,19 +102,17 @@ def _residual_field(samples):
     if min(s.n_samples for s in samples) < 2:
         raise ValueError("a band needs at least 2 curves" if one
                          else "both groups need at least 2 curves")
-    center, scale, rate = _mean_field(*(np.copy(s.values) for s in samples))
+    center, scale, rate, parts = _mean_field(*(np.copy(s.values) for s in samples))
     scale = _nonzero_scale(scale, grid, "pointwise sd" if one else "pooled sd",
                            [s.values for s in samples])
-    if one:
-        res = [samples[0].values - center]
-    else:
-        c = samples[0].n_samples / samples[1].n_samples
-        res = [w * (s.values - s.values.mean(axis=0))
-               for w, s in zip((np.sqrt(1.0 + 1.0 / c), np.sqrt(1.0 + c)), samples)]
-    # _nonzero_scale passed, so |Y - mean| <= sqrt(N-1) scale, also under the pooled scale
-    groups = tuple(_owned(FunctionalSample, values=np.divide(r, scale, out=r), grid=grid)
-                   for r in res)
-    return center, scale, rate, groups
+    groups = []
+    for s, (mean, factor) in zip(samples, parts):
+        res = np.subtract(s.values, mean)
+        res *= factor
+        res /= scale
+        # _nonzero_scale passed, so |Y - mean| <= sqrt(N-1) scale, also under the pooled scale
+        groups.append(_owned(FunctionalSample, values=res, grid=grid))
+    return center, scale, rate, tuple(groups)
 
 
 def normed_residuals(sample):

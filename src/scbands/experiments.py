@@ -69,7 +69,8 @@ class ExperimentConfig:
     scale_grid is a (h_min, h_max, count) triple of count equidistant
     bandwidths: each curve is smoothed onto the (s, h) lattice of the data
     grid's points and the bandwidths, or onto the data grid itself when
-    count is 1 (write one bandwidth h as (h, h, 1)). two_sample=True
+    count is 1 (write one bandwidth h as (h, h, 1)); ScaleGrid checks the
+    bandwidths on the model's grid when the config is read. two_sample=True
     compares two independent equal-law groups of the same size (difference
     target identically zero). methods are kept under their canonical names
     (METHOD_NAMES), each at most once.
@@ -111,25 +112,21 @@ class ExperimentConfig:
         if not (self.out is None or isinstance(self.out, str)):
             raise ValueError(f"out must be a path, got {self.out!r}")
         if self.scale_grid is not None:
-            grid = self.scale_grid
-            items = _sequence("scale_grid", grid, "3 numbers")
+            items = _sequence("scale_grid", self.scale_grid, "3 numbers")
             if [_is_real(v) for v in items] != [True] * 3:
-                raise ValueError(f"scale_grid must be 3 numbers, got {grid!r}")
+                raise ValueError(f"scale_grid must be 3 numbers, got {self.scale_grid!r}")
             h_min, h_max = float(items[0]), float(items[1])
-            count = _integer("scale_grid count", items[2])
-            if not (0 < h_min <= h_max < math.inf
-                    and (count == 1 if h_min == h_max else count >= 3)):
-                raise ValueError(
-                    "scale_grid must be (h_min, h_max, count) with 0 < h_min < h_max, "
-                    "count 1 or >= 3 (h_min = h_max at count 1)"
-                )
+            count = _count("scale_grid count", items[2], positive=True)
             object.__setattr__(self, "scale_grid", (h_min, h_max, count))
-            if self.model.model == "C":
-                raise ValueError("smoothing pipelines apply to curve models only")
+            ScaleGrid(self.model.make_grid(), self.bandwidths())
+            if count == 1 and h_min != h_max:  # np.linspace drops h_max
+                raise ValueError(f"scale_grid count 1 needs h_min = h_max, got {self.scale_grid!r}")
 
     def bandwidths(self):
-        """The smoothing bandwidths of scale_grid, or None."""
-        return None if self.scale_grid is None else np.linspace(*self.scale_grid)
+        """The smoothing bandwidths of scale_grid, or None; an end or a step past
+        what a double holds leaves a non-finite entry, without a warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return None if self.scale_grid is None else np.linspace(*self.scale_grid)
 
     def to_dict(self):
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -313,7 +310,7 @@ def _reference_block(pipe, n_index, reps):
     FloatingPointError."""
     groups = pipe.draw_groups(n_index, reps, _TRUE_TAGS)
     with np.errstate(all="ignore"):
-        center, scale, rate = _mean_field(*groups)
+        center, scale, rate, _ = _mean_field(*groups)
         stats = np.max(rate * np.abs(center - pipe.truth) / scale, axis=1)
     has_bad = np.any(_bad_scale(scale), axis=1)
     name = "pooled sd" if pipe.cfg.two_sample else "pointwise sd"

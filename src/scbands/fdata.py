@@ -20,12 +20,14 @@ __all__ = ["Grid1D", "Grid2D", "FunctionalSample"]
 def _ascending_points(points, name, fewest=3):
     """points as errors._real_array's read-only float copy of a one-dimensional
     sequence, or ValueError naming the field unless it holds at least fewest
-    strictly increasing points."""
+    strictly increasing points whose span, last minus first, is a finite double."""
     pts = _real_array(name, points, 1, "a one-dimensional sequence")
     if pts.size < fewest:
         raise ValueError(f"{name} needs at least {fewest} point{'s' * (fewest > 1)}, got {pts.size}")
     if not np.all(np.diff(pts) > 0):
         raise ValueError(f"{name} must be strictly increasing")
+    if not math.isfinite(float(pts[-1]) - float(pts[0])):  # Python floats overflow silently
+        raise ValueError(f"{name} must span a finite length, got {pts[0]:.6g} to {pts[-1]:.6g}")
     return pts
 
 
@@ -165,24 +167,28 @@ def _mean_var(v):
 
 
 def _mean_field(y, x=None):
-    """(center, scale, rate) of the studentized mean field along axis -2.
+    """(center, scale, rate, groups) of the studentized mean field along axis -2.
 
     One sample Y of N rows: the mean, the sd (divisor N-1) and sqrt(N).
     Two independent groups Y and X of N and M rows, with c = N/M: the mean
-    difference, the pooled sqrt((1 + 1/c) var_Y + (1 + c) var_X) and
-    sqrt(N + M - 2). Leading axes index independent replicates. y and x are
-    consumed (_mean_var). Zero scales, and the inf or NaN ones an overflow
-    leaves (without a warning), are the caller's to check.
+    difference, the pooled sqrt(k_Y var_Y + k_X var_X) with k_Y = 1 + 1/c
+    and k_X = 1 + c, and sqrt(N + M - 2). groups holds each group G's
+    (mean, sqrt(k_G)), k = 1 for one sample: its residual group is
+    sqrt(k_G) (G_n - mean) / scale. Leading axes index replicates. y and x
+    are consumed (_mean_var). Zero scales, and the inf or NaN ones an
+    overflow leaves (without a warning), are the caller's to check.
     """
     n = y.shape[-2]
     with np.errstate(over="ignore", invalid="ignore"):
         mean_y, var_y = _mean_var(y)
         if x is None:
-            return mean_y, np.sqrt(var_y), np.sqrt(n)
+            return mean_y, np.sqrt(var_y), np.sqrt(n), ((mean_y, 1.0),)
         mean_x, var_x = _mean_var(x)
         c = n / x.shape[-2]
-        var = (1.0 + 1.0 / c) * var_y + (1.0 + c) * var_x
-        return mean_y - mean_x, np.sqrt(var), np.sqrt(n + x.shape[-2] - 2)
+        k_y, k_x = 1.0 + 1.0 / c, 1.0 + c
+        var = k_y * var_y + k_x * var_x
+        groups = (mean_y, math.sqrt(k_y)), (mean_x, math.sqrt(k_x))
+        return mean_y - mean_x, np.sqrt(var), np.sqrt(n + x.shape[-2] - 2), groups
 
 
 def gradient(sample):

@@ -6,6 +6,8 @@ the curvatures L1 (metric length, halved boundary length in 2-D) and L2
 (metric area) that weight the EC densities.
 """
 
+import math
+
 import numpy as np
 
 from .errors import _real_array
@@ -68,18 +70,34 @@ def _field(lam, shape, dim):
     return vals
 
 
+def _integral(terms, grid, name, nodes=None):
+    """float(np.sum(terms)), or ValueError naming the grid point of the first
+    term where the running sum is not finite: a term or a sum past what a
+    double holds. nodes maps terms to flat grid points (None: term k is
+    point k). Callers compute terms under np.errstate, as overflows here
+    are named, not warned of."""
+    total = float(np.sum(terms))
+    if not math.isfinite(total):
+        k = int(np.argmax(~np.isfinite(np.cumsum(terms))))
+        p = k if nodes is None else int(nodes[k])
+        raise ValueError(f"{name} is not finite at grid point {_point_label(grid, p)}")
+    return total
+
+
 def lkc_1d(lam, grid):
     """Metric length of the interval: trapezoid integral of sqrt(Lambda).
 
     lam holds the (P,) derivative variances of lambda_hat on grid, read by
-    errors._real_array (named "1-D field" in its errors).
+    errors._real_array (named "1-D field" in its errors). Raises ValueError
+    at the first grid point where the integral is not finite.
     """
     if not isinstance(grid, Grid1D):
         raise ValueError("lkc_1d needs a 1-D grid")
     lam = _field(lam, (grid.n_points,), "1-D")
     if np.any(lam < 0):
         raise ValueError("derivative variances must be non-negative")
-    return float(np.sum(grid.trapezoid_weights() * np.sqrt(lam)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _integral(grid.trapezoid_weights() * np.sqrt(lam), grid, "L1 integral")
 
 
 def lkc_2d(lam, grid):
@@ -93,7 +111,9 @@ def lkc_2d(lam, grid):
     (left and right edges). L2 is the lattice trapezoid integral of
     sqrt(det Lambda). The determinant is clamped at zero: sampling noise
     can push the 2x2 determinant slightly negative. lam is read by
-    errors._real_array (named "2-D field" in its errors).
+    errors._real_array (named "2-D field" in its errors). Raises ValueError
+    at the first grid point where an integral is not finite (for L1, the
+    first node of a perimeter segment).
     """
     if not isinstance(grid, Grid2D):
         raise ValueError("lkc_2d needs a 2-D grid")
@@ -102,18 +122,22 @@ def lkc_2d(lam, grid):
         raise ValueError("field matrices must be symmetric")
     if np.any(vals[:, 0, 0] < 0) or np.any(vals[:, 1, 1] < 0):
         raise ValueError("diagonal entries must be non-negative")
-    det = vals[:, 0, 0] * vals[:, 1, 1] - vals[:, 0, 1] ** 2
-    l2 = float(np.sum(grid.trapezoid_weights() * np.sqrt(np.clip(det, 0.0, None))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = vals[:, 0, 0] * vals[:, 1, 1] - vals[:, 0, 1] ** 2
+        area = grid.trapezoid_weights() * np.sqrt(np.clip(det, 0.0, None))
+        l2 = _integral(area, grid, "L2 integral")
 
-    lxx = vals[:, 0, 0].reshape(grid.n_x, grid.n_y)
-    lyy = vals[:, 1, 1].reshape(grid.n_x, grid.n_y)
-    dx, dy = np.diff(grid.x_points), np.diff(grid.y_points)
-    # bottom, right, top, left: counterclockwise from node (0, 0), so the
-    # top and left edges run against their axes
-    edges = ((dx, lxx[:, 0]), (dy, lyy[-1]), (dx, lxx[:, -1]), (dy, lyy[0]))
-    terms = [d * (0.5 * (m[:-1] + m[1:])) * d for d, m in edges]
-    terms[2:] = [t[::-1] for t in terms[2:]]
-    l1 = 0.5 * float(np.sum(np.sqrt(np.concatenate(terms))))
+        lxx = vals[:, 0, 0].reshape(grid.n_x, grid.n_y)
+        lyy = vals[:, 1, 1].reshape(grid.n_x, grid.n_y)
+        dx, dy = np.diff(grid.x_points), np.diff(grid.y_points)
+        # bottom, right, top, left: counterclockwise from node (0, 0), so the
+        # top and left edges run against their axes; ring holds each segment's first node
+        edges = ((dx, lxx[:, 0]), (dy, lyy[-1]), (dx, lxx[:, -1]), (dy, lyy[0]))
+        terms = [d * (0.5 * (m[:-1] + m[1:])) * d for d, m in edges]
+        terms[2:] = [t[::-1] for t in terms[2:]]
+        node = np.arange(grid.n_points).reshape(grid.n_x, grid.n_y)
+        ring = np.concatenate((node[:-1, 0], node[-1, :-1], node[:0:-1, -1], node[0, :0:-1]))
+        l1 = 0.5 * _integral(np.sqrt(np.concatenate(terms)), grid, "L1 integral", ring)
     return l1, l2
 
 

@@ -26,8 +26,9 @@ def gaussian_kernel():
     """
 
     def kernel(offsets, h):
-        z = offsets / h
-        return np.exp(-0.5 * z * z)
+        with np.errstate(over="ignore"):  # a tiny h: z or z^2 is inf, its weight exp(-inf) = 0
+            z = offsets / h
+            return np.exp(-0.5 * z * z)
 
     return kernel
 

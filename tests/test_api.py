@@ -183,6 +183,30 @@ def test_the_array_rule_has_one_owner():
     assert catchers == {"errors"}
 
 
+def test_the_scale_grid_and_pooling_rules_have_one_owner():
+    # ScaleGrid owns the bandwidth bounds and the curves-only rule: the config
+    # orders no bandwidth against a bound and tests no model name.
+    # fdata._mean_field owns two-group pooling: bands takes each group's mean
+    # and factor from it, and computes no square root, mean or group-size ratio.
+    src = Path(scbands.__file__).resolve().parent
+    trees = {name: ast.parse((src / f"{name}.py").read_text()) for name in ("experiments", "bands")}
+    config = next(node for node in trees["experiments"].body
+                  if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig")
+    nodes = list(ast.walk(config))
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    ordered = [ast.unparse(n) for n in nodes
+               if isinstance(n, ast.Compare) and any(isinstance(op, ordering) for op in n.ops)]
+    assert not [text for text in ordered if re.search(r"\bh_m(in|ax)\b|\binf\b|scale_grid", text)]
+    assert not [ast.unparse(n) for n in nodes
+                if isinstance(n, ast.Attribute) and ast.unparse(n).endswith("model.model")]
+    assert not [n.value for n in nodes if isinstance(n, ast.Constant) and n.value in ("A", "B", "C")]
+    called = _called(trees["bands"])
+    assert not {c for c in called if c.split(".")[-1] in ("sqrt", "mean", "_mean_var")}
+    assert not [ast.unparse(n) for n in ast.walk(trees["bands"])
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div)
+                and "n_samples" in ast.unparse(n)]
+
+
 def test_package_exports_are_unique_and_come_from_modules():
     names = scbands.__all__
     assert len(names) == len(set(names))

@@ -378,7 +378,7 @@ def test_config_validation():
             ExperimentConfig(**{name: 0})
     with pytest.raises(ValueError):
         ExperimentConfig(alpha=0.0)
-    with pytest.raises(ValueError, match="curve models only"):
+    with pytest.raises(ValueError, match="smoothing applies to curves"):
         ExperimentConfig(model=ModelSpec("C", resolution=10), scale_grid=(0.02, 0.1, 3))
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_dict({"presmooth_bandwidth": 0.05, "scale_grid": [0.02, 0.1, 3]})
@@ -524,15 +524,46 @@ def test_config_rejects_negative_or_fractional_seed():
 
 
 def test_config_rejects_two_bandwidths():
-    with pytest.raises(ValueError, match="count 1 or >= 3"):
+    # ScaleGrid owns the bandwidth rules, so the config gives its messages
+    with pytest.raises(ValueError, match="^h_points needs one or at least 3 bandwidths, got 2$"):
         ExperimentConfig(scale_grid=(0.02, 0.1, 2))
     assert ExperimentConfig(scale_grid=(0.02, 0.1, 3)).scale_grid[2] == 3
     # one bandwidth h is written (h, h, 1); a lattice needs h_min < h_max
     assert_array_equal(ExperimentConfig(scale_grid=(0.05, 0.05, 1)).bandwidths(), [0.05])
-    for bad in ((0.05, 0.05, 3), (0.05, 0.05, 2), (0.1, 0.05, 1), (0.0, 0.0, 1), (0.05, np.inf, 3),
-                (0.02, 0.1, 1)):
-        with pytest.raises(ValueError, match="0 < h_min < h_max"):
+    for bad, match in (((0.05, 0.05, 3), "^h_points must be strictly increasing$"),
+                       ((0.05, 0.05, 2), "^h_points must be strictly increasing$"),
+                       ((0.1, 0.05, 1), r"^scale_grid count 1 needs h_min = h_max, got \(0.1, "),
+                       ((0.0, 0.0, 1), "^bandwidths must be positive, got 0$"),
+                       ((0.05, np.inf, 3), "^h_points contains non-finite entries$"),
+                       ((0.02, 0.1, 1), r"^scale_grid count 1 needs h_min = h_max, got \(0.02, ")):
+        with pytest.raises(ValueError, match=match):
             ExperimentConfig(scale_grid=bad)
+
+
+def test_config_and_run_agree_on_the_scale_grid():
+    # near-equal ends were accepted when read, and the run raised before any replication
+    for triple in ((1.0, 1.0 + 2**-52, 3), (5e-324, 1e-323, 3)):
+        with pytest.raises(ValueError, match="^h_points must be strictly increasing$"):
+            ExperimentConfig(scale_grid=triple)
+    # np.linspace warned on these (0 * inf, and an overflowing h_max - h_min)
+    for triple in ((0.05, np.inf, 3), (-1e308, 1e308, 3)):
+        with pytest.raises(ValueError, match="^h_points contains non-finite entries$"):
+            ExperimentConfig(scale_grid=triple)
+
+
+def test_a_sweep_over_tiny_bandwidths_runs_without_a_warning():
+    # offsets / h overflows in the kernel; each weight is exp(-inf) = 0 off the
+    # diagonal, so the smoothing is the identity and rmult-t bands the curves
+    # repeated over h. The tGKF's h-step squares to zero: a named failure.
+    kw = dict(methods=("tgkf", "rmult-t"), n_values=(8,), bootstrap_replicates=100)
+    cfg, plain = small_config(scale_grid=(1e-300, 1e-299, 3), **kw), small_config(**kw)
+    coverage = run_coverage(cfg)["cells"]
+    assert [c["failures"] for c in coverage] == [6, 0]
+    assert coverage[1]["hits"] == run_coverage(plain)["cells"][1]["hits"]
+    cells, plain_cells = run_width(cfg)["cells"], run_width(plain)["cells"]
+    assert [c["failures"] for c in cells] == [6, 0, 0]
+    for cell, plain_cell in zip(cells[1:], plain_cells[1:]):
+        assert cell["mean_quantile"] == pytest.approx(plain_cell["mean_quantile"], rel=1e-12)
 
 
 @pytest.mark.parametrize("method", ["boots-t", "boots", "gmult-t", "rmult"])

@@ -41,6 +41,17 @@ def test_grid1d_rejects_duplicates():
         Grid1D(np.array([0.0, 0.3, 0.3, 1.0]))
 
 
+def test_a_grid_wider_than_a_double_is_refused():
+    # [-1.7e308, 0, 1.7e308] was accepted: its trapezoid weights held an inf,
+    # lkc_1d returned inf and a tgkf band named a NaN curvature
+    with pytest.raises(ValueError, match=re.escape(
+            "points must span a finite length, got -1.7e+308 to 1.7e+308")):
+        Grid1D([-1.7e308, 0.0, 1.7e308])
+    with pytest.raises(ValueError, match="^y_points must span a finite length"):
+        Grid2D([0.0, 1.0, 2.0], [-1e308, 0.0, 1e308])
+    assert_array_equal(Grid1D([-8e307, 0.0, 8e307]).trapezoid_weights(), [4e307, 8e307, 4e307])
+
+
 def test_grid_points_must_be_finite_and_one_dimensional(malformed):
     with pytest.raises(ValueError, match="^points must be a one-dimensional sequence$"):
         Grid1D(np.zeros((3, 3)))
@@ -123,8 +134,11 @@ def test_sample_shape_validation(malformed):
 def test_pointwise_mean_and_sd():
     g = Grid1D(np.array([0.0, 1.0, 2.0]))
     s = FunctionalSample(np.array([[0.0, 1.0, 4.0], [2.0, 3.0, 0.0]]), g)
-    center, sd, rate = _mean_field(np.copy(s.values))
+    center, sd, rate, ((mean, factor),) = _mean_field(np.copy(s.values))
     assert_allclose(center, [1.0, 2.0, 2.0])
+    # the residual group's mean is the center, bitwise np.mean, and its factor 1
+    assert mean is center and factor == 1.0
+    assert np.array_equal(mean, np.mean(s.values, axis=0))
     # ddof=1: sd of {0,2} is sqrt(2), of {4,0} is 2 sqrt(2)
     assert_allclose(sd, [np.sqrt(2.0), np.sqrt(2.0), 2.0 * np.sqrt(2.0)])
     assert rate == np.sqrt(2.0)

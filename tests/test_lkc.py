@@ -80,6 +80,46 @@ def test_lambda_hat_names_a_surface_field_past_the_doubles():
         lambda_hat(surface)
 
 
+@pytest.mark.parametrize("matrix", [1e200 * np.eye(2), np.full((2, 2), 1e200)],
+                         ids=["det-inf", "det-nan"])
+def test_surface_area_integral_names_the_point_where_it_overflows(matrix):
+    # the determinant overflows to inf, or to inf - inf: L2 was inf or NaN, silently
+    lam = np.broadcast_to(matrix, (20, 2, 2))
+    with pytest.raises(ValueError, match=re.escape(
+            "L2 integral is not finite at grid point 0 (x=0, y=0)")):
+        lkc_2d(lam, Grid2D(np.arange(4.0), np.arange(5.0)))
+    # trapezoid weights whose product is past the doubles
+    wide = Grid2D([0.0, 1e200, 2e200], [0.0, 1e200, 2e200])
+    with pytest.raises(ValueError, match=re.escape("L2 integral is not finite at grid point 0")):
+        lkc_2d(np.broadcast_to(np.eye(2), (9, 2, 2)), wide)
+
+
+def test_curve_length_integral_names_the_point_where_it_overflows():
+    # sqrt(1e100) times a weight of 5e299 is past the doubles: lkc_1d returned inf
+    with pytest.raises(ValueError, match=re.escape(
+            "L1 integral is not finite at grid point 0 (s=0)")):
+        lkc_1d(np.full(3, 1e100), Grid1D([0.0, 1e300, 2e300]))
+    # every term finite, their sum not: the running sum overflows at the second point
+    with pytest.raises(ValueError, match=re.escape(
+            "L1 integral is not finite at grid point 1 (s=1e+308)")):
+        lkc_1d(np.full(3, 4.0), Grid1D([0.0, 1e308, 1.5e308]))
+
+
+@pytest.mark.parametrize("nodes, label", [
+    ([(3, 2), (3, 3)], "17 (x=3, y=2)"),  # right edge, run along y: the lower node
+    ([(1, 4), (2, 4)], "14 (x=2, y=4)"),  # top edge, run against x: the higher node
+])
+def test_surface_length_integral_names_the_first_node_of_the_overflowing_segment(nodes, label):
+    # the endpoint mean of two 1e308 entries overflows; L2 stays finite
+    grid = Grid2D(np.arange(4.0), np.arange(5.0))
+    lam = np.broadcast_to(np.eye(2), (20, 2, 2)).copy()
+    axis = 1 if nodes[0][0] == nodes[1][0] else 0
+    for ix, iy in nodes:
+        lam[ix * 5 + iy, axis, axis] = 1e308
+    with pytest.raises(ValueError, match=re.escape(f"L1 integral is not finite at grid point {label}")):
+        lkc_2d(lam, grid)
+
+
 def test_curvature_integral_of_constant_fields():
     g = Grid1D(np.linspace(0.0, 1.0, 101))
     assert_allclose(lkc_1d(np.ones(101), g), 1.0, rtol=1e-12)

@@ -4,6 +4,7 @@ Example counts are small and the search is derandomized, so the suite stays
 fast and every run checks the same examples.
 """
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -15,6 +16,7 @@ from numpy.testing import assert_allclose
 
 from scbands import (
     ECDensityModel,
+    ExperimentConfig,
     FunctionalSample,
     Grid1D,
     Grid2D,
@@ -34,6 +36,7 @@ from scbands import (
     two_sample_residuals,
     write_sample,
 )
+from scbands.experiments import _Pipeline
 from scbands.fdata import _mean_field, _trapezoid_weights, gradient
 
 FEW = settings(max_examples=12, deadline=None, derandomize=True)
@@ -174,16 +177,21 @@ def test_in_place_mean_field_is_bitwise_numpy(groups, plain, column_major):
     if column_major:  # the N axis contiguous, as in a Fortran-ordered (N, P) sample
         y, x = (np.swapaxes(np.swapaxes(g, -1, -2).copy(), -1, -2) for g in (y, x))
     n, m = y.shape[-2], x.shape[-2]
-    center, scale, rate = _mean_field(np.copy(y))
+    center, scale, rate, ((mean, factor),) = _mean_field(np.copy(y))
     assert np.array_equal(_bits(center), _bits(y.mean(axis=-2)))
+    assert np.array_equal(_bits(mean), _bits(y.mean(axis=-2))) and factor == 1.0
     assert np.array_equal(_bits(scale), _bits(y.std(axis=-2, ddof=1)))
     assert rate == np.sqrt(n)
     c = n / m
     var = (1.0 + 1.0 / c) * y.var(axis=-2, ddof=1) + (1.0 + c) * x.var(axis=-2, ddof=1)
-    center, scale, rate = _mean_field(np.copy(y), np.copy(x))
+    center, scale, rate, groups = _mean_field(np.copy(y), np.copy(x))
     assert np.array_equal(_bits(center), _bits(y.mean(axis=-2) - x.mean(axis=-2)))
     assert np.array_equal(_bits(scale), _bits(np.sqrt(var)))
     assert rate == np.sqrt(n + m - 2)
+    # each group's mean, and the factor of its residual group (the two-sample band's weights)
+    for (mean, factor), g, k in zip(groups, (y, x), (1.0 + 1.0 / c, 1.0 + c)):
+        assert np.array_equal(_bits(mean), _bits(g.mean(axis=-2)))
+        assert factor == np.sqrt(k)
 
 
 @FEW
@@ -290,3 +298,30 @@ def test_owned_arrays_pass_the_public_checks(tmp_path_factory, exponent, two_d, 
             assert arr.dtype == np.float64 and not arr.flags.writeable
             assert np.array_equal(_bits(arr), _bits(getattr(checked, name)))
             assert not any(np.shares_memory(arr, s.values) for s in (y, x))
+
+
+@st.composite
+def _scale_grid_triples(draw):
+    """(h_min, h_max, count): any floats, denormals among them, with h_max often
+    h_min itself or a few ulps above it, and counts from -2 to 8."""
+    h_min = draw(st.floats() | st.floats(0.0, 2.0**-1022))
+    h_max = h_min
+    for _ in range(draw(st.integers(0, 3))):
+        h_max = math.nextafter(h_max, math.inf)
+    return h_min, draw(st.just(h_max) | st.floats()), draw(st.integers(-2, 8))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(triple=_scale_grid_triples())
+@example(triple=(1.0, 1.0 + 2**-52, 3))
+@example(triple=(5e-324, 1e-323, 3))
+def test_a_scale_grid_the_config_accepts_builds_its_pipeline(triple):
+    # ScaleGrid owns the bandwidth rules, so a config no sweep could smooth
+    # with is refused when it is read, never when it runs
+    try:
+        cfg = ExperimentConfig(model=ModelSpec("B", resolution=12), scale_grid=triple)
+    except ValueError:
+        return
+    pipe = _Pipeline(cfg)
+    assert pipe.grid.n_points == 12 * cfg.scale_grid[2]

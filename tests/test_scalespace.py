@@ -12,6 +12,8 @@ from scbands import (
     Grid2D,
     ScaleGrid,
     gaussian_kernel,
+    scb_one_sample,
+    scb_scale_space,
     smooth_sample,
     weight_matrix,
 )
@@ -194,3 +196,17 @@ def test_scale_grid_builds_its_lattice_once():
     assert ScaleGrid(locs, [0.08]).grid is locs
     with pytest.raises(ValueError, match="^h_points needs one or at least 3 bandwidths, got 2$"):
         ScaleGrid(locs, [0.05, 0.1])
+
+
+def test_a_tiny_bandwidth_smooths_to_the_identity_without_a_warning(setup):
+    # offsets / h is finite but its square overflows: each weight off the
+    # diagonal is exp(-inf) = 0, so the smoothing is the identity
+    _, _, raw = setup
+    sg = ScaleGrid(raw.grid, [1e-170])
+    assert_array_equal(smooth_sample(raw, gaussian_kernel(), sg).values, raw.values)
+    band, plain = scb_scale_space(raw, gaussian_kernel(), sg), scb_one_sample(raw)
+    assert band.quantile == plain.quantile
+    assert_array_equal(band.upper, plain.upper)
+    # at 5e-324 the quotient itself overflows
+    assert_array_equal(weight_matrix(gaussian_kernel(), raw.grid.points,
+                                     ScaleGrid(raw.grid, [5e-324])), np.eye(20))

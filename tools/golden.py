@@ -26,7 +26,8 @@ boots-t and gauss-sim (B=1000) on model A (N=50, P=200), tgkf on model C
 (50 x 50, N=50), the scale-space tgkf band of noisy model B on its midpoint
 design (P=100, sigma_obs=0.1, 20 bandwidths from 0.02 to 0.1) and the CLI
 scb band JSON of the model A sample. An error is kept as its type and
-message.
+message. A RuntimeWarning (numpy's overflow and invalid-value warnings) is
+raised as an error, so a stray warning shows as a moved output.
 """
 
 import argparse
@@ -38,6 +39,7 @@ import pickle
 import platform
 import sys
 import tempfile
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -309,7 +311,9 @@ def main(argv=None):
     mode.add_argument("--out", help="write the outputs of this tree to FILE")
     mode.add_argument("--against", help="compare this tree's outputs with FILE")
     args = parser.parse_args(argv)
-    doc = {"environment": environment(), "outputs": collect()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        doc = {"environment": environment(), "outputs": collect()}
     if args.out:
         with open(args.out, "wb") as fh:
             pickle.dump(doc, fh, protocol=4)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVarianceError, _check_alpha, _count, _real_array
-from .fdata import _nonzero_scale
+from .fdata import _nonzero_scale, _point_label
 from .rng import _seed_key, substream
 
 __all__ = ["ceiling_rank_quantile"]
@@ -249,8 +249,9 @@ def mult_t_quantile(sample, law, cfg):
             start = int(np.argmax(stat >= limit)) // _BLOCK_ROWS * _BLOCK_ROWS
             block = _point_stats(gmat[start : start + _BLOCK_ROWS], parts, var)
             b, p = np.argwhere(block >= limit)[0]
+            where = _point_label(groups[0].grid, p)
             raise DegenerateVarianceError(
-                f"multiplier sd degenerate at grid point {p} in replicate {start + b}"
+                f"multiplier sd degenerate at grid point {where} in replicate {start + b}"
             )
     if limit == 1.0:
         stat = _studentized(stat, sizes[0])

@@ -213,7 +213,7 @@ def _raw_draw(cfg, n_index, rep):
 def _failure_tolerant(fn, *args):
     try:
         return fn(*args), None
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
 

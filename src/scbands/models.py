@@ -17,13 +17,14 @@ equals the amplitude profile.
 Coefficient laws: "gaussian" (standard normal), "t3" (t_3 / sqrt(3)), and
 "chisq" ((chi^2_nu - nu) / sqrt(2 nu), skewed but asymptotically normal).
 
-The grid of a ModelSpec, and its normalised basis, mean and amplitude (its
-_MODELS entry at the grid's nodes), are built once and cached;
+_MODELS holds one row per model (its mean, amplitude, basis and axis
+count) and _LAWS one draw per coefficient law; nothing else here names a
+model or a law. The grid of a ModelSpec, and its normalised basis, mean and
+amplitude (its _MODELS row at the grid's nodes), are built once and cached;
 gen_model_block draws a stack of samples from them.
 """
 
 import functools
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,14 +58,22 @@ def bump_basis_2d(x, y):
     return np.exp(-0.5 * d2 / 0.06**2)
 
 
-# name -> (mean, amplitude, basis), each a function of the nodes' float coordinate
-# arrays, a grid's lattice_coords(): (s,) on the curve models', (x, y) on C's.
+# name -> (mean, amplitude, basis, axes), the first three functions of the
+# nodes' float coordinate arrays, a grid's lattice_coords(): one per axis,
+# (s,) on the curve models', (x, y) on C's.
 _CURVE = (lambda s: np.sin(8.0 * np.pi * s) * np.exp(-3.0 * s),
           lambda s: ((0.6 - s) ** 2 + 1.0) / 6.0)
 _MODELS = {
-    "A": (*_CURVE, bernstein_basis),
-    "B": (*_CURVE, bump_basis_1d),
-    "C": (lambda x, y: x * y, lambda x, y: (x + 1.0) / (y**2 + 1.0), bump_basis_2d),
+    "A": (*_CURVE, bernstein_basis, 1),
+    "B": (*_CURVE, bump_basis_1d, 1),
+    "C": (lambda x, y: x * y, lambda x, y: (x + 1.0) / (y**2 + 1.0), bump_basis_2d, 2),
+}
+
+# coefficient law -> its draw (gen, shape, nu) -> iid unit-variance coefficients
+_LAWS = {
+    "gaussian": lambda gen, shape, nu: gen.standard_normal(shape),
+    "t3": lambda gen, shape, nu: gen.standard_t(3, shape) / np.sqrt(3.0),
+    "chisq": lambda gen, shape, nu: (gen.chisquare(nu, shape) - nu) / np.sqrt(2.0 * nu),
 }
 
 
@@ -78,12 +87,11 @@ def _model(name):
 def _profile(name, part, coords):
     """_model(name)[part] at the coordinate arrays coords, or ValueError for a
     coordinate count that is not the model's."""
-    fn = _model(name)[part]
-    dim = len(inspect.signature(fn).parameters)
+    *fns, dim = _model(name)
     if len(coords) != dim:
         raise ValueError(f"model {name} takes {dim} coordinate array{'s' * (dim > 1)}, "
                          f"got {len(coords)}")
-    return fn(*(np.asarray(c, dtype=float) for c in coords))
+    return fns[part](*(np.asarray(c, dtype=float) for c in coords))
 
 
 def model_mean(name, *coords):
@@ -101,9 +109,9 @@ class ModelSpec:
     """Which process to simulate and on what grid.
 
     resolution is the grid size (per axis for the surface model C).
-    midpoint_grid=True places curve measurements at s_p = (p - 0.5) / P,
-    the fixed design of the discrete-observation experiments; otherwise
-    the grid spans [0, 1] endpoints inclusive.
+    midpoint_grid=True places the measurements on every axis at
+    s_p = (p - 0.5) / P, the fixed design of the discrete-observation
+    experiments; otherwise each axis spans [0, 1] endpoints inclusive.
     """
 
     model: str = "A"
@@ -117,7 +125,7 @@ class ModelSpec:
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         object.__setattr__(self, "midpoint_grid", _flag("midpoint_grid", self.midpoint_grid))
         _model(self.model)
-        if self.coef_law not in ("gaussian", "t3", "chisq"):
+        if self.coef_law not in _LAWS:
             raise ValueError(f"unknown coefficient law {self.coef_law!r}")
         if self.resolution < 3:
             raise ValueError("resolution must be at least 3")
@@ -125,23 +133,11 @@ class ModelSpec:
             raise ValueError("chi-square dof must be at least 1")
 
     def make_grid(self):
-        if self.model == "C":
-            axis = np.linspace(0.0, 1.0, self.resolution)
-            return Grid2D(axis, axis)
         if self.midpoint_grid:
             pts = (np.arange(self.resolution) + 0.5) / self.resolution
         else:
             pts = np.linspace(0.0, 1.0, self.resolution)
-        return Grid1D(pts)
-
-
-def _draw_coefficients(spec, shape, gen):
-    if spec.coef_law == "gaussian":
-        return gen.standard_normal(shape)
-    if spec.coef_law == "t3":
-        return gen.standard_t(3, shape) / np.sqrt(3.0)
-    nu = spec.nu
-    return (gen.chisquare(nu, shape) - nu) / np.sqrt(2.0 * nu)
+        return Grid1D(pts) if _MODELS[self.model][3] == 1 else Grid2D(pts, pts)
 
 
 @functools.lru_cache(maxsize=16)
@@ -153,7 +149,7 @@ def _model_parts(spec):
     """
     grid = spec.make_grid()
     coords = grid.lattice_coords()
-    mu, amp, basis = (fn(*coords) for fn in _MODELS[spec.model])
+    mu, amp, basis = (fn(*coords) for fn in _MODELS[spec.model][:3])
     basis = basis / np.linalg.norm(basis, axis=0)
     for arr in (basis, mu, amp):
         arr.setflags(write=False)
@@ -171,7 +167,7 @@ def gen_model_block(spec, n, rng, replicates):
     n, replicates = _count("n", n, positive=True), _count("replicates", replicates)
     _, basis, mu, amp = _model_parts(spec)
     shape = (replicates, n, basis.shape[0])
-    values = _draw_coefficients(spec, shape, rng) @ basis
+    values = _LAWS[spec.coef_law](rng, shape, spec.nu) @ basis
     values *= amp
     values += mu  # mu + amp * (coeffs @ basis), without two (R, N, P) temporaries
     return values

@@ -207,6 +207,21 @@ def test_the_scale_grid_and_pooling_rules_have_one_owner():
                 and "n_samples" in ast.unparse(n)]
 
 
+def test_each_model_and_law_is_one_table_row():
+    # models._MODELS and models._LAWS are the only description of a synthetic
+    # model: no comparison in models.py names a model letter or a law, and a
+    # model's coordinate count is its row's axis count, not a signature.
+    tree = ast.parse((Path(scbands.__file__).resolve().parent / "models.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "inspect" not in imported
+    names = {"A", "B", "C", "gaussian", "t3", "chisq"}
+    compared = {ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                for operand in (node.left, *node.comparators) for c in ast.walk(operand)
+                if isinstance(c, ast.Constant) and c.value in names}
+    assert not compared
+
+
 def test_package_exports_are_unique_and_come_from_modules():
     names = scbands.__all__
     assert len(names) == len(set(names))

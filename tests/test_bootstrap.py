@@ -365,7 +365,8 @@ def test_degenerate_multiplier_replicate_is_named_past_the_first_block():
     flips = _multipliers("rademacher", 8, (300, 8)) * signs
     first = int(np.argmax(np.all(flips == flips[:, :1], axis=1)))
     assert first == 96
-    with pytest.raises(DegenerateVarianceError, match="at grid point 7 in replicate 96$"):
+    named = r"at grid point 7 \(s=0\.368421\) in replicate 96$"
+    with pytest.raises(DegenerateVarianceError, match=named):
         mult_t_quantile(s, "rademacher", cfg)
     assert np.isfinite(mult_t_quantile(s, "gaussian", cfg))
 

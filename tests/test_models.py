@@ -119,6 +119,9 @@ def test_midpoint_design_grid():
     assert_allclose(s.grid.points, (np.arange(100) + 0.5) / 100.0)
     default = ModelSpec("A", resolution=100).make_grid()
     assert default.points[0] == 0.0 and default.points[-1] == 1.0
+    surface = ModelSpec("C", resolution=5, midpoint_grid=True).make_grid()
+    assert_array_equal(surface.x_points, (np.arange(5) + 0.5) / 5)
+    assert_array_equal(surface.y_points, (np.arange(5) + 0.5) / 5)
 
 
 def test_observation_noise_variance():
@@ -220,8 +223,9 @@ def test_model_parts_are_cached_and_read_only():
         ModelSpec("A", resolution=50),
         ModelSpec("B", coef_law="t3", resolution=64, midpoint_grid=True),
         ModelSpec("C", coef_law="chisq", nu=3, resolution=9),
+        ModelSpec("C", coef_law="t3", resolution=9, midpoint_grid=True),
     ],
-    ids=["A", "B", "C"],
+    ids=["A", "B", "C", "C-midpoint"],
 )
 def test_gen_model_equals_uncached_formula(spec):
     grid = spec.make_grid()

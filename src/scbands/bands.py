@@ -23,9 +23,9 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, boots_t_quantile, mult_t_quantile
 from .errors import _owned, _real_array
-from .fdata import FunctionalSample, _mean_field, _nonzero_scale, grids_equal
-from .kinematic import ECDensityModel, tgkf_quantile
-from .lkc import lkc_estimate
+from .fdata import FunctionalSample, Grid1D, _mean_field, _nonzero_scale, _suspect, grids_equal
+from .kinematic import ECDensityModel, LKCVector, tgkf_quantile
+from .lkc import _lambda, _lkc_1d, _lkc_2d, lkc_estimate
 from .scalespace import smooth_sample
 
 __all__ = [
@@ -52,6 +52,11 @@ _METHODS = {
     "gauss-sim": ("mult", "gaussian", False),
 }
 METHOD_NAMES = tuple(_METHODS)
+
+# _tgkf_bands takes a block's residual fields and curvature fields in chunks of
+# about this many values per array, so its temporaries stay far below the
+# block's stack of draws.
+_CHUNK_VALUES = 1 << 14
 
 
 def _parse_method_for(method, two_sample):
@@ -89,30 +94,42 @@ class SCBand:
             raise ValueError("band must satisfy lower <= center <= upper")
 
 
+def _residual_stacks(values, grid):
+    """(center, scale, rate, residual stacks) of the mean field of one or two
+    groups, each given as its (..., N, P) values; leading axes index
+    replicates. The stacks are sqrt(k_G) (G_n - mean_G) / scale, all parts
+    fdata._mean_field's, so the field takes no second mean pass. A scale
+    fdata._suspect flags is checked by fdata._nonzero_scale, replicate by
+    replicate, which raises where it cannot studentize.
+    """
+    stacks = [np.copy(v) for v in values]
+    center, scale, rate, parts = _mean_field(*stacks)
+    name = "pointwise sd" if len(values) == 1 else "pooled sd"
+    flagged = _suspect(scale, values).any(axis=-1)
+    for r in map(tuple, np.argwhere(flagged)) if flagged.any() else ():
+        _nonzero_scale(scale[r], grid, name, [v[r] for v in values])
+    for v, res, (mean, factor) in zip(values, stacks, parts):  # into the consumed copies
+        np.subtract(v, mean[..., None, :], out=res)
+        if factor != 1.0:  # one sample's factor: a pass that would change no bit
+            res *= factor
+        res /= scale[..., None, :]
+    return center, scale, rate, stacks
+
+
 def _residual_field(samples):
     """(center, scale, rate, residual groups) of the mean field of one sample
-    (see normed_residuals) or of the difference of two (two_sample_residuals).
-
-    Every part is fdata._mean_field's: center, scale, rate, and each
-    group's mean and factor, so the field takes no second mean pass.
-    """
+    (see normed_residuals) or of the difference of two (two_sample_residuals):
+    _residual_stacks' parts, each residual group a FunctionalSample."""
     one, grid = len(samples) == 1, samples[0].grid
     if not all(grids_equal(s.grid, grid) for s in samples[1:]):
         raise ValueError("grid mismatch between the two samples")
     if min(s.n_samples for s in samples) < 2:
         raise ValueError("a band needs at least 2 curves" if one
                          else "both groups need at least 2 curves")
-    center, scale, rate, parts = _mean_field(*(np.copy(s.values) for s in samples))
-    scale = _nonzero_scale(scale, grid, "pointwise sd" if one else "pooled sd",
-                           [s.values for s in samples])
-    groups = []
-    for s, (mean, factor) in zip(samples, parts):
-        res = np.subtract(s.values, mean)
-        res *= factor
-        res /= scale
-        # _nonzero_scale passed, so |Y - mean| <= sqrt(N-1) scale, also under the pooled scale
-        groups.append(_owned(FunctionalSample, values=res, grid=grid))
-    return center, scale, rate, tuple(groups)
+    center, scale, rate, stacks = _residual_stacks([s.values for s in samples], grid)
+    # the scales passed, so |Y - mean| <= sqrt(N-1) scale, also under the pooled scale
+    groups = tuple(_owned(FunctionalSample, values=res, grid=grid) for res in stacks)
+    return center, scale, rate, groups
 
 
 def normed_residuals(sample):
@@ -200,6 +217,11 @@ def scb_scale_space(raw, kernel, sg, method="tgkf", alpha=0.05, replicates=1000,
     return scb_one_sample(smoothed, method, alpha, replicates, seed)
 
 
+def _inside(lower, upper, truth):
+    """Whether truth lies in [lower, upper] at every grid point, along the last axis."""
+    return np.all((lower <= truth) & (truth <= upper), axis=-1)
+
+
 def covers(band, truth):
     """True when the closed band contains the curve at every grid point; a
     truth that errors._real_array refuses (a NaN entry) raises, never False."""
@@ -208,7 +230,40 @@ def covers(band, truth):
         raise ValueError(
             f"grid mismatch: truth has shape {t.shape}, band has {band.center.shape}"
         )
-    return bool(np.all((band.lower <= t) & (t <= band.upper)))
+    return bool(_inside(band.lower, band.upper, t))
+
+
+def _tgkf_bands(values, grid, alpha, truth):
+    """(quantile, covered) of the tGKF band of each of R replicates, built
+    together: values holds each group's (R, N, P) stack, truth a finite (P,)
+    curve. Every step is _scb's and covers' on a leading replicate axis
+    (_residual_stacks, the lkc cores, one tgkf_quantile call over the R
+    curvature rows), so each pair is bitwise that replicate's own band's.
+    The residual and curvature fields are taken in chunks of replicates of
+    about _CHUNK_VALUES values per array; the solve runs over all R rows.
+
+    Raises ValueError or ArithmeticError where any replicate's band needs a
+    check that the cores leave to the public functions: a scale that
+    cannot studentize, a curvature field or integral that is not finite, an
+    unsolvable tail, a quantile too large for a finite band. Its message
+    need not be that band's; the caller then builds the bands one by one.
+    """
+    step = max(1, _CHUNK_VALUES // values[0][0].size)
+    fields = []
+    for i in range(0, len(values[0]), step):
+        center, scale, rate, stacks = _residual_stacks([v[i:i + step] for v in values], grid)
+        fields.append((center, scale, sum(_lambda(res, grid) for res in stacks)))
+    center, scale, lam = (np.concatenate(f) for f in zip(*fields))
+    if not np.isfinite(lam).all():
+        raise ValueError("a gradient covariance field is not finite")
+    curvatures = zip(_lkc_1d(lam, grid)) if isinstance(grid, Grid1D) else zip(*_lkc_2d(lam, grid))
+    dof = sum(v.shape[-2] - 1 for v in values)
+    q = tgkf_quantile([LKCVector(1, c) for c in curvatures], ECDensityModel.student_t(dof), alpha)
+    if not np.all(q < 2.0**458):
+        raise ValueError("a quantile is too large for a finite band")
+    half = q[:, None] * scale / rate
+    covered = _inside(center - half, center + half, truth)
+    return list(zip(q.tolist(), covered.tolist()))
 
 
 def band_to_dict(band):

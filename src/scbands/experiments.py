@@ -10,13 +10,18 @@ no quantile solution) are recorded per cell instead of aborting the sweep.
 
 The bands and the width table's brute-force reference row share one
 scheduler of replicate blocks, _sweep, the only code that cuts blocks. A
-band block holds one replicate, drawn from the substreams of its replicate
-index. A reference block holds about _BLOCK_VALUES values: one (R, N, P)
-array per group, drawn from one substream per purpose and centered in
-place, so the reference row's memory does not grow with true_replications.
-Block boundaries depend only on N, the grid width and _BLOCK_VALUES, and
-every block is drawn whole, its rows past the replication count dropped,
-so raising true_replications keeps every earlier statistic.
+block holds about _BLOCK_VALUES values: one (R, N, P) array per group, so
+memory does not grow with the replication counts. Block boundaries depend
+only on N, the grid width and _BLOCK_VALUES.
+
+A band block draws each replicate from the substreams of its own index and
+stops at the replication count; since its draws are addressed by
+replicate, the clipping moves no draw. Its tGKF bands are built together
+on the stack of its draws, with one lockstep quantile solve
+(bands._tgkf_bands), and its resampling bands one replicate at a time. A
+reference block draws all its paths from one substream per purpose and
+centers them in place; it is drawn whole, its rows past the replication
+count dropped, so raising true_replications keeps every earlier statistic.
 """
 
 import math
@@ -25,9 +30,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bands import _parse_method_for, covers, scb_one_sample, scb_two_sample
+from .bands import _inside, _parse_method_for, _tgkf_bands, scb_one_sample, scb_two_sample
 from .bootstrap import ceiling_rank_quantile
-from .errors import _check_alpha, _check_sigma_obs, _count, _flag, _integer, _is_real, _sequence
+from .errors import (_check_alpha, _check_sigma_obs, _count, _flag, _integer, _is_real,
+                     _real_array, _sequence)
 from .fdata import FunctionalSample, _bad_scale, _mean_field, _nonzero_scale
 from .models import ModelSpec, _model_parts, gen_model_block
 from .rng import STREAM_LAYOUT, child_sequence, substream
@@ -170,12 +176,14 @@ class _Pipeline:
             self.grid, self.truth = sg.grid, self.weights @ mu
         if cfg.two_sample:
             self.truth = np.zeros_like(self.truth)
+        # checked once here, so the bands compare with it unchecked
+        self.truth = _real_array("truth", self.truth, 1, "a one-dimensional sequence")
         # Values per path of the widest array a block of draws holds.
         self.width = max(grid.n_points, self.grid.n_points)
 
-    def block_size(self, n_index, block_values):
-        """Replicates (at least one) per block of about block_values values at n_values[n_index]."""
-        return max(1, block_values // (self.cfg.n_values[n_index] * self.width))
+    def block_size(self, n_index):
+        """Replicates (at least one) per block of about _BLOCK_VALUES values at n_values[n_index]."""
+        return max(1, _BLOCK_VALUES // (self.cfg.n_values[n_index] * self.width))
 
     def draw_groups(self, n_index, reps, tags):
         """(R, N, P) analysis values of the block of replicates reps (_raw_block),
@@ -217,19 +225,20 @@ def _failure_tolerant(fn, *args):
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _sweep(pipe, block, reps, block_values, threads):
+def _sweep(pipe, block, reps, threads):
     """Rows of the replicates 0..reps-1 of every N, one list of rows per N.
 
     Each N's replicates are cut into whole blocks range(b R, (b + 1) R) of
     R = pipe.block_size replicates; the rows past reps are dropped. block is
     a module-level function, and block(pipe, n_index, reps) returns one row
-    per replicate of its block; the thread pool maps it over the blocks'
-    plain-data arguments.
+    per replicate of its block (a band block, per replicate below the
+    replication count); the thread pool maps it over the blocks' plain-data
+    arguments.
     """
     threads = _count("threads", threads, positive=True)
     items = []
     for i in range(len(pipe.cfg.n_values)):
-        size = pipe.block_size(i, block_values)
+        size = pipe.block_size(i)
         items += [(pipe, i, range(r, r + size)) for r in range(0, reps, size)]
     if threads == 1:
         blocks = list(map(block, *zip(*items)))
@@ -247,26 +256,44 @@ def _band(pipe, samples, method, seed):
     cfg = pipe.cfg
     build = scb_two_sample if cfg.two_sample else scb_one_sample
     band = build(*samples, method, cfg.alpha, cfg.bootstrap_replicates, seed)
-    return band.quantile, covers(band, pipe.truth)
+    return band.quantile, bool(_inside(band.lower, band.upper, pipe.truth))
 
 
 def _band_block(pipe, n_index, reps):
-    """One row per replicate of reps, holding a (value, reason) pair per method.
+    """One row per replicate of reps below cfg.replications, holding a
+    (value, reason) pair per method.
 
     value is the band's (quantile, covered) pair, or None with the failure
-    message as reason when the draw or the estimator failed.
+    message as reason when the draw or the estimator failed. Each replicate
+    is drawn from the substreams of its own index. The block's tGKF bands
+    are built together from the (R, N, P) stack of its draws
+    (bands._tgkf_bands); if a draw fails or any of them fails there, they
+    are built one replicate at a time like the resampling bands, so every
+    reason is the one-band path's.
     """
     cfg = pipe.cfg
-
-    def scores(rep):
-        groups = pipe.draw_groups(n_index, range(rep, rep + 1), _BAND_TAGS)
-        samples = [FunctionalSample(values[0], pipe.grid) for values in groups]
-        return [_failure_tolerant(_band, pipe, samples, method,
-                                  child_sequence(cfg.seed, _TAG_METHOD, n_index, rep, m_index))
-                for m_index, method in enumerate(cfg.methods)]
-
-    rows = [_failure_tolerant(scores, rep) for rep in reps]
-    return [[(None, reason)] * len(cfg.methods) if reason else row for row, reason in rows]
+    reps = range(reps.start, min(reps.stop, cfg.replications))
+    drawn = [_failure_tolerant(pipe.draw_groups, n_index, range(rep, rep + 1), _BAND_TAGS)
+             for rep in reps]
+    tgkf = None
+    if "tgkf" in cfg.methods and all(groups for groups, _ in drawn):
+        stacks = [np.concatenate(draws) for draws in zip(*(groups for groups, _ in drawn))]
+        # each replicate's draws are now views of the stacks, so a block holds them once
+        drawn = [([s[k:k + 1] for s in stacks], None) for k in range(len(reps))]
+        tgkf = _failure_tolerant(_tgkf_bands, stacks, pipe.grid, cfg.alpha, pipe.truth)[0]
+    rows = []
+    for k, (rep, (groups, reason)) in enumerate(zip(reps, drawn)):
+        row = [(tgkf[k], None) if tgkf and method == "tgkf" else None for method in cfg.methods]
+        if None in row and not reason:  # a band built alone reads the replicate's samples
+            samples, reason = _failure_tolerant(
+                lambda: [FunctionalSample(values[0], pipe.grid) for values in groups])
+        if reason:
+            rows.append([(None, reason)] * len(cfg.methods))
+            continue
+        rows.append([pair or _failure_tolerant(
+            _band, pipe, samples, method, child_sequence(cfg.seed, _TAG_METHOD, n_index, rep, m))
+            for m, (method, pair) in enumerate(zip(cfg.methods, row))])
+    return rows
 
 
 def _cells(n, methods, columns, summary):
@@ -286,7 +313,7 @@ def _cells(n, methods, columns, summary):
 def run_coverage(cfg, threads=1):
     """Coverage table: one cell per (N, method) with hit rate and binomial SE."""
     pipe = _Pipeline(cfg)
-    rows = _sweep(pipe, _band_block, cfg.replications, 1, threads)
+    rows = _sweep(pipe, _band_block, cfg.replications, threads)
 
     def summary(pairs):
         hits, valid = sum(covered for _, covered in pairs), len(pairs)
@@ -330,8 +357,8 @@ def run_width(cfg, threads=1):
     """Width table: mean quantile +/- 2 SE per (N, method), plus the
     brute-force reference row from true_replications max-t draws."""
     pipe = _Pipeline(cfg)
-    rows = _sweep(pipe, _band_block, cfg.replications, 1, threads)
-    true_rows = _sweep(pipe, _reference_block, cfg.true_replications, _BLOCK_VALUES, threads)
+    rows = _sweep(pipe, _band_block, cfg.replications, threads)
+    true_rows = _sweep(pipe, _reference_block, cfg.true_replications, threads)
 
     def summary(pairs):
         if not pairs:

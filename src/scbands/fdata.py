@@ -126,6 +126,17 @@ def _bad_scale(scale):
     return ~((scale >= 2.0**-511) & (scale < np.inf))
 
 
+def _suspect(scale, values=()):
+    """Where _nonzero_scale searches scale, with any leading axes: where
+    _bad_scale flags it, or where it is at most n^2 2^-52 of the first of the
+    (..., N, P) arrays values behind it, for n curves in all."""
+    tol = sum(v.shape[-2] for v in values) ** 2 * 2.0**-52
+    suspect = _bad_scale(scale)
+    for v in values:
+        suspect |= scale <= tol * np.abs(v[..., 0, :])
+    return suspect
+
+
 def _nonzero_scale(scale, grid, name, values=()):
     """scale, raising at its first grid point that _bad_scale flags or where
     none of the (N, P) arrays values behind it varies: with
@@ -134,13 +145,10 @@ def _nonzero_scale(scale, grid, name, values=()):
 
     Equal curves leave a scale of rounding size, below n^2 2^-52 of their
     value for n curves in all, so only the points where the scale is that
-    small next to the first curves' magnitude are searched for equal values.
+    small next to the first curves' magnitude (_suspect) are searched for
+    equal values.
     """
-    tol = sum(len(v) for v in values) ** 2 * 2.0**-52
-    suspect = _bad_scale(scale)
-    for v in values:
-        suspect |= scale <= tol * np.abs(v[0])
-    suspect = np.flatnonzero(suspect)
+    suspect = np.flatnonzero(_suspect(scale, values))
     if suspect.size:
         # without values, only a zero scale tells of equal values; an inf spread is not zero
         with np.errstate(over="ignore"):
@@ -191,19 +199,69 @@ def _mean_field(y, x=None):
         return mean_y - mean_x, np.sqrt(var), np.sqrt(n + x.shape[-2] - 2), groups
 
 
-def gradient(sample):
-    """Finite-difference partials of every row, one fresh (N, P) array per axis.
+def _stencil(points):
+    """np.gradient's edge_order=2 coefficients along an axis of points, as
+    (interior, first, last). interior is 2 h when every step equals the first
+    step h (numpy's uniform-spacing test), for (f[2:] - f[:-2]) / (2 h), and
+    else the (a, b, c) arrays of a f[:-2] + b f[1:-1] + c f[2:]; first and
+    last are the (a, b, c) of the one-sided stencils on f[:3] and f[-3:].
+    Each coefficient is numpy's expression, so each derivative is bitwise
+    numpy's."""
+    dx = np.diff(points)
+    if (dx == dx[0]).all():
+        h = dx[0]
+        return 2.0 * h, (-1.5 / h, 2.0 / h, -0.5 / h), (0.5 / h, -2.0 / h, 1.5 / h)
+    d1, d2 = dx[:-1], dx[1:]
+    interior = -d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2), d1 / (d2 * (d1 + d2))
+    d1, d2 = dx[0], dx[1]
+    first = -(2.0 * d1 + d2) / (d1 * (d1 + d2)), (d1 + d2) / (d1 * d2), -d1 / (d2 * (d1 + d2))
+    d1, d2 = dx[-2], dx[-1]
+    last = d2 / (d1 * (d1 + d2)), -(d2 + d1) / (d1 * d2), (2.0 * d2 + d1) / (d2 * (d1 + d2))
+    return interior, first, last
 
-    Central second-order differences at interior points and one-sided
-    second-order stencils at the grid edges, per axis, in one np.gradient
-    call over the rows as an (N, *axis sizes) array: the tuple holds the
-    derivative on a 1-D grid and the (x, y) partials on a 2-D lattice. A
-    step whose square underflows (below about 1e-154) can give inf or NaN
-    entries, without a warning.
+
+def _combine(out, coefficients, rows):
+    """out = a r0 + b r1 + c r2, summed left to right as numpy does, in place
+    with one temporary."""
+    (a, b, c), (r0, r1, r2) = coefficients, rows
+    np.multiply(a, r0, out=out)
+    term = np.multiply(b, r1)
+    out += term
+    out += np.multiply(c, r2, out=term)
+
+
+def _gradient(values, grid):
+    """Finite-difference partials of every row of values, (..., N, P) on grid,
+    one fresh array of that shape per axis: the derivative on a 1-D grid, the
+    (x, y) partials on a 2-D lattice. Leading axes index replicates.
+
+    Each axis's _stencil is computed once and applied along that axis of
+    the whole (..., N, *axis sizes) stack, writing into the result: central
+    second-order differences at interior points and one-sided second-order
+    stencils at the edges, bitwise np.gradient(edge_order=2). A step whose
+    square underflows (below about 1e-154) can give inf or NaN entries,
+    without a warning.
     """
-    n, axes = sample.n_samples, sample.grid.axes
-    cube = sample.values.reshape(n, *(a.size for a in axes))
+    sizes = tuple(a.size for a in grid.axes)
+    cube = values.reshape(*values.shape[:-1], *sizes)
+    parts = []
     with np.errstate(all="ignore"):
-        parts = np.gradient(cube, *axes, axis=tuple(range(1, cube.ndim)), edge_order=2)
-    # numpy returns a bare array, not a 1-tuple, for a single axis
-    return tuple(d.reshape(n, -1) for d in (parts if len(axes) > 1 else (parts,)))
+        for k, points in enumerate(grid.axes):
+            interior, first, last = _stencil(points)
+            out = np.empty(cube.shape)
+            f, o = (np.swapaxes(a, k - len(sizes), 0) for a in (cube, out))
+            if np.ndim(interior) == 0:
+                np.divide(np.subtract(f[2:], f[:-2], out=o[1:-1]), interior, out=o[1:-1])
+            else:
+                shape = (-1,) + (1,) * (f.ndim - 1)
+                _combine(o[1:-1], [c.reshape(shape) for c in interior], (f[:-2], f[1:-1], f[2:]))
+            _combine(o[0], first, f[:3])
+            _combine(o[-1], last, f[-3:])
+            parts.append(out.reshape(values.shape))
+    return tuple(parts)
+
+
+def gradient(sample):
+    """Finite-difference partials of every row of the sample, one fresh (N, P)
+    array per axis (_gradient)."""
+    return _gradient(sample.values, sample.grid)

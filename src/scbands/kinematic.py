@@ -19,8 +19,16 @@ which decreases in u for nu >= 2 and in the Gaussian limit. So the EEC
 rises at most once, then falls, and crosses alpha/2 exactly once: at the
 largest root. For nu < 2, rho_2 grows like u^(2-nu): with L2 > 0 the EEC
 has no last crossing, and is rejected.
+
+tgkf_quantile is the one solver, for one curvature vector and for the R
+rows of a block of replicates. Each row's search is the generator _root;
+the rows step in lockstep, one eec call per step over the rows still
+searching, so a block pays the per-call overhead of the EC densities once
+per step instead of once per row. Each row's arithmetic is its own, so
+each quantile is bitwise the row's solve alone.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +39,7 @@ from .errors import QuantileNoSolutionError, _check_alpha, _count, _is_real, _se
 __all__ = ["LKCVector", "ECDensityModel", "eec", "tgkf_quantile"]
 
 _TWO_PI = 2.0 * np.pi
+_LKC_ROWS = "an LKCVector or a sequence of LKCVectors of one dimension"
 
 
 @dataclass(frozen=True)
@@ -116,36 +125,26 @@ def ec_density(model, d, u):
 
 
 def eec(lkc, model, u):
-    """Expected Euler characteristic of the excursion set above u."""
+    """Expected Euler characteristic of the excursion set above u.
+
+    lkc is an LKCVector, or (in the lockstep solver) any l0 and curvatures
+    whose entries broadcast with u: the EEC of each row at its own u.
+    """
     total = lkc.l0 * ec_density(model, 0, u)
     for d, ld in enumerate(lkc.curvatures, start=1):
         total = total + ld * ec_density(model, d, u)
     return total
 
 
-def tgkf_quantile(lkc, model, alpha):
-    """Largest u solving EEC(u) = alpha/2.
+# Rows of curvatures in eec's form: an (R,) array of L0 and one (R,) array per L_d.
+_Rows = namedtuple("_Rows", "l0 curvatures")
 
-    hi doubles from 1 until EEC(hi) < alpha/2; the bisection then starts
-    from [hi/2, hi], the last bracket the doubling proved ([0, 1] when
-    EEC(1) is already below; the module docstring shows it holds one root),
-    so no u is evaluated twice. It stops at a width of 1e-9 or at adjacent
-    doubles (past about 4.5e6). So u lies within max(1e-9, one ulp) of a
-    sign change of the floating EEC; rounding blurs where that is, e.g. near
-    a root of 4e5 the floating EEC changes sign several times within 7e-10.
-    Raises QuantileNoSolutionError for alpha outside (0, 1); for dof < 2 on
-    a 2-D domain with L2 > 0; and when the EEC is still at least alpha/2 at
-    u = 2^39, as flat or slowly decaying tails (nu <= 2) can be.
-    """
-    _check_alpha(alpha, QuantileNoSolutionError)
-    # curvatures[1:] holds L2 on a 2-D domain and nothing on a 1-D one.
-    if model.family == "student_t" and model.dof < 2 and sum(lkc.curvatures[1:]) > 0:
-        raise QuantileNoSolutionError(
-            f"2-D tGKF needs dof >= 2 (at least 3 surfaces), got dof={model.dof:g}"
-        )
-    target = 0.5 * alpha
+
+def _root(target):
+    """One row's search for the largest u with EEC(u) = target, as a generator:
+    it yields each u to evaluate, is sent EEC(u), and returns the root."""
     lo, hi = 0.0, 1.0
-    while eec(lkc, model, hi) >= target:
+    while (yield hi) >= target:
         lo, hi = hi, 2.0 * hi
         if hi > 1e12:
             raise QuantileNoSolutionError("EEC tail failed to drop below alpha/2")
@@ -154,8 +153,68 @@ def tgkf_quantile(lkc, model, alpha):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if eec(lkc, model, mid) >= target:
+        if (yield mid) >= target:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def tgkf_quantile(lkc, model, alpha):
+    """Largest u solving EEC(u) = alpha/2, for one LKCVector (a float) or
+    for each of a sequence of R LKCVectors of one dimension (an (R,) array).
+
+    hi doubles from 1 until EEC(hi) < alpha/2; the bisection then starts
+    from [hi/2, hi], the last bracket the doubling proved ([0, 1] when
+    EEC(1) is already below; the module docstring shows it holds one root),
+    so no u is evaluated twice. It stops at a width of 1e-9 or at adjacent
+    doubles (past about 4.5e6). So u lies within max(1e-9, one ulp) of a
+    sign change of the floating EEC; rounding blurs where that is, e.g. near
+    a root of 4e5 the floating EEC changes sign several times within 7e-10.
+
+    Each row's search is _root; R rows step in lockstep, one eec call per
+    step over the rows still searching, each at its own u, and the last
+    row left (the only one, for one LKCVector) steps alone on its own
+    LKCVector. Every row's arithmetic is its own, so each quantile is
+    bitwise the row's solve alone.
+
+    Raises QuantileNoSolutionError for alpha outside (0, 1); for dof < 2 on
+    a 2-D domain with L2 > 0; and when the EEC is still at least alpha/2 at
+    u = 2^39, as flat or slowly decaying tails (nu <= 2) can be; for R rows,
+    when any row has that error.
+    """
+    _check_alpha(alpha, QuantileNoSolutionError)
+    one = isinstance(lkc, LKCVector)
+    vectors = (lkc,) if one else _sequence("lkc", lkc, _LKC_ROWS)
+    if not (vectors and all(isinstance(v, LKCVector) for v in vectors)
+            and len({len(v.curvatures) for v in vectors}) == 1):
+        raise ValueError(f"lkc must be {_LKC_ROWS}, got {lkc!r}")
+    # curvatures[1:] holds L2 on a 2-D domain and nothing on a 1-D one.
+    if model.family == "student_t" and model.dof < 2 and any(sum(v.curvatures[1:]) > 0
+                                                             for v in vectors):
+        raise QuantileNoSolutionError(
+            f"2-D tGKF needs dof >= 2 (at least 3 surfaces), got dof={model.dof:g}"
+        )
+    searches = [_root(0.5 * alpha) for _ in vectors]
+    probes = {i: next(search) for i, search in enumerate(searches)}
+    stacks, roots = {}, [None] * len(vectors)  # stacks: the _Rows of each set of live rows
+    while len(probes) > 1:
+        live = tuple(probes)
+        if live not in stacks:
+            rows = [vectors[i] for i in live]
+            stacks[live] = _Rows(np.array([v.l0 for v in rows]),
+                                 np.array([v.curvatures for v in rows]).T)
+        values = eec(stacks[live], model, np.array(list(probes.values()))).tolist()
+        probes = {}
+        for i, value in zip(live, values):
+            try:
+                probes[i] = searches[i].send(value)
+            except StopIteration as done:
+                roots[i] = done.value
+    for i, u in probes.items():  # a last live row steps alone, on its own LKCVector
+        try:
+            while True:
+                u = searches[i].send(eec(vectors[i], model, u))
+        except StopIteration as done:
+            roots[i] = done.value
+    return roots[0] if one else np.array(roots)

@@ -6,8 +6,6 @@ the curvatures L1 (metric length, halved boundary length in 2-D) and L2
 (metric area) that weight the EC densities.
 """
 
-import math
-
 import numpy as np
 
 from .errors import _real_array
@@ -15,6 +13,7 @@ from .fdata import (
     FunctionalSample,
     Grid1D,
     Grid2D,
+    _gradient,
     _mean_var,
     _nonzero_scale,
     _point_label,
@@ -24,6 +23,24 @@ from .fdata import (
 from .kinematic import LKCVector
 
 __all__ = ["lambda_hat", "lkc_1d", "lkc_2d", "lkc_estimate"]
+
+
+def _lambda(residuals, grid):
+    """lambda_hat's field of each stack of residual rows: (..., N, P) values on
+    grid give (..., P) variances on a 1-D grid and (..., P, 2, 2) matrices on
+    a 2-D lattice. Entries past what a double holds come out inf or NaN,
+    without a warning."""
+    parts = _gradient(residuals, grid)
+    with np.errstate(all="ignore"):
+        if len(parts) == 1:
+            return _mean_var(parts[0])[1]
+        for d in parts:
+            d -= d.mean(axis=-2, keepdims=True)
+        lam = np.empty((*residuals.shape[:-2], residuals.shape[-1], 2, 2))
+        for i, j in ((0, 0), (1, 1), (0, 1)):
+            lam[..., i, j] = lam[..., j, i] = np.einsum("...np,...np->...p", parts[i], parts[j])
+        lam /= residuals.shape[-2] - 1
+    return lam
 
 
 def lambda_hat(residuals):
@@ -39,20 +56,9 @@ def lambda_hat(residuals):
     """
     if not isinstance(residuals, FunctionalSample):
         raise ValueError("lambda_hat needs a FunctionalSample of residuals")
-    n = residuals.n_samples
-    if n < 2:
+    if residuals.n_samples < 2:
         raise ValueError("gradient covariance needs at least 2 residual rows")
-    parts = gradient(residuals)
-    with np.errstate(all="ignore"):  # an inf or NaN entry is named below
-        if len(parts) == 1:
-            lam = _mean_var(parts[0])[1]
-        else:
-            for d in parts:
-                d -= d.mean(axis=0)
-            lam = np.empty((residuals.n_points, 2, 2))
-            for i, j in ((0, 0), (1, 1), (0, 1)):
-                lam[:, i, j] = lam[:, j, i] = np.einsum("np,np->p", parts[i], parts[j])
-            lam /= n - 1
+    lam = _lambda(residuals.values, residuals.grid)
     if not np.isfinite(lam).all():
         p = int(np.argwhere(~np.isfinite(lam))[0, 0])
         raise ValueError(f"gradient variance is not finite at grid point "
@@ -71,17 +77,24 @@ def _field(lam, shape, dim):
 
 
 def _integral(terms, grid, name, nodes=None):
-    """float(np.sum(terms)), or ValueError naming the grid point of the first
-    term where the running sum is not finite: a term or a sum past what a
-    double holds. nodes maps terms to flat grid points (None: term k is
-    point k). Callers compute terms under np.errstate, as overflows here
-    are named, not warned of."""
-    total = float(np.sum(terms))
-    if not math.isfinite(total):
-        k = int(np.argmax(~np.isfinite(np.cumsum(terms))))
+    """np.sum(terms, axis=-1), or ValueError naming the grid point of the first
+    term where the running sum of the first row with a sum that is not finite
+    stops being finite: a term or a sum past what a double holds. nodes maps
+    terms to flat grid points (None: term k is point k). Callers compute terms
+    under np.errstate, as overflows here are named, not warned of."""
+    total = np.sum(terms, axis=-1)
+    if not np.isfinite(total).all():
+        row = terms[~np.isfinite(total)][0]
+        k = int(np.argmax(~np.isfinite(np.cumsum(row))))
         p = k if nodes is None else int(nodes[k])
         raise ValueError(f"{name} is not finite at grid point {_point_label(grid, p)}")
     return total
+
+
+def _lkc_1d(lam, grid):
+    """lkc_1d's integral of each (..., P) field lam: an array of the leading shape."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _integral(grid.trapezoid_weights() * np.sqrt(lam), grid, "L1 integral")
 
 
 def lkc_1d(lam, grid):
@@ -96,8 +109,31 @@ def lkc_1d(lam, grid):
     lam = _field(lam, (grid.n_points,), "1-D")
     if np.any(lam < 0):
         raise ValueError("derivative variances must be non-negative")
+    return float(_lkc_1d(lam, grid))
+
+
+def _lkc_2d(lam, grid):
+    """lkc_2d's (L1, L2) of each (..., P, 2, 2) field lam: two arrays of the
+    leading shape."""
+    lead = lam.shape[:-3]
     with np.errstate(over="ignore", invalid="ignore"):
-        return _integral(grid.trapezoid_weights() * np.sqrt(lam), grid, "L1 integral")
+        det = lam[..., 0, 0] * lam[..., 1, 1] - lam[..., 0, 1] ** 2
+        area = grid.trapezoid_weights() * np.sqrt(np.clip(det, 0.0, None))
+        l2 = _integral(area, grid, "L2 integral")
+
+        lxx = lam[..., 0, 0].reshape(*lead, grid.n_x, grid.n_y)
+        lyy = lam[..., 1, 1].reshape(*lead, grid.n_x, grid.n_y)
+        dx, dy = np.diff(grid.x_points), np.diff(grid.y_points)
+        # bottom, right, top, left: counterclockwise from node (0, 0), so the
+        # top and left edges run against their axes; ring holds each segment's first node
+        edges = ((dx, lxx[..., :, 0]), (dy, lyy[..., -1, :]), (dx, lxx[..., :, -1]),
+                 (dy, lyy[..., 0, :]))
+        terms = [d * (0.5 * (m[..., :-1] + m[..., 1:])) * d for d, m in edges]
+        terms[2:] = [t[..., ::-1] for t in terms[2:]]
+        node = np.arange(grid.n_points).reshape(grid.n_x, grid.n_y)
+        ring = np.concatenate((node[:-1, 0], node[-1, :-1], node[:0:-1, -1], node[0, :0:-1]))
+        l1 = 0.5 * _integral(np.sqrt(np.concatenate(terms, axis=-1)), grid, "L1 integral", ring)
+    return l1, l2
 
 
 def lkc_2d(lam, grid):
@@ -122,23 +158,7 @@ def lkc_2d(lam, grid):
         raise ValueError("field matrices must be symmetric")
     if np.any(vals[:, 0, 0] < 0) or np.any(vals[:, 1, 1] < 0):
         raise ValueError("diagonal entries must be non-negative")
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = vals[:, 0, 0] * vals[:, 1, 1] - vals[:, 0, 1] ** 2
-        area = grid.trapezoid_weights() * np.sqrt(np.clip(det, 0.0, None))
-        l2 = _integral(area, grid, "L2 integral")
-
-        lxx = vals[:, 0, 0].reshape(grid.n_x, grid.n_y)
-        lyy = vals[:, 1, 1].reshape(grid.n_x, grid.n_y)
-        dx, dy = np.diff(grid.x_points), np.diff(grid.y_points)
-        # bottom, right, top, left: counterclockwise from node (0, 0), so the
-        # top and left edges run against their axes; ring holds each segment's first node
-        edges = ((dx, lxx[:, 0]), (dy, lyy[-1]), (dx, lxx[:, -1]), (dy, lyy[0]))
-        terms = [d * (0.5 * (m[:-1] + m[1:])) * d for d, m in edges]
-        terms[2:] = [t[::-1] for t in terms[2:]]
-        node = np.arange(grid.n_points).reshape(grid.n_x, grid.n_y)
-        ring = np.concatenate((node[:-1, 0], node[-1, :-1], node[:0:-1, -1], node[0, :0:-1]))
-        l1 = 0.5 * _integral(np.sqrt(np.concatenate(terms)), grid, "L1 integral", ring)
-    return l1, l2
+    return tuple(map(float, _lkc_2d(vals, grid)))
 
 
 def lkc_estimate(*residuals):

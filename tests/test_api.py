@@ -222,6 +222,27 @@ def test_each_model_and_law_is_one_table_row():
     assert not compared
 
 
+def _halves_an_interval(loop):
+    """True for a while loop that takes a midpoint 0.5 * (lo + hi) of a bracket."""
+    return any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+               and ast.unparse(n.left) == "0.5" and isinstance(n.right, ast.BinOp)
+               and isinstance(n.right.op, ast.Add) for n in ast.walk(loop))
+
+
+def test_one_stencil_and_one_bisection():
+    # fdata._stencil is the only finite-difference rule (no np.gradient), and
+    # kinematic._root, which tgkf_quantile steps for one row or R in
+    # lockstep, the only bisection
+    src = Path(scbands.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    assert not [(m, ast.unparse(n)) for m, tree in trees.items() for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute) and n.attr == "gradient"
+                and ast.unparse(n.value) in ("np", "numpy")]
+    loops = [(m, f) for m, tree in trees.items() for f, node in _functions(tree).items()
+             for loop in ast.walk(node) if isinstance(loop, ast.While) and _halves_an_interval(loop)]
+    assert loops == [("kinematic", "_root")]
+
+
 def test_package_exports_are_unique_and_come_from_modules():
     names = scbands.__all__
     assert len(names) == len(set(names))

@@ -10,6 +10,7 @@ from numpy.testing import assert_array_equal
 
 import scbands.bands
 import scbands.experiments
+import scbands.rng
 from scbands import (
     DegenerateVarianceError,
     ExperimentConfig,
@@ -19,6 +20,7 @@ from scbands import (
     QuantileNoSolutionError,
     ScaleGrid,
     add_observation_noise,
+    covers,
     gaussian_kernel,
     gen_model,
     model_mean,
@@ -281,9 +283,9 @@ def test_reference_blocks_equal_per_replicate_draws(overrides, n):
     pipe = ex._Pipeline(cfg)
     size = ex._BLOCK_VALUES // (n * pipe.width)
     assert 1 < size < 13 and 13 % size  # several blocks, the last one partial
-    rows = ex._sweep(pipe, ex._reference_block, 13, ex._BLOCK_VALUES, 1)
+    rows = ex._sweep(pipe, ex._reference_block, 13, 1)
     for n_index, row in enumerate(rows):
-        size = pipe.block_size(n_index, ex._BLOCK_VALUES)
+        size = pipe.block_size(n_index)
         expected = []
         for block in range(-(-13 // size)):
             expected += _loop_reference_statistics(cfg, n_index, block, size)
@@ -303,8 +305,8 @@ def test_raising_true_replications_keeps_earlier_reference_rows(two_sample):
     # the end of the row moves a block boundary.
     ex = scbands.experiments
     pipe = ex._Pipeline(small_config(n_values=(10, 300), two_sample=two_sample))
-    short = ex._sweep(pipe, ex._reference_block, 13, ex._BLOCK_VALUES, 1)
-    long = ex._sweep(pipe, ex._reference_block, 20, ex._BLOCK_VALUES, 3)
+    short = ex._sweep(pipe, ex._reference_block, 13, 1)
+    long = ex._sweep(pipe, ex._reference_block, 20, 3)
     assert [row[:13] for row in long] == short
 
 
@@ -722,3 +724,106 @@ def test_reference_block_holds_one_array_per_group():
         tracemalloc.stop()
     assert stats == expected
     assert peak <= 1.25 * draw.nbytes, peak / draw.nbytes
+
+
+def _rows_one_band_at_a_time(pipe, n_index, reps):
+    """The rows of _band_block built without it: each replicate's draw, and
+    each method's band and coverage through the public one-band functions."""
+    cfg, ex = pipe.cfg, scbands.experiments
+    rows = []
+    for rep in reps:
+        groups = pipe.draw_groups(n_index, range(rep, rep + 1), ex._BAND_TAGS)
+        samples = [FunctionalSample(values[0], pipe.grid) for values in groups]
+        build = scb_two_sample if cfg.two_sample else scb_one_sample
+        row = []
+        for m_index, method in enumerate(cfg.methods):
+            seed = scbands.rng.child_sequence(cfg.seed, ex._TAG_METHOD, n_index, rep, m_index)
+            try:
+                band = build(*samples, method, cfg.alpha, cfg.bootstrap_replicates, seed)
+                row.append(((band.quantile, covers(band, pipe.truth)), None))
+            except ValueError as exc:
+                row.append((None, f"{type(exc).__name__}: {exc}"))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"two_sample": True}, {"sigma_obs": 0.1, "methods": ("rmult-t", "tgkf")},
+     {"scale_grid": (0.05, 0.15, 3), "n_values": (5,)},
+     {"n_values": (300,), "replications": 5, "two_sample": True}],
+    ids=["plain", "two-sample", "noisy-mixed", "scale-grid", "chunked"],
+)
+def test_a_band_block_builds_its_tgkf_bands_together_bit_for_bit(overrides):
+    # one block holds every replicate here; its tGKF pairs are each
+    # replicate's own band's, also on the (s, h) lattice, for two samples and
+    # when the block's fields are taken in several chunks (N=300: one
+    # replicate per chunk)
+    cfg = small_config(**{"bootstrap_replicates": 50, **overrides})
+    pipe = scbands.experiments._Pipeline(cfg)
+    assert pipe.block_size(0) >= cfg.replications
+    reps = range(cfg.replications)
+    rows = scbands.experiments._band_block(pipe, 0, reps)
+    assert rows == _rows_one_band_at_a_time(pipe, 0, reps)
+    assert all(reason is None for row in rows for _, reason in row)
+
+
+@pytest.mark.parametrize("two_sample, n", [(False, 8), (True, 8), (False, 300)])
+def test_a_band_block_with_a_degenerate_replicate_is_rebuilt_one_band_at_a_time(
+        monkeypatch, two_sample, n):
+    # replicate 2's draw (of both groups) has a constant column: the block's
+    # tGKF bands are then built one by one, so that replicate fails with the
+    # one-band path's reason and every other row is the same as before
+    cfg = small_config(methods=("tgkf", "rmult-t"), bootstrap_replicates=50,
+                       two_sample=two_sample, n_values=(n,), replications=5)
+    pipe = scbands.experiments._Pipeline(cfg)
+    assert pipe.block_size(0) >= 5
+    clean = scbands.experiments._band_block(pipe, 0, range(5))
+    raw_block = scbands.experiments._raw_block
+    band_tags = (scbands.experiments._TAG_DATA_Y, scbands.experiments._TAG_DATA_X)
+
+    def patched(cfg, n_index, reps, data_tag, noise_tag):
+        values = raw_block(cfg, n_index, reps, data_tag, noise_tag)
+        if data_tag in band_tags and reps == range(2, 3):
+            values[0, :, 5] = 0.25
+        return values
+
+    monkeypatch.setattr(scbands.experiments, "_raw_block", patched)
+    batched = []
+    monkeypatch.setattr(scbands.experiments, "_tgkf_bands",
+                        lambda *args: batched.append(1) or scbands.bands._tgkf_bands(*args))
+    rows = scbands.experiments._band_block(pipe, 0, range(5))
+    assert batched == [1]
+    assert rows == _rows_one_band_at_a_time(pipe, 0, range(5))
+    sd = "pooled sd" if two_sample else "pointwise sd"
+    tgkf, rmult = rows[2]
+    assert tgkf == (None, f"DegenerateVarianceError: {sd} is zero at grid point 5 (s=0.128205)")
+    assert rmult[0] is None and rmult[1].startswith("DegenerateVarianceError: ")
+    assert rows[:2] + rows[3:] == clean[:2] + clean[3:]
+
+
+def test_band_rows_draw_no_replicate_past_the_replication_count(monkeypatch):
+    # At N=300 on 40 points a block holds 5 replicates: 7 band replications
+    # draw replicates 0..6 once each, while the reference row draws whole
+    # blocks (20 draws for 17 true replications)
+    drawn = []
+    raw_block = scbands.experiments._raw_block
+
+    def recording(cfg, n_index, reps, data_tag, noise_tag):
+        drawn.append((data_tag, n_index, list(reps)))
+        return raw_block(cfg, n_index, reps, data_tag, noise_tag)
+
+    monkeypatch.setattr(scbands.experiments, "_raw_block", recording)
+    cfg = small_config(n_values=(300,), replications=7, true_replications=17,
+                       methods=("tgkf", "rmult-t"), bootstrap_replicates=50)
+    assert scbands.experiments._Pipeline(cfg).block_size(0) == 5
+    for run in (run_coverage, run_width):
+        drawn.clear()
+        report = run(cfg, threads=2)
+        assert all(c["replications"] == 7 for c in report["cells"] if c["method"] != "true")
+        band = sorted(r for tag, _, reps in drawn if tag == scbands.experiments._TAG_DATA_Y
+                      for r in reps)
+        assert band == list(range(7))
+        true = sorted(r for tag, _, reps in drawn if tag == scbands.experiments._TAG_TRUE_DATA_Y
+                      for r in reps)
+        assert true == (list(range(20)) if run is run_width else [])

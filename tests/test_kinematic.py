@@ -258,6 +258,37 @@ def test_quantile_evaluates_each_u_once_and_never_zero(monkeypatch, curvatures, 
         assert len(set(seen)) == len(seen), sorted(seen)
 
 
+def test_lockstep_solve_evaluates_each_row_at_each_u_once_and_never_zero(monkeypatch):
+    # the rows share the doubling steps' hi; each row's bisection probes its
+    # own brackets, so no row sees a u twice, and none sees u = 0
+    curvatures = [(2.0,), (40.0,), (0.0,), (7.5,), (1e4,)]
+    vectors, seen = [LKCVector(1, c) for c in curvatures], []
+
+    def recording_eec(lkc, model, u):
+        rows = np.broadcast_arrays(*lkc.curvatures, u)
+        seen.extend(zip(*(np.atleast_1d(a).tolist() for a in rows)))
+        return eec(lkc, model, u)
+
+    monkeypatch.setattr(kinematic, "eec", recording_eec)
+    for model in (GAUSS, ECDensityModel.student_t(5)):
+        for alpha in (1e-8, 0.05, 0.6):
+            seen.clear()
+            expected = [kinematic.tgkf_quantile(v, model, alpha) for v in vectors]
+            alone = len(seen)
+            seen.clear()
+            assert list(tgkf_quantile(vectors, model, alpha)) == expected
+            assert len(seen) == alone and len(set(seen)) == len(seen)
+            assert all(u != 0.0 for *_, u in seen)
+
+
+@pytest.mark.parametrize("lkc", [[], [LKCVector(1, (1.0,)), LKCVector(1, (1.0, 2.0))],
+                                 [(1.0,)], 3.0, "L1"])
+def test_quantile_rows_must_be_lkc_vectors_of_one_dimension(lkc):
+    with pytest.raises(ValueError, match="^lkc must be an LKCVector or a sequence of "
+                                         "LKCVectors of one dimension, got "):
+        tgkf_quantile(lkc, GAUSS, 0.05)
+
+
 def test_quantile_tail_cap():
     # nu = 1 makes rho_1 the constant 1 / (2 pi): with L1 / (2 pi) >= alpha/2
     # the EEC never drops below alpha/2, and the doubling stops at 2^40

@@ -27,6 +27,8 @@ from scbands import (
     eec,
     gen_model,
     lambda_hat,
+    lkc_1d,
+    lkc_2d,
     normed_residuals,
     read_sample,
     scb_one_sample,
@@ -37,7 +39,8 @@ from scbands import (
     write_sample,
 )
 from scbands.experiments import _Pipeline
-from scbands.fdata import _mean_field, _trapezoid_weights, gradient
+from scbands.fdata import _gradient, _mean_field, _trapezoid_weights, gradient
+from scbands.lkc import _lambda, _lkc_1d, _lkc_2d
 
 FEW = settings(max_examples=12, deadline=None, derandomize=True)
 
@@ -325,3 +328,94 @@ def test_a_scale_grid_the_config_accepts_builds_its_pipeline(triple):
         return
     pipe = _Pipeline(cfg)
     assert pipe.grid.n_points == 12 * cfg.scale_grid[2]
+
+
+@st.composite
+def _spaced_points(draw):
+    """3 to 9 increasing points: exactly uniform (a dyadic step from an integer),
+    np.linspace (steps that differ in their last bits) or random steps."""
+    n = draw(st.integers(3, 9))
+    kind = draw(st.sampled_from(["uniform", "linspace", "random"]))
+    if kind == "uniform":
+        return draw(st.integers(-4, 4)) + 2.0 ** draw(st.integers(-6, 3)) * np.arange(n)
+    if kind == "linspace":
+        return np.linspace(draw(st.floats(-5.0, 5.0)), draw(st.floats(5.5, 20.0)), n)
+    return np.cumsum([draw(st.floats(-5.0, 5.0))] + draw(st.lists(st.floats(1e-3, 10.0),
+                                                                   min_size=n - 1, max_size=n - 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(axes=st.lists(_spaced_points(), min_size=1, max_size=2),
+       lead=st.lists(st.integers(1, 3), max_size=2), n=st.integers(1, 4), data=st.data())
+def test_stack_gradient_is_bitwise_numpy(axes, lead, n, data):
+    # one stencil per axis, applied along that axis of any stack, is
+    # np.gradient(edge_order=2) bit for bit: uniform and uneven spacing,
+    # curves and surfaces, with and without leading replicate axes
+    grid = Grid1D(*axes) if len(axes) == 1 else Grid2D(*axes)
+    values = data.draw(arrays(np.float64, (*lead, n, grid.n_points), elements=_entries))
+    cube = values.reshape(*lead, n, *(a.size for a in axes))
+    parts = _gradient(values, grid)
+    assert len(parts) == len(axes)
+    for k, part in enumerate(parts):
+        expected = np.gradient(cube, axes[k], axis=cube.ndim - len(axes) + k, edge_order=2)
+        assert part.shape == values.shape
+        assert np.array_equal(_bits(part), _bits(expected.reshape(values.shape)))
+    if not lead:
+        sample = FunctionalSample(values, grid)
+        assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(gradient(sample), parts))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(axes=st.lists(_spaced_points(), min_size=1, max_size=2), r=st.integers(1, 4),
+       n=st.integers(2, 6), data=st.data())
+def test_curvature_cores_on_a_stack_are_each_replicate_s_public_result(axes, r, n, data):
+    # the private cores take leading axes; the public functions are checked
+    # shells over them, so every slice of a stack is the public result bit for bit
+    grid = Grid1D(*axes) if len(axes) == 1 else Grid2D(*axes)
+    values = data.draw(arrays(np.float64, (r, n, grid.n_points), elements=_entries))
+    lam = _lambda(values, grid)
+    curvatures = _lkc_1d(lam, grid) if len(axes) == 1 else np.stack(_lkc_2d(lam, grid), axis=-1)
+    for k in range(r):
+        alone = lambda_hat(FunctionalSample(values[k], grid))
+        assert np.array_equal(_bits(lam[k]), _bits(alone))
+        public = (lkc_1d(alone, grid),) if len(axes) == 1 else lkc_2d(alone, grid)
+        assert np.array_equal(_bits(np.atleast_1d(curvatures[k])), _bits(public))
+
+
+# Curvatures from zero through typical values to past what the solver can
+# bracket: with dof near 2 the EEC tail decays so slowly that large L1 or
+# L2 leave no root below 2^40.
+_curvature = st.one_of(st.just(0.0), st.floats(0.0, 60.0), st.floats(1e3, 1e15))
+_solver_models = st.one_of(
+    st.just(ECDensityModel.gaussian()),
+    st.sampled_from([1.5, 2.0, 2.0 + 1e-9, 2.001, 3.0, 9.0, 500.0]).map(ECDensityModel.student_t),
+)
+
+
+_curvature_rows = st.integers(1, 2).flatmap(
+    lambda dim: st.lists(st.tuples(*[_curvature] * dim), min_size=1, max_size=6))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(rows=_curvature_rows, model=_solver_models, alpha=st.floats(0.005, 0.5))
+@example(rows=[(5.0,), (1e15,)], model=ECDensityModel.student_t(2.001), alpha=0.05)
+@example(rows=[(5.0, 1.0), (5.0, 0.0)], model=ECDensityModel.student_t(1.5), alpha=0.05)
+@example(rows=[(0.0, 0.0), (3.0, 2.0), (60.0, 1e3)], model=ECDensityModel.gaussian(), alpha=0.3)
+def test_lockstep_solve_is_each_row_solved_alone(rows, model, alpha):
+    # R curvature rows solved in lockstep give each row's own quantile bit
+    # for bit; when rows have no quantile, the solve raises one of their errors
+    vectors = [LKCVector(1, c) for c in rows]
+    alone, errors = [], set()
+    for v in vectors:
+        try:
+            alone.append(tgkf_quantile(v, model, alpha))
+        except QuantileNoSolutionError as exc:
+            errors.add(str(exc))
+    if errors:
+        with pytest.raises(QuantileNoSolutionError) as raised:
+            tgkf_quantile(vectors, model, alpha)
+        assert str(raised.value) in errors
+        return
+    together = tgkf_quantile(vectors, model, alpha)
+    assert together.shape == (len(rows),) and together.dtype == np.float64
+    assert np.array_equal(_bits(together), _bits(alone))

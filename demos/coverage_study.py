@@ -26,7 +26,7 @@ def main():
         seed=SEED,
     )
     print(f"coverage of nominal 95% bands, {replications} replications per cell\n")
-    table = run_coverage(cfg, threads=4)
+    table = run_coverage(cfg)
     print(format_report_table(table))
     print("\nan ideal row shows coverage 0.95; small N drifts low because")
     print("both the mean and the band width are estimated from few curves")

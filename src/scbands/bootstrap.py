@@ -25,8 +25,7 @@ Each band draws all of its B replicates from one counter-based stream,
 ``substream(seed)``, in one call: row b of the (B, N) multiplier or index
 matrix is replicate b. Rademacher signs are the bits of B N / 8 random
 bytes, one bit per sign, row-major. Estimates are reproducible bit for bit
-from the seed alone, whatever the thread count or the order in which bands
-are built.
+from the seed alone, whatever the order in which bands are built.
 """
 
 from dataclasses import dataclass

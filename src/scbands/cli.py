@@ -13,11 +13,8 @@ second group and makes the band one of the mean difference, and
 "two_sample": true requires it. With "scale_grid" set, scb first smooths
 each group's curves onto its (s, h) lattice (smooth_sample with the
 Gaussian kernel), so the band covers the whole scale-space surface.
---seed and --out override the config.
-Only coverage and width take --threads, the number of worker threads of
-the sweep; the report is the same for every thread count. Failures print
-a one-line JSON object {"error": ..., "message": ...} to stderr and exit
-with status 1.
+--seed and --out override the config. Failures print a one-line JSON
+object {"error": ..., "message": ...} to stderr and exit with status 1.
 """
 
 import argparse
@@ -39,7 +36,7 @@ from .scalespace import ScaleGrid, gaussian_kernel, smooth_sample
 __all__ = ["main"]
 
 _INPUT_KEYS = ("input", "input_x")
-_SWEEPS = ("coverage", "width")  # the subcommands that take --threads
+_SWEEPS = {"coverage": run_coverage, "width": run_width}
 
 
 def _load_config(args):
@@ -108,8 +105,6 @@ def _build_parser():
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the config output path")
-        if name in _SWEEPS:
-            p.add_argument("--threads", type=int, default=1, help="worker threads of the sweep")
     return parser
 
 
@@ -119,8 +114,7 @@ def main(argv=None):
     try:
         cfg, inputs = _load_config(args)
         if args.command in _SWEEPS:
-            run = run_coverage if args.command == "coverage" else run_width
-            return _write_report(run(cfg, threads=args.threads), cfg.out or args.command)
+            return _write_report(_SWEEPS[args.command](cfg), cfg.out or args.command)
         command = _cmd_scb if args.command == "scb" else _cmd_generate
         return command(cfg, inputs)
     except Exception as exc:

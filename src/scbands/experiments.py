@@ -5,8 +5,8 @@ observation noise when requested, optionally smooth onto a scale grid (one
 bandwidth, or a whole lattice of them), then hand the analysis sample to
 the band engine. Every draw comes from a substream addressed by (purpose,
 n-index, block), so a report depends only on (config, seed), never on
-thread count or evaluation order. Estimator failures (degenerate variance,
-no quantile solution) are recorded per cell instead of aborting the sweep.
+evaluation order. Estimator failures (degenerate variance, no quantile
+solution) are recorded per cell instead of aborting the sweep.
 
 The bands and the width table's brute-force reference row share one
 scheduler of replicate blocks, _sweep, the only code that cuts blocks. A
@@ -25,7 +25,6 @@ count dropped, so raising true_replications keeps every earlier statistic.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -225,30 +224,20 @@ def _failure_tolerant(fn, *args):
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _sweep(pipe, block, reps, threads):
+def _sweep(pipe, block, reps):
     """Rows of the replicates 0..reps-1 of every N, one list of rows per N.
 
     Each N's replicates are cut into whole blocks range(b R, (b + 1) R) of
-    R = pipe.block_size replicates; the rows past reps are dropped. block is
-    a module-level function, and block(pipe, n_index, reps) returns one row
-    per replicate of its block (a band block, per replicate below the
-    replication count); the thread pool maps it over the blocks' plain-data
-    arguments.
+    R = pipe.block_size replicates, evaluated in order; the rows past reps
+    are dropped. block(pipe, n_index, reps) returns one row per replicate of
+    its block (a band block, per replicate below the replication count).
     """
-    threads = _count("threads", threads, positive=True)
-    items = []
+    rows = []
     for i in range(len(pipe.cfg.n_values)):
         size = pipe.block_size(i)
-        items += [(pipe, i, range(r, r + size)) for r in range(0, reps, size)]
-    if threads == 1:
-        blocks = list(map(block, *zip(*items)))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(block, *zip(*items)))
-    rows = [[] for _ in pipe.cfg.n_values]
-    for (_, i, _), block_rows in zip(items, blocks):
-        rows[i] += block_rows
-    return [row[:reps] for row in rows]
+        blocks = [block(pipe, i, range(r, r + size)) for r in range(0, reps, size)]
+        rows.append([row for block_rows in blocks for row in block_rows][:reps])
+    return rows
 
 
 def _band(pipe, samples, method, seed):
@@ -311,9 +300,14 @@ def _cells(n, methods, columns, summary):
 
 
 def run_coverage(cfg, threads=1):
-    """Coverage table: one cell per (N, method) with hit rate and binomial SE."""
+    """Coverage table: one cell per (N, method) with hit rate and binomial SE.
+
+    threads must be a positive integer and has no effect: the blocks run in
+    order on the calling thread.
+    """
+    _count("threads", threads, positive=True)
     pipe = _Pipeline(cfg)
-    rows = _sweep(pipe, _band_block, cfg.replications, threads)
+    rows = _sweep(pipe, _band_block, cfg.replications)
 
     def summary(pairs):
         hits, valid = sum(covered for _, covered in pairs), len(pairs)
@@ -355,10 +349,14 @@ def _reference_block(pipe, n_index, reps):
 
 def run_width(cfg, threads=1):
     """Width table: mean quantile +/- 2 SE per (N, method), plus the
-    brute-force reference row from true_replications max-t draws."""
+    brute-force reference row from true_replications max-t draws.
+
+    threads is checked and ignored as in run_coverage.
+    """
+    _count("threads", threads, positive=True)
     pipe = _Pipeline(cfg)
-    rows = _sweep(pipe, _band_block, cfg.replications, threads)
-    true_rows = _sweep(pipe, _reference_block, cfg.true_replications, threads)
+    rows = _sweep(pipe, _band_block, cfg.replications)
+    true_rows = _sweep(pipe, _reference_block, cfg.true_replications)
 
     def summary(pairs):
         if not pairs:

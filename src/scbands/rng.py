@@ -6,8 +6,7 @@ counter-based generator by the SeedSequence that
 ``child_sequence(seed, *path)`` addresses. ``seed`` is an integer or
 a SeedSequence (a branch of a caller's stream tree) and ``path`` is a
 tuple of integers. A stream addressed by ``(seed, *path)`` always gives
-the same draws, in whatever order (or on however many threads) the streams
-are used.
+the same draws, in whatever order the streams are used.
 
 STREAM_LAYOUT numbers the layout below; the sweep reports carry it, since
 a new layout moves seeded outputs. A resampling band draws all of its

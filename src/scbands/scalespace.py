@@ -35,7 +35,9 @@ def gaussian_kernel():
 
 @dataclass(frozen=True, eq=False)
 class ScaleGrid:
-    """Evaluation locations plus a strictly increasing positive bandwidth list.
+    """Evaluation locations plus a strictly increasing positive bandwidth list
+    whose steps are at least 2^-511 (fdata._bad_scale's threshold), so the
+    gradient stencil's step products stay normal doubles.
 
     grid, built once, is the grid of the smoothed values: the locations
     themselves for one bandwidth, else the (s, h) lattice with x = locations
@@ -55,6 +57,9 @@ class ScaleGrid:
             raise ValueError("h_points needs one or at least 3 bandwidths, got 2")
         if h[0] <= 0:
             raise ValueError(f"bandwidths must be positive, got {h[0]:.6g}")
+        step = np.diff(h).min(initial=np.inf)
+        if step < 2.0**-511:
+            raise ValueError(f"h_points steps must be at least 2^-511, got {step:.6g}")
         object.__setattr__(self, "h_points", h)
         grid = self.s_points if h.size == 1 else Grid2D(self.s_points.points, h)
         object.__setattr__(self, "grid", grid)

@@ -1,7 +1,7 @@
 """Simulation drivers: coverage and width tables."""
 
-import pickle
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -283,7 +283,7 @@ def test_reference_blocks_equal_per_replicate_draws(overrides, n):
     pipe = ex._Pipeline(cfg)
     size = ex._BLOCK_VALUES // (n * pipe.width)
     assert 1 < size < 13 and 13 % size  # several blocks, the last one partial
-    rows = ex._sweep(pipe, ex._reference_block, 13, 1)
+    rows = ex._sweep(pipe, ex._reference_block, 13)
     for n_index, row in enumerate(rows):
         size = pipe.block_size(n_index)
         expected = []
@@ -301,12 +301,12 @@ def test_reference_block_size_is_pinned():
 @pytest.mark.parametrize("two_sample", [False, True])
 def test_raising_true_replications_keeps_earlier_reference_rows(two_sample):
     # At N=300 on 40 points a block holds 5 replicates: 13 replications end
-    # inside the third block, 20 fill four, and neither the thread count nor
-    # the end of the row moves a block boundary.
+    # inside the third block, 20 fill four, and the end of the row moves no
+    # block boundary.
     ex = scbands.experiments
     pipe = ex._Pipeline(small_config(n_values=(10, 300), two_sample=two_sample))
-    short = ex._sweep(pipe, ex._reference_block, 13, 1)
-    long = ex._sweep(pipe, ex._reference_block, 20, 3)
+    short = ex._sweep(pipe, ex._reference_block, 13)
+    long = ex._sweep(pipe, ex._reference_block, 20)
     assert [row[:13] for row in long] == short
 
 
@@ -315,35 +315,22 @@ def test_raising_true_replications_keeps_earlier_reference_rows(two_sample):
     [{}, {"two_sample": True}, {"scale_grid": (0.05, 0.15, 3), "sigma_obs": 0.1}],
     ids=["plain", "two-sample", "scale-grid"],
 )
-def test_sweep_work_items_pickle_and_give_the_same_rows(monkeypatch, overrides):
-    # The pool receives a module-level block function and plain-data
-    # (pipeline, n_index, replicates) items, so a process pool could run them.
-    cfg = small_config(methods=("tgkf", "rmult-t"), bootstrap_replicates=50, **overrides)
-    serial = run_coverage(cfg), run_width(cfg)
-    seen = set()
-
-    class PicklingPool:  # runs each work item from a pickled copy
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, block, *iterables):
-            out = []
-            for item in zip(*iterables):
-                copy_block, copy_item = pickle.loads(pickle.dumps((block, item)))
-                out.append(copy_block(*copy_item))
-                assert out[-1] == block(*item)
-                seen.add(block.__name__)
-            return out
-
-    monkeypatch.setattr(scbands.experiments, "ThreadPoolExecutor", PicklingPool)
-    assert (run_coverage(cfg, threads=2), run_width(cfg, threads=2)) == serial
-    assert seen == {"_band_block", "_reference_block"}
+def test_blocks_evaluated_in_reverse_give_the_sweep_rows(overrides):
+    # A block's draws are addressed by (seed, tag, n_index, block), never by
+    # when it runs, so evaluating every block last to first gives _sweep's rows.
+    ex = scbands.experiments
+    cfg = small_config(methods=("tgkf", "rmult-t"), bootstrap_replicates=50, n_values=(10, 300),
+                       replications=7, true_replications=12, **overrides)
+    pipe = ex._Pipeline(cfg)
+    for block, reps in ((ex._band_block, cfg.replications),
+                        (ex._reference_block, cfg.true_replications)):
+        items = [(i, range(start, start + pipe.block_size(i)))
+                 for i in range(len(cfg.n_values)) for start in range(0, reps, pipe.block_size(i))]
+        assert len(items) > len(cfg.n_values)  # N=300 takes several blocks
+        rows = [[] for _ in cfg.n_values]
+        for i, block_reps in reversed(items):
+            rows[i][:0] = block(pipe, i, block_reps)
+        assert [row[:reps] for row in rows] == ex._sweep(pipe, block, reps)
 
 
 def test_config_round_trip():
@@ -553,18 +540,23 @@ def test_config_and_run_agree_on_the_scale_grid():
             ExperimentConfig(scale_grid=triple)
 
 
+@pytest.mark.filterwarnings("error")
 def test_a_sweep_over_tiny_bandwidths_runs_without_a_warning():
-    # offsets / h overflows in the kernel; each weight is exp(-inf) = 0 off the
-    # diagonal, so the smoothing is the identity and rmult-t bands the curves
-    # repeated over h. The tGKF's h-step squares to zero: a named failure.
+    # A bandwidth step below 2^-511 squares below the normal doubles, and the
+    # tGKF's gradient stencil underflows: ScaleGrid refuses it when the config
+    # is read.
     kw = dict(methods=("tgkf", "rmult-t"), n_values=(8,), bootstrap_replicates=100)
-    cfg, plain = small_config(scale_grid=(1e-300, 1e-299, 3), **kw), small_config(**kw)
+    with pytest.raises(ValueError, match=r"^h_points steps must be at least 2\^-511, got 4.5e-300$"):
+        small_config(scale_grid=(1e-300, 1e-299, 3), **kw)
+    # One tiny bandwidth has no step. offsets / h overflows in the kernel; each
+    # weight is exp(-inf) = 0 off the diagonal, so the smoothing is the identity.
+    cfg, plain = small_config(scale_grid=(1e-300, 1e-300, 1), **kw), small_config(**kw)
     coverage = run_coverage(cfg)["cells"]
-    assert [c["failures"] for c in coverage] == [6, 0]
+    assert [c["failures"] for c in coverage] == [0, 0]
     assert coverage[1]["hits"] == run_coverage(plain)["cells"][1]["hits"]
     cells, plain_cells = run_width(cfg)["cells"], run_width(plain)["cells"]
-    assert [c["failures"] for c in cells] == [6, 0, 0]
-    for cell, plain_cell in zip(cells[1:], plain_cells[1:]):
+    assert [c["failures"] for c in cells] == [0, 0, 0]
+    for cell, plain_cell in zip(cells, plain_cells):
         assert cell["mean_quantile"] == pytest.approx(plain_cell["mean_quantile"], rel=1e-12)
 
 
@@ -669,13 +661,13 @@ def test_numbers_must_be_real_and_not_bool(build, value, match):
 
 
 def test_threads_must_be_a_positive_integer(monkeypatch):
-    # 0 and -1 used to run serially, 2.5 on two workers; the check runs
-    # before any worker starts
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
+    # threads has no effect, but 0, -1 and 2.5 are still refused by name
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
 
-    monkeypatch.setattr(scbands.experiments, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     cfg = small_config(n_values=(8,), replications=2, true_replications=2)
+    assert run_coverage(cfg, threads=2) == run_coverage(cfg)
     for run in (run_coverage, run_width):
         for threads in (0, -1):
             with pytest.raises(ValueError, match=f"^threads must be positive, got {threads}$"):

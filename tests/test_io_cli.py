@@ -392,17 +392,9 @@ def test_cli_width_includes_reference_row(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_threads_do_not_change_results(tmp_path):
-    cfg = _write_config(tmp_path / "cfg.json", replications=6)
-    a = tmp_path / "one.csv"
-    b = tmp_path / "two.csv"
-    assert main(["coverage", "--config", str(cfg), "--out", str(a)]) == 0
-    assert main(["coverage", "--config", str(cfg), "--out", str(b), "--threads", "3"]) == 0
-    assert a.read_text() == b.read_text()
-
-
-@pytest.mark.parametrize("command", ["generate", "scb"])
-def test_cli_threads_only_on_sweeps(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["generate", "scb", "coverage", "width"])
+def test_cli_threads_is_unrecognized(tmp_path, capsys, command):
+    # the sweeps run on the calling thread, so no subcommand takes a thread count
     cfg = _write_config(tmp_path / "cfg.json")
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", str(cfg), "--threads", "2"])
@@ -451,14 +443,6 @@ def test_cli_names_malformed_config_values(tmp_path, capsys, overrides, message)
     cfg = _write_config(tmp_path / "cfg.json", **overrides)
     for command in ("generate", "coverage"):
         doc = _cli_error(capsys, [command, "--config", str(cfg)])
-        assert doc == {"error": "ValueError", "message": message}
-
-
-def test_cli_threads_must_be_positive(tmp_path, capsys):
-    cfg = _write_config(tmp_path / "cfg.json")
-    for threads in ("0", "-1"):
-        doc = _cli_error(capsys, ["width", "--config", str(cfg), "--threads", threads])
-        message = f"threads must be positive, got {threads}"
         assert doc == {"error": "ValueError", "message": message}
 
 

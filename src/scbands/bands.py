@@ -25,7 +25,7 @@ from .bootstrap import BootstrapConfig, boots_t_quantile, mult_t_quantile
 from .errors import _owned, _real_array
 from .fdata import FunctionalSample, Grid1D, _mean_field, _nonzero_scale, _suspect, grids_equal
 from .kinematic import ECDensityModel, LKCVector, tgkf_quantile
-from .lkc import _lambda, _lkc_1d, _lkc_2d, lkc_estimate
+from .lkc import _lambda, _lkc_1d, _lkc_2d
 from .scalespace import smooth_sample
 
 __all__ = [
@@ -116,16 +116,22 @@ def _residual_stacks(values, grid):
     return center, scale, rate, stacks
 
 
+def _shared_grid(samples):
+    """The grid of the one or two samples of a band, once each has 2 curves or more."""
+    grid = samples[0].grid
+    if not all(grids_equal(s.grid, grid) for s in samples[1:]):
+        raise ValueError("grid mismatch between the two samples")
+    if min(s.n_samples for s in samples) < 2:
+        raise ValueError("a band needs at least 2 curves" if len(samples) == 1
+                         else "both groups need at least 2 curves")
+    return grid
+
+
 def _residual_field(samples):
     """(center, scale, rate, residual groups) of the mean field of one sample
     (see normed_residuals) or of the difference of two (two_sample_residuals):
     _residual_stacks' parts, each residual group a FunctionalSample."""
-    one, grid = len(samples) == 1, samples[0].grid
-    if not all(grids_equal(s.grid, grid) for s in samples[1:]):
-        raise ValueError("grid mismatch between the two samples")
-    if min(s.n_samples for s in samples) < 2:
-        raise ValueError("a band needs at least 2 curves" if one
-                         else "both groups need at least 2 curves")
+    grid = _shared_grid(samples)
     center, scale, rate, stacks = _residual_stacks([s.values for s in samples], grid)
     # the scales passed, so |Y - mean| <= sqrt(N-1) scale, also under the pooled scale
     groups = tuple(_owned(FunctionalSample, values=res, grid=grid) for res in stacks)
@@ -154,31 +160,37 @@ def two_sample_residuals(sample_y, sample_x):
     return _residual_field((sample_y, sample_x))
 
 
+def _half_width(q, scale, rate):
+    """q * scale / rate of a quantile, or of (R,) quantiles and (R, P) scales."""
+    q = np.asarray(q)
+    if not np.all(q < 2.0**458):
+        raise ValueError(f"quantile {q[~(q < 2.0**458)][0]:g} is too large for a finite band")
+    return q[..., None] * scale / rate
+
+
 def _scb(method, samples, alpha, replicates, seed):
     """Band center +/- q * scale / rate of the mean field of one or two samples.
 
-    Every kernel reads the field's unit-scale residual groups, never the
-    raw values, whose squares can overflow or underflow: the tGKF their
-    sum(N_g - 1) degrees of freedom and summed curvature field, a
-    resampling kernel one group as itself and two as a tuple. The
-    replicate count and seed are checked for every method, the tGKF too.
+    Every kernel reads the field's unit-scale residuals, never the raw
+    values, whose squares can overflow or underflow. The tGKF band is the
+    one-replicate block of _tgkf_bands; a resampling kernel reads the
+    residual groups, one group as itself and two as a tuple. The replicate
+    count and seed are checked for every method, the tGKF too.
     """
     name, kind, law, studentized = _parse_method_for(method, len(samples) == 2)
     cfg = BootstrapConfig(replicates, alpha, studentized, seed)
-    center, scale, rate, groups = _residual_field(samples)
     if kind == "tgkf":
-        dof = sum(g.n_samples - 1 for g in groups)
-        q = tgkf_quantile(lkc_estimate(*groups), ECDensityModel.student_t(dof), alpha)
+        (q,), (center,), (half,) = _tgkf_bands([s.values[None] for s in samples],
+                                               _shared_grid(samples), alpha)
     else:
+        center, scale, rate, groups = _residual_field(samples)
         data = groups[0] if len(groups) == 1 else groups
         q = boots_t_quantile(data, cfg) if kind == "boots" else mult_t_quantile(data, law, cfg)
-    if not q < 2.0**458:
-        raise ValueError(f"quantile {q:g} is too large for a finite band")
-    half = q * scale / rate
+        half = _half_width(q, scale, rate)
     # center is finite (means of finite sums, within DBL_MAX / 2) and 0 <= half < 2^970, half an
     # ulp of DBL_MAX (scale < 2^512, rate >= sqrt(2)): center -/+ half is finite and ordered
     return _owned(SCBand, center=center, lower=center - half, upper=center + half,
-                  quantile=float(q), method=name, alpha=float(alpha), grid=groups[0].grid)
+                  quantile=float(q), method=name, alpha=float(alpha), grid=samples[0].grid)
 
 
 def scb_one_sample(sample, method="tgkf", alpha=0.05, replicates=1000, seed=0):
@@ -233,37 +245,28 @@ def covers(band, truth):
     return bool(_inside(band.lower, band.upper, t))
 
 
-def _tgkf_bands(values, grid, alpha, truth):
-    """(quantile, covered) of the tGKF band of each of R replicates, built
-    together: values holds each group's (R, N, P) stack, truth a finite (P,)
-    curve. Every step is _scb's and covers' on a leading replicate axis
-    (_residual_stacks, the lkc cores, one tgkf_quantile call over the R
-    curvature rows), so each pair is bitwise that replicate's own band's.
-    The residual and curvature fields are taken in chunks of replicates of
-    about _CHUNK_VALUES values per array; the solve runs over all R rows.
+def _tgkf_bands(values, grid, alpha):
+    """(quantiles, centers, half-widths) of the tGKF bands of R replicates,
+    built together from each group's (R, N, P) stack of values on grid:
+    _residual_stacks, _lambda, the lkc cores, one tgkf_quantile call over
+    the R curvature rows and _half_width, each on a leading replicate axis,
+    so a lone band (_scb) is the block of one. The fields are taken in
+    chunks of replicates of about _CHUNK_VALUES values per array.
 
-    Raises ValueError or ArithmeticError where any replicate's band needs a
-    check that the cores leave to the public functions: a scale that
-    cannot studentize, a curvature field or integral that is not finite, an
-    unsolvable tail, a quantile too large for a finite band. Its message
-    need not be that band's; the caller then builds the bands one by one.
+    Raises ValueError or ArithmeticError with the error of a failing
+    replicate's own band: the checks run in the order above, chunk by
+    chunk, and each names its first failing replicate.
     """
     step = max(1, _CHUNK_VALUES // values[0][0].size)
     fields = []
     for i in range(0, len(values[0]), step):
         center, scale, rate, stacks = _residual_stacks([v[i:i + step] for v in values], grid)
-        fields.append((center, scale, sum(_lambda(res, grid) for res in stacks)))
+        fields.append((center, scale, _lambda(stacks, grid)))
     center, scale, lam = (np.concatenate(f) for f in zip(*fields))
-    if not np.isfinite(lam).all():
-        raise ValueError("a gradient covariance field is not finite")
     curvatures = zip(_lkc_1d(lam, grid)) if isinstance(grid, Grid1D) else zip(*_lkc_2d(lam, grid))
     dof = sum(v.shape[-2] - 1 for v in values)
     q = tgkf_quantile([LKCVector(1, c) for c in curvatures], ECDensityModel.student_t(dof), alpha)
-    if not np.all(q < 2.0**458):
-        raise ValueError("a quantile is too large for a finite band")
-    half = q[:, None] * scale / rate
-    covered = _inside(center - half, center + half, truth)
-    return list(zip(q.tolist(), covered.tolist()))
+    return q, center, _half_width(q, scale, rate)
 
 
 def band_to_dict(band):

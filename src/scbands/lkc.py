@@ -25,22 +25,39 @@ from .kinematic import LKCVector
 __all__ = ["lambda_hat", "lkc_1d", "lkc_2d", "lkc_estimate"]
 
 
-def _lambda(residuals, grid):
-    """lambda_hat's field of each stack of residual rows: (..., N, P) values on
-    grid give (..., P) variances on a 1-D grid and (..., P, 2, 2) matrices on
-    a 2-D lattice. Entries past what a double holds come out inf or NaN,
-    without a warning."""
-    parts = _gradient(residuals, grid)
-    with np.errstate(all="ignore"):
+@np.errstate(all="ignore")
+def _lambda(groups, grid):
+    """The sum of lambda_hat's fields of the groups, each (..., N, P) residual
+    rows on grid: (..., P) variances on a 1-D grid, (..., P, 2, 2) matrices
+    on a 2-D lattice. ValueError names the first grid point (of the first
+    leading index) where the sum is not finite; nothing warns."""
+    total = None
+    for residuals in groups:
+        parts = _gradient(residuals, grid)
         if len(parts) == 1:
-            return _mean_var(parts[0])[1]
-        for d in parts:
-            d -= d.mean(axis=-2, keepdims=True)
-        lam = np.empty((*residuals.shape[:-2], residuals.shape[-1], 2, 2))
-        for i, j in ((0, 0), (1, 1), (0, 1)):
-            lam[..., i, j] = lam[..., j, i] = np.einsum("...np,...np->...p", parts[i], parts[j])
-        lam /= residuals.shape[-2] - 1
-    return lam
+            lam = _mean_var(parts[0])[1]
+        else:
+            for d in parts:
+                d -= d.mean(axis=-2, keepdims=True)
+            lam = np.empty((*residuals.shape[:-2], residuals.shape[-1], 2, 2))
+            for i, j in ((0, 0), (1, 1), (0, 1)):
+                lam[..., i, j] = lam[..., j, i] = np.einsum("...np,...np->...p", parts[i], parts[j])
+            lam /= residuals.shape[-2] - 1
+        total = lam if total is None else np.add(total, lam, out=total)
+    bad = np.argwhere(~np.isfinite(total.reshape(*residuals.shape[:-2], residuals.shape[-1], -1)))
+    if bad.size:
+        raise ValueError(f"gradient variance is not finite at grid point "
+                         f"{_point_label(grid, int(bad[0, -2]))}")
+    return total
+
+
+def _residual_rows(residuals):
+    """The (N, P) values of a residual sample, once the estimators' checks pass."""
+    if not isinstance(residuals, FunctionalSample):
+        raise ValueError("lambda_hat needs a FunctionalSample of residuals")
+    if residuals.n_samples < 2:
+        raise ValueError("gradient covariance needs at least 2 residual rows")
+    return residuals.values
 
 
 def lambda_hat(residuals):
@@ -54,15 +71,7 @@ def lambda_hat(residuals):
     point where an entry is not finite (curves or steps past what a double
     holds); a zero variance is legal.
     """
-    if not isinstance(residuals, FunctionalSample):
-        raise ValueError("lambda_hat needs a FunctionalSample of residuals")
-    if residuals.n_samples < 2:
-        raise ValueError("gradient covariance needs at least 2 residual rows")
-    lam = _lambda(residuals.values, residuals.grid)
-    if not np.isfinite(lam).all():
-        p = int(np.argwhere(~np.isfinite(lam))[0, 0])
-        raise ValueError(f"gradient variance is not finite at grid point "
-                         f"{_point_label(residuals.grid, p)}")
+    lam = _lambda([_residual_rows(residuals)], residuals.grid)
     lam.setflags(write=False)
     return lam
 
@@ -167,16 +176,14 @@ def lkc_estimate(*residuals):
     Each group is a normalized residual sample: the one-sample residuals,
     or the pooled-normalized residuals of each of two independent groups
     (see two_sample_residuals in the band module). Their gradient
-    covariances add, and the summed field feeds the ordinary 1-D/2-D
-    curvature integrals, so the order of the groups does not matter.
+    covariances add (_lambda), and the checked sum feeds the 1-D/2-D
+    curvature cores, so the order of the groups does not matter.
     """
     grid = residuals[0].grid
     if not all(grids_equal(r.grid, grid) for r in residuals):
         raise ValueError("grid mismatch between the residual samples")
-    lam = sum(lambda_hat(r) for r in residuals)
-    if isinstance(grid, Grid1D):
-        return LKCVector(1, (lkc_1d(lam, grid),))
-    return LKCVector(1, lkc_2d(lam, grid))
+    lam = _lambda([_residual_rows(r) for r in residuals], grid)
+    return LKCVector(1, (_lkc_1d(lam, grid),) if isinstance(grid, Grid1D) else _lkc_2d(lam, grid))
 
 
 def tau_sq_1d(residuals):
@@ -192,13 +199,9 @@ def tau_sq_1d(residuals):
     Gaussian-like residuals. The denominator uses the diagonal values
     cdot(s,s), cdot(s',s').
     """
-    if not isinstance(residuals, FunctionalSample) or not isinstance(
-        residuals.grid, Grid1D
-    ):
+    if not isinstance(residuals, FunctionalSample) or not isinstance(residuals.grid, Grid1D):
         raise ValueError("tau_sq_1d needs residuals on a 1-D grid")
-    n = residuals.n_samples
-    if n < 2:
-        raise ValueError("gradient covariance needs at least 2 residual rows")
+    n = len(_residual_rows(residuals))
 
     (grads,) = gradient(residuals)
     with np.errstate(all="ignore"):  # _nonzero_scale names a variance that overflows

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import scbands.bands
 from scbands import (
     FunctionalSample,
     Grid1D,
@@ -18,6 +19,7 @@ from scbands import (
     lkc_estimate,
     normed_residuals,
     scb_one_sample,
+    scb_two_sample,
     substream,
     two_sample_residuals,
 )
@@ -56,12 +58,34 @@ def test_lambda_of_zero_rows():
     assert lkc_1d(lam, g) == 0.0
 
 
-@pytest.mark.parametrize("scale, step", [(1e200, 1.0 / 29.0), (1.0, 1e-300), (1.0, 1e-160)],
-                         ids=["huge-curves", "step-1e-300", "step-1e-160"])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale, step", [(1e200, 1.0 / 29.0), (1.0, 1e-300), (1.0, 1e-160),
+                                         (None, None)],
+                         ids=["huge-curves", "step-1e-300", "step-1e-160", "summed-groups"])
 def test_lambda_hat_names_a_field_past_the_doubles(scale, step):
     # Curves times 1e200 gave an inf field, and a step of 1e-300 (1e-160)
     # a NaN (inf) one, without an error: a tgkf band on such a grid then
-    # named a "1-D field" its caller never passed.
+    # named a "1-D field" its caller never passed. Two residual groups
+    # whose finite fields sum past the doubles did the same after an
+    # overflow warning.
+    if scale is None:
+        rng = np.random.default_rng(3)
+        y, x = rng.standard_normal((2, 30)), rng.standard_normal((2, 30))
+        g = Grid1D(10.0**-153.55 * np.arange(30.0))
+        assert all(np.isfinite(lambda_hat(r)).all()
+                   for r in two_sample_residuals(FunctionalSample(y, g), FunctionalSample(x, g))[3])
+        message = re.escape("gradient variance is not finite at grid point 29 (s=8.17331e-153)")
+        with pytest.raises(ValueError, match=message):
+            scb_two_sample(FunctionalSample(y, g), FunctionalSample(x, g))
+        with pytest.raises(ValueError, match=message):
+            scbands.bands._tgkf_bands([y[None], x[None]], g, 0.05)
+        p = np.linspace(0.0, 1.0, 30)
+        s = FunctionalSample(np.outer([np.sqrt(5e307), -np.sqrt(5e307)], p), Grid1D(p))
+        assert np.isfinite(lambda_hat(s)).all()
+        with pytest.raises(ValueError, match=re.escape(
+                "gradient variance is not finite at grid point 0 (s=0)")):
+            lkc_estimate(s, s)
+        return
     values = scale * cosine_sample(5, 19, n_points=30).values
     sample = FunctionalSample(values, Grid1D(step * np.arange(30.0)))
     message = re.escape("gradient variance is not finite at grid point 0 (s=0)")

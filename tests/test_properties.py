@@ -373,7 +373,7 @@ def test_curvature_cores_on_a_stack_are_each_replicate_s_public_result(axes, r, 
     # shells over them, so every slice of a stack is the public result bit for bit
     grid = Grid1D(*axes) if len(axes) == 1 else Grid2D(*axes)
     values = data.draw(arrays(np.float64, (r, n, grid.n_points), elements=_entries))
-    lam = _lambda(values, grid)
+    lam = _lambda([values], grid)
     curvatures = _lkc_1d(lam, grid) if len(axes) == 1 else np.stack(_lkc_2d(lam, grid), axis=-1)
     for k in range(r):
         alone = lambda_hat(FunctionalSample(values[k], grid))

@@ -25,7 +25,7 @@ from .bootstrap import BootstrapConfig, boots_t_quantile, mult_t_quantile
 from .errors import _owned, _real_array
 from .fdata import FunctionalSample, Grid1D, _mean_field, _nonzero_scale, _suspect, grids_equal
 from .kinematic import ECDensityModel, LKCVector, tgkf_quantile
-from .lkc import _lambda, _lkc_1d, _lkc_2d
+from .lkc import _lambda, _lkc_1d, _lkc_2d, lkc_estimate
 from .scalespace import smooth_sample
 
 __all__ = [
@@ -116,22 +116,16 @@ def _residual_stacks(values, grid):
     return center, scale, rate, stacks
 
 
-def _shared_grid(samples):
-    """The grid of the one or two samples of a band, once each has 2 curves or more."""
-    grid = samples[0].grid
-    if not all(grids_equal(s.grid, grid) for s in samples[1:]):
-        raise ValueError("grid mismatch between the two samples")
-    if min(s.n_samples for s in samples) < 2:
-        raise ValueError("a band needs at least 2 curves" if len(samples) == 1
-                         else "both groups need at least 2 curves")
-    return grid
-
-
 def _residual_field(samples):
     """(center, scale, rate, residual groups) of the mean field of one sample
     (see normed_residuals) or of the difference of two (two_sample_residuals):
     _residual_stacks' parts, each residual group a FunctionalSample."""
-    grid = _shared_grid(samples)
+    one, grid = len(samples) == 1, samples[0].grid
+    if not all(grids_equal(s.grid, grid) for s in samples[1:]):
+        raise ValueError("grid mismatch between the two samples")
+    if min(s.n_samples for s in samples) < 2:
+        raise ValueError("a band needs at least 2 curves" if one
+                         else "both groups need at least 2 curves")
     center, scale, rate, stacks = _residual_stacks([s.values for s in samples], grid)
     # the scales passed, so |Y - mean| <= sqrt(N-1) scale, also under the pooled scale
     groups = tuple(_owned(FunctionalSample, values=res, grid=grid) for res in stacks)
@@ -171,26 +165,26 @@ def _half_width(q, scale, rate):
 def _scb(method, samples, alpha, replicates, seed):
     """Band center +/- q * scale / rate of the mean field of one or two samples.
 
-    Every kernel reads the field's unit-scale residuals, never the raw
-    values, whose squares can overflow or underflow. The tGKF band is the
-    one-replicate block of _tgkf_bands; a resampling kernel reads the
-    residual groups, one group as itself and two as a tuple. The replicate
-    count and seed are checked for every method, the tGKF too.
+    Every kernel reads the field's unit-scale residual groups, never the
+    raw values, whose squares can overflow or underflow: the tGKF their
+    sum(N_g - 1) degrees of freedom and summed curvature field, a
+    resampling kernel one group as itself and two as a tuple. The
+    replicate count and seed are checked for every method, the tGKF too.
     """
     name, kind, law, studentized = _parse_method_for(method, len(samples) == 2)
     cfg = BootstrapConfig(replicates, alpha, studentized, seed)
+    center, scale, rate, groups = _residual_field(samples)
     if kind == "tgkf":
-        (q,), (center,), (half,) = _tgkf_bands([s.values[None] for s in samples],
-                                               _shared_grid(samples), alpha)
+        dof = sum(g.n_samples - 1 for g in groups)
+        q = tgkf_quantile(lkc_estimate(*groups), ECDensityModel.student_t(dof), alpha)
     else:
-        center, scale, rate, groups = _residual_field(samples)
         data = groups[0] if len(groups) == 1 else groups
         q = boots_t_quantile(data, cfg) if kind == "boots" else mult_t_quantile(data, law, cfg)
-        half = _half_width(q, scale, rate)
+    half = _half_width(q, scale, rate)
     # center is finite (means of finite sums, within DBL_MAX / 2) and 0 <= half < 2^970, half an
     # ulp of DBL_MAX (scale < 2^512, rate >= sqrt(2)): center -/+ half is finite and ordered
     return _owned(SCBand, center=center, lower=center - half, upper=center + half,
-                  quantile=float(q), method=name, alpha=float(alpha), grid=samples[0].grid)
+                  quantile=float(q), method=name, alpha=float(alpha), grid=groups[0].grid)
 
 
 def scb_one_sample(sample, method="tgkf", alpha=0.05, replicates=1000, seed=0):
@@ -245,17 +239,19 @@ def covers(band, truth):
     return bool(_inside(band.lower, band.upper, t))
 
 
-def _tgkf_bands(values, grid, alpha):
-    """(quantiles, centers, half-widths) of the tGKF bands of R replicates,
-    built together from each group's (R, N, P) stack of values on grid:
-    _residual_stacks, _lambda, the lkc cores, one tgkf_quantile call over
-    the R curvature rows and _half_width, each on a leading replicate axis,
-    so a lone band (_scb) is the block of one. The fields are taken in
-    chunks of replicates of about _CHUNK_VALUES values per array.
+def _tgkf_bands(values, grid, alpha, truth):
+    """(quantile, covered) of the tGKF band of each of R replicates, built
+    together: values holds each group's (R, N, P) stack, truth a finite (P,)
+    curve. Every step is _scb's and covers' on a leading replicate axis
+    (_residual_stacks, _lambda, the lkc cores, one tgkf_quantile call over
+    the R curvature rows, _half_width), so each pair is bitwise that
+    replicate's own band's. The residual and curvature fields are taken in
+    chunks of replicates of about _CHUNK_VALUES values per array; the solve
+    runs over all R rows.
 
     Raises ValueError or ArithmeticError with the error of a failing
-    replicate's own band: the checks run in the order above, chunk by
-    chunk, and each names its first failing replicate.
+    replicate's own band: the checks are the lone band's, run in the order
+    above chunk by chunk, and each names its first failing replicate.
     """
     step = max(1, _CHUNK_VALUES // values[0][0].size)
     fields = []
@@ -266,7 +262,9 @@ def _tgkf_bands(values, grid, alpha):
     curvatures = zip(_lkc_1d(lam, grid)) if isinstance(grid, Grid1D) else zip(*_lkc_2d(lam, grid))
     dof = sum(v.shape[-2] - 1 for v in values)
     q = tgkf_quantile([LKCVector(1, c) for c in curvatures], ECDensityModel.student_t(dof), alpha)
-    return q, center, _half_width(q, scale, rate)
+    half = _half_width(q, scale, rate)
+    covered = _inside(center - half, center + half, truth)
+    return list(zip(q.tolist(), covered.tolist()))
 
 
 def band_to_dict(band):

@@ -17,8 +17,8 @@ only on N, the grid width and _BLOCK_VALUES.
 A band block draws each replicate from the substreams of its own index and
 stops at the replication count; since its draws are addressed by
 replicate, the clipping moves no draw. Its tGKF bands are built together
-on the stack of its draws by bands._tgkf_bands, which builds every tGKF
-band (a lone one as a block of one), its resampling bands one by one. A
+on the stack of its draws, with one lockstep quantile solve
+(bands._tgkf_bands), and its resampling bands one replicate at a time. A
 reference block draws all its paths from one substream per purpose and
 centers them in place; it is drawn whole, its rows past the replication
 count dropped, so raising true_replications keeps every earlier statistic.
@@ -257,8 +257,8 @@ def _band_block(pipe, n_index, reps):
     is drawn from the substreams of its own index. The block's tGKF bands
     are built together from the (R, N, P) stack of its draws
     (bands._tgkf_bands); if a draw fails or any of them fails there, they
-    are built one replicate at a time like the resampling bands, each a
-    block of one, so every failing replicate gives its own reason.
+    are built one replicate at a time like the resampling bands, so every
+    reason is the one-band path's.
     """
     cfg = pipe.cfg
     reps = range(reps.start, min(reps.stop, cfg.replications))
@@ -269,10 +269,7 @@ def _band_block(pipe, n_index, reps):
         stacks = [np.concatenate(draws) for draws in zip(*(groups for groups, _ in drawn))]
         # each replicate's draws are now views of the stacks, so a block holds them once
         drawn = [([s[k:k + 1] for s in stacks], None) for k in range(len(reps))]
-        built = _failure_tolerant(_tgkf_bands, stacks, pipe.grid, cfg.alpha)[0]
-        if built:
-            q, center, half = built
-            tgkf = list(zip(q.tolist(), _inside(center - half, center + half, pipe.truth).tolist()))
+        tgkf = _failure_tolerant(_tgkf_bands, stacks, pipe.grid, cfg.alpha, pipe.truth)[0]
     rows = []
     for k, (rep, (groups, reason)) in enumerate(zip(reps, drawn)):
         row = [(tgkf[k], None) if tgkf and method == "tgkf" else None for method in cfg.methods]

@@ -183,7 +183,9 @@ def lkc_estimate(*residuals):
     if not all(grids_equal(r.grid, grid) for r in residuals):
         raise ValueError("grid mismatch between the residual samples")
     lam = _lambda([_residual_rows(r) for r in residuals], grid)
-    return LKCVector(1, (_lkc_1d(lam, grid),) if isinstance(grid, Grid1D) else _lkc_2d(lam, grid))
+    if isinstance(grid, Grid1D):
+        return LKCVector(1, (_lkc_1d(lam, grid),))
+    return LKCVector(1, _lkc_2d(lam, grid))
 
 
 def tau_sq_1d(residuals):
@@ -199,9 +201,13 @@ def tau_sq_1d(residuals):
     Gaussian-like residuals. The denominator uses the diagonal values
     cdot(s,s), cdot(s',s').
     """
-    if not isinstance(residuals, FunctionalSample) or not isinstance(residuals.grid, Grid1D):
+    if not isinstance(residuals, FunctionalSample) or not isinstance(
+        residuals.grid, Grid1D
+    ):
         raise ValueError("tau_sq_1d needs residuals on a 1-D grid")
-    n = len(_residual_rows(residuals))
+    n = residuals.n_samples
+    if n < 2:
+        raise ValueError("gradient covariance needs at least 2 residual rows")
 
     (grads,) = gradient(residuals)
     with np.errstate(all="ignore"):  # _nonzero_scale names a variance that overflows

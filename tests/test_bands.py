@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
 import scbands.bands
-import scbands.lkc
 from scbands import (
     METHOD_NAMES,
     DegenerateVarianceError,
@@ -194,33 +193,6 @@ def test_a_quantile_past_what_a_finite_band_holds_is_named(monkeypatch):
         scb_one_sample(s)
 
 
-@pytest.mark.parametrize("build", ["one-sample", "two-sample", "scale-space"])
-def test_a_lone_tgkf_band_is_the_engine_s_block_of_one(monkeypatch, build):
-    # the one tGKF band path: each public tgkf band calls bands._tgkf_bands
-    # once, on one replicate, and never lkc_estimate
-    engine, calls = scbands.bands._tgkf_bands, []
-
-    def spy(values, *args):
-        calls.append([v.shape[0] for v in values])
-        return engine(values, *args)
-
-    def refuse(*args):
-        raise AssertionError("lkc_estimate was called")
-
-    monkeypatch.setattr(scbands.bands, "_tgkf_bands", spy)
-    monkeypatch.setattr(scbands.bands, "lkc_estimate", refuse, raising=False)
-    monkeypatch.setattr(scbands.lkc, "lkc_estimate", refuse)
-    s = gen_model(ModelSpec("A", resolution=30), 12, rng=substream(44, 4))
-    if build == "one-sample":
-        scb_one_sample(s)
-    elif build == "two-sample":
-        scb_two_sample(s, gen_model(ModelSpec("A", resolution=30), 9, rng=substream(44, 5)))
-    else:
-        sg = ScaleGrid(Grid1D(np.linspace(0.1, 0.9, 9)), np.linspace(0.05, 0.1, 3))
-        scb_scale_space(s, gaussian_kernel(), sg)
-    assert calls == [[1] * (1 + (build == "two-sample"))]
-
-
 def test_a_tgkf_block_raises_its_first_failing_replicate_s_own_error():
     # On a grid step of 1e-160 a residual column whose sign flips at point k
     # leaves a gradient variance past the doubles at point k - 1. Replicate
@@ -239,7 +211,7 @@ def test_a_tgkf_block_raises_its_first_failing_replicate_s_own_error():
     assert lone == [f"gradient variance is not finite at grid point {p}" for p in
                     ("11 (s=1.1e-159)", "4 (s=4e-160)")]
     with pytest.raises(ValueError, match=f"^{re.escape(lone[0])}$"):
-        scbands.bands._tgkf_bands([stack], g, 0.05)
+        scbands.bands._tgkf_bands([stack], g, 0.05, np.zeros(30))
 
 
 def test_degenerate_sample_rejected():

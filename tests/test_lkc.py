@@ -78,13 +78,30 @@ def test_lambda_hat_names_a_field_past_the_doubles(scale, step):
         with pytest.raises(ValueError, match=message):
             scb_two_sample(FunctionalSample(y, g), FunctionalSample(x, g))
         with pytest.raises(ValueError, match=message):
-            scbands.bands._tgkf_bands([y[None], x[None]], g, 0.05)
+            scbands.bands._tgkf_bands([y[None], x[None]], g, 0.05, np.zeros(30))
         p = np.linspace(0.0, 1.0, 30)
         s = FunctionalSample(np.outer([np.sqrt(5e307), -np.sqrt(5e307)], p), Grid1D(p))
         assert np.isfinite(lambda_hat(s)).all()
         with pytest.raises(ValueError, match=re.escape(
                 "gradient variance is not finite at grid point 0 (s=0)")):
             lkc_estimate(s, s)
+        # Groups whose own fields fail at different points: the sum names its
+        # first, point 4 of group x, not point 11 of group y.
+        g = Grid1D(1e-160 * np.arange(30.0))
+        a = substream(44, 6).standard_normal((8, 1))
+        y, x = (np.where(np.arange(30) < k, a, -a) for k in (12, 5))
+        groups = two_sample_residuals(FunctionalSample(y, g), FunctionalSample(x, g))[3]
+        message = "gradient variance is not finite at grid point {}"
+        for group, point in zip(groups, ("11 (s=1.1e-159)", "4 (s=4e-160)")):
+            with pytest.raises(ValueError, match=re.escape(message.format(point))):
+                lambda_hat(group)
+        message = f"^{re.escape(message.format('4 (s=4e-160)'))}$"
+        with pytest.raises(ValueError, match=message):
+            lkc_estimate(*groups)
+        with pytest.raises(ValueError, match=message):
+            scb_two_sample(FunctionalSample(y, g), FunctionalSample(x, g))
+        with pytest.raises(ValueError, match=message):
+            scbands.bands._tgkf_bands([y[None], x[None]], g, 0.05, np.zeros(30))
         return
     values = scale * cosine_sample(5, 19, n_points=30).values
     sample = FunctionalSample(values, Grid1D(step * np.arange(30.0)))

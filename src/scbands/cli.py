@@ -18,6 +18,7 @@ object {"error": ..., "message": ...} to stderr and exit with status 1.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -89,6 +90,7 @@ def _write_report(report, stem):
     return 0
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="scbands",
@@ -109,8 +111,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg, inputs = _load_config(args)
         if args.command in _SWEEPS:

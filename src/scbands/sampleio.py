@@ -7,6 +7,7 @@ are rendered with repr-faithful precision, so write/read round-trips are
 bitwise exact.
 """
 
+import contextlib
 import csv
 import json
 
@@ -66,12 +67,37 @@ def _parse_grid(header):
     raise ValueError("surface header is not a row-major rectangular lattice")
 
 
+def _scan(lines, width):
+    """The reference reader of the data lines, csv.reader and float per cell:
+    their values, or the error that names the first bad row by its line."""
+    rows = {}  # file line number -> values
+    for line_no, row in enumerate(csv.reader(lines), start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise ValueError(f"row {line_no} has {len(row)} values, expected {width}")
+        try:
+            rows[line_no] = [float(cell) for cell in row]
+        except ValueError:
+            raise ValueError(f"row {line_no} holds a non-numeric value") from None
+    if not rows:
+        raise ValueError("sample CSV holds no data rows")
+    values = np.array(list(rows.values()))
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {list(rows)[np.argmin(finite)]} holds a non-finite value")
+    return values
+
+
 def read_sample(path):
     """Read a functional sample written by write_sample.
 
     Validates the header (monotone coordinates, rectangular lattice for
-    surfaces), rejects ragged or non-finite rows, and reports the offending
-    1-based line number of the file on failure.
+    surfaces). numpy's C reader parses the data lines; where it refuses
+    them (Python's float reads "1_0", numpy does not) or reads other than
+    one finite row per non-blank line, the line scan reads them, so the
+    files accepted, their values and the errors naming a bad row's 1-based
+    line in the file are the scan's alone.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -80,24 +106,15 @@ def read_sample(path):
         except StopIteration:
             raise ValueError("sample CSV is empty") from None
         grid = _parse_grid(header)
-        rows = {}  # file line number -> values
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"row {line_no} has {len(row)} values, expected {len(header)}"
-                )
-            try:
-                rows[line_no] = [float(cell) for cell in row]
-            except ValueError:
-                raise ValueError(f"row {line_no} holds a non-numeric value") from None
-    if not rows:
-        raise ValueError("sample CSV holds no data rows")
-    values = np.array(list(rows.values()))
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"row {list(rows)[np.argmin(finite)]} holds a non-finite value")
+        lines = fh.readlines()
+    data = [line for line in lines if line.strip("\r\n")]  # the scan's non-blank rows
+    limit = csv.field_size_limit()  # the scan refuses longer fields
+    values = None
+    if data and all(len(ln) <= limit or max(map(len, ln.split(","))) <= limit for ln in data):
+        with contextlib.suppress(ValueError):
+            values = np.loadtxt(data, delimiter=",", ndmin=2, comments=None, quotechar='"')
+    if values is None or values.shape != (len(data), len(header)) or not np.isfinite(values).all():
+        values = _scan(lines, len(header))
     # rows of len(header) == grid.n_points floats, each checked finite above
     return _owned(FunctionalSample, values=values, grid=grid)
 
@@ -105,8 +122,7 @@ def read_sample(path):
 def write_band(path, band):
     """Write a confidence band as a JSON document."""
     with open(path, "w") as fh:
-        json.dump(band_to_dict(band), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(band_to_dict(band), indent=2) + "\n")
 
 
 def write_report_json(path, report):

@@ -1,12 +1,16 @@
 """CSV and JSON round-trips plus the command-line entry points."""
 
 import argparse
+import csv
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from scbands import (
@@ -32,6 +36,7 @@ from scbands import (
     write_sample,
 )
 from scbands.cli import _build_parser, main
+from scbands.sampleio import _scan
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -69,6 +74,23 @@ def test_read_errors_name_the_offending_row(tmp_path):
     p.write_text("0.0,0.5,1.0\ninf,2,3\n")
     with pytest.raises(ValueError, match="row 2 holds a non-finite value"):
         read_sample(p)
+    # rows the line scan refuses stay refused, named by the same line
+    p.write_text("0.0,0.5,1.0\n1,2,3\n \n4,5,6\n")
+    with pytest.raises(ValueError, match="^row 3 has 1 values, expected 3$"):
+        read_sample(p)
+    p.write_text("0.0,0.5,1.0\n1,2,3,\n")
+    with pytest.raises(ValueError, match="^row 2 has 4 values, expected 3$"):
+        read_sample(p)
+    p.write_text("0.0,0.5,1.0\n\n1,#,3\n")
+    with pytest.raises(ValueError, match="^row 3 holds a non-numeric value$"):
+        read_sample(p)
+    p.write_text("0.0,0.5,1.0\n1,2,3\n4,5,6 # note\n")
+    with pytest.raises(ValueError, match="^row 3 holds a non-numeric value$"):
+        read_sample(p)
+    # a field past csv's size limit is the scan's error, though numpy reads it
+    p.write_text("0.0,0.5,1.0\n" + " " * 131072 + "1,2,3\n")
+    with pytest.raises(csv.Error, match=r"^field larger than field limit \(131072\)$"):
+        read_sample(p)
 
 
 def test_read_rejects_degenerate_files(tmp_path):
@@ -76,9 +98,15 @@ def test_read_rejects_degenerate_files(tmp_path):
     p.write_text("")
     with pytest.raises(ValueError, match="empty"):
         read_sample(p)
-    p.write_text("0.0,0.5,1.0\n")
-    with pytest.raises(ValueError, match="no data rows"):
-        read_sample(p)
+    # no data rows, and no warning of any category (numpy warns on empty input)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        filters = list(warnings.filters)
+        for text in ("0.0,0.5,1.0\n", "0.0,0.5,1.0", "0.0,0.5,1.0\r\n\n\r\n\r\r\n"):
+            p.write_text(text, newline="")
+            with pytest.raises(ValueError, match="^sample CSV holds no data rows$"):
+                read_sample(p)
+        assert warnings.filters == filters
     p.write_text("0:0,0:1,1:0\n1,2,3\n")
     with pytest.raises(ValueError, match="rectangular lattice"):
         read_sample(p)
@@ -111,10 +139,70 @@ def test_read_rejects_degenerate_files(tmp_path):
 
 def test_read_skips_blank_lines(tmp_path):
     p = tmp_path / "gaps.csv"
-    p.write_text("0.0,0.5,1.0\n\n1,2,3\n\n\n4,5,7\n\n")
-    s = read_sample(p)
-    assert_array_equal(s.values, [[1.0, 2.0, 3.0], [4.0, 5.0, 7.0]])
-    assert_array_equal(s.grid.points, [0.0, 0.5, 1.0])
+    for text in (
+        "0.0,0.5,1.0\n\n1,2,3\n\n\n4,5,7\n\n",
+        "0.0,0.5,1.0\r\n1,2,3\r\n\r\n4,5,7\r\n\r\n\r\n",  # CRLF
+        "0.0,0.5,1.0\r1,2,3\r\r4,5,7",  # CR, no final line end
+        '"0.0","0.5",1.0\n"1",2,"3"\n\n" 4 ",5,"7"\n',  # quoted cells
+        "0.0,0.5,1.0\n1, 2 ,3\n4,5,7\n\n\n",  # padded cells, trailing blank lines
+        "0.0,0.5,1.0\n1,2,3\n4,5,7_0\n",  # a digit separator: Python's float, not numpy's
+        '0.0,0.5,1.0\n"1\n",2,3\n4,5,7\n',  # a quoted line end inside a cell
+    ):
+        p.write_text(text, newline="")
+        s = read_sample(p)
+        last = 70.0 if "7_0" in text else 7.0
+        assert_array_equal(s.values, [[1.0, 2.0, 3.0], [4.0, 5.0, last]])
+        assert_array_equal(s.grid.points, [0.0, 0.5, 1.0])
+
+
+def _scanned(path, width):
+    """The line scan's result on a file with a one-line header: the values'
+    bits, or the error's type and message."""
+    with open(path, newline="") as fh:
+        next(fh)
+        return _outcome(_scan, fh, width)
+
+
+def _outcome(read, *args):
+    try:
+        return np.asarray(read(*args)).view(np.uint64).tolist()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: format(x, ".17g")),
+    st.floats().map(repr),
+)
+_pads = st.sampled_from(["", " ", "\t", "\x0c", "\u00a0"])
+# numbers as write_sample renders them, padded or quoted as other writers may
+_numeric = st.builds(lambda a, x, b, q: q + a + x + b + q, _pads, _numbers, _pads,
+                     st.sampled_from(["", "", '"']))
+_cells = st.one_of(
+    _numeric,
+    st.sampled_from(["1_0", "", " ", "#", "# 1", "1e400", "-inf", "0x10", "1 2", "\u0661",
+                     '"1"2', '1"2"', '"1,2"', '"1\n"', '"', '""']),
+    st.text("0123456789.e-+_ ,\"#\t\r\n", max_size=5),
+)
+_rows = st.one_of(
+    st.lists(_numeric, min_size=3, max_size=3).map(",".join),
+    st.lists(_numeric, min_size=3, max_size=3).map(",".join),
+    st.lists(_cells, max_size=4).map(",".join),
+    st.just(""),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(rows=st.lists(_rows, min_size=1, max_size=5), ends=st.sampled_from(["\n", "\r\n", "\r"]))
+def test_read_sample_is_the_line_scan(tmp_path_factory, rows, ends):
+    # on any data lines, the values read or the error raised (with its line
+    # number) are the line scan's, and no warning is raised
+    p = tmp_path_factory.mktemp("fuzz") / "sample.csv"
+    p.write_text(ends.join(["0.0,0.5,1.0", *rows]), newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(lambda: read_sample(p).values)
+    assert got == _scanned(p, 3)
 
 
 def test_band_json_file(tmp_path):
@@ -473,6 +561,42 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
     assert main(["coverage", "--config", str(p)]) == 1
     doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "bogus" in doc["message"]
+
+
+def test_cli_calls_share_nothing_through_the_cached_parser(tmp_path, capsys):
+    # the parser is built once per process; each call's exit status, band
+    # JSON and error line are those of the same call made alone
+    sample = tmp_path / "y.csv"
+    assert main(["generate", "--config", str(_write_config(tmp_path / "g.json")),
+                 "--out", str(sample)]) == 0
+    cfg = _write_config(tmp_path / "cfg.json", input=str(sample), methods=["rmult-t"],
+                        bootstrap_replicates=50, out=str(tmp_path / "cfg_out.json"))
+    bad = _write_config(tmp_path / "bad.json", input=str(sample), methods=["tgkf", "boots-t"])
+    calls = [
+        (["scb", "--config", str(cfg), "--seed", "5", "--out", str(tmp_path / "seeded.json")],
+         tmp_path / "seeded.json"),
+        (["scb", "--config", str(cfg)], tmp_path / "cfg_out.json"),
+        (["scb", "--config", str(bad), "--out", str(tmp_path / "bad_out.json")],
+         tmp_path / "bad_out.json"),
+        (["scb", "--config", str(cfg), "--out", str(tmp_path / "plain.json")],
+         tmp_path / "plain.json"),
+    ]
+
+    def run(argv, out):
+        out.unlink(missing_ok=True)
+        status = main(argv)
+        return status, out.read_bytes() if out.exists() else None, capsys.readouterr().err
+
+    in_sequence = [run(argv, out) for argv, out in calls]
+    alone = []
+    for argv, out in calls:
+        _build_parser.cache_clear()
+        alone.append(run(argv, out))
+    assert in_sequence == alone
+    assert [status for status, _, _ in alone] == [0, 0, 1, 0]
+    seeded, unseeded, _, plain = (band for _, band, _ in alone)
+    assert seeded != unseeded == plain
+    assert _build_parser() is _build_parser()
 
 
 def test_readme_command_line_matches_the_parser_and_the_config():

@@ -41,6 +41,7 @@ from scbands import (
 from scbands.experiments import _Pipeline
 from scbands.fdata import _gradient, _mean_field, _trapezoid_weights, gradient
 from scbands.lkc import _lambda, _lkc_1d, _lkc_2d
+from scbands.sampleio import _scan
 
 FEW = settings(max_examples=12, deadline=None, derandomize=True)
 
@@ -154,6 +155,9 @@ def test_sample_csv_round_trip_is_bit_exact(tmp_path_factory, data, two_d, n):
     write_sample(path, FunctionalSample(vals, grid))
     back = read_sample(path)
     assert np.array_equal(_bits(back.values), _bits(vals))
+    with open(path, newline="") as fh:  # numpy's reader gives the line scan's bits
+        next(fh)
+        assert np.array_equal(_bits(_scan(fh, grid.n_points)), _bits(vals))
     if two_d:
         assert np.array_equal(_bits(back.grid.x_points), _bits(grid.x_points))
         assert np.array_equal(_bits(back.grid.y_points), _bits(grid.y_points))

@@ -18,7 +18,9 @@ B on its midpoint design, and C; draws, noisy draws and gradients; bands
 of all 8 methods at seeds 0 and 7 on models A, B (chisq), C and a noisy B
 sample, and their errors on samples with a zero-variance column; the 6
 two-sample methods; LKC vectors and gradient covariances; sample CSV text
-and its read-back; band JSON; scale-space bands over 20 and 1 bandwidths;
+and its read-back, also of an edge layout (CRLF ends, quoted cells, blank
+lines) as it is and with a digit separator that only the line scan reads;
+band JSON; scale-space bands over 20 and 1 bandwidths;
 1,000 seeded tGKF solves (1-D and 2-D, Gaussian and t); run_coverage /
 run_width reports of four configs at 1 and 2 threads; and the band-requests
 benchmark workload's requests at its own sizes at seeds 1 and 2: tgkf,
@@ -37,6 +39,7 @@ import json
 import os
 import pickle
 import platform
+import re
 import sys
 import tempfile
 import warnings
@@ -161,6 +164,17 @@ def io_outputs(out, samples):
                 out[f"csv/{name}"] = fh.read()
             back = sb.read_sample(path)
             out[f"csv_read/{name}"] = {"values": back.values, "grid": _grid(back.grid)}
+        # model A's text with CRLF ends, quoted cells and blank lines, read as
+        # it is (numpy's reader) and with one digit separator (the line scan)
+        header, *lines = out["csv/A"].splitlines()
+        rows = ['"' + line.replace(",", '","') + '"' for line in lines]
+        separated = [re.sub(r"(\d)(\d)", r"\1_\2", rows[0], count=1), *rows[1:]]
+        path = os.path.join(tmp, "edge.csv")
+        out["csv_read/edge"] = {}
+        for layout, data in (("layout", rows), ("scan", separated)):
+            with open(path, "w", newline="") as fh:
+                fh.write("\r\n\r\n".join([header, *data]) + "\r\n")
+            out["csv_read/edge"][layout] = _caught(lambda: sb.read_sample(path).values)
 
 
 def scale_space_outputs(out):

@@ -18,10 +18,11 @@ A band block draws each replicate from the substreams of its own index and
 stops at the replication count; since its draws are addressed by
 replicate, the clipping moves no draw. Its tGKF bands are built together
 on the stack of its draws, with one lockstep quantile solve
-(bands._tgkf_bands), and its resampling bands one replicate at a time. A
-reference block draws all its paths from one substream per purpose and
-centers them in place; it is drawn whole, its rows past the replication
-count dropped, so raising true_replications keeps every earlier statistic.
+(bands._tgkf_bands), or by that engine one replicate at a time when the
+block fails; its resampling bands one replicate at a time. A reference
+block draws all its paths from one substream per purpose and centers them
+in place; it is drawn whole, its rows past the replication count dropped,
+so raising true_replications keeps every earlier statistic.
 """
 
 import math
@@ -240,9 +241,16 @@ def _sweep(pipe, block, reps):
     return rows
 
 
-def _band(pipe, samples, method, seed):
-    """(quantile, covered) of the method's band on the samples of one replicate."""
+def _band(pipe, values, method, seed):
+    """(quantile, covered) of the method's band on one replicate's (N, P)
+    values of each group. They are checked as samples first, so a draw that
+    overflowed fails with the lone band's reason; the tGKF band is then the
+    one-replicate block of bands._tgkf_bands, any other scb_one_sample's or
+    scb_two_sample's."""
     cfg = pipe.cfg
+    samples = [FunctionalSample(v, pipe.grid) for v in values]
+    if method == "tgkf":
+        return _tgkf_bands([s.values[None] for s in samples], pipe.grid, cfg.alpha, pipe.truth)[0]
     build = scb_two_sample if cfg.two_sample else scb_one_sample
     band = build(*samples, method, cfg.alpha, cfg.bootstrap_replicates, seed)
     return band.quantile, bool(_inside(band.lower, band.upper, pipe.truth))
@@ -253,36 +261,26 @@ def _band_block(pipe, n_index, reps):
     (value, reason) pair per method.
 
     value is the band's (quantile, covered) pair, or None with the failure
-    message as reason when the draw or the estimator failed. Each replicate
-    is drawn from the substreams of its own index. The block's tGKF bands
-    are built together from the (R, N, P) stack of its draws
-    (bands._tgkf_bands); if a draw fails or any of them fails there, they
-    are built one replicate at a time like the resampling bands, so every
-    reason is the one-band path's.
+    message as reason when the estimator failed. Each replicate is drawn
+    from the substreams of its own index into the block's (R, N, P) stack
+    of each group. The block's tGKF bands are built together from the
+    stacks (bands._tgkf_bands); if that raises, _band builds them one
+    replicate at a time with the same engine, like the resampling bands, so
+    every reason is the replicate's own band's.
     """
     cfg = pipe.cfg
     reps = range(reps.start, min(reps.stop, cfg.replications))
-    drawn = [_failure_tolerant(pipe.draw_groups, n_index, range(rep, rep + 1), _BAND_TAGS)
-             for rep in reps]
+    draws = [pipe.draw_groups(n_index, range(rep, rep + 1), _BAND_TAGS) for rep in reps]
+    stacks = [np.concatenate(group) for group in zip(*draws)]
+    del draws  # the block holds its draws once, in the stacks
     tgkf = None
-    if "tgkf" in cfg.methods and all(groups for groups, _ in drawn):
-        stacks = [np.concatenate(draws) for draws in zip(*(groups for groups, _ in drawn))]
-        # each replicate's draws are now views of the stacks, so a block holds them once
-        drawn = [([s[k:k + 1] for s in stacks], None) for k in range(len(reps))]
+    if "tgkf" in cfg.methods:
         tgkf = _failure_tolerant(_tgkf_bands, stacks, pipe.grid, cfg.alpha, pipe.truth)[0]
-    rows = []
-    for k, (rep, (groups, reason)) in enumerate(zip(reps, drawn)):
-        row = [(tgkf[k], None) if tgkf and method == "tgkf" else None for method in cfg.methods]
-        if None in row and not reason:  # a band built alone reads the replicate's samples
-            samples, reason = _failure_tolerant(
-                lambda: [FunctionalSample(values[0], pipe.grid) for values in groups])
-        if reason:
-            rows.append([(None, reason)] * len(cfg.methods))
-            continue
-        rows.append([pair or _failure_tolerant(
-            _band, pipe, samples, method, child_sequence(cfg.seed, _TAG_METHOD, n_index, rep, m))
-            for m, (method, pair) in enumerate(zip(cfg.methods, row))])
-    return rows
+    return [[(tgkf[k], None) if tgkf is not None and method == "tgkf"
+             else _failure_tolerant(_band, pipe, [s[k] for s in stacks], method,
+                                    child_sequence(cfg.seed, _TAG_METHOD, n_index, rep, m))
+             for m, method in enumerate(cfg.methods)]
+            for k, rep in enumerate(reps)]
 
 
 def _cells(n, methods, columns, summary):

@@ -723,14 +723,14 @@ def _rows_one_band_at_a_time(pipe, n_index, reps):
     each method's band and coverage through the public one-band functions."""
     cfg, ex = pipe.cfg, scbands.experiments
     rows = []
+    build = scb_two_sample if cfg.two_sample else scb_one_sample
     for rep in reps:
         groups = pipe.draw_groups(n_index, range(rep, rep + 1), ex._BAND_TAGS)
-        samples = [FunctionalSample(values[0], pipe.grid) for values in groups]
-        build = scb_two_sample if cfg.two_sample else scb_one_sample
         row = []
         for m_index, method in enumerate(cfg.methods):
             seed = scbands.rng.child_sequence(cfg.seed, ex._TAG_METHOD, n_index, rep, m_index)
             try:
+                samples = [FunctionalSample(values[0], pipe.grid) for values in groups]
                 band = build(*samples, method, cfg.alpha, cfg.bootstrap_replicates, seed)
                 row.append(((band.quantile, covers(band, pipe.truth)), None))
             except ValueError as exc:
@@ -764,8 +764,9 @@ def test_a_band_block_builds_its_tgkf_bands_together_bit_for_bit(overrides):
 def test_a_band_block_with_a_degenerate_replicate_is_rebuilt_one_band_at_a_time(
         monkeypatch, two_sample, n):
     # replicate 2's draw (of both groups) has a constant column: the block's
-    # tGKF bands are then built one by one, so that replicate fails with the
-    # one-band path's reason and every other row is the same as before
+    # tGKF bands are then built one replicate at a time by the same engine,
+    # so that replicate fails with the one-band path's reason and every
+    # other row is the same as before
     cfg = small_config(methods=("tgkf", "rmult-t"), bootstrap_replicates=50,
                        two_sample=two_sample, n_values=(n,), replications=5)
     pipe = scbands.experiments._Pipeline(cfg)
@@ -782,16 +783,43 @@ def test_a_band_block_with_a_degenerate_replicate_is_rebuilt_one_band_at_a_time(
 
     monkeypatch.setattr(scbands.experiments, "_raw_block", patched)
     batched = []
-    monkeypatch.setattr(scbands.experiments, "_tgkf_bands",
-                        lambda *args: batched.append(1) or scbands.bands._tgkf_bands(*args))
+    monkeypatch.setattr(scbands.experiments, "_tgkf_bands", lambda *args: batched.append(
+        len(args[0][0])) or scbands.bands._tgkf_bands(*args))
     rows = scbands.experiments._band_block(pipe, 0, range(5))
-    assert batched == [1]
+    assert batched == [5, 1, 1, 1, 1, 1]
     assert rows == _rows_one_band_at_a_time(pipe, 0, range(5))
     sd = "pooled sd" if two_sample else "pointwise sd"
     tgkf, rmult = rows[2]
     assert tgkf == (None, f"DegenerateVarianceError: {sd} is zero at grid point 5 (s=0.128205)")
     assert rmult[0] is None and rmult[1].startswith("DegenerateVarianceError: ")
     assert rows[:2] + rows[3:] == clean[:2] + clean[3:]
+
+
+@pytest.mark.parametrize("overrides, tgkf_reasons", [
+    ({"n_values": (2,), "seed": 4},
+     {None, "QuantileNoSolutionError: EEC tail failed to drop below alpha/2"}),
+    ({"n_values": (5,), "sigma_obs": 1e308}, {"ValueError: values contains non-finite entries"}),
+], ids=["eec-tail", "noise-overflow"])
+def test_a_failing_band_block_never_takes_the_lone_tgkf_band(monkeypatch, overrides, tgkf_reasons):
+    # Real draws, one block. At N=2 the EEC tail fails to drop below alpha/2
+    # in most replicates but not all; noise of sd 1e308 overflows every
+    # draw. The block's tGKF bands are rebuilt replicate by replicate by
+    # bands._tgkf_bands, with each replicate's own band's reason, and never
+    # by the lone band's lkc_estimate.
+    cfg = small_config(methods=("tgkf", "rmult-t"), bootstrap_replicates=50, replications=20,
+                       **overrides)
+    pipe = scbands.experiments._Pipeline(cfg)
+    assert pipe.block_size(0) >= cfg.replications
+    reps = range(cfg.replications)
+    rows = scbands.experiments._band_block(pipe, 0, reps)
+    assert {tgkf[1] for tgkf, _ in rows} == tgkf_reasons
+    assert rows == _rows_one_band_at_a_time(pipe, 0, reps)
+
+    def lone_band(*groups):
+        raise AssertionError("the sweep took the lone tGKF band")
+
+    monkeypatch.setattr(scbands.bands, "lkc_estimate", lone_band)
+    assert scbands.experiments._band_block(pipe, 0, reps) == rows
 
 
 def test_band_rows_draw_no_replicate_past_the_replication_count(monkeypatch):

@@ -5,7 +5,10 @@ fast and every run checks the same examples.
 """
 
 import math
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,3 +426,30 @@ def test_lockstep_solve_is_each_row_solved_alone(rows, model, alpha):
     together = tgkf_quantile(vectors, model, alpha)
     assert together.shape == (len(rows),) and together.dtype == np.float64
     assert np.array_equal(_bits(together), _bits(alone))
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails(n):
+    assert n < 10
+"""
+
+
+def test_a_failing_property_reports_its_falsifying_example(tmp_path):
+    # Under this suite's warning filters a failing @given test is reported as
+    # a failure with its example, not as an INTERNALERROR that ends the run
+    # (hypothesis's report imports libcst, which warns on import).
+    (tmp_path / "test_fails.py").write_text(_FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), str(tmp_path / "test_fails.py")],
+        capture_output=True, text=True, cwd=tmp_path, timeout=300,
+    )
+    assert "Falsifying example" in done.stdout, done.stdout
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert done.returncode == 1

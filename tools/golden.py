@@ -22,7 +22,8 @@ and its read-back, also of an edge layout (CRLF ends, quoted cells, blank
 lines) as it is and with a digit separator that only the line scan reads;
 band JSON; scale-space bands over 20 and 1 bandwidths;
 1,000 seeded tGKF solves (1-D and 2-D, Gaussian and t); run_coverage /
-run_width reports of four configs at 1 and 2 threads; and the band-requests
+run_width reports of seven configs at 1 and 2 threads, three of them edge
+configs whose tGKF bands fail in some or all replicates; and the band-requests
 benchmark workload's requests at its own sizes at seeds 1 and 2: tgkf,
 boots-t and gauss-sim (B=1000) on model A (N=50, P=200), tgkf on model C
 (50 x 50, N=50), the scale-space tgkf band of noisy model B on its midpoint
@@ -219,6 +220,20 @@ def report_outputs(out):
             methods=("tgkf", "rmult-t"), replications=6, bootstrap_replicates=200,
             sigma_obs=0.1, scale_grid=(0.02, 0.1, 8), true_replications=257,
             two_sample=True, seed=3),
+        # edge configs: at N=2 most tGKF replicates fail (all on model C; model A's
+        # block mixes failing and succeeding ones), and noise of sd 1e308
+        # overflows every draw
+        "edge-A": sb.ExperimentConfig(
+            model=sb.ModelSpec("A", resolution=40), n_values=(2, 3),
+            methods=("tgkf", "rmult-t", "boots-t"), replications=20, bootstrap_replicates=200,
+            true_replications=300, seed=4),
+        "edge-C": sb.ExperimentConfig(
+            model=sb.ModelSpec("C", resolution=15), n_values=(2,), methods=("tgkf", "gmult-t"),
+            replications=6, bootstrap_replicates=200, true_replications=300, seed=4),
+        "edge-overflow": sb.ExperimentConfig(
+            model=sb.ModelSpec("A", resolution=40), n_values=(5,), methods=("tgkf", "rmult-t"),
+            replications=4, bootstrap_replicates=200, sigma_obs=1e308, true_replications=50,
+            two_sample=True, seed=1),
     }
     for name, cfg in configs.items():
         for threads in (1, 2):

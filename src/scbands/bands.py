@@ -10,8 +10,9 @@ from one of the estimators below. Method names:
     "gauss-sim"  Gaussian simulation from the estimated correlation, drawn
                  as the unstudentized Gaussian multiplier bootstrap
 
-Besides the tGKF there are two resampling families, the bootstrap-t and the
-multiplier bootstrap; the multipliers also serve two-sample bands.
+Besides the tGKF, built by _tgkf_bands alone or as a block of replicates,
+there are two resampling families, the bootstrap-t and the multiplier
+bootstrap; the multipliers also serve two-sample bands.
 
 Coverage means the whole target curve sits inside the closed band at every
 grid point.
@@ -23,9 +24,9 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, boots_t_quantile, mult_t_quantile
 from .errors import _owned, _real_array
-from .fdata import FunctionalSample, Grid1D, _mean_field, _nonzero_scale, _suspect, grids_equal
+from .fdata import FunctionalSample, _mean_field, _nonzero_scale, _suspect, grids_equal
 from .kinematic import ECDensityModel, LKCVector, tgkf_quantile
-from .lkc import _lambda, _lkc_1d, _lkc_2d, lkc_estimate
+from .lkc import curvatures
 from .scalespace import smooth_sample
 
 __all__ = [
@@ -53,7 +54,7 @@ _METHODS = {
 }
 METHOD_NAMES = tuple(_METHODS)
 
-# _tgkf_bands takes a block's residual fields and curvature fields in chunks of
+# _tgkf_bands takes a block's residual stacks and their curvatures in chunks of
 # about this many values per array, so its temporaries stay far below the
 # block's stack of draws.
 _CHUNK_VALUES = 1 << 14
@@ -116,16 +117,26 @@ def _residual_stacks(values, grid):
     return center, scale, rate, stacks
 
 
-def _residual_field(samples):
-    """(center, scale, rate, residual groups) of the mean field of one sample
-    (see normed_residuals) or of the difference of two (two_sample_residuals):
-    _residual_stacks' parts, each residual group a FunctionalSample."""
-    one, grid = len(samples) == 1, samples[0].grid
-    if not all(grids_equal(s.grid, grid) for s in samples[1:]):
+def _band_grid(samples):
+    """The grid of a band's one or two samples, or ValueError naming an argument
+    that is not a FunctionalSample, a grid mismatch or a group of fewer than 2 curves."""
+    one = len(samples) == 1
+    for name, s in zip(("sample",) if one else ("sample_y", "sample_x"), samples):
+        if not isinstance(s, FunctionalSample):
+            raise ValueError(f"{name} must be a FunctionalSample, got {type(s).__name__}")
+    if not all(grids_equal(s.grid, samples[0].grid) for s in samples[1:]):
         raise ValueError("grid mismatch between the two samples")
     if min(s.n_samples for s in samples) < 2:
         raise ValueError("a band needs at least 2 curves" if one
                          else "both groups need at least 2 curves")
+    return samples[0].grid
+
+
+def _residual_field(samples):
+    """(center, scale, rate, residual groups) of the mean field of one sample
+    (see normed_residuals) or of the difference of two (two_sample_residuals):
+    _residual_stacks' parts, each residual group a FunctionalSample."""
+    grid = _band_grid(samples)
     center, scale, rate, stacks = _residual_stacks([s.values for s in samples], grid)
     # the scales passed, so |Y - mean| <= sqrt(N-1) scale, also under the pooled scale
     groups = tuple(_owned(FunctionalSample, values=res, grid=grid) for res in stacks)
@@ -166,25 +177,26 @@ def _scb(method, samples, alpha, replicates, seed):
     """Band center +/- q * scale / rate of the mean field of one or two samples.
 
     Every kernel reads the field's unit-scale residual groups, never the
-    raw values, whose squares can overflow or underflow: the tGKF their
-    sum(N_g - 1) degrees of freedom and summed curvature field, a
-    resampling kernel one group as itself and two as a tuple. The
-    replicate count and seed are checked for every method, the tGKF too.
+    raw values, whose squares can overflow or underflow. The tGKF band is
+    the one-replicate block of _tgkf_bands; a resampling kernel reads one
+    group as itself and two as a tuple. The replicate count and seed are
+    checked for every method, the tGKF too.
     """
     name, kind, law, studentized = _parse_method_for(method, len(samples) == 2)
     cfg = BootstrapConfig(replicates, alpha, studentized, seed)
-    center, scale, rate, groups = _residual_field(samples)
+    grid = _band_grid(samples)
     if kind == "tgkf":
-        dof = sum(g.n_samples - 1 for g in groups)
-        q = tgkf_quantile(lkc_estimate(*groups), ECDensityModel.student_t(dof), alpha)
+        block = [s.values[None] for s in samples]  # one replicate
+        center, half, q = (a[0] for a in _tgkf_bands(block, grid, alpha))
     else:
+        center, scale, rate, groups = _residual_field(samples)
         data = groups[0] if len(groups) == 1 else groups
         q = boots_t_quantile(data, cfg) if kind == "boots" else mult_t_quantile(data, law, cfg)
-    half = _half_width(q, scale, rate)
+        half = _half_width(q, scale, rate)
     # center is finite (means of finite sums, within DBL_MAX / 2) and 0 <= half < 2^970, half an
     # ulp of DBL_MAX (scale < 2^512, rate >= sqrt(2)): center -/+ half is finite and ordered
     return _owned(SCBand, center=center, lower=center - half, upper=center + half,
-                  quantile=float(q), method=name, alpha=float(alpha), grid=groups[0].grid)
+                  quantile=float(q), method=name, alpha=float(alpha), grid=grid)
 
 
 def scb_one_sample(sample, method="tgkf", alpha=0.05, replicates=1000, seed=0):
@@ -239,32 +251,26 @@ def covers(band, truth):
     return bool(_inside(band.lower, band.upper, t))
 
 
-def _tgkf_bands(values, grid, alpha, truth):
-    """(quantile, covered) of the tGKF band of each of R replicates, built
-    together: values holds each group's (R, N, P) stack, truth a finite (P,)
-    curve. Every step is _scb's and covers' on a leading replicate axis
-    (_residual_stacks, _lambda, the lkc cores, one tgkf_quantile call over
-    the R curvature rows, _half_width), so each pair is bitwise that
-    replicate's own band's. The residual and curvature fields are taken in
-    chunks of replicates of about _CHUNK_VALUES values per array; the solve
-    runs over all R rows.
+def _tgkf_bands(values, grid, alpha):
+    """(center, half-width, quantile) of the tGKF bands of R replicates, each
+    with a leading axis of R: values holds each group's (R, N, P) stack, and
+    the lone band is the R = 1 block. Each chunk of about _CHUNK_VALUES values
+    per array gives its replicates' _residual_stacks and lkc.curvatures; one
+    tgkf_quantile call with sum(N_g - 1) degrees of freedom solves all R rows.
+    Each row's arithmetic is its own, so it is bitwise the same in any block.
 
-    Raises ValueError or ArithmeticError with the error of a failing
-    replicate's own band: the checks are the lone band's, run in the order
-    above chunk by chunk, and each names its first failing replicate.
+    A failing check raises ValueError or ArithmeticError; the checks run in
+    the order above, chunk by chunk, each naming its first failing replicate.
     """
     step = max(1, _CHUNK_VALUES // values[0][0].size)
     fields = []
     for i in range(0, len(values[0]), step):
         center, scale, rate, stacks = _residual_stacks([v[i:i + step] for v in values], grid)
-        fields.append((center, scale, _lambda(stacks, grid)))
-    center, scale, lam = (np.concatenate(f) for f in zip(*fields))
-    curvatures = zip(_lkc_1d(lam, grid)) if isinstance(grid, Grid1D) else zip(*_lkc_2d(lam, grid))
+        fields.append((center, scale, *curvatures(stacks, grid)))
+    center, scale, *curv = (np.concatenate(f) for f in zip(*fields))
     dof = sum(v.shape[-2] - 1 for v in values)
-    q = tgkf_quantile([LKCVector(1, c) for c in curvatures], ECDensityModel.student_t(dof), alpha)
-    half = _half_width(q, scale, rate)
-    covered = _inside(center - half, center + half, truth)
-    return list(zip(q.tolist(), covered.tolist()))
+    q = tgkf_quantile([LKCVector(1, c) for c in zip(*curv)], ECDensityModel.student_t(dof), alpha)
+    return center, _half_width(q, scale, rate), q
 
 
 def band_to_dict(band):

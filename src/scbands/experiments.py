@@ -17,9 +17,9 @@ only on N, the grid width and _BLOCK_VALUES.
 A band block draws each replicate from the substreams of its own index and
 stops at the replication count; since its draws are addressed by
 replicate, the clipping moves no draw. Its tGKF bands are built together
-on the stack of its draws, with one lockstep quantile solve
-(bands._tgkf_bands), or by that engine one replicate at a time when the
-block fails; its resampling bands one replicate at a time. A reference
+on the stack of its draws, with one lockstep quantile solve, by
+bands._tgkf_bands, the engine of every tGKF band; its other bands, and its
+tGKF bands when the block fails, one replicate at a time. A reference
 block draws all its paths from one substream per purpose and centers them
 in place; it is drawn whole, its rows past the replication count dropped,
 so raising true_replications keeps every earlier statistic.
@@ -242,15 +242,11 @@ def _sweep(pipe, block, reps):
 
 
 def _band(pipe, values, method, seed):
-    """(quantile, covered) of the method's band on one replicate's (N, P)
-    values of each group. They are checked as samples first, so a draw that
-    overflowed fails with the lone band's reason; the tGKF band is then the
-    one-replicate block of bands._tgkf_bands, any other scb_one_sample's or
-    scb_two_sample's."""
+    """(quantile, covered) of scb_one_sample's or scb_two_sample's band of the
+    method on one replicate's (N, P) values of each group, checked as
+    samples first, so a draw that overflowed fails with the lone band's reason."""
     cfg = pipe.cfg
     samples = [FunctionalSample(v, pipe.grid) for v in values]
-    if method == "tgkf":
-        return _tgkf_bands([s.values[None] for s in samples], pipe.grid, cfg.alpha, pipe.truth)[0]
     build = scb_two_sample if cfg.two_sample else scb_one_sample
     band = build(*samples, method, cfg.alpha, cfg.bootstrap_replicates, seed)
     return band.quantile, bool(_inside(band.lower, band.upper, pipe.truth))
@@ -275,7 +271,10 @@ def _band_block(pipe, n_index, reps):
     del draws  # the block holds its draws once, in the stacks
     tgkf = None
     if "tgkf" in cfg.methods:
-        tgkf = _failure_tolerant(_tgkf_bands, stacks, pipe.grid, cfg.alpha, pipe.truth)[0]
+        built = _failure_tolerant(_tgkf_bands, stacks, pipe.grid, cfg.alpha)[0]
+        if built is not None:
+            center, half, q = built
+            tgkf = list(zip(q.tolist(), _inside(center - half, center + half, pipe.truth).tolist()))
     return [[(tgkf[k], None) if tgkf is not None and method == "tgkf"
              else _failure_tolerant(_band, pipe, [s[k] for s in stacks], method,
                                     child_sequence(cfg.seed, _TAG_METHOD, n_index, rep, m))

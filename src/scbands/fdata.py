@@ -230,7 +230,7 @@ def _combine(out, coefficients, rows):
     out += np.multiply(c, r2, out=term)
 
 
-def _gradient(values, grid):
+def gradient(values, grid):
     """Finite-difference partials of every row of values, (..., N, P) on grid,
     one fresh array of that shape per axis: the derivative on a 1-D grid, the
     (x, y) partials on a 2-D lattice. Leading axes index replicates.
@@ -260,8 +260,3 @@ def _gradient(values, grid):
             parts.append(out.reshape(values.shape))
     return tuple(parts)
 
-
-def gradient(sample):
-    """Finite-difference partials of every row of the sample, one fresh (N, P)
-    array per axis (_gradient)."""
-    return _gradient(sample.values, sample.grid)

@@ -3,7 +3,8 @@
 The field metric is the pointwise covariance of the residual derivative,
 Lambda(s) = cov[dR(s)]. Its empirical version turns a residual sample into
 the curvatures L1 (metric length, halved boundary length in 2-D) and L2
-(metric area) that weight the EC densities.
+(metric area) that weight the EC densities: curvatures, the only 1-D/2-D
+dispatch, of which lkc_estimate is the checked shell for residual samples.
 """
 
 import numpy as np
@@ -13,7 +14,6 @@ from .fdata import (
     FunctionalSample,
     Grid1D,
     Grid2D,
-    _gradient,
     _mean_var,
     _nonzero_scale,
     _point_label,
@@ -33,7 +33,7 @@ def _lambda(groups, grid):
     leading index) where the sum is not finite; nothing warns."""
     total = None
     for residuals in groups:
-        parts = _gradient(residuals, grid)
+        parts = gradient(residuals, grid)
         if len(parts) == 1:
             lam = _mean_var(parts[0])[1]
         else:
@@ -51,10 +51,10 @@ def _lambda(groups, grid):
     return total
 
 
-def _residual_rows(residuals):
-    """The (N, P) values of a residual sample, once the estimators' checks pass."""
+def _residual_rows(residuals, name):
+    """The (N, P) values of a residual sample, once the checks of estimator name pass."""
     if not isinstance(residuals, FunctionalSample):
-        raise ValueError("lambda_hat needs a FunctionalSample of residuals")
+        raise ValueError(f"{name} needs a FunctionalSample of residuals")
     if residuals.n_samples < 2:
         raise ValueError("gradient covariance needs at least 2 residual rows")
     return residuals.values
@@ -71,7 +71,7 @@ def lambda_hat(residuals):
     point where an entry is not finite (curves or steps past what a double
     holds); a zero variance is legal.
     """
-    lam = _lambda([_residual_rows(residuals)], residuals.grid)
+    lam = _lambda([_residual_rows(residuals, "lambda_hat")], residuals.grid)
     lam.setflags(write=False)
     return lam
 
@@ -170,22 +170,28 @@ def lkc_2d(lam, grid):
     return tuple(map(float, _lkc_2d(vals, grid)))
 
 
+def curvatures(groups, grid):
+    """(L1,) on a 1-D grid, (L1, L2) on a 2-D lattice, as arrays of the leading
+    shape, of the field of the (..., N, P) residual groups: their gradient
+    covariances add (_lambda), so their order does not matter."""
+    lam = _lambda(groups, grid)
+    return (_lkc_1d(lam, grid),) if isinstance(grid, Grid1D) else _lkc_2d(lam, grid)
+
+
 def lkc_estimate(*residuals):
     """LKC vector of the field whose residual groups are given.
 
     Each group is a normalized residual sample: the one-sample residuals,
     or the pooled-normalized residuals of each of two independent groups
-    (see two_sample_residuals in the band module). Their gradient
-    covariances add (_lambda), and the checked sum feeds the 1-D/2-D
-    curvature cores, so the order of the groups does not matter.
+    (see two_sample_residuals in the band module): curvatures, checked.
     """
+    if not residuals:
+        raise ValueError("lkc_estimate needs at least one residual sample")
+    rows = [_residual_rows(r, "lkc_estimate") for r in residuals]
     grid = residuals[0].grid
     if not all(grids_equal(r.grid, grid) for r in residuals):
         raise ValueError("grid mismatch between the residual samples")
-    lam = _lambda([_residual_rows(r) for r in residuals], grid)
-    if isinstance(grid, Grid1D):
-        return LKCVector(1, (_lkc_1d(lam, grid),))
-    return LKCVector(1, _lkc_2d(lam, grid))
+    return LKCVector(1, curvatures(rows, grid))
 
 
 def tau_sq_1d(residuals):
@@ -209,7 +215,7 @@ def tau_sq_1d(residuals):
     if n < 2:
         raise ValueError("gradient covariance needs at least 2 residual rows")
 
-    (grads,) = gradient(residuals)
+    (grads,) = gradient(residuals.values, residuals.grid)
     with np.errstate(all="ignore"):  # _nonzero_scale names a variance that overflows
         centered = grads - grads.mean(axis=0)
         cdot = centered.T @ centered / (n - 1)

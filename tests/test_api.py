@@ -35,13 +35,18 @@ PUBLIC = {
 # a module and names its span <module>.<function>, so renaming, prefixing or
 # moving one of these silently zeroes a per-layer benchmark row. After
 # renaming any package function, also run `python -m pytest perfbench/tests`.
+# No hook reads fdata.gradient or lkc.curvatures, but every tGKF band calls
+# both, lone or in a sweep block: perfbench/tests/test_smoke.py's
+# test_every_layer_is_traced_on_some_workload depends on them, and a prefix
+# on either leaves the lone band showing no fdata or lkc layer.
 TRACED = {
     "kinematic": {"tgkf_quantile": (), "eec": (), "ec_density": ()},
     "bootstrap": {
         "mult_t_quantile": ("sample", "law", "cfg"),
         "boots_t_quantile": ("sample", "cfg"),
     },
-    "lkc": {"lambda_hat": (), "lkc_1d": (), "lkc_2d": ()},
+    "fdata": {"gradient": ("values", "grid")},
+    "lkc": {"lambda_hat": (), "lkc_1d": (), "lkc_2d": (), "curvatures": ("groups", "grid")},
     "models": {"gen_model": ("spec", "n", "rng")},
     "rng": {"substream": ()},
     "scalespace": {"weight_matrix": (), "smooth_sample": ()},
@@ -241,6 +246,31 @@ def test_one_stencil_and_one_bisection():
     loops = [(m, f) for m, tree in trees.items() for f, node in _functions(tree).items()
              for loop in ast.walk(node) if isinstance(loop, ast.While) and _halves_an_interval(loop)]
     assert loops == [("kinematic", "_root")]
+
+
+def _names(tree):
+    """Every name a module reads or imports, and every attribute it takes."""
+    return {name for n in ast.walk(tree) for name in
+            ([n.id] if isinstance(n, ast.Name) else [n.attr] if isinstance(n, ast.Attribute)
+             else [a.name for a in n.names] if isinstance(n, ast.ImportFrom) else [])}
+
+
+def test_only_lkc_dispatches_on_the_grid_dimension():
+    # Every tGKF band, lone or in a sweep block, takes its curvatures from
+    # lkc.curvatures, the one 1-D/2-D dispatch: the band code names no grid
+    # class and no lkc core, bands imports nothing else from lkc, and
+    # nothing in the package calls lkc_estimate.
+    src = Path(scbands.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    for module in ("bands", "experiments"):
+        named = _names(trees[module]) & {"Grid1D", "Grid2D", "_lambda", "_lkc_1d", "_lkc_2d",
+                                         "lkc_1d", "lkc_2d", "lambda_hat", "lkc_estimate"}
+        assert not named, (module, named)
+    from_lkc = [a.name for n in ast.walk(trees["bands"]) if isinstance(n, ast.ImportFrom)
+                and n.module == "lkc" for a in n.names]
+    assert from_lkc == ["curvatures"]
+    assert not [m for m, tree in trees.items() for n in ast.walk(tree)
+                if isinstance(n, ast.Call) and ast.unparse(n.func).endswith("lkc_estimate")]
 
 
 def test_package_exports_are_unique_and_come_from_modules():

@@ -1,6 +1,7 @@
 """Band construction: one-sample, two-sample, and scale-space surfaces."""
 
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
 import scbands.bands
+import scbands.lkc
 from scbands import (
     METHOD_NAMES,
     DegenerateVarianceError,
+    ECDensityModel,
     FunctionalSample,
     Grid1D,
     Grid2D,
@@ -21,11 +24,13 @@ from scbands import (
     covers,
     gaussian_kernel,
     gen_model,
+    lkc_estimate,
     normed_residuals,
     scb_one_sample,
     scb_scale_space,
     scb_two_sample,
     substream,
+    tgkf_quantile,
     two_sample_residuals,
     weight_matrix,
 )
@@ -211,7 +216,7 @@ def test_a_tgkf_block_raises_its_first_failing_replicate_s_own_error():
     assert lone == [f"gradient variance is not finite at grid point {p}" for p in
                     ("11 (s=1.1e-159)", "4 (s=4e-160)")]
     with pytest.raises(ValueError, match=f"^{re.escape(lone[0])}$"):
-        scbands.bands._tgkf_bands([stack], g, 0.05, np.zeros(30))
+        scbands.bands._tgkf_bands([stack], g, 0.05)
 
 
 def test_degenerate_sample_rejected():
@@ -365,6 +370,51 @@ def test_band_size_and_grid_checks():
             scb_two_sample(y, x)
     with pytest.raises(ValueError, match="^grid mismatch between the two samples$"):
         scb_two_sample(two, moved)
+
+
+def test_an_argument_that_is_not_a_sample_is_named():
+    # each raised AttributeError (lkc_estimate() an IndexError) before the checks
+    s = gen_model(ModelSpec("A", resolution=30), 6, rng=substream(46, 1))
+    cases = [
+        (lambda: scb_one_sample(s.values), "sample must be a FunctionalSample, got ndarray"),
+        (lambda: scb_one_sample(s.values, "rmult-t"),
+         "sample must be a FunctionalSample, got ndarray"),
+        (lambda: scb_two_sample(s, s.values), "sample_x must be a FunctionalSample, got ndarray"),
+        (lambda: normed_residuals(None), "sample must be a FunctionalSample, got NoneType"),
+        (lambda: two_sample_residuals(None, None),
+         "sample_y must be a FunctionalSample, got NoneType"),
+        (lambda: lkc_estimate(), "lkc_estimate needs at least one residual sample"),
+        (lambda: lkc_estimate(s.values), "lkc_estimate needs a FunctionalSample of residuals"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+@pytest.mark.parametrize("spec", [ModelSpec("A", resolution=30), ModelSpec("C", resolution=8)],
+                         ids=["1-D", "2-D"])
+def test_a_lone_tgkf_band_is_the_one_replicate_block_of_the_engine(monkeypatch, spec):
+    # A lone band's quantile is the tGKF quantile of lkc_estimate's
+    # curvatures of its residual groups, yet the band never calls
+    # lkc_estimate: with it raising wherever the package binds it, the one-
+    # and two-sample bands come out bit for bit the same.
+    y, x = (gen_model(spec, n, rng=substream(49, k)) for k, n in enumerate((12, 9)))
+    bands = [scb_one_sample(y), scb_two_sample(y, x)]
+    for band, groups in zip(bands, [(normed_residuals(y),), two_sample_residuals(y, x)[3]]):
+        t = ECDensityModel.student_t(sum(g.n_samples - 1 for g in groups))
+        assert band.quantile == tgkf_quantile(lkc_estimate(*groups), t, 0.05)
+    real = scbands.lkc.lkc_estimate
+
+    def raising(*residuals):
+        raise AssertionError("a lone tGKF band called lkc_estimate")
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "scbands"]:
+        if getattr(module, "lkc_estimate", None) is real:
+            monkeypatch.setattr(module, "lkc_estimate", raising)
+    for band, again in zip(bands, [scb_one_sample(y), scb_two_sample(y, x)]):
+        assert again.quantile == band.quantile
+        for name in ("center", "lower", "upper"):
+            assert getattr(again, name).tobytes() == getattr(band, name).tobytes()
 
 
 def test_two_sample_bootstrap_not_offered():

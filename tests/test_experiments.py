@@ -782,9 +782,10 @@ def test_a_band_block_with_a_degenerate_replicate_is_rebuilt_one_band_at_a_time(
         return values
 
     monkeypatch.setattr(scbands.experiments, "_raw_block", patched)
-    batched = []
-    monkeypatch.setattr(scbands.experiments, "_tgkf_bands", lambda *args: batched.append(
-        len(args[0][0])) or scbands.bands._tgkf_bands(*args))
+    batched, engine = [], scbands.bands._tgkf_bands
+    for module in (scbands.experiments, scbands.bands):
+        monkeypatch.setattr(module, "_tgkf_bands", lambda *args: batched.append(
+            len(args[0][0])) or engine(*args))
     rows = scbands.experiments._band_block(pipe, 0, range(5))
     assert batched == [5, 1, 1, 1, 1, 1]
     assert rows == _rows_one_band_at_a_time(pipe, 0, range(5))
@@ -805,7 +806,7 @@ def test_a_failing_band_block_never_takes_the_lone_tgkf_band(monkeypatch, overri
     # in most replicates but not all; noise of sd 1e308 overflows every
     # draw. The block's tGKF bands are rebuilt replicate by replicate by
     # bands._tgkf_bands, with each replicate's own band's reason, and never
-    # by the lone band's lkc_estimate.
+    # by lkc_estimate.
     cfg = small_config(methods=("tgkf", "rmult-t"), bootstrap_replicates=50, replications=20,
                        **overrides)
     pipe = scbands.experiments._Pipeline(cfg)
@@ -816,9 +817,9 @@ def test_a_failing_band_block_never_takes_the_lone_tgkf_band(monkeypatch, overri
     assert rows == _rows_one_band_at_a_time(pipe, 0, reps)
 
     def lone_band(*groups):
-        raise AssertionError("the sweep took the lone tGKF band")
+        raise AssertionError("the sweep called lkc_estimate")
 
-    monkeypatch.setattr(scbands.bands, "lkc_estimate", lone_band)
+    monkeypatch.setattr(scbands.lkc, "lkc_estimate", lone_band)
     assert scbands.experiments._band_block(pipe, 0, reps) == rows
 
 

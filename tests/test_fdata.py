@@ -148,7 +148,7 @@ def test_gradient_exact_on_linear_rows():
     # second-order differences reproduce affine functions exactly
     g = Grid1D(np.linspace(0.0, 2.0, 31))
     rows = np.vstack([3.0 * g.points - 1.0, -0.5 * g.points + 4.0])
-    (grad,) = gradient(FunctionalSample(rows, g))
+    (grad,) = gradient(rows, g)
     assert grad.shape == (2, 31)
     assert_allclose(grad[0], 3.0, atol=1e-12)
     assert_allclose(grad[1], -0.5, atol=1e-12)
@@ -158,14 +158,14 @@ def test_gradient_exact_on_linear_rows():
 def test_gradient_on_a_step_below_the_stencil_is_not_finite_without_a_numpy_warning():
     # np.gradient divides by zero there; lambda_hat names the point
     g = Grid1D(1e-300 * np.arange(5.0))
-    (grad,) = gradient(FunctionalSample(substream(3, 2).standard_normal((2, 5)), g))
+    (grad,) = gradient(substream(3, 2).standard_normal((2, 5)), g)
     assert not np.isfinite(grad).all()
 
 
 def test_gradient_2d_exact_on_planes():
     g = Grid2D(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 2.0, 7))
     x, y = g.lattice_coords()
-    dx, dy = gradient(FunctionalSample((2.0 * x - 5.0 * y)[None, :], g))
+    dx, dy = gradient((2.0 * x - 5.0 * y)[None, :], g)
     assert dx.shape == dy.shape == (1, 63)
     assert_allclose(dx, 2.0, atol=1e-12)
     assert_allclose(dy, -5.0, atol=1e-12)

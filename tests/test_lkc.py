@@ -78,7 +78,7 @@ def test_lambda_hat_names_a_field_past_the_doubles(scale, step):
         with pytest.raises(ValueError, match=message):
             scb_two_sample(FunctionalSample(y, g), FunctionalSample(x, g))
         with pytest.raises(ValueError, match=message):
-            scbands.bands._tgkf_bands([y[None], x[None]], g, 0.05, np.zeros(30))
+            scbands.bands._tgkf_bands([y[None], x[None]], g, 0.05)
         p = np.linspace(0.0, 1.0, 30)
         s = FunctionalSample(np.outer([np.sqrt(5e307), -np.sqrt(5e307)], p), Grid1D(p))
         assert np.isfinite(lambda_hat(s)).all()
@@ -101,7 +101,7 @@ def test_lambda_hat_names_a_field_past_the_doubles(scale, step):
         with pytest.raises(ValueError, match=message):
             scb_two_sample(FunctionalSample(y, g), FunctionalSample(x, g))
         with pytest.raises(ValueError, match=message):
-            scbands.bands._tgkf_bands([y[None], x[None]], g, 0.05, np.zeros(30))
+            scbands.bands._tgkf_bands([y[None], x[None]], g, 0.05)
         return
     values = scale * cosine_sample(5, 19, n_points=30).values
     sample = FunctionalSample(values, Grid1D(step * np.arange(30.0)))
@@ -317,7 +317,7 @@ LATTICES = [
 
 def _stacked_lambda_2d(residuals):
     """The 2-D field as one 3-index product over the centered (N, P, 2) gradient."""
-    grads = np.stack(gradient(residuals), axis=-1)
+    grads = np.stack(gradient(residuals.values, residuals.grid), axis=-1)
     centered = grads - grads.mean(axis=0)
     return np.einsum("npi,npj->pij", centered, centered) / (residuals.n_samples - 1)
 

@@ -119,7 +119,7 @@ def model_outputs(out, samples):
         out[f"gen_model_block/{name}"] = sb.gen_model_block(spec, 4, sb.substream(104), 3)
     for name, sample in samples.items():
         out[f"draw/{name}"] = sample.values
-        out[f"gradient/{name}"] = gradient(sample)
+        out[f"gradient/{name}"] = gradient(sample.values, sample.grid)
     s = np.linspace(0.0, 1.0, 7)
     for name in "AB":
         out[f"model_mean/{name}"] = sb.model_mean(name, s)

@@ -10,9 +10,8 @@ from one of the estimators below. Method names:
     "gauss-sim"  Gaussian simulation from the estimated correlation, drawn
                  as the unstudentized Gaussian multiplier bootstrap
 
-Besides the tGKF, built by _tgkf_bands alone or as a block of replicates,
-there are two resampling families, the bootstrap-t and the multiplier
-bootstrap; the multipliers also serve two-sample bands.
+Besides the tGKF (_tgkf_bands, for one band or a block) there are two
+resampling families; the multipliers also serve two-sample bands.
 
 Coverage means the whole target curve sits inside the closed band at every
 grid point.
@@ -186,8 +185,7 @@ def _scb(method, samples, alpha, replicates, seed):
     cfg = BootstrapConfig(replicates, alpha, studentized, seed)
     grid = _band_grid(samples)
     if kind == "tgkf":
-        block = [s.values[None] for s in samples]  # one replicate
-        center, half, q = (a[0] for a in _tgkf_bands(block, grid, alpha))
+        center, half, q = (a[0] for a in _tgkf_bands([s.values[None] for s in samples], grid, alpha))
     else:
         center, scale, rate, groups = _residual_field(samples)
         data = groups[0] if len(groups) == 1 else groups
@@ -263,11 +261,11 @@ def _tgkf_bands(values, grid, alpha):
     the order above, chunk by chunk, each naming its first failing replicate.
     """
     step = max(1, _CHUNK_VALUES // values[0][0].size)
-    fields = []
+    chunks = []
     for i in range(0, len(values[0]), step):
         center, scale, rate, stacks = _residual_stacks([v[i:i + step] for v in values], grid)
-        fields.append((center, scale, *curvatures(stacks, grid)))
-    center, scale, *curv = (np.concatenate(f) for f in zip(*fields))
+        chunks.append((center, scale, *curvatures(stacks, grid)))
+    center, scale, *curv = (np.concatenate(c) for c in zip(*chunks))
     dof = sum(v.shape[-2] - 1 for v in values)
     q = tgkf_quantile([LKCVector(1, c) for c in zip(*curv)], ECDensityModel.student_t(dof), alpha)
     return center, _half_width(q, scale, rate), q

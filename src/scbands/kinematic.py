@@ -174,9 +174,9 @@ def tgkf_quantile(lkc, model, alpha):
 
     Each row's search is _root; R rows step in lockstep, one eec call per
     step over the rows still searching, each at its own u, and the last
-    row left (the only one, for one LKCVector) steps alone on its own
-    LKCVector. Every row's arithmetic is its own, so each quantile is
-    bitwise the row's solve alone.
+    row left (the only one, for one LKCVector or a lone band's list of one)
+    steps alone on its own LKCVector. Every row's arithmetic is its own, so
+    each quantile is bitwise the row's solve alone.
 
     Raises QuantileNoSolutionError for alpha outside (0, 1); for dof < 2 on
     a 2-D domain with L2 > 0; and when the EEC is still at least alpha/2 at

@@ -183,7 +183,7 @@ def lkc_estimate(*residuals):
 
     Each group is a normalized residual sample: the one-sample residuals,
     or the pooled-normalized residuals of each of two independent groups
-    (see two_sample_residuals in the band module): curvatures, checked.
+    (two_sample_residuals in the band module): the checked shell of curvatures.
     """
     if not residuals:
         raise ValueError("lkc_estimate needs at least one residual sample")

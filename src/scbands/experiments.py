@@ -275,6 +275,7 @@ def _band_block(pipe, n_index, reps):
         if built is not None:
             center, half, q = built
             tgkf = list(zip(q.tolist(), _inside(center - half, center + half, pipe.truth).tolist()))
+            del built, center, half  # not held while the other bands are built
     return [[(tgkf[k], None) if tgkf is not None and method == "tgkf"
              else _failure_tolerant(_band, pipe, [s[k] for s in stacks], method,
                                     child_sequence(cfg.seed, _TAG_METHOD, n_index, rep, m))

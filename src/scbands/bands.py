@@ -23,7 +23,8 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, boots_t_quantile, mult_t_quantile
 from .errors import _owned, _real_array
-from .fdata import FunctionalSample, _mean_field, _nonzero_scale, _suspect, grids_equal
+from .fdata import (_CHUNK_VALUES, FunctionalSample, _mean_field, _nonzero_scale, _suspect,
+                    grids_equal)
 from .kinematic import ECDensityModel, LKCVector, tgkf_quantile
 from .lkc import curvatures
 from .scalespace import smooth_sample
@@ -52,12 +53,6 @@ _METHODS = {
     "gauss-sim": ("mult", "gaussian", False),
 }
 METHOD_NAMES = tuple(_METHODS)
-
-# _tgkf_bands takes a block's residual stacks and their curvatures in chunks of
-# about this many values per array, so its temporaries stay far below the
-# block's stack of draws.
-_CHUNK_VALUES = 1 << 14
-
 
 def _parse_method_for(method, two_sample):
     """Canonical (name, kind, law, studentized) tuple for a method string; a
@@ -131,11 +126,10 @@ def _band_grid(samples):
     return samples[0].grid
 
 
-def _residual_field(samples):
+def _residual_field(samples, grid):
     """(center, scale, rate, residual groups) of the mean field of one sample
-    (see normed_residuals) or of the difference of two (two_sample_residuals):
-    _residual_stacks' parts, each residual group a FunctionalSample."""
-    grid = _band_grid(samples)
+    (see normed_residuals) or of the difference of two (two_sample_residuals)
+    on the grid _band_grid gave: _residual_stacks' parts, groups as FunctionalSamples."""
     center, scale, rate, stacks = _residual_stacks([s.values for s in samples], grid)
     # the scales passed, so |Y - mean| <= sqrt(N-1) scale, also under the pooled scale
     groups = tuple(_owned(FunctionalSample, values=res, grid=grid) for res in stacks)
@@ -149,7 +143,7 @@ def normed_residuals(sample):
     DegenerateVarianceError naming the first grid point where the
     pointwise sd vanishes.
     """
-    return _residual_field((sample,))[3][0]
+    return _residual_field((sample,), _band_grid((sample,)))[3][0]
 
 
 def two_sample_residuals(sample_y, sample_x):
@@ -161,7 +155,7 @@ def two_sample_residuals(sample_y, sample_x):
     pooled. Their per-group covariances sum to the correlation of the limit
     field of the mean difference.
     """
-    return _residual_field((sample_y, sample_x))
+    return _residual_field((sample_y, sample_x), _band_grid((sample_y, sample_x)))
 
 
 def _half_width(q, scale, rate):
@@ -187,7 +181,7 @@ def _scb(method, samples, alpha, replicates, seed):
     if kind == "tgkf":
         center, half, q = (a[0] for a in _tgkf_bands([s.values[None] for s in samples], grid, alpha))
     else:
-        center, scale, rate, groups = _residual_field(samples)
+        center, scale, rate, groups = _residual_field(samples, grid)
         data = groups[0] if len(groups) == 1 else groups
         q = boots_t_quantile(data, cfg) if kind == "boots" else mult_t_quantile(data, law, cfg)
         half = _half_width(q, scale, rate)

@@ -3,7 +3,7 @@
 A FunctionalSample is an N x P matrix of N functions observed on a shared
 grid, a rectangular _Lattice: a Grid1D of points or a Grid2D over x and y
 points. Surfaces are stored row-major over (x, y): the flat column index of
-lattice node (ix, iy) is ix * n_y + iy.
+lattice node (ix, iy) is ix * n_y + iy, so lines ix to jx are one run of columns.
 """
 
 import functools
@@ -15,6 +15,11 @@ import numpy as np
 from .errors import DegenerateVarianceError, _real_array
 
 __all__ = ["Grid1D", "Grid2D", "FunctionalSample"]
+
+# bands._tgkf_bands takes a block's residual stacks, and lkc._lambda their
+# gradients, in chunks of about this many values per array, so their
+# temporaries stay small and in cache.
+_CHUNK_VALUES = 1 << 14
 
 
 def _ascending_points(points, name, fewest=3):
@@ -52,6 +57,11 @@ class _Lattice:
             object.__setattr__(self, f.name, _ascending_points(getattr(self, f.name), f.name))
         object.__setattr__(self, "axes", tuple(getattr(self, f.name) for f in fields(self)))
         object.__setattr__(self, "n_points", math.prod(a.size for a in self.axes))
+
+    @functools.cached_property
+    def _stencils(self):
+        """Each axis's _stencil, made once for gradient's line ranges."""
+        return tuple(map(_stencil, self.axes))
 
     def lattice_coords(self):
         """Coordinates of every node in flat order, one array per axis."""
@@ -230,33 +240,45 @@ def _combine(out, coefficients, rows):
     out += np.multiply(c, r2, out=term)
 
 
-def gradient(values, grid):
+def gradient(values, grid, start=0, stop=None):
     """Finite-difference partials of every row of values, (..., N, P) on grid,
-    one fresh array of that shape per axis: the derivative on a 1-D grid, the
-    (x, y) partials on a 2-D lattice. Leading axes index replicates.
+    on lattice lines start to stop of the first axis (all by default; a 1-D
+    grid's lines are its points): one (..., N, lines x line size) array per
+    axis. Leading axes index replicates.
 
-    Each axis's _stencil is computed once and applied along that axis of
-    the whole (..., N, *axis sizes) stack, writing into the result: central
-    second-order differences at interior points and one-sided second-order
-    stencils at the edges, bitwise np.gradient(edge_order=2). A step whose
-    square underflows (below about 1e-154) can give inf or NaN entries,
-    without a warning.
+    Along an axis of stride s, a flat row's central difference at p reads p - s,
+    p and p + s, with _stencil's coefficients laid out per position, in one
+    pass over the range and a one-line halo; one-sided stencils then overwrite
+    the lattice's true edges. An entry is the same expression of the same values
+    for any range: bitwise np.gradient(edge_order=2). A step whose square
+    underflows (below about 1e-154) can give inf or NaN, without a warning.
     """
     sizes = tuple(a.size for a in grid.axes)
-    cube = values.reshape(*values.shape[:-1], *sizes)
+    stop, line = sizes[0] if stop is None else stop, grid.n_points // sizes[0]
+    # the halo, widened to the three lines an edge stencil reads
+    lo, hi = max(0, min(start - 1, sizes[0] - 3)), min(sizes[0], max(stop + 1, 3))
+    f = values[..., lo * line:hi * line]
+    width, offset = (stop - start) * line, (start - lo) * line
     parts = []
     with np.errstate(all="ignore"):
-        for k, points in enumerate(grid.axes):
-            interior, first, last = _stencil(points)
-            out = np.empty(cube.shape)
-            f, o = (np.swapaxes(a, k - len(sizes), 0) for a in (cube, out))
+        for k, (interior, first, last) in enumerate(grid._stencils):
+            n, s = sizes[k], math.prod(sizes[k + 1:])
+            out = np.empty((*values.shape[:-1], width))
+            q0, q1 = max(0, s - offset), min(width, f.shape[-1] - offset - s)
+            rows = [f[..., offset + q0 + d:offset + q1 + d] for d in (-s, 0, s)]
+            inner = out[..., q0:q1]
             if np.ndim(interior) == 0:
-                np.divide(np.subtract(f[2:], f[:-2], out=o[1:-1]), interior, out=o[1:-1])
-            else:
-                shape = (-1,) + (1,) * (f.ndim - 1)
-                _combine(o[1:-1], [c.reshape(shape) for c in interior], (f[:-2], f[1:-1], f[2:]))
-            _combine(o[0], first, f[:3])
-            _combine(o[-1], last, f[-3:])
-            parts.append(out.reshape(values.shape))
+                np.divide(np.subtract(rows[2], rows[0], out=inner), interior, out=inner)
+            else:  # points 0 and n - 1 clip to their neighbours' coefficients, overwritten below
+                at = np.arange(start * line + q0, start * line + q1) // s % n - 1
+                _combine(inner, [c.take(at, mode="clip") for c in interior], rows)
+            # an edge of axis 0 is a whole line at the lattice's ends, of another axis in every line
+            shape, ends = ((-1, n, s), (True, True)) if k else ((-1, s), (start == 0, stop == n))
+            o = out.reshape(*values.shape[:-1], *shape)
+            g = (f[..., offset:offset + width] if k else f).reshape(*values.shape[:-1], *shape)
+            if ends[0]:
+                _combine(o[..., 0, :], first, [g[..., i, :] for i in (0, 1, 2)])
+            if ends[1]:
+                _combine(o[..., -1, :], last, [g[..., i, :] for i in (-3, -2, -1)])
+            parts.append(out)
     return tuple(parts)
-

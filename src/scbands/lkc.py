@@ -5,12 +5,14 @@ Lambda(s) = cov[dR(s)]. Its empirical version turns a residual sample into
 the curvatures L1 (metric length, halved boundary length in 2-D) and L2
 (metric area) that weight the EC densities: curvatures, the only 1-D/2-D
 dispatch, of which lkc_estimate is the checked shell for residual samples.
+The field is built a slab of lattice lines at a time, bit for bit the same.
 """
 
 import numpy as np
 
 from .errors import _real_array
 from .fdata import (
+    _CHUNK_VALUES,
     FunctionalSample,
     Grid1D,
     Grid2D,
@@ -30,21 +32,33 @@ def _lambda(groups, grid):
     """The sum of lambda_hat's fields of the groups, each (..., N, P) residual
     rows on grid: (..., P) variances on a 1-D grid, (..., P, 2, 2) matrices
     on a 2-D lattice. ValueError names the first grid point (of the first
-    leading index) where the sum is not finite; nothing warns."""
-    total = None
+    leading index) where the sum is not finite; nothing warns.
+
+    Each group is walked in slabs of whole lattice lines of the first axis,
+    about _CHUNK_VALUES values each, so no whole-size temporary is made. A
+    point's entries read only its column, summed over N in row order: the
+    same bits in any slab of two columns or more (over one, numpy sums N
+    pairwise)."""
+    lead, n0, p = groups[0].shape[:-2], grid.axes[0].size, grid.n_points
+    line = p // n0
+    total = np.zeros((*lead, p) if len(grid.axes) == 1 else (*lead, p, 2, 2))
+    flat = total.reshape(*lead, p, -1)
     for residuals in groups:
-        parts = gradient(residuals, grid)
-        if len(parts) == 1:
-            lam = _mean_var(parts[0])[1]
-        else:
-            for d in parts:
-                d -= d.mean(axis=-2, keepdims=True)
-            lam = np.empty((*residuals.shape[:-2], residuals.shape[-1], 2, 2))
-            for i, j in ((0, 0), (1, 1), (0, 1)):
-                lam[..., i, j] = lam[..., j, i] = np.einsum("...np,...np->...p", parts[i], parts[j])
-            lam /= residuals.shape[-2] - 1
-        total = lam if total is None else np.add(total, lam, out=total)
-    bad = np.argwhere(~np.isfinite(total.reshape(*residuals.shape[:-2], residuals.shape[-1], -1)))
+        count = max(1, min(round(residuals.size / _CHUNK_VALUES), n0, p // 2))
+        cuts = [n0 * k // count for k in range(count + 1)]
+        for start, stop in zip(cuts, cuts[1:]):
+            dr = gradient(residuals, grid, start, stop)
+            if len(dr) == 1:
+                lam = _mean_var(dr[0])[1]
+            else:
+                for d in dr:
+                    d -= d.mean(axis=-2, keepdims=True)
+                lam = np.empty((*lead, dr[0].shape[-1], 2, 2))
+                for i, j in ((0, 0), (1, 1), (0, 1)):
+                    lam[..., i, j] = lam[..., j, i] = np.einsum("...np,...np->...p", dr[i], dr[j])
+                lam /= residuals.shape[-2] - 1
+            flat[..., start * line:stop * line, :] += lam.reshape(*lead, -1, flat.shape[-1])
+    bad = np.argwhere(~np.isfinite(flat))
     if bad.size:
         raise ValueError(f"gradient variance is not finite at grid point "
                          f"{_point_label(grid, int(bad[0, -2]))}")

@@ -2,6 +2,7 @@
 
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,22 @@ def test_a_tgkf_block_raises_its_first_failing_replicate_s_own_error():
                     ("11 (s=1.1e-159)", "4 (s=4e-160)")]
     with pytest.raises(ValueError, match=f"^{re.escape(lone[0])}$"):
         scbands.bands._tgkf_bands([stack], g, 0.05)
+
+
+def test_a_2d_tgkf_band_holds_at_most_a_slab_beside_its_residual_copy():
+    # The band copies the sample once for its residuals; lkc._lambda then
+    # walks the copy in slabs of a few lattice lines, so no whole-size
+    # partial or product joins it. A second band, with every cache warm:
+    # the whole-array field held 4.1 times the sample's bytes at its peak.
+    sample = gen_model(ModelSpec("C", resolution=50), 50, substream(36, 0))
+    scb_one_sample(sample, "tgkf")
+    tracemalloc.start()
+    try:
+        scb_one_sample(sample, "tgkf")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * sample.values.nbytes
 
 
 def test_degenerate_sample_rejected():

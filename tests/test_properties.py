@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+import scbands.lkc
 from scbands import (
     ECDensityModel,
     ExperimentConfig,
@@ -338,10 +339,10 @@ def test_a_scale_grid_the_config_accepts_builds_its_pipeline(triple):
 
 
 @st.composite
-def _spaced_points(draw):
-    """3 to 9 increasing points: exactly uniform (a dyadic step from an integer),
+def _spaced_points(draw, most=9):
+    """3 to most increasing points: exactly uniform (a dyadic step from an integer),
     np.linspace (steps that differ in their last bits) or random steps."""
-    n = draw(st.integers(3, 9))
+    n = draw(st.integers(3, most))
     kind = draw(st.sampled_from(["uniform", "linspace", "random"]))
     if kind == "uniform":
         return draw(st.integers(-4, 4)) + 2.0 ** draw(st.integers(-6, 3)) * np.arange(n)
@@ -384,6 +385,68 @@ def test_curvature_cores_on_a_stack_are_each_replicate_s_public_result(axes, r, 
         assert np.array_equal(_bits(lam[k]), _bits(alone))
         public = (lkc_1d(alone, grid),) if len(axes) == 1 else lkc_2d(alone, grid)
         assert np.array_equal(_bits(np.atleast_1d(curvatures[k])), _bits(public))
+
+
+def _whole_field(groups, grid):
+    """lkc._lambda's field from whole arrays: np.gradient(edge_order=2) along
+    each axis, centring over N and one einsum per group, summed over the groups."""
+    sizes = [a.size for a in grid.axes]
+    fields = []
+    for values in groups:
+        cube = values.reshape(*values.shape[:-1], *sizes)
+        parts = [np.gradient(cube, a, axis=cube.ndim - len(sizes) + k, edge_order=2)
+                 .reshape(values.shape) for k, a in enumerate(grid.axes)]
+        centred = [d - d.mean(axis=-2, keepdims=True) for d in parts]
+        if len(centred) == 1:
+            lam = np.einsum("...np,...np->...p", centred[0], centred[0])
+        else:
+            grads = np.stack(centred, axis=-1)
+            lam = np.einsum("...npi,...npj->...pij", grads, grads)
+        fields.append(lam / (values.shape[-2] - 1))
+    return sum(fields[1:], fields[0])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(axes=st.lists(_spaced_points(12), min_size=1, max_size=2),
+       lead=st.lists(st.integers(1, 3), max_size=2), n=st.integers(2, 12),
+       groups=st.integers(1, 2), chunk=st.one_of(st.just(1), st.integers(2, 600)),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_slab_walk_is_bitwise_the_whole_array_field(axes, lead, n, groups, chunk, seed):
+    # lkc._lambda takes the partials of a few lattice lines at a time. With a
+    # chunk of 1 a slab ends at every line of a 2-D lattice, and at every
+    # second point of a 1-D grid, where a slab keeps two columns (over one,
+    # numpy sums the N rows pairwise). The field, the curvatures and
+    # lambda_hat are the whole-array computation's, bit for bit.
+    grid = Grid1D(*axes) if len(axes) == 1 else Grid2D(*axes)
+    rng = substream(seed, 0)
+    stacks = [rng.standard_normal((*lead, n, grid.n_points)) * 10.0 ** rng.integers(-3, 4)
+              for _ in range(groups)]
+    first = stacks[0].reshape(-1, n, grid.n_points)[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scbands.lkc, "_CHUNK_VALUES", chunk)
+        field = _lambda(stacks, grid)
+        curvatures = scbands.lkc.curvatures(stacks, grid)
+        alone = lambda_hat(FunctionalSample(first, grid))
+    expected = _whole_field(stacks, grid)
+    assert np.array_equal(_bits(field), _bits(expected))
+    cores = (_lkc_1d(expected, grid),) if len(axes) == 1 else _lkc_2d(expected, grid)
+    assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(curvatures, cores, strict=True))
+    assert np.array_equal(_bits(alone), _bits(_whole_field([first], grid)))
+
+
+def test_a_slab_walk_names_the_first_point_of_the_whole_field_that_overflows():
+    # With one lattice line per slab, replicate 1's field overflows in the
+    # first slab and replicate 0's from the fifth: the finite check runs once
+    # after the walk, so it names replicate 0's first point, as on the whole array.
+    grid = Grid2D(np.arange(6.0), np.arange(4.0))
+    stacks = substream(7, 1).standard_normal((2, 3, grid.n_points))
+    stacks[0, 0, 21] = stacks[1, 0, 2] = 1e300
+    assert np.argwhere(~np.isfinite(_whole_field([stacks], grid)))[0, :2].tolist() == [0, 17]
+    message = r"^gradient variance is not finite at grid point 17 \(x=4, y=1\)$"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scbands.lkc, "_CHUNK_VALUES", 1)
+        with pytest.raises(ValueError, match=message):
+            _lambda([stacks], grid)
 
 
 # Curvatures from zero through typical values to past what the solver can
